@@ -495,6 +495,85 @@ func BenchmarkGraphUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkUpdateRound1k measures the graph update in the steady state of
+// a large, mostly busy cluster: 1,000 machines under Quincy, 8,400 tasks
+// that run throughout, and per round about 75 events — a 38-task job
+// arrives, the previous job starts (placed directly, as the solver's apply
+// would), 37 older tasks finish. One op is one round's event fold plus
+// UpdateRound; allocs/op is allocations per round.
+func BenchmarkUpdateRound1k(b *testing.B) {
+	const (
+		resident = 8400
+		jobSize  = 38
+		finish   = 37
+		files    = 64
+	)
+	topo := cluster.Topology{Racks: 25, MachinesPerRack: 40, SlotsPerMachine: 12}
+	cl := cluster.New(topo)
+	store := storage.NewStore(cl, storage.Config{Seed: 42})
+	for i := 0; i < files; i++ {
+		store.AddFile(int64(1+i%16) << 28)
+	}
+	sched := core.NewScheduler(cl, policy.NewQuincy(cl, store), core.DefaultConfig())
+	gm := sched.GraphManager()
+
+	specs := func(n, salt int) []cluster.TaskSpec {
+		out := make([]cluster.TaskSpec, n)
+		for i := range out {
+			f := int64((salt*31 + i) % files)
+			out[i] = cluster.TaskSpec{InputFile: f, InputSize: (1 + f%16) << 28}
+		}
+		return out
+	}
+	// start places tasks on the next machines with a free slot.
+	next := 0
+	start := func(ids []cluster.TaskID, now time.Duration) {
+		for _, id := range ids {
+			for cl.Machine(cluster.MachineID(next)).Running() >= topo.SlotsPerMachine {
+				next = (next + 1) % cl.NumMachines()
+			}
+			if err := cl.Place(id, cluster.MachineID(next), now); err != nil {
+				b.Fatal(err)
+			}
+			next = (next + 1) % cl.NumMachines()
+		}
+	}
+	start(cl.SubmitJob(cluster.Batch, 0, 0, specs(resident, 0)).Tasks, 0)
+
+	var live, waiting []cluster.TaskID // running short tasks, oldest first; last round's job
+	now := time.Duration(0)
+	round := func(i int) {
+		now += 38 * time.Millisecond
+		if len(live) >= 25*finish { // about a second's worth stays running
+			for _, id := range live[:finish] {
+				if err := cl.Complete(id, now); err != nil {
+					b.Fatal(err)
+				}
+			}
+			live = live[finish:]
+		}
+		start(waiting, now)
+		live = append(live, waiting...)
+		waiting = cl.SubmitJob(cluster.Batch, 0, now, specs(jobSize, i+1)).Tasks
+		gm.Changes().Reset()
+	}
+	for i := 0; i < 40; i++ { // reach the steady state before timing
+		round(i)
+		gm.ApplyClusterEvents()
+		gm.UpdateRound(now)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		round(40 + i)
+		b.StartTimer()
+		gm.ApplyClusterEvents()
+		gm.UpdateRound(now)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "update-us/round")
+}
+
 // BenchmarkExtraction measures placement extraction (Listing 1).
 func BenchmarkExtraction(b *testing.B) {
 	sched, _ := experiments.WarmedSchedulerForProfile(250, 0.8, 42)

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -56,6 +57,23 @@ type GraphManager struct {
 	changes  flow.ChangeSet
 	numTasks int64
 
+	// revisit is the set of tasks updateTasks re-derives next round: those
+	// last seen not running (only a waiting task's costs move with time)
+	// plus those a submit or evict event named since. A running task
+	// changes state only through events, and its arcs are a function of its
+	// record (policy.CostModel contract), so everything outside the set
+	// would diff to nothing. refreshAll widens one round to every task: a
+	// re-added machine can be the target of arcs that were skipped while it
+	// was gone, and a restored scheduler has no set yet.
+	revisit       map[cluster.TaskID]struct{}
+	refreshAll    bool
+	machineEvents bool // a machine event was folded since the last round
+
+	// Per-round working storage, reused so neither the update nor the apply
+	// allocates in proportion to the graph.
+	ids  []cluster.TaskID
+	seen map[policy.ArcTarget]struct{}
+
 	// TaskRemovalHeuristic enables the §5.3.2 optimization: when a task
 	// node is removed, its unit of flow is drained along its path to the
 	// sink first, preserving feasibility for incremental cost scaling.
@@ -99,6 +117,8 @@ func NewGraphManager(cl *cluster.Cluster, model policy.CostModel) *GraphManager 
 		taskArcs:       make(map[cluster.TaskID]map[policy.ArcTarget]flow.ArcID),
 		aggMachineArcs: make(map[policy.AggID]map[machineArcKey]flow.ArcID),
 		aggAggArcs:     make(map[policy.AggID]map[policy.AggID]flow.ArcID),
+		revisit:        make(map[cluster.TaskID]struct{}),
+		seen:           make(map[policy.ArcTarget]struct{}),
 
 		TaskRemovalHeuristic: true,
 	}
@@ -153,20 +173,27 @@ func (gm *GraphManager) removeMachine(id cluster.MachineID) {
 			}
 		}
 	}
-	// Task arc records (running/preference arcs) pointing at the machine.
-	for tid, arcs := range gm.taskArcs {
-		for target := range arcs {
-			if target.Machine == id {
-				delete(arcs, target)
-			}
-		}
-		_ = tid
-	}
+	gm.dropTaskArcRecords(n, policy.ToMachine(id))
 	gm.g.RemoveNode(n)
 	delete(gm.machineNode, id)
 	delete(gm.machineSink, id)
 	delete(gm.nodeMachine, n)
 	gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: n})
+}
+
+// dropTaskArcRecords forgets every task's arc record for target, whose
+// node n is about to be removed. The tasks holding such an arc are exactly
+// the tails of n's incoming arcs, so the graph's own adjacency is the
+// reverse index: the cost is n's degree, not the number of tasks.
+func (gm *GraphManager) dropTaskArcRecords(n flow.NodeID, target policy.ArcTarget) {
+	for a := gm.g.FirstOut(n); a != flow.InvalidArc; a = gm.g.NextOut(a) {
+		if gm.g.IsForward(a) {
+			continue
+		}
+		if tid, ok := gm.nodeTask[gm.g.Head(a)]; ok {
+			delete(gm.taskArcs[tid], target)
+		}
+	}
 }
 
 // ensureUnsched returns the unscheduled aggregator node for a job,
@@ -200,6 +227,7 @@ func (gm *GraphManager) addTask(id cluster.TaskID) {
 	gm.g.SetSupply(gm.sink, -gm.numTasks)
 	gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: n})
 	gm.changes.Record(flow.Change{Kind: flow.ChangeSupply, Node: gm.sink})
+	gm.revisit[id] = struct{}{}
 }
 
 func (gm *GraphManager) removeTask(id cluster.TaskID) {
@@ -216,6 +244,7 @@ func (gm *GraphManager) removeTask(id cluster.TaskID) {
 	delete(gm.nodeTask, n)
 	delete(gm.taskArcs, id)
 	delete(gm.taskUnschedArc, id)
+	delete(gm.revisit, id)
 	gm.numTasks--
 	gm.g.SetSupply(gm.sink, -gm.numTasks)
 	gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: n})
@@ -292,25 +321,38 @@ func (gm *GraphManager) ApplyEvents(events []cluster.Event) {
 		case cluster.EventTaskEvicted:
 			// The task stays in the graph; its arcs are rebuilt by the next
 			// UpdateRound since its state changed to pending.
+			if _, ok := gm.taskNode[ev.Task]; ok {
+				gm.revisit[ev.Task] = struct{}{}
+			}
 		case cluster.EventMachineAdded:
 			gm.addMachine(ev.Machine)
+			gm.refreshAll, gm.machineEvents = true, true
 		case cluster.EventMachineRemoved:
 			gm.removeMachine(ev.Machine)
+			gm.machineEvents = true
 		}
 	}
 }
 
 // UpdateRound performs the second update traversal (paper §6.3): it asks
-// the policy for the desired arcs of every aggregator and task and diffs
-// them against the graph, recording every change for the incremental
-// solvers.
+// the policy for the desired arcs of every aggregator and of every task
+// whose arcs can have moved, and diffs them against the graph, recording
+// every change for the incremental solvers. Its cost follows what changed
+// (docs/solver.md, "Graph update cost model"), and the change order is a
+// function of cluster state alone: journals and crash replay depend on it.
+//
+//firmament:deterministic
 func (gm *GraphManager) UpdateRound(now time.Duration) {
 	gm.model.BeginRound(now)
 	gm.updateAggregators(now)
 	gm.updateTasks(now)
-	gm.updateMachineCapacities()
+	if gm.machineEvents {
+		gm.updateMachineCapacities()
+		gm.machineEvents = false
+	}
 }
 
+//firmament:deterministic
 func (gm *GraphManager) updateAggregators(now time.Duration) {
 	desired := gm.model.Aggregators()
 	want := make(map[policy.AggID]bool, len(desired))
@@ -329,25 +371,14 @@ func (gm *GraphManager) updateAggregators(now time.Duration) {
 	// IDs future allocations get — map iteration order here would make
 	// otherwise identical runs diverge (the crash-recovery replay relies on
 	// graph mutations being a pure function of cluster state).
-	var retired []policy.AggID
-	for id := range gm.aggNode {
-		if !want[id] {
-			retired = append(retired, id)
-		}
-	}
+	retired := keysMissingFrom(gm.aggNode, want)
 	sortAggIDs(retired)
 	for _, id := range retired {
 		n := gm.aggNode[id]
-		// Task arc records pointing at this aggregator die with it.
-		for _, arcs := range gm.taskArcs {
-			for target := range arcs {
-				if target.Machine == cluster.InvalidMachine && target.Agg == id {
-					delete(arcs, target)
-				}
-			}
-		}
-		for _, arcs := range gm.aggAggArcs {
-			delete(arcs, id)
+		// Arc records pointing at this aggregator die with it.
+		gm.dropTaskArcRecords(n, policy.ToAgg(id))
+		for _, from := range desired {
+			delete(gm.aggAggArcs[from], id)
 		}
 		gm.g.RemoveNode(n)
 		delete(gm.aggNode, id)
@@ -376,12 +407,7 @@ func (gm *GraphManager) updateAggregators(now time.Duration) {
 				gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
 			}
 		}
-		var dead []machineArcKey
-		for k := range arcs {
-			if !seen[k] {
-				dead = append(dead, k)
-			}
-		}
+		dead := keysMissingFrom(arcs, seen)
 		sort.Slice(dead, func(i, j int) bool {
 			if dead[i].machine != dead[j].machine {
 				return dead[i].machine < dead[j].machine
@@ -413,12 +439,7 @@ func (gm *GraphManager) updateAggregators(now time.Duration) {
 					gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
 				}
 			}
-			var deadAgg []policy.AggID
-			for to := range aarcs {
-				if !seenAgg[to] {
-					deadAgg = append(deadAgg, to)
-				}
-			}
+			deadAgg := keysMissingFrom(aarcs, seenAgg)
 			sortAggIDs(deadAgg)
 			for _, to := range deadAgg {
 				a := aarcs[to]
@@ -430,58 +451,97 @@ func (gm *GraphManager) updateAggregators(now time.Duration) {
 	}
 }
 
-func (gm *GraphManager) updateTasks(now time.Duration) {
-	ids := make([]cluster.TaskID, 0, len(gm.taskNode))
-	for id := range gm.taskNode {
-		ids = append(ids, id)
+// keysMissingFrom returns the keys of have that want lacks, in no order:
+// callers sort them before acting on them.
+//
+//firmament:deterministic
+func keysMissingFrom[K comparable, V, W any](have map[K]V, want map[K]W) []K {
+	var out []K
+	//firmament:ignore detmaprange a filter keeps or drops each key on its own; the callers sort what is kept
+	for k := range have {
+		if _, ok := want[k]; !ok {
+			out = append(out, k)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	return out
+}
+
+// sortedIDs collects m's keys into buf's storage, ascending.
+func sortedIDs[V any](buf []cluster.TaskID, m map[cluster.TaskID]V) []cluster.TaskID {
+	buf = buf[:0]
+	for id := range m {
+		buf = append(buf, id)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
+// updateTasks re-derives the arcs of the revisit set (of every task when
+// refreshAll is up) in ascending task-ID order. A task seen running leaves
+// the set — including one a caller placed directly, without an event —
+// and any other task stays, so its wait cost keeps growing with now.
+//
+//firmament:deterministic
+func (gm *GraphManager) updateTasks(now time.Duration) {
+	if gm.refreshAll {
+		gm.refreshAll = false
+		gm.ids = sortedIDs(gm.ids, gm.taskNode)
+	} else {
+		gm.ids = sortedIDs(gm.ids, gm.revisit)
+	}
+	for _, id := range gm.ids {
 		t := gm.cl.Task(id)
-		node := gm.taskNode[id]
-		// Unscheduled (or preemption) cost.
-		gm.setArc(gm.taskUnschedArc[id], gm.model.UnscheduledCost(t, now), 1)
-		// Policy arcs.
-		arcs := gm.taskArcs[id]
-		want := gm.model.TaskArcs(t, now)
-		seen := make(map[policy.ArcTarget]bool, len(want))
-		for _, ta := range want {
-			var dst flow.NodeID
-			var ok bool
-			if ta.Target.Machine != cluster.InvalidMachine && ta.Target.Machine >= 0 {
-				dst, ok = gm.machineNode[ta.Target.Machine]
-			} else {
-				dst, ok = gm.aggNode[ta.Target.Agg]
-			}
-			if !ok {
-				continue
-			}
-			cap := ta.Capacity
-			if cap == 0 {
-				cap = 1
-			}
-			seen[ta.Target] = true
-			if a, exists := arcs[ta.Target]; exists {
-				gm.setArc(a, ta.Cost, cap)
-			} else {
-				a := gm.g.AddArc(node, dst, cap, ta.Cost)
-				arcs[ta.Target] = a
-				gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
-			}
+		gm.updateTask(t, now)
+		if t.State == cluster.TaskRunning {
+			delete(gm.revisit, id)
+		} else {
+			gm.revisit[id] = struct{}{}
 		}
-		var dead []policy.ArcTarget
-		for target := range arcs {
-			if !seen[target] {
-				dead = append(dead, target)
-			}
+	}
+}
+
+// updateTask diffs one task's unscheduled cost and policy arcs against
+// the graph.
+//
+//firmament:deterministic
+func (gm *GraphManager) updateTask(t *cluster.Task, now time.Duration) {
+	node := gm.taskNode[t.ID]
+	// Unscheduled (or preemption) cost.
+	gm.setArc(gm.taskUnschedArc[t.ID], gm.model.UnscheduledCost(t, now), 1)
+	// Policy arcs.
+	arcs := gm.taskArcs[t.ID]
+	clear(gm.seen)
+	for _, ta := range gm.model.TaskArcs(t, now) {
+		var dst flow.NodeID
+		var ok bool
+		if ta.Target.Machine != cluster.InvalidMachine && ta.Target.Machine >= 0 {
+			dst, ok = gm.machineNode[ta.Target.Machine]
+		} else {
+			dst, ok = gm.aggNode[ta.Target.Agg]
 		}
-		sort.Slice(dead, func(i, j int) bool { return targetLess(dead[i], dead[j]) })
-		for _, target := range dead {
-			a := arcs[target]
-			gm.g.RemoveArc(a)
-			delete(arcs, target)
-			gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveArc, Arc: a})
+		if !ok {
+			continue
 		}
+		cap := ta.Capacity
+		if cap == 0 {
+			cap = 1
+		}
+		gm.seen[ta.Target] = struct{}{}
+		if a, exists := arcs[ta.Target]; exists {
+			gm.setArc(a, ta.Cost, cap)
+		} else {
+			a := gm.g.AddArc(node, dst, cap, ta.Cost)
+			arcs[ta.Target] = a
+			gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
+		}
+	}
+	dead := keysMissingFrom(arcs, gm.seen)
+	sort.Slice(dead, func(i, j int) bool { return targetLess(dead[i], dead[j]) })
+	for _, target := range dead {
+		a := arcs[target]
+		gm.g.RemoveArc(a)
+		delete(arcs, target)
+		gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveArc, Arc: a})
 	}
 }
 
@@ -506,8 +566,18 @@ func targetLess(a, b policy.ArcTarget) bool {
 	return aggLess(a.Agg, b.Agg)
 }
 
+// updateMachineCapacities re-reads every machine's slot count, in machine
+// order. UpdateRound calls it on rounds that folded a machine event.
+//
+//firmament:deterministic
 func (gm *GraphManager) updateMachineCapacities() {
-	for id, a := range gm.machineSink {
+	var ids []cluster.MachineID
+	for id := range gm.machineSink {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		a := gm.machineSink[id]
 		want := int64(gm.cl.Machine(id).Slots)
 		if got := gm.g.Capacity(a); got != want {
 			gm.g.SetArcCapacity(a, want)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"firmament/internal/cluster"
@@ -256,11 +255,8 @@ func (s *Scheduler) ApplyRound(r *Round, now time.Duration) ApplyStats {
 func (s *Scheduler) ApplyRoundRecorded(r *Round, now time.Duration, rec func(Decision)) ApplyStats {
 	var st ApplyStats
 	// Deterministic application order.
-	ids := make([]cluster.TaskID, 0, len(s.gm.taskNode))
-	for id := range s.gm.taskNode {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	s.gm.ids = sortedIDs(s.gm.ids, s.gm.taskNode)
+	ids := s.gm.ids
 
 	// Preemptions and migrations first so their slots free up for
 	// placements within the same round.

@@ -182,6 +182,13 @@ func RestoreScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config, d
 		taskArcs:       make(map[cluster.TaskID]map[policy.ArcTarget]flow.ArcID),
 		aggMachineArcs: make(map[policy.AggID]map[machineArcKey]flow.ArcID),
 		aggAggArcs:     make(map[policy.AggID]map[policy.AggID]flow.ArcID),
+		revisit:        make(map[cluster.TaskID]struct{}),
+		seen:           make(map[policy.ArcTarget]struct{}),
+
+		// The snapshot does not carry the revisit set: the first round
+		// re-derives every task once and rebuilds it.
+		refreshAll:    true,
+		machineEvents: true,
 
 		TaskRemovalHeuristic: cfg.TaskRemovalHeuristic,
 	}

@@ -86,6 +86,13 @@ type MachineArc struct {
 // CostModel is the scheduling-policy interface (paper §3.3: "cluster
 // administrators use a policy API to configure Firmament's scheduling
 // policy"). Implementations must be deterministic given cluster state.
+//
+// For a running task, UnscheduledCost and TaskArcs must be a function of
+// the task record and the policy's parameters only — not of now, nor of
+// other tasks or machines. The scheduler core relies on it: it re-derives a
+// running task's arcs when an event names the task or a machine joins, not
+// every round (docs/solver.md, "Graph update cost model"). A waiting
+// task's costs may depend on now; aggregator arcs may depend on anything.
 type CostModel interface {
 	Name() string
 

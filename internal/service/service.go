@@ -920,7 +920,9 @@ func (s *Service) runRound() (progress bool, err error) {
 			s.tmpl.captureOccupancy(s.cl)
 		}
 		if decisions == nil {
-			decisions = make([]Placement, 0, len(r.Mappings))
+			// Placements are bounded by the waiting tasks; the rare
+			// preemption or migration grows the slice.
+			decisions = make([]Placement, 0, min(len(r.Mappings), s.cl.NumPending()))
 		}
 		ap = s.sched.ApplyRoundRecorded(r, applyNow, func(d core.Decision) {
 			// Job and submission time come from the decision itself, resolved

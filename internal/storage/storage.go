@@ -39,6 +39,12 @@ type file struct {
 	blocks       int
 	machineCount map[cluster.MachineID]int
 	rackCount    map[cluster.RackID]int
+
+	// Every machine and rack holding a replica, by descending fraction (ties
+	// by ID). Replica placement is fixed at AddFile, so the lists are built
+	// once and a threshold query is a prefix of them.
+	machinePrefs []Locality
+	rackPrefs    []Locality
 }
 
 // Store is the block store.
@@ -105,10 +111,37 @@ func (s *Store) AddFile(size int64) FileID {
 			}
 		}
 	}
+	for m, cnt := range f.machineCount {
+		f.machinePrefs = append(f.machinePrefs, Locality{Machine: m, Rack: s.rackOf(m),
+			Fraction: float64(cnt) / float64(blocks)})
+	}
+	for r, cnt := range f.rackCount {
+		f.rackPrefs = append(f.rackPrefs, Locality{Machine: cluster.InvalidMachine, Rack: r,
+			Fraction: float64(cnt) / float64(blocks)})
+	}
+	for _, prefs := range [][]Locality{f.machinePrefs, f.rackPrefs} {
+		sort.Slice(prefs, func(i, j int) bool {
+			if prefs[i].Fraction != prefs[j].Fraction {
+				return prefs[i].Fraction > prefs[j].Fraction
+			}
+			if prefs[i].Machine != prefs[j].Machine {
+				return prefs[i].Machine < prefs[j].Machine
+			}
+			return prefs[i].Rack < prefs[j].Rack
+		})
+	}
 	id := s.nextFile
 	s.nextFile++
 	s.files[id] = f
 	return id
+}
+
+// atLeast returns the prefix of prefs (sorted by descending fraction) whose
+// fraction reaches threshold, capped so that an append cannot reach the
+// shared tail.
+func atLeast(prefs []Locality, threshold float64) []Locality {
+	n := sort.Search(len(prefs), func(i int) bool { return prefs[i].Fraction < threshold })
+	return prefs[:n:n]
 }
 
 // pickReplicas chooses replication distinct machines, biasing the second
@@ -170,49 +203,25 @@ func (s *Store) RackLocality(id FileID, r cluster.RackID) float64 {
 // MachinePreferences returns machines holding at least threshold fraction
 // of the file's blocks, sorted by descending fraction (ties by machine ID
 // for determinism). The Quincy policy turns these into task→machine
-// preference arcs.
+// preference arcs. The result aliases the store's own list: callers may
+// reslice it but must not write to it.
 func (s *Store) MachinePreferences(id FileID, threshold float64) []Locality {
 	f, ok := s.files[id]
 	if !ok {
 		return nil
 	}
-	var out []Locality
-	for m, cnt := range f.machineCount {
-		frac := float64(cnt) / float64(f.blocks)
-		if frac >= threshold {
-			out = append(out, Locality{Machine: m, Rack: s.rackOf(m), Fraction: frac})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Fraction != out[j].Fraction {
-			return out[i].Fraction > out[j].Fraction
-		}
-		return out[i].Machine < out[j].Machine
-	})
-	return out
+	return atLeast(f.machinePrefs, threshold)
 }
 
 // RackPreferences returns racks holding at least threshold fraction of the
-// file's blocks, sorted by descending fraction (ties by rack ID).
+// file's blocks, sorted by descending fraction (ties by rack ID), under the
+// same aliasing rule as MachinePreferences.
 func (s *Store) RackPreferences(id FileID, threshold float64) []Locality {
 	f, ok := s.files[id]
 	if !ok {
 		return nil
 	}
-	var out []Locality
-	for r, cnt := range f.rackCount {
-		frac := float64(cnt) / float64(f.blocks)
-		if frac >= threshold {
-			out = append(out, Locality{Machine: cluster.InvalidMachine, Rack: r, Fraction: frac})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Fraction != out[j].Fraction {
-			return out[i].Fraction > out[j].Fraction
-		}
-		return out[i].Rack < out[j].Rack
-	})
-	return out
+	return atLeast(f.rackPrefs, threshold)
 }
 
 // BestReplica returns the machine holding the largest fraction of the file

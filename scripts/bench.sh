@@ -7,7 +7,8 @@
 #   FIRMAMENT_BENCH_LARGE=1 scripts/bench.sh BENCH_PR8.json # + 1k/5k variants
 #
 # The snapshot records ns/op, B/op and allocs/op for the benchmarks that
-# gate the MCMF hot path (Fig. 3, 7, 11, 14 and the pool's per-round clone)
+# gate the MCMF hot path (Fig. 3, 7, 11, 14, the 1k-machine graph update and
+# the pool's per-round clone)
 # plus journal restore time and the template fast path (hit vs solver on a
 # recurring job), so that later PRs have a perf trajectory to compare
 # against. With FIRMAMENT_BENCH_LARGE set, the 1k/5k-machine Fig 7/11
@@ -25,7 +26,7 @@ go run ./cmd/firmament-vet ./...
 out="${1:-BENCH_PR8.json}"
 benchtime="${BENCHTIME:-1s}"
 count="${COUNT:-3}"
-pattern='^(BenchmarkFig3QuincyRuntime|BenchmarkFig7Algorithms|BenchmarkFig11Incremental|BenchmarkFig14PlacementLatency|BenchmarkClone|BenchmarkRestore|BenchmarkTemplateHitPath)$'
+pattern='^(BenchmarkFig3QuincyRuntime|BenchmarkFig7Algorithms|BenchmarkFig11Incremental|BenchmarkFig14PlacementLatency|BenchmarkUpdateRound1k|BenchmarkClone|BenchmarkRestore|BenchmarkTemplateHitPath)$'
 large_pattern='^(BenchmarkFig7Large|BenchmarkFig11Large)$'
 
 tmp="$(mktemp)"
