@@ -37,7 +37,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -205,6 +204,28 @@ func (d *remoteDoor) stats() (firmament.APIStats, error) { return d.cli.Stats() 
 // close leaves the remote server running; the driver only detaches.
 func (d *remoteDoor) close() error { return nil }
 
+// defaultMode is the -mode flag's default.
+const defaultMode = "firmament"
+
+// schedulerConfig builds the scheduler configuration from the -mode flag.
+// It is the only place flags shape that configuration, so the test that
+// the flag defaults yield firmament.DefaultConfig() — the configuration the
+// benchmark and the test suites measure — covers the shipped server.
+func schedulerConfig(mode string) (firmament.Config, error) {
+	m, ok := map[string]firmament.SolverMode{
+		"firmament":        firmament.ModeFirmament,
+		"relaxation":       firmament.ModeRelaxationOnly,
+		"inc-cost-scaling": firmament.ModeIncrementalCostScaling,
+		"quincy":           firmament.ModeQuincy,
+	}[mode]
+	if !ok {
+		return firmament.Config{}, fmt.Errorf("unknown mode %q", mode)
+	}
+	cfg := firmament.DefaultConfig()
+	cfg.Mode = m
+	return cfg, nil
+}
+
 func main() {
 	var (
 		submitters  = flag.Int("submitters", 8, "concurrent closed-loop submitters")
@@ -217,7 +238,7 @@ func main() {
 		pendingFac  = flag.Float64("max-pending-factor", 0,
 			"backpressure: block submission once pending > factor x slots (0 disables)")
 		perSub = flag.Bool("per-submitter", true, "print per-submitter throughput")
-		mode   = flag.String("mode", "firmament",
+		mode   = flag.String("mode", defaultMode,
 			"solver mode: firmament | relaxation | inc-cost-scaling | quincy")
 		listen = flag.String("listen", "",
 			"serve the HTTP front door on this address instead of driving load")
@@ -231,8 +252,6 @@ func main() {
 			"cut a cluster+graph snapshot every N rounds (0 = default 1024)")
 		replay = flag.String("replay", "",
 			"restore a recorded journal directory, report the recovered state, and exit")
-		solverPar = flag.Int("solver-parallelism", runtime.GOMAXPROCS(0),
-			"worker goroutines per MCMF solve (1 = strictly sequential, bit-deterministic)")
 		templates = flag.Bool("templates", false,
 			"enable the placement-template fast path: cache solver decisions for recurring job shapes "+
 				"and commit repeats without a solve")
@@ -263,18 +282,10 @@ func main() {
 		SlotsPerMachine: *slots,
 	}
 
-	cfg := firmament.DefaultConfig()
-	m, ok := map[string]firmament.SolverMode{
-		"firmament":        firmament.ModeFirmament,
-		"relaxation":       firmament.ModeRelaxationOnly,
-		"inc-cost-scaling": firmament.ModeIncrementalCostScaling,
-		"quincy":           firmament.ModeQuincy,
-	}[*mode]
-	if !ok {
-		log.Fatalf("unknown mode %q", *mode)
+	cfg, err := schedulerConfig(*mode)
+	if err != nil {
+		log.Fatal(err)
 	}
-	cfg.Mode = m
-	cfg.SolverParallelism = *solverPar
 	scfg := firmament.ServiceConfig{
 		RoundInterval:    *interval,
 		MaxPendingFactor: *pendingFac,

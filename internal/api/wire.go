@@ -176,14 +176,13 @@ type Stats struct {
 	// model): transient errors retried away, rounds run with durability
 	// off, successful re-arms, and the current health state plus captured
 	// cause ("" while ok).
-	WALRetries        int64  `json:"wal_retries"`
-	DegradedRounds    int64  `json:"degraded_rounds"`
-	WALRearms         int64  `json:"wal_rearms"`
-	Health            string `json:"health"`
-	FailureCause      string `json:"failure_cause,omitempty"`
-	Pending           int64  `json:"pending"`
-	Running           int64  `json:"running"`
-	SolverParallelism int64  `json:"solver_parallelism"`
+	WALRetries     int64  `json:"wal_retries"`
+	DegradedRounds int64  `json:"degraded_rounds"`
+	WALRearms      int64  `json:"wal_rearms"`
+	Health         string `json:"health"`
+	FailureCause   string `json:"failure_cause,omitempty"`
+	Pending        int64  `json:"pending"`
+	Running        int64  `json:"running"`
 
 	QueueDepth       DistSummary `json:"queue_depth"`
 	BatchSize        DistSummary `json:"batch_size"`
@@ -221,7 +220,6 @@ func StatsFromService(st service.Stats) Stats {
 		FailureCause:          st.FailureCause,
 		Pending:               st.Pending,
 		Running:               st.Running,
-		SolverParallelism:     st.SolverParallelism,
 		QueueDepth:            summarize(st.QueueDepth),
 		BatchSize:             summarize(st.BatchSize),
 		AlgorithmRuntime:      summarize(st.AlgorithmRuntime),

@@ -610,12 +610,6 @@ func (gm *GraphManager) SwapGraphForExperiment(g *flow.Graph) *flow.Graph {
 	return old
 }
 
-// TaskOfNode resolves a task node back to its task ID.
-func (gm *GraphManager) TaskOfNode(n flow.NodeID) (cluster.TaskID, bool) {
-	id, ok := gm.nodeTask[n]
-	return id, ok
-}
-
 // sanityCheck verifies internal map consistency (used by tests).
 func (gm *GraphManager) sanityCheck() error {
 	if int64(len(gm.taskNode)) != gm.numTasks {

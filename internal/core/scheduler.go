@@ -21,11 +21,6 @@ type Config struct {
 	TaskRemovalHeuristic bool
 	// PriceRefine enables the §6.2 relaxation→cost-scaling state transfer.
 	PriceRefine bool
-	// SolverParallelism caps the worker goroutines a single solve may use
-	// for its internal parallel phases (forwarded to mcmf.Options). Zero or
-	// one keeps every solve on the strictly sequential, bit-deterministic
-	// code path.
-	SolverParallelism int
 }
 
 // DefaultConfig is Firmament's production configuration: both algorithms
@@ -58,7 +53,6 @@ func NewScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config) *Sche
 	pool.PriceRefine = cfg.PriceRefine
 	pool.Options.Alpha = cfg.Alpha
 	pool.Options.ArcPrioritization = cfg.ArcPrioritization
-	pool.Options.Parallelism = cfg.SolverParallelism
 	return &Scheduler{cl: cl, gm: gm, pool: pool, cfg: cfg}
 }
 

@@ -50,34 +50,14 @@ type Change struct {
 }
 
 // ChangeSet accumulates the mutations applied to a graph since the last
-// solver run. Incremental solvers use it to decide how much prior state
-// survives: in particular, incremental cost scaling restarts its epsilon at
-// the costliest arc change rather than at the global maximum cost (paper
-// §6.2).
+// solver run, in application order.
 type ChangeSet struct {
-	changes      []Change
-	maxCostDelta int64
-	structural   bool // nodes or arcs added/removed
+	changes []Change
 }
 
 // Record appends a change.
 func (cs *ChangeSet) Record(c Change) {
 	cs.changes = append(cs.changes, c)
-	switch c.Kind {
-	case ChangeAddNode, ChangeRemoveNode, ChangeAddArc, ChangeRemoveArc:
-		cs.structural = true
-	case ChangeArcCost:
-		d := c.New - c.Old
-		if d < 0 {
-			d = -d
-		}
-		if d > cs.maxCostDelta {
-			cs.maxCostDelta = d
-		}
-		if c.New > cs.maxCostDelta {
-			cs.maxCostDelta = c.New
-		}
-	}
 }
 
 // Len returns the number of recorded changes.
@@ -86,14 +66,6 @@ func (cs *ChangeSet) Len() int { return len(cs.changes) }
 // Empty reports whether no changes have been recorded.
 func (cs *ChangeSet) Empty() bool { return len(cs.changes) == 0 }
 
-// Structural reports whether any node or arc was added or removed.
-func (cs *ChangeSet) Structural() bool { return cs.structural }
-
-// MaxCostDelta returns the largest absolute arc cost change recorded (or the
-// largest new cost, whichever is greater). Incremental cost scaling starts
-// epsilon here.
-func (cs *ChangeSet) MaxCostDelta() int64 { return cs.maxCostDelta }
-
 // Changes returns the recorded changes in application order. The returned
 // slice aliases internal storage and is invalidated by Reset.
 func (cs *ChangeSet) Changes() []Change { return cs.changes }
@@ -101,6 +73,4 @@ func (cs *ChangeSet) Changes() []Change { return cs.changes }
 // Reset clears the set for the next scheduling round, retaining capacity.
 func (cs *ChangeSet) Reset() {
 	cs.changes = cs.changes[:0]
-	cs.maxCostDelta = 0
-	cs.structural = false
 }

@@ -25,10 +25,7 @@
 // and the pairwise sweeps (refine saturation, maxViolation, TotalCost,
 // Imbalances, ResetFlow) become linear walks over dense memory. Arc IDs are
 // assigned in insertion order and the compact adjacency rows preserve it,
-// so row iteration reads near-sequential plane entries too. The planes are
-// also what intra-solve parallelism needs: an []int64 residual plane
-// supports per-arc atomic reserve/deposit (TryReserveResid/DepositResid),
-// which a mutex around a struct field could not match.
+// so row iteration reads near-sequential plane entries too.
 //
 // # Dual adjacency representation
 //
@@ -50,10 +47,7 @@
 // detail.
 package flow
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // NodeID identifies a node in a Graph. IDs are dense small integers so that
 // solvers can use them to index scratch arrays directly.
@@ -119,10 +113,7 @@ type node struct {
 //
 // Graph is not safe for concurrent mutation. The speculative solver pool
 // clones the graph so each algorithm owns a private replica (paper §6.1 runs
-// the two algorithms in separate address spaces). Within one solve, the
-// parallel solver phases coordinate through the atomic accessors
-// (TryReserveResid, DepositResid, PotentialAtomic); everything else assumes
-// single-goroutine access.
+// the two algorithms in separate address spaces).
 type Graph struct {
 	nodes []node
 
@@ -186,9 +177,8 @@ func (g *Graph) ArcIDBound() int { return len(g.arcHead) }
 // inner loops so they can index arc fields without going through the graph
 // pointer on every access. The slices alias graph storage: they stay valid
 // until the next structural mutation (AddArc/RemoveArc/AddNode/RemoveNode)
-// and must not be written. Resid entries change under the owner's Push (or
-// the atomic reserve/deposit pair in parallel phases); Cost and Head are
-// stable during a solve.
+// and must not be written. Resid entries change under the owner's Push;
+// Cost and Head are stable during a solve.
 type ArcPlanes struct {
 	Head  []NodeID
 	Resid []int64
@@ -373,63 +363,10 @@ func (g *Graph) Push(a ArcID, amt int64) {
 	g.arcResid[a^1] += amt
 }
 
-// TryReserveResid atomically reserves up to want units of residual capacity
-// on arc a, returning the amount actually reserved (zero if the arc is
-// saturated). The caller must deposit the reservation on the partner arc
-// (DepositResid(a^1, amt)) to complete the push — the parallel discharge
-// phase does exactly this, so two workers pushing over the same arc never
-// over-commit its capacity. Outside parallel phases use Push.
-func (g *Graph) TryReserveResid(a ArcID, want int64) int64 {
-	p := &g.arcResid[a]
-	for {
-		r := atomic.LoadInt64(p)
-		amt := want
-		if r < amt {
-			amt = r
-		}
-		if amt <= 0 {
-			return 0
-		}
-		if atomic.CompareAndSwapInt64(p, r, r-amt) {
-			return amt
-		}
-	}
-}
-
-// DepositResid atomically adds amt residual capacity to arc a — the second
-// half of a parallel push started by TryReserveResid on the partner.
-func (g *Graph) DepositResid(a ArcID, amt int64) {
-	atomic.AddInt64(&g.arcResid[a], amt)
-}
-
-// ResidAtomic reads arc a's residual capacity with an atomic load, for use
-// inside parallel phases where other workers may be pushing concurrently.
-func (g *Graph) ResidAtomic(a ArcID) int64 {
-	return atomic.LoadInt64(&g.arcResid[a])
-}
-
-// PotentialAtomic reads node n's potential with an atomic load (parallel
-// discharge relabels concurrently with admissibility checks).
-func (g *Graph) PotentialAtomic(n NodeID) int64 {
-	return atomic.LoadInt64(&g.nodes[n].potential)
-}
-
-// SetPotentialAtomic writes node n's potential with an atomic store.
-func (g *Graph) SetPotentialAtomic(n NodeID, p int64) {
-	atomic.StoreInt64(&g.nodes[n].potential, p)
-}
-
 // ReducedCost returns cost(a) - pi(tail) + pi(head), the reduced cost of
 // paper Eq. 4.
 func (g *Graph) ReducedCost(a ArcID) int64 {
 	return g.arcCost[a] - g.nodes[g.arcHead[a^1]].potential + g.nodes[g.arcHead[a]].potential
-}
-
-// ReducedCostFrom is ReducedCost for an arc already known to leave tail.
-// Solver inner loops iterate a node's adjacency row, so the tail is at hand
-// and the partner-arc load that Tail(a) would incur can be skipped.
-func (g *Graph) ReducedCostFrom(tail NodeID, a ArcID) int64 {
-	return g.arcCost[a] - g.nodes[tail].potential + g.nodes[g.arcHead[a]].potential
 }
 
 // Supply returns node n's supply b(n).
@@ -449,9 +386,6 @@ func (g *Graph) SetPotential(n NodeID, p int64) { g.nodes[n].potential = p }
 
 // Kind returns node n's scheduling kind label.
 func (g *Graph) Kind(n NodeID) NodeKind { return g.nodes[n].kind }
-
-// SetKind relabels node n.
-func (g *Graph) SetKind(n NodeID, k NodeKind) { g.nodes[n].kind = k }
 
 // SetArcCost changes the cost of the forward arc of a's pair (and its
 // reverse partner's negated copy). Whether this invalidates an existing

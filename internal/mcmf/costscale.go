@@ -39,8 +39,6 @@ type CostScaling struct {
 	inQueue  []bool
 	dist     []int64
 	pq       distHeap
-
-	par csParallel // worker state for parallel discharge (costscale_parallel.go)
 }
 
 // NewCostScaling returns a cost scaling solver.
@@ -125,9 +123,6 @@ func (c *CostScaling) SolveIncremental(g *flow.Graph, changes *flow.ChangeSet, o
 
 // run performs refine passes from eps down to 1.
 func (c *CostScaling) run(g *flow.Graph, eps int64, start time.Time, opts *Options) (Result, error) {
-	if opts.parallelism() > 1 {
-		return c.runParallel(g, eps, start, opts)
-	}
 	c.grow(g.NodeIDBound())
 	c.adj = g.Adjacency() // repair once; structure is fixed for the solve
 	alpha := opts.alpha()
@@ -434,14 +429,6 @@ func (c *CostScaling) relabelTarget(g *flow.Graph, u flow.NodeID, eps int64) (in
 //firmament:hotpath
 func (c *CostScaling) scaledReducedCost(g *flow.Graph, a flow.ArcID) int64 {
 	return g.Cost(a)*c.scale - g.Potential(g.Tail(a)) + g.Potential(g.Head(a))
-}
-
-// scaledReducedCostFrom is scaledReducedCost for an arc known to leave
-// tail, skipping the partner-arc load in the discharge inner loop.
-//
-//firmament:hotpath
-func (c *CostScaling) scaledReducedCostFrom(g *flow.Graph, tail flow.NodeID, a flow.ArcID) int64 {
-	return g.Cost(a)*c.scale - g.Potential(tail) + g.Potential(g.Head(a))
 }
 
 // maxScaledCost returns the largest absolute scaled arc cost (the classic

@@ -16,17 +16,26 @@ const differentialSeeds = 50
 // agreeFromScratch runs all four independently implemented MCMF algorithms
 // from scratch on clones of base and fails the test unless every one
 // reports the identical optimal cost with a feasible, negative-cycle-free
-// flow — the paper Table 1 invariant. It returns the agreed cost.
+// flow — the paper Table 1 invariant. Each algorithm also solves a second
+// clone with a fresh instance and must repeat its first run exactly (see
+// requireSameRun). It returns the agreed cost.
 func agreeFromScratch(t *testing.T, base *flow.Graph, label string) int64 {
 	t.Helper()
 	var costs []int64
 	var names []string
-	for _, s := range allSolvers() {
+	twins := allSolvers()
+	for i, s := range allSolvers() {
 		g := base.Clone()
 		res, err := s.Solve(g, nil)
 		if err != nil {
 			t.Fatalf("%s: %s failed: %v", label, s.Name(), err)
 		}
+		twin := base.Clone()
+		twinRes, err := twins[i].Solve(twin, nil)
+		if err != nil {
+			t.Fatalf("%s: %s twin run failed: %v", label, s.Name(), err)
+		}
+		requireSameRun(t, label, s.Name(), res, g, twinRes, twin)
 		if err := g.CheckFeasible(); err != nil {
 			t.Fatalf("%s: %s produced infeasible flow: %v", label, s.Name(), err)
 		}
@@ -47,6 +56,22 @@ func agreeFromScratch(t *testing.T, base *flow.Graph, label string) int64 {
 		}
 	}
 	return costs[0]
+}
+
+// requireSameRun pins the determinism contract of docs/solver.md: two runs
+// of one algorithm on identical graphs with identical change histories take
+// the same number of iterations and leave byte-identical flow and
+// potentials (equal graph fingerprints).
+func requireSameRun(t *testing.T, label, name string, res Result, g *flow.Graph, twinRes Result, twin *flow.Graph) {
+	t.Helper()
+	if res.Iterations != twinRes.Iterations {
+		t.Fatalf("%s: %s took %d iterations, its twin run %d",
+			label, name, res.Iterations, twinRes.Iterations)
+	}
+	if fp, twinFP := g.Fingerprint(), twin.Fingerprint(); fp != twinFP {
+		t.Fatalf("%s: %s left graph fingerprint %x, its twin run %x",
+			label, name, fp, twinFP)
+	}
 }
 
 // TestDifferentialSolverSuite cross-validates the four MCMF algorithms on a
@@ -73,9 +98,13 @@ func TestDifferentialSolverSuite(t *testing.T) {
 			// own solution forward through identical change batches. The
 			// clones share node and arc IDs and mutateSchedulingGraph is
 			// deterministic given the rng, so re-seeding per graph applies
-			// the same batch to each.
+			// the same batch to each. A twin chain — fresh solvers on their
+			// own clones, fed the same batches — must repeat every warm
+			// start exactly.
 			incSolvers := []IncrementalSolver{NewCostScaling(), NewRelaxation()}
+			twinSolvers := []IncrementalSolver{NewCostScaling(), NewRelaxation()}
 			graphs := make([]*flow.Graph, len(incSolvers))
+			twinGraphs := make([]*flow.Graph, len(incSolvers))
 			for i, inc := range incSolvers {
 				graphs[i] = base.Clone()
 				res, err := inc.Solve(graphs[i], nil)
@@ -85,6 +114,12 @@ func TestDifferentialSolverSuite(t *testing.T) {
 				if res.Cost != want {
 					t.Fatalf("%s initial cost %d, want %d", inc.Name(), res.Cost, want)
 				}
+				twinGraphs[i] = base.Clone()
+				twinRes, err := twinSolvers[i].Solve(twinGraphs[i], nil)
+				if err != nil {
+					t.Fatalf("%s twin initial solve: %v", inc.Name(), err)
+				}
+				requireSameRun(t, "initial solve", inc.Name(), res, graphs[i], twinRes, twinGraphs[i])
 			}
 
 			for round := 1; round <= changeRounds; round++ {
@@ -92,15 +127,21 @@ func TestDifferentialSolverSuite(t *testing.T) {
 				batchSeed := seed*1009 + int64(round)
 				costs := make([]int64, len(incSolvers))
 				for i, inc := range incSolvers {
-					var cs flow.ChangeSet
+					var cs, twinCS flow.ChangeSet
 					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), graphs[i], &cs)
 					if cs.Empty() {
 						t.Fatalf("%s: mutation batch recorded no changes", label)
 					}
+					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), twinGraphs[i], &twinCS)
 					res, err := inc.SolveIncremental(graphs[i], &cs, nil)
 					if err != nil {
 						t.Fatalf("%s: %s incremental solve: %v", label, inc.Name(), err)
 					}
+					twinRes, err := twinSolvers[i].SolveIncremental(twinGraphs[i], &twinCS, nil)
+					if err != nil {
+						t.Fatalf("%s: %s twin incremental solve: %v", label, inc.Name(), err)
+					}
+					requireSameRun(t, label, inc.Name(), res, graphs[i], twinRes, twinGraphs[i])
 					if err := graphs[i].CheckFeasible(); err != nil {
 						t.Fatalf("%s: %s incremental flow infeasible: %v", label, inc.Name(), err)
 					}

@@ -61,16 +61,6 @@ type Options struct {
 	// placements. The graph is in a consistent (feasible or CS-respecting)
 	// intermediate state during the call but must not be mutated.
 	SnapshotHook func(elapsed time.Duration)
-
-	// Parallelism caps the worker goroutines a single solve may use for its
-	// internal parallel phases (cost scaling's bucket discharge, SSP's
-	// batched per-source Dijkstra). Zero or one selects the strictly
-	// sequential code path, whose results are bit-identical run to run; with
-	// more workers the flow assignment may differ between runs but the
-	// optimum cost is guaranteed to agree with the sequential solve (parallel
-	// results are certified optimal a posteriori, with a sequential fallback
-	// if certification fails). Solvers without a parallel phase ignore it.
-	Parallelism int
 }
 
 func (o *Options) alpha() int64 {
@@ -78,13 +68,6 @@ func (o *Options) alpha() int64 {
 		return 12
 	}
 	return o.Alpha
-}
-
-func (o *Options) parallelism() int {
-	if o == nil || o.Parallelism < 2 {
-		return 1
-	}
-	return o.Parallelism
 }
 
 func (o *Options) stopped() bool {

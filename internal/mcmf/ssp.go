@@ -1,7 +1,6 @@
 package mcmf
 
 import (
-	"sync"
 	"time"
 
 	"firmament/internal/flow"
@@ -17,24 +16,12 @@ import (
 // Despite the best worst-case bound of the four algorithms, it only
 // outperforms cycle canceling on scheduling graphs (Figure 7) because every
 // unit of supply pays for a Dijkstra search.
-//
-// With Options.Parallelism > 1, searches for several surplus nodes run
-// concurrently against a read-only graph and are committed sequentially in
-// source order: the first search in each batch commits exactly as the
-// sequential algorithm would, and a later one commits only if its path is
-// still entirely zero-reduced-cost with free capacity after the earlier
-// commits — augmenting along such a path preserves the reduced cost
-// optimality invariant without repricing. Sources whose precomputed path
-// was invalidated simply search again in a later batch, so the result is
-// an optimal flow regardless of how the batches interleave.
 type SuccessiveShortestPath struct {
 	adj     flow.Adjacency
-	search  sspSearch // the sequential solver's (and batch slot 0's) state
+	search  sspSearch
 	excess  []int64
 	sources []flow.NodeID
 	scratch helperScratch // pinned storage for InitPotentials
-
-	workers []*sspSearch // extra per-goroutine search state, parallel mode
 }
 
 // NewSuccessiveShortestPath returns an SSP solver.
@@ -69,10 +56,6 @@ func (s *SuccessiveShortestPath) Solve(g *flow.Graph, opts *Options) (Result, er
 	}
 	s.sources = sources
 
-	if opts.parallelism() > 1 {
-		return s.solveParallel(g, sources, excess, start, opts)
-	}
-
 	var iters int64
 	for _, src := range sources {
 		for excess[src] > 0 {
@@ -99,98 +82,8 @@ func (s *SuccessiveShortestPath) Solve(g *flow.Graph, opts *Options) (Result, er
 	}, nil
 }
 
-// solveParallel runs batches of up to Parallelism read-only Dijkstra
-// searches concurrently and commits their results sequentially. Committing
-// slot 0 is always valid (its search saw exactly the current graph); a
-// later slot commits only if revalidation shows its path still has free
-// capacity and zero reduced cost throughout. The graph is never mutated
-// while searches are in flight, so the searches need no synchronisation
-// beyond the batch barrier.
-func (s *SuccessiveShortestPath) solveParallel(g *flow.Graph, sources []flow.NodeID, excess []int64, start time.Time, opts *Options) (Result, error) {
-	k := opts.parallelism()
-	for len(s.workers) < k {
-		s.workers = append(s.workers, &sspSearch{})
-	}
-	bound := g.NodeIDBound()
-	for _, w := range s.workers[:k] {
-		w.grow(bound)
-	}
-
-	// active holds sources that still carry surplus; compacted each round.
-	active := append([]flow.NodeID(nil), sources...)
-	var iters int64
-	var wg sync.WaitGroup
-	for len(active) > 0 {
-		if opts.stopped() {
-			return Result{}, ErrStopped
-		}
-		batch := active
-		if len(batch) > k {
-			batch = batch[:k]
-		}
-		// Fan out: one read-only search per surplus node.
-		type outcome struct {
-			target flow.NodeID
-			ok     bool
-		}
-		results := make([]outcome, len(batch))
-		wg.Add(len(batch))
-		for i := range batch {
-			go func(i int) {
-				defer wg.Done()
-				w := s.workers[i]
-				t, ok := w.dijkstra(g, s.adj, batch[i], excess, opts)
-				results[i] = outcome{t, ok}
-			}(i)
-		}
-		wg.Wait()
-		if opts.stopped() {
-			return Result{}, ErrStopped
-		}
-		// Sequential commit in source order.
-		for i, src := range batch {
-			if excess[src] <= 0 {
-				continue
-			}
-			w := s.workers[i]
-			if i == 0 {
-				// Slot 0 searched the exact pre-batch graph, and no commit
-				// precedes it in this batch, so it commits unconditionally —
-				// identical to a sequential iteration.
-				if !results[i].ok {
-					return Result{}, ErrInfeasible
-				}
-				w.repriceAndAugment(g, src, results[i].target, excess)
-				iters++
-				continue
-			}
-			if !results[i].ok {
-				continue // stale "unreachable"; retry against the new graph
-			}
-			if w.commitIfStillTight(g, src, results[i].target, excess) {
-				iters++
-			}
-		}
-		opts.snapshot(start)
-		// Compact: keep sources that still have surplus, preserving order.
-		live := active[:0]
-		for _, src := range active {
-			if excess[src] > 0 {
-				live = append(live, src)
-			}
-		}
-		active = live
-	}
-	return Result{
-		Algorithm:  s.Name(),
-		Cost:       g.TotalCost(),
-		Runtime:    time.Since(start),
-		Iterations: iters,
-	}, nil
-}
-
-// sspSearch is the per-goroutine working state of one Dijkstra search: the
-// sequential solver owns one, and parallel mode owns one per batch slot.
+// sspSearch is the working state of the solver's Dijkstra search, kept
+// across runs so steady-state solves allocate nothing.
 type sspSearch struct {
 	dist    []int64
 	parent  []flow.ArcID
@@ -216,9 +109,6 @@ func (w *sspSearch) grow(n int) {
 // shortest-path-tree per unit of routed flow and lose to everything except
 // cycle canceling at scale (paper Figure 7). It returns the nearest
 // deficit node, or ok=false if none is reachable.
-//
-// The search only reads the graph, so any number of sspSearch instances
-// may run concurrently over the same quiescent graph.
 //
 //firmament:hotpath
 func (w *sspSearch) dijkstra(g *flow.Graph, adj flow.Adjacency, src flow.NodeID, excess []int64, opts *Options) (flow.NodeID, bool) {
@@ -308,42 +198,6 @@ func (w *sspSearch) repriceAndAugment(g *flow.Graph, src, target flow.NodeID, ex
 	}
 	excess[src] -= delta
 	excess[target] += delta
-}
-
-// commitIfStillTight tries to apply a search computed against an older
-// graph state. Earlier commits in the batch have repriced nodes and moved
-// flow, so the stored shortest-path tree may be stale; the path is safe to
-// reuse only if, under the *current* potentials, every parent arc from
-// target back to src still has free capacity and zero reduced cost. Such an
-// augmentation keeps every residual arc's reduced cost non-negative (the
-// push only creates residual partners with rc = 0), so the SSP invariant
-// survives without a reprice. Returns whether it augmented.
-//
-//firmament:hotpath
-func (w *sspSearch) commitIfStillTight(g *flow.Graph, src, target flow.NodeID, excess []int64) bool {
-	if excess[target] >= 0 {
-		return false // an earlier commit consumed this deficit
-	}
-	delta := min64(excess[src], -excess[target])
-	for v := target; v != src; {
-		a := w.parent[v]
-		r := g.Resid(a)
-		if r <= 0 || g.ReducedCost(a) != 0 {
-			return false
-		}
-		if r < delta {
-			delta = r
-		}
-		v = g.Tail(a)
-	}
-	for v := target; v != src; {
-		a := w.parent[v]
-		g.Push(a, delta)
-		v = g.Tail(a)
-	}
-	excess[src] -= delta
-	excess[target] += delta
-	return true
 }
 
 // nodeDist is a (node, distance) pair ordered by distance.

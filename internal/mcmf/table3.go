@@ -13,11 +13,6 @@ type ChangeEffect struct {
 	BreaksOptimality  bool
 }
 
-// RequiresReoptimization reports whether the change invalidates anything.
-func (e ChangeEffect) RequiresReoptimization() bool {
-	return e.BreaksFeasibility || e.BreaksOptimality
-}
-
 // PredictCapacityChange classifies changing forward arc a's capacity to
 // newCap, per paper Table 3:
 //

@@ -98,9 +98,6 @@ func (f *Fabric) StopFlow(id FlowID) {
 // Flow returns the flow with the given ID, or nil.
 func (f *Fabric) Flow(id FlowID) *Flow { return f.flows[id] }
 
-// NumFlows returns the number of active flows.
-func (f *Fabric) NumFlows() int { return len(f.flows) }
-
 // Recompute runs the max-min fair allocation. It is called lazily by the
 // accessors; explicit calls are only needed in tests.
 func (f *Fabric) Recompute() {

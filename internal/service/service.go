@@ -1122,10 +1122,6 @@ type Stats struct {
 	// Pending and Running are point-in-time cluster gauges (tasks).
 	Pending int64
 	Running int64
-	// SolverParallelism is the per-solve worker cap the scheduler runs with
-	// (core.Config.SolverParallelism); 0 or 1 means every solve takes the
-	// strictly sequential, bit-deterministic code path.
-	SolverParallelism int64
 
 	// QueueDepth samples the cluster event backlog at each round end;
 	// BatchSize the events folded into each round's graph update.
@@ -1177,7 +1173,6 @@ func (s *Service) Stats() Stats {
 		FailureCause:          h.Cause,
 		Pending:               int64(s.cl.NumPending()),
 		Running:               int64(s.cl.NumRunning()),
-		SolverParallelism:     int64(s.sched.Pool().Options.Parallelism),
 		QueueDepth:            s.queueDepth.Snapshot(),
 		BatchSize:             s.batchSize.Snapshot(),
 		AlgorithmRuntime:      s.algoRuntime.Snapshot(),
