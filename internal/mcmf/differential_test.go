@@ -3,6 +3,7 @@ package mcmf
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"firmament/internal/flow"
@@ -175,6 +176,170 @@ func TestDifferentialGeneralGraphs(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed + 7777))
 			base := randomGeneralGraph(rng, 8+rng.Intn(16))
 			agreeFromScratch(t, base, "general graph")
+		})
+	}
+}
+
+// concurrently runs each fn in its own goroutine and waits for all of them.
+func concurrently(fns ...func()) {
+	var wg sync.WaitGroup
+	for _, fn := range fns {
+		wg.Add(1)
+		go func(fn func()) {
+			defer wg.Done()
+			fn()
+		}(fn)
+	}
+	wg.Wait()
+}
+
+// agreeConcurrently solves private clones of base with all four algorithms
+// at once, one goroutine each, as the §6.1 solver pool races two of them.
+// Every concurrent run must reach the agreed sequential optimum and repeat a
+// lone sequential run of the same algorithm exactly: solver instances share
+// no mutable state, so running beside another solver changes nothing.
+func agreeConcurrently(t *testing.T, base *flow.Graph, label string) {
+	t.Helper()
+	want := agreeFromScratch(t, base, label+" (sequential)")
+	solvers := allSolvers()
+	graphs := make([]*flow.Graph, len(solvers))
+	results := make([]Result, len(solvers))
+	errs := make([]error, len(solvers))
+	runs := make([]func(), len(solvers))
+	for i, s := range solvers {
+		i, s := i, s
+		graphs[i] = base.Clone()
+		runs[i] = func() { results[i], errs[i] = s.Solve(graphs[i], nil) }
+	}
+	concurrently(runs...)
+	for i, ref := range allSolvers() {
+		name := solvers[i].Name()
+		if errs[i] != nil {
+			t.Fatalf("%s: concurrent %s: %v", label, name, errs[i])
+		}
+		if err := graphs[i].CheckFeasible(); err != nil {
+			t.Fatalf("%s: concurrent %s: infeasible flow: %v", label, name, err)
+		}
+		if err := graphs[i].CheckOptimal(); err != nil {
+			t.Fatalf("%s: concurrent %s: suboptimal flow: %v", label, name, err)
+		}
+		if results[i].Cost != want {
+			t.Fatalf("%s: concurrent %s: cost %d, sequential optimum %d",
+				label, name, results[i].Cost, want)
+		}
+		refGraph := base.Clone()
+		refRes, err := ref.Solve(refGraph, nil)
+		if err != nil {
+			t.Fatalf("%s: sequential %s: %v", label, name, err)
+		}
+		requireSameRun(t, label, name, results[i], graphs[i], refRes, refGraph)
+	}
+}
+
+// TestParallelSolversAgreeOnOptimum runs all four algorithms concurrently
+// over the differential corpus: each must reach the sequential optimum with
+// a feasible, negative-cycle-free flow and leave the same graph as a lone
+// run. A disagreement means two solver instances share mutable state.
+func TestParallelSolversAgreeOnOptimum(t *testing.T) {
+	for seed := int64(0); seed < differentialSeeds; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			base := randomSchedulingGraph(rng,
+				20+rng.Intn(40),
+				4+rng.Intn(10),
+				1+rng.Intn(3))
+			agreeConcurrently(t, base, "scheduling graph")
+		})
+	}
+}
+
+// TestParallelGeneralGraphsAgree extends the concurrent agreement check to
+// non-scheduling shapes: multi-unit supplies, wider capacities, negative
+// costs.
+func TestParallelGeneralGraphsAgree(t *testing.T) {
+	for seed := int64(0); seed < differentialSeeds/2; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed + 7777))
+			base := randomGeneralGraph(rng, 8+rng.Intn(16))
+			agreeConcurrently(t, base, "general graph")
+		})
+	}
+}
+
+// TestParallelIncrementalCostScaling carries incremental cost scaling and
+// relaxation through warm-started change batches side by side, each on its
+// own graph and in its own goroutine, as the §6.1 pool races them. Each
+// warm start must match the from-scratch optimum, and the cost scaling
+// chain must repeat a sequential twin chain exactly.
+func TestParallelIncrementalCostScaling(t *testing.T) {
+	const changeRounds = 3
+	for seed := int64(0); seed < differentialSeeds/2; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			base := randomSchedulingGraph(rng,
+				20+rng.Intn(40),
+				4+rng.Intn(10),
+				1+rng.Intn(3))
+
+			cs, relax, twin := NewCostScaling(), NewRelaxation(), NewCostScaling()
+			csGraph, relaxGraph, twinGraph := base.Clone(), base.Clone(), base.Clone()
+			var csRes, relaxRes Result
+			var csErr, relaxErr error
+			concurrently(
+				func() { csRes, csErr = cs.Solve(csGraph, nil) },
+				func() { relaxRes, relaxErr = relax.Solve(relaxGraph, nil) },
+			)
+			for round := 0; round <= changeRounds; round++ {
+				label := fmt.Sprintf("round %d", round)
+				var twinRes Result
+				var twinErr error
+				if round == 0 {
+					twinRes, twinErr = twin.Solve(twinGraph, nil)
+				} else {
+					batchSeed := seed*1009 + int64(round)
+					var csChanges, relaxChanges, twinChanges flow.ChangeSet
+					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), csGraph, &csChanges)
+					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), relaxGraph, &relaxChanges)
+					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), twinGraph, &twinChanges)
+					concurrently(
+						func() { csRes, csErr = cs.SolveIncremental(csGraph, &csChanges, nil) },
+						func() { relaxRes, relaxErr = relax.SolveIncremental(relaxGraph, &relaxChanges, nil) },
+					)
+					twinRes, twinErr = twin.SolveIncremental(twinGraph, &twinChanges, nil)
+				}
+				if csErr != nil {
+					t.Fatalf("%s: concurrent %s: %v", label, cs.Name(), csErr)
+				}
+				if relaxErr != nil {
+					t.Fatalf("%s: concurrent %s: %v", label, relax.Name(), relaxErr)
+				}
+				if twinErr != nil {
+					t.Fatalf("%s: sequential twin %s: %v", label, twin.Name(), twinErr)
+				}
+				requireSameRun(t, label, cs.Name(), csRes, csGraph, twinRes, twinGraph)
+				for _, g := range []*flow.Graph{csGraph, relaxGraph} {
+					if err := g.CheckFeasible(); err != nil {
+						t.Fatalf("%s: infeasible flow: %v", label, err)
+					}
+					if err := g.CheckOptimal(); err != nil {
+						t.Fatalf("%s: suboptimal flow: %v", label, err)
+					}
+				}
+				ref, err := NewCostScaling().Solve(csGraph.Clone(), nil)
+				if err != nil {
+					t.Fatalf("%s: from-scratch reference: %v", label, err)
+				}
+				if csRes.Cost != ref.Cost || relaxRes.Cost != ref.Cost {
+					t.Fatalf("%s: warm-start costs %s=%d %s=%d, from-scratch optimum %d",
+						label, cs.Name(), csRes.Cost, relax.Name(), relaxRes.Cost, ref.Cost)
+				}
+			}
 		})
 	}
 }
