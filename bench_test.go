@@ -499,13 +499,14 @@ func BenchmarkGraphUpdate(b *testing.B) {
 // a large, mostly busy cluster: 1,000 machines under Quincy, 8,400 tasks
 // that run throughout, and per round about 75 events — a 38-task job
 // arrives, the previous job starts (placed directly, as the solver's apply
-// would), 37 older tasks finish. One op is one round's event fold plus
+// would), 38 older tasks finish, so occupancy holds however many rounds
+// the benchmark asks for. One op is one round's event fold plus
 // UpdateRound; allocs/op is allocations per round.
 func BenchmarkUpdateRound1k(b *testing.B) {
 	const (
 		resident = 8400
 		jobSize  = 38
-		finish   = 37
+		finish   = jobSize
 		files    = 64
 	)
 	topo := cluster.Topology{Racks: 25, MachinesPerRack: 40, SlotsPerMachine: 12}
@@ -567,6 +568,65 @@ func BenchmarkUpdateRound1k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		round(40 + i)
+		b.StartTimer()
+		gm.ApplyClusterEvents()
+		gm.UpdateRound(now)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "update-us/round")
+}
+
+// BenchmarkUpdateRoundLoadSpread64 measures the graph update on a world
+// shaped like bench/'s template-64: 64 machines of 32 slots under
+// LoadSpread, whose cluster aggregator carries one arc per free slot (about
+// 1.8k here). Per round a job of 16, 32, 64 or 128 tasks arrives, the
+// previous job starts (placed directly) and the oldest of four running jobs
+// finishes. One op is one round's event fold plus UpdateRound; allocs/op is
+// allocations per round.
+func BenchmarkUpdateRoundLoadSpread64(b *testing.B) {
+	shapes := [...]int{16, 32, 64, 128}
+	cl := cluster.New(cluster.Topology{Racks: 4, MachinesPerRack: 16, SlotsPerMachine: 32})
+	gm := core.NewScheduler(cl, policy.NewLoadSpread(cl), core.DefaultConfig()).GraphManager()
+
+	next := 0
+	start := func(ids []cluster.TaskID, now time.Duration) {
+		for _, id := range ids {
+			for cl.Machine(cluster.MachineID(next)).Running() >= 32 {
+				next = (next + 1) % cl.NumMachines()
+			}
+			if err := cl.Place(id, cluster.MachineID(next), now); err != nil {
+				b.Fatal(err)
+			}
+			next = (next + 1) % cl.NumMachines()
+		}
+	}
+	var live [][]cluster.TaskID // running jobs, oldest first
+	var waiting []cluster.TaskID
+	now := time.Duration(0)
+	round := func(i int) {
+		now += 5 * time.Millisecond
+		if len(live) == 4 {
+			for _, id := range live[0] {
+				if err := cl.Complete(id, now); err != nil {
+					b.Fatal(err)
+				}
+			}
+			live = live[1:]
+		}
+		start(waiting, now)
+		live = append(live, waiting)
+		waiting = cl.SubmitJob(cluster.Batch, 0, now, make([]cluster.TaskSpec, shapes[i%len(shapes)])).Tasks
+		gm.Changes().Reset()
+	}
+	for i := 0; i < 8; i++ { // reach the steady state before timing
+		round(i)
+		gm.ApplyClusterEvents()
+		gm.UpdateRound(now)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		round(8 + i)
 		b.StartTimer()
 		gm.ApplyClusterEvents()
 		gm.UpdateRound(now)

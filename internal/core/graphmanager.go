@@ -5,9 +5,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"firmament/internal/cluster"
@@ -21,6 +21,62 @@ import (
 type machineArcKey struct {
 	machine cluster.MachineID
 	key     int64
+}
+
+// compare orders machine arc keys by (machine, key).
+func (k machineArcKey) compare(l machineArcKey) int {
+	if c := cmp.Compare(k.machine, l.machine); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.key, l.key)
+}
+
+// The arc records: which arc the graph holds for each key a policy lists.
+// Every record slice is kept strictly ascending by key — the order the
+// snapshot writes them in — so a round's diff against a policy list is one
+// merge walk, with no hashing.
+type (
+	machineArcRec struct {
+		k   machineArcKey
+		arc flow.ArcID
+	}
+	aggArcRec struct {
+		to  policy.AggID
+		arc flow.ArcID
+	}
+	taskArcRec struct {
+		target policy.ArcTarget
+		arc    flow.ArcID
+	}
+)
+
+// aggRecord is one live policy aggregator: its node and the records of its
+// arcs to machines and to other aggregators.
+type aggRecord struct {
+	id       policy.AggID
+	node     flow.NodeID
+	machines []machineArcRec
+	aggs     []aggArcRec
+}
+
+// updateScratch is the reusable working storage of UpdateRound: the policy
+// lists land in the want buffers, and each merge walk writes the new record
+// slice into a spare that it then swaps with the record it replaced.
+type updateScratch struct {
+	ids    []cluster.TaskID // also ApplyRound's task order
+	mids   []cluster.MachineID
+	aggIDs []policy.AggID
+	wantM  []policy.MachineArc
+	wantA  []policy.AggArc
+	wantT  []policy.TaskArc
+
+	aggs    []aggRecord
+	retired []aggRecord
+	mrecs   []machineArcRec
+	arecs   []aggArcRec
+	added   []taskArcRec
+	kept    []bool
+	dead    []flow.ArcID
 }
 
 // GraphManager owns the mapping between cluster state and the flow network
@@ -47,12 +103,10 @@ type GraphManager struct {
 	unschedSink map[cluster.JobID]flow.ArcID
 	jobAlive    map[cluster.JobID]int64
 
-	aggNode map[policy.AggID]flow.NodeID
+	aggs []aggRecord // live aggregators, ascending by ID
 
 	taskUnschedArc map[cluster.TaskID]flow.ArcID
-	taskArcs       map[cluster.TaskID]map[policy.ArcTarget]flow.ArcID
-	aggMachineArcs map[policy.AggID]map[machineArcKey]flow.ArcID
-	aggAggArcs     map[policy.AggID]map[policy.AggID]flow.ArcID
+	taskArcs       map[cluster.TaskID][]taskArcRec // ascending by target
 
 	changes  flow.ChangeSet
 	numTasks int64
@@ -71,8 +125,7 @@ type GraphManager struct {
 
 	// Per-round working storage, reused so neither the update nor the apply
 	// allocates in proportion to the graph.
-	ids  []cluster.TaskID
-	seen map[policy.ArcTarget]struct{}
+	upd updateScratch
 
 	// TaskRemovalHeuristic enables the §5.3.2 optimization: when a task
 	// node is removed, its unit of flow is drained along its path to the
@@ -112,13 +165,9 @@ func NewGraphManager(cl *cluster.Cluster, model policy.CostModel) *GraphManager 
 		unschedNode:    make(map[cluster.JobID]flow.NodeID),
 		unschedSink:    make(map[cluster.JobID]flow.ArcID),
 		jobAlive:       make(map[cluster.JobID]int64),
-		aggNode:        make(map[policy.AggID]flow.NodeID),
 		taskUnschedArc: make(map[cluster.TaskID]flow.ArcID),
-		taskArcs:       make(map[cluster.TaskID]map[policy.ArcTarget]flow.ArcID),
-		aggMachineArcs: make(map[policy.AggID]map[machineArcKey]flow.ArcID),
-		aggAggArcs:     make(map[policy.AggID]map[policy.AggID]flow.ArcID),
+		taskArcs:       make(map[cluster.TaskID][]taskArcRec),
 		revisit:        make(map[cluster.TaskID]struct{}),
-		seen:           make(map[policy.ArcTarget]struct{}),
 
 		TaskRemovalHeuristic: true,
 	}
@@ -165,13 +214,18 @@ func (gm *GraphManager) removeMachine(id cluster.MachineID) {
 		return
 	}
 	// Drop aggregator arc records pointing at this machine; the arcs
-	// themselves die with the node.
-	for _, arcs := range gm.aggMachineArcs {
-		for k := range arcs {
-			if k.machine == id {
-				delete(arcs, k)
-			}
+	// themselves die with the node. An aggregator's records for one machine
+	// are a contiguous run of its sorted slice.
+	for i := range gm.aggs {
+		recs := gm.aggs[i].machines
+		lo, _ := slices.BinarySearchFunc(recs, id, func(r machineArcRec, m cluster.MachineID) int {
+			return cmp.Compare(r.k.machine, m)
+		})
+		hi := lo
+		for hi < len(recs) && recs[hi].k.machine == id {
+			hi++
 		}
+		gm.aggs[i].machines = slices.Delete(recs, lo, hi)
 	}
 	gm.dropTaskArcRecords(n, policy.ToMachine(id))
 	gm.g.RemoveNode(n)
@@ -191,9 +245,21 @@ func (gm *GraphManager) dropTaskArcRecords(n flow.NodeID, target policy.ArcTarge
 			continue
 		}
 		if tid, ok := gm.nodeTask[gm.g.Head(a)]; ok {
-			delete(gm.taskArcs[tid], target)
+			recs := gm.taskArcs[tid]
+			if i, ok := slices.BinarySearchFunc(recs, target, compareTaskArc); ok {
+				gm.taskArcs[tid] = slices.Delete(recs, i, i+1)
+			}
 		}
 	}
+}
+
+func compareTaskArc(r taskArcRec, t policy.ArcTarget) int { return r.target.Compare(t) }
+
+// aggIndex returns id's position in gm.aggs and whether it is live.
+func (gm *GraphManager) aggIndex(id policy.AggID) (int, bool) {
+	return slices.BinarySearchFunc(gm.aggs, id, func(r aggRecord, id policy.AggID) int {
+		return r.id.Compare(id)
+	})
 }
 
 // ensureUnsched returns the unscheduled aggregator node for a job,
@@ -218,7 +284,6 @@ func (gm *GraphManager) addTask(id cluster.TaskID) {
 	n := gm.g.AddNode(1, flow.KindTask)
 	gm.taskNode[id] = n
 	gm.nodeTask[n] = id
-	gm.taskArcs[id] = make(map[policy.ArcTarget]flow.ArcID)
 	un := gm.ensureUnsched(t.Job)
 	gm.taskUnschedArc[id] = gm.g.AddArc(n, un, 1, 0)
 	gm.jobAlive[t.Job]++
@@ -342,6 +407,7 @@ func (gm *GraphManager) ApplyEvents(events []cluster.Event) {
 // function of cluster state alone: journals and crash replay depend on it.
 //
 //firmament:deterministic
+//firmament:hotpath
 func (gm *GraphManager) UpdateRound(now time.Duration) {
 	gm.model.BeginRound(now)
 	gm.updateAggregators(now)
@@ -352,125 +418,168 @@ func (gm *GraphManager) UpdateRound(now time.Duration) {
 	}
 }
 
-//firmament:deterministic
-func (gm *GraphManager) updateAggregators(now time.Duration) {
-	desired := gm.model.Aggregators()
-	want := make(map[policy.AggID]bool, len(desired))
-	for _, id := range desired {
-		want[id] = true
-		if _, ok := gm.aggNode[id]; !ok {
-			n := gm.g.AddNode(0, flow.KindAggregator)
-			gm.aggNode[id] = n
-			gm.aggMachineArcs[id] = make(map[machineArcKey]flow.ArcID)
-			gm.aggAggArcs[id] = make(map[policy.AggID]flow.ArcID)
-			gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: n})
-		}
-	}
-	// Retire aggregators the policy no longer wants, in sorted order: node
-	// removal feeds the graph's free lists, so removal order determines the
-	// IDs future allocations get — map iteration order here would make
-	// otherwise identical runs diverge (the crash-recovery replay relies on
-	// graph mutations being a pure function of cluster state).
-	retired := keysMissingFrom(gm.aggNode, want)
-	sortAggIDs(retired)
-	for _, id := range retired {
-		n := gm.aggNode[id]
-		// Arc records pointing at this aggregator die with it.
-		gm.dropTaskArcRecords(n, policy.ToAgg(id))
-		for _, from := range desired {
-			delete(gm.aggAggArcs[from], id)
-		}
-		gm.g.RemoveNode(n)
-		delete(gm.aggNode, id)
-		delete(gm.aggMachineArcs, id)
-		delete(gm.aggAggArcs, id)
-		gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: n})
-	}
-	// Diff each aggregator's machine arcs.
-	for _, id := range desired {
-		node := gm.aggNode[id]
-		arcs := gm.aggMachineArcs[id]
-		wantArcs := gm.model.AggArcs(id, now)
-		seen := make(map[machineArcKey]bool, len(wantArcs))
-		for _, ma := range wantArcs {
-			mn, ok := gm.machineNode[ma.Machine]
-			if !ok {
-				continue // machine gone
-			}
-			k := machineArcKey{ma.Machine, ma.Key}
-			seen[k] = true
-			if a, ok := arcs[k]; ok {
-				gm.setArc(a, ma.Cost, ma.Capacity)
-			} else {
-				a := gm.g.AddArc(node, mn, ma.Capacity, ma.Cost)
-				arcs[k] = a
-				gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
-			}
-		}
-		dead := keysMissingFrom(arcs, seen)
-		sort.Slice(dead, func(i, j int) bool {
-			if dead[i].machine != dead[j].machine {
-				return dead[i].machine < dead[j].machine
-			}
-			return dead[i].key < dead[j].key
-		})
-		for _, k := range dead {
-			a := arcs[k]
-			gm.g.RemoveArc(a)
-			delete(arcs, k)
-			gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveArc, Arc: a})
-		}
-		// Aggregator-to-aggregator arcs (e.g. Quincy's X → racks).
-		if gm.hier != nil {
-			aarcs := gm.aggAggArcs[id]
-			wantAgg := gm.hier.AggToAggArcs(id, now)
-			seenAgg := make(map[policy.AggID]bool, len(wantAgg))
-			for _, aa := range wantAgg {
-				dst, ok := gm.aggNode[aa.To]
-				if !ok {
-					continue
-				}
-				seenAgg[aa.To] = true
-				if a, ok := aarcs[aa.To]; ok {
-					gm.setArc(a, aa.Cost, aa.Capacity)
-				} else {
-					a := gm.g.AddArc(node, dst, aa.Capacity, aa.Cost)
-					aarcs[aa.To] = a
-					gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
-				}
-			}
-			deadAgg := keysMissingFrom(aarcs, seenAgg)
-			sortAggIDs(deadAgg)
-			for _, to := range deadAgg {
-				a := aarcs[to]
-				gm.g.RemoveArc(a)
-				delete(aarcs, to)
-				gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveArc, Arc: a})
-			}
-		}
-	}
-}
-
-// keysMissingFrom returns the keys of have that want lacks, in no order:
-// callers sort them before acting on them.
+// updateAggregators diffs the policy's aggregators, and each one's arcs,
+// against the records. The mutation order is the one journals, snapshots
+// and arc IDs were built on: new aggregator nodes in list order, then
+// retirements ascending, then each live aggregator's arcs in turn.
 //
 //firmament:deterministic
-func keysMissingFrom[K comparable, V, W any](have map[K]V, want map[K]W) []K {
-	var out []K
-	//firmament:ignore detmaprange a filter keeps or drops each key on its own; the callers sort what is kept
-	for k := range have {
-		if _, ok := want[k]; !ok {
-			out = append(out, k)
+//firmament:hotpath
+func (gm *GraphManager) updateAggregators(now time.Duration) {
+	u := &gm.upd
+	u.aggIDs = gm.model.Aggregators(u.aggIDs[:0])
+	have, next, retired := gm.aggs, u.aggs[:0], u.retired[:0]
+	i := 0
+	for j, id := range u.aggIDs {
+		if j > 0 && u.aggIDs[j-1].Compare(id) >= 0 {
+			panic(fmt.Sprintf("core: policy %s: Aggregators not strictly ascending at %v", gm.model.Name(), id))
+		}
+		for i < len(have) && have[i].id.Compare(id) < 0 {
+			retired = append(retired, have[i])
+			i++
+		}
+		if i < len(have) && have[i].id == id {
+			next = append(next, have[i])
+			i++
+			continue
+		}
+		n := gm.g.AddNode(0, flow.KindAggregator)
+		next = append(next, aggRecord{id: id, node: n})
+		gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: n})
+	}
+	retired = append(retired, have[i:]...)
+	gm.aggs, u.aggs = next, have[:0]
+	// Node removal feeds the graph's free lists, so the retirement order
+	// determines the IDs future allocations get: ascending, as collected.
+	for k := range retired {
+		gm.retireAggregator(&retired[k])
+	}
+	clear(retired)
+	u.retired = retired[:0]
+	for k := range gm.aggs {
+		agg := &gm.aggs[k]
+		u.wantM = gm.model.AggArcs(u.wantM[:0], agg.id, now)
+		gm.diffMachineArcs(agg, u.wantM)
+		// Aggregator-to-aggregator arcs (e.g. Quincy's X → racks).
+		if gm.hier != nil {
+			u.wantA = gm.hier.AggToAggArcs(u.wantA[:0], agg.id, now)
+			gm.diffAggArcs(agg, u.wantA)
 		}
 	}
-	return out
 }
 
-// sortedIDs collects m's keys into buf's storage, ascending.
-func sortedIDs[V any](buf []cluster.TaskID, m map[cluster.TaskID]V) []cluster.TaskID {
+// retireAggregator removes an aggregator the policy no longer lists. Its
+// arcs die with the node; the records of arcs into it are dropped here.
+func (gm *GraphManager) retireAggregator(r *aggRecord) {
+	gm.dropTaskArcRecords(r.node, policy.ToAgg(r.id))
+	for k := range gm.aggs {
+		recs := gm.aggs[k].aggs
+		i, ok := slices.BinarySearchFunc(recs, r.id, func(a aggArcRec, id policy.AggID) int {
+			return a.to.Compare(id)
+		})
+		if ok {
+			gm.aggs[k].aggs = slices.Delete(recs, i, i+1)
+		}
+	}
+	gm.g.RemoveNode(r.node)
+	gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: r.node})
+}
+
+// diffMachineArcs merges want, which the policy lists strictly ascending
+// by (machine, key), into agg's machine arc records: a listed arc with a
+// record is re-priced, one without is added (in list order), and the
+// records passed over are the dead arcs, removed after the walk in
+// ascending order. Removing them during the walk would hand their IDs to
+// later additions through the graph's free lists.
+//
+//firmament:deterministic
+//firmament:hotpath
+func (gm *GraphManager) diffMachineArcs(agg *aggRecord, want []policy.MachineArc) {
+	u := &gm.upd
+	have, out, dead := agg.machines, u.mrecs[:0], u.dead[:0]
+	i := 0
+	for j := range want {
+		ma := &want[j]
+		k := machineArcKey{ma.Machine, ma.Key}
+		if j > 0 && (machineArcKey{want[j-1].Machine, want[j-1].Key}).compare(k) >= 0 {
+			panic(fmt.Sprintf("core: policy %s: AggArcs(%v) not strictly ascending at %+v", gm.model.Name(), agg.id, k))
+		}
+		for i < len(have) && have[i].k.compare(k) < 0 {
+			dead = append(dead, have[i].arc)
+			i++
+		}
+		if i < len(have) && have[i].k == k {
+			gm.setArc(have[i].arc, ma.Cost, ma.Capacity)
+			out = append(out, have[i])
+			i++
+			continue
+		}
+		mn, ok := gm.machineNode[ma.Machine]
+		if !ok {
+			continue // machine gone
+		}
+		a := gm.g.AddArc(agg.node, mn, ma.Capacity, ma.Cost)
+		out = append(out, machineArcRec{k, a})
+		gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
+	}
+	for ; i < len(have); i++ {
+		dead = append(dead, have[i].arc)
+	}
+	gm.removeArcs(dead)
+	agg.machines, u.mrecs, u.dead = out, have[:0], dead[:0]
+}
+
+// diffAggArcs is diffMachineArcs for agg's arcs to other aggregators.
+//
+//firmament:deterministic
+//firmament:hotpath
+func (gm *GraphManager) diffAggArcs(agg *aggRecord, want []policy.AggArc) {
+	u := &gm.upd
+	have, out, dead := agg.aggs, u.arecs[:0], u.dead[:0]
+	i := 0
+	for j := range want {
+		aa := &want[j]
+		if j > 0 && want[j-1].To.Compare(aa.To) >= 0 {
+			panic(fmt.Sprintf("core: policy %s: AggToAggArcs(%v) not strictly ascending at %v", gm.model.Name(), agg.id, aa.To))
+		}
+		for i < len(have) && have[i].to.Compare(aa.To) < 0 {
+			dead = append(dead, have[i].arc)
+			i++
+		}
+		if i < len(have) && have[i].to == aa.To {
+			gm.setArc(have[i].arc, aa.Cost, aa.Capacity)
+			out = append(out, have[i])
+			i++
+			continue
+		}
+		to, ok := gm.aggIndex(aa.To)
+		if !ok {
+			continue
+		}
+		a := gm.g.AddArc(agg.node, gm.aggs[to].node, aa.Capacity, aa.Cost)
+		out = append(out, aggArcRec{aa.To, a})
+		gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
+	}
+	for ; i < len(have); i++ {
+		dead = append(dead, have[i].arc)
+	}
+	gm.removeArcs(dead)
+	agg.aggs, u.arecs, u.dead = out, have[:0], dead[:0]
+}
+
+// removeArcs removes arcs in the given order, recording each removal.
+func (gm *GraphManager) removeArcs(arcs []flow.ArcID) {
+	for _, a := range arcs {
+		gm.g.RemoveArc(a)
+		gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveArc, Arc: a})
+	}
+}
+
+// sortedKeys collects m's keys into buf's storage, ascending.
+func sortedKeys[K cmp.Ordered, V any](buf []K, m map[K]V) []K {
 	buf = buf[:0]
-	for id := range m {
-		buf = append(buf, id)
+	for k := range m {
+		buf = append(buf, k)
 	}
 	slices.Sort(buf)
 	return buf
@@ -482,14 +591,16 @@ func sortedIDs[V any](buf []cluster.TaskID, m map[cluster.TaskID]V) []cluster.Ta
 // and any other task stays, so its wait cost keeps growing with now.
 //
 //firmament:deterministic
+//firmament:hotpath
 func (gm *GraphManager) updateTasks(now time.Duration) {
+	u := &gm.upd
 	if gm.refreshAll {
 		gm.refreshAll = false
-		gm.ids = sortedIDs(gm.ids, gm.taskNode)
+		u.ids = sortedKeys(u.ids, gm.taskNode)
 	} else {
-		gm.ids = sortedIDs(gm.ids, gm.revisit)
+		u.ids = sortedKeys(u.ids, gm.revisit)
 	}
-	for _, id := range gm.ids {
+	for _, id := range u.ids {
 		t := gm.cl.Task(id)
 		gm.updateTask(t, now)
 		if t.State == cluster.TaskRunning {
@@ -501,69 +612,84 @@ func (gm *GraphManager) updateTasks(now time.Duration) {
 }
 
 // updateTask diffs one task's unscheduled cost and policy arcs against
-// the graph.
+// the graph. TaskArcs carries no ordering contract, so each listed target
+// is looked up in the sorted records by binary search; the mutation order
+// is that of the aggregator diffs — updates and additions in list order,
+// then removals ascending.
 //
 //firmament:deterministic
+//firmament:hotpath
 func (gm *GraphManager) updateTask(t *cluster.Task, now time.Duration) {
+	u := &gm.upd
 	node := gm.taskNode[t.ID]
 	// Unscheduled (or preemption) cost.
 	gm.setArc(gm.taskUnschedArc[t.ID], gm.model.UnscheduledCost(t, now), 1)
 	// Policy arcs.
-	arcs := gm.taskArcs[t.ID]
-	clear(gm.seen)
-	for _, ta := range gm.model.TaskArcs(t, now) {
-		var dst flow.NodeID
-		var ok bool
-		if ta.Target.Machine != cluster.InvalidMachine && ta.Target.Machine >= 0 {
-			dst, ok = gm.machineNode[ta.Target.Machine]
-		} else {
-			dst, ok = gm.aggNode[ta.Target.Agg]
-		}
-		if !ok {
-			continue
-		}
+	have := gm.taskArcs[t.ID]
+	u.wantT = gm.model.TaskArcs(u.wantT[:0], t, now)
+	u.kept = slices.Grow(u.kept[:0], len(have))[:len(have)]
+	clear(u.kept)
+	added := u.added[:0]
+	for _, ta := range u.wantT {
 		cap := ta.Capacity
 		if cap == 0 {
 			cap = 1
 		}
-		gm.seen[ta.Target] = struct{}{}
-		if a, exists := arcs[ta.Target]; exists {
-			gm.setArc(a, ta.Cost, cap)
+		if i, ok := slices.BinarySearchFunc(have, ta.Target, compareTaskArc); ok {
+			u.kept[i] = true
+			gm.setArc(have[i].arc, ta.Cost, cap)
+			continue
+		}
+		if i := indexTarget(added, ta.Target); i >= 0 {
+			gm.setArc(added[i].arc, ta.Cost, cap) // listed twice
+			continue
+		}
+		dst, ok := gm.targetNode(ta.Target)
+		if !ok {
+			continue
+		}
+		a := gm.g.AddArc(node, dst, cap, ta.Cost)
+		added = append(added, taskArcRec{ta.Target, a})
+		gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
+	}
+	u.added = added[:0]
+	recs := have[:0]
+	for i, r := range have {
+		if u.kept[i] {
+			recs = append(recs, r)
 		} else {
-			a := gm.g.AddArc(node, dst, cap, ta.Cost)
-			arcs[ta.Target] = a
-			gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
+			gm.g.RemoveArc(r.arc)
+			gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveArc, Arc: r.arc})
 		}
 	}
-	dead := keysMissingFrom(arcs, gm.seen)
-	sort.Slice(dead, func(i, j int) bool { return targetLess(dead[i], dead[j]) })
-	for _, target := range dead {
-		a := arcs[target]
-		gm.g.RemoveArc(a)
-		delete(arcs, target)
-		gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveArc, Arc: a})
+	if len(recs) == len(have) && len(added) == 0 {
+		return
 	}
+	recs = append(recs, added...)
+	slices.SortFunc(recs, func(a, b taskArcRec) int { return a.target.Compare(b.target) })
+	gm.taskArcs[t.ID] = recs
 }
 
-// aggLess orders aggregator IDs by (kind, index).
-func aggLess(a, b policy.AggID) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
+// indexTarget returns the position of t's record in the unsorted recs, or -1.
+func indexTarget(recs []taskArcRec, t policy.ArcTarget) int {
+	for i, r := range recs {
+		if r.target == t {
+			return i
+		}
 	}
-	return a.Index < b.Index
+	return -1
 }
 
-func sortAggIDs(ids []policy.AggID) {
-	sort.Slice(ids, func(i, j int) bool { return aggLess(ids[i], ids[j]) })
-}
-
-// targetLess orders arc targets: machine targets by ID first, then
-// aggregator targets by (kind, index).
-func targetLess(a, b policy.ArcTarget) bool {
-	if a.Machine != b.Machine {
-		return a.Machine < b.Machine
+// targetNode resolves an arc target to its node, if the target is live.
+func (gm *GraphManager) targetNode(t policy.ArcTarget) (flow.NodeID, bool) {
+	if t.Machine >= 0 {
+		n, ok := gm.machineNode[t.Machine]
+		return n, ok
 	}
-	return aggLess(a.Agg, b.Agg)
+	if i, ok := gm.aggIndex(t.Agg); ok {
+		return gm.aggs[i].node, true
+	}
+	return flow.InvalidNode, false
 }
 
 // updateMachineCapacities re-reads every machine's slot count, in machine
@@ -571,12 +697,8 @@ func targetLess(a, b policy.ArcTarget) bool {
 //
 //firmament:deterministic
 func (gm *GraphManager) updateMachineCapacities() {
-	var ids []cluster.MachineID
-	for id := range gm.machineSink {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
+	gm.upd.mids = sortedKeys(gm.upd.mids, gm.machineSink)
+	for _, id := range gm.upd.mids {
 		a := gm.machineSink[id]
 		want := int64(gm.cl.Machine(id).Slots)
 		if got := gm.g.Capacity(a); got != want {
@@ -625,5 +747,34 @@ func (gm *GraphManager) sanityCheck() error {
 			return fmt.Errorf("core: machine %d maps to dead node %d", id, n)
 		}
 	}
+	// The merge walks rely on every record slice being strictly ascending.
+	if i := unordered(len(gm.aggs), func(i int) int { return gm.aggs[i-1].id.Compare(gm.aggs[i].id) }); i > 0 {
+		return fmt.Errorf("core: aggregators not strictly ascending at %v", gm.aggs[i].id)
+	}
+	for _, agg := range gm.aggs {
+		m, a := agg.machines, agg.aggs
+		if i := unordered(len(m), func(i int) int { return m[i-1].k.compare(m[i].k) }); i > 0 {
+			return fmt.Errorf("core: aggregator %v: machine arc records not strictly ascending at %+v", agg.id, m[i].k)
+		}
+		if i := unordered(len(a), func(i int) int { return a[i-1].to.Compare(a[i].to) }); i > 0 {
+			return fmt.Errorf("core: aggregator %v: aggregator arc records not strictly ascending at %v", agg.id, a[i].to)
+		}
+	}
+	for id, recs := range gm.taskArcs {
+		if i := unordered(len(recs), func(i int) int { return recs[i-1].target.Compare(recs[i].target) }); i > 0 {
+			return fmt.Errorf("core: task %d: arc records not strictly ascending at %+v", id, recs[i].target)
+		}
+	}
 	return nil
+}
+
+// unordered returns the first i in [1, n) with cmp(i) >= 0, where cmp(i)
+// compares element i-1 with element i, or 0 if there is none.
+func unordered(n int, cmp func(i int) int) int {
+	for i := 1; i < n; i++ {
+		if cmp(i) >= 0 {
+			return i
+		}
+	}
+	return 0
 }

@@ -249,8 +249,8 @@ func (s *Scheduler) ApplyRound(r *Round, now time.Duration) ApplyStats {
 func (s *Scheduler) ApplyRoundRecorded(r *Round, now time.Duration, rec func(Decision)) ApplyStats {
 	var st ApplyStats
 	// Deterministic application order.
-	s.gm.ids = sortedIDs(s.gm.ids, s.gm.taskNode)
-	ids := s.gm.ids
+	s.gm.upd.ids = sortedKeys(s.gm.upd.ids, s.gm.taskNode)
+	ids := s.gm.upd.ids
 
 	// Preemptions and migrations first so their slots free up for
 	// placements within the same round.

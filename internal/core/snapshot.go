@@ -70,7 +70,8 @@ func (s *Scheduler) EncodeSnapshot(e *wal.Enc) {
 		e.I64(int64(gm.machineSink[id]))
 	}
 
-	// taskNode + taskUnschedArc + taskArcs, sorted by task ID.
+	// taskNode + taskUnschedArc + taskArcs, sorted by task ID. The arc
+	// records are kept sorted by key, here and below.
 	tasks := make([]cluster.TaskID, 0, len(gm.taskNode))
 	for id := range gm.taskNode {
 		tasks = append(tasks, id)
@@ -81,16 +82,11 @@ func (s *Scheduler) EncodeSnapshot(e *wal.Enc) {
 		e.I64(int64(id))
 		e.I64(int64(gm.taskNode[id]))
 		e.I64(int64(gm.taskUnschedArc[id]))
-		arcs := gm.taskArcs[id]
-		targets := make([]policy.ArcTarget, 0, len(arcs))
-		for t := range arcs {
-			targets = append(targets, t)
-		}
-		sort.Slice(targets, func(i, j int) bool { return targetLess(targets[i], targets[j]) })
-		e.U32(uint32(len(targets)))
-		for _, t := range targets {
-			encodeTarget(e, t)
-			e.I64(int64(arcs[t]))
+		recs := gm.taskArcs[id]
+		e.U32(uint32(len(recs)))
+		for _, r := range recs {
+			encodeTarget(e, r.target)
+			e.I64(int64(r.arc))
 		}
 	}
 
@@ -108,43 +104,21 @@ func (s *Scheduler) EncodeSnapshot(e *wal.Enc) {
 		e.I64(gm.jobAlive[id])
 	}
 
-	// aggNode + aggMachineArcs + aggAggArcs, sorted by AggID.
-	aggs := make([]policy.AggID, 0, len(gm.aggNode))
-	for id := range gm.aggNode {
-		aggs = append(aggs, id)
-	}
-	sortAggIDs(aggs)
-	e.U32(uint32(len(aggs)))
-	for _, id := range aggs {
-		encodeAggID(e, id)
-		e.I64(int64(gm.aggNode[id]))
-		marcs := gm.aggMachineArcs[id]
-		mkeys := make([]machineArcKey, 0, len(marcs))
-		for k := range marcs {
-			mkeys = append(mkeys, k)
+	// Aggregators with their machine and aggregator arc records.
+	e.U32(uint32(len(gm.aggs)))
+	for _, agg := range gm.aggs {
+		encodeAggID(e, agg.id)
+		e.I64(int64(agg.node))
+		e.U32(uint32(len(agg.machines)))
+		for _, r := range agg.machines {
+			e.I64(int64(r.k.machine))
+			e.I64(r.k.key)
+			e.I64(int64(r.arc))
 		}
-		sort.Slice(mkeys, func(i, j int) bool {
-			if mkeys[i].machine != mkeys[j].machine {
-				return mkeys[i].machine < mkeys[j].machine
-			}
-			return mkeys[i].key < mkeys[j].key
-		})
-		e.U32(uint32(len(mkeys)))
-		for _, k := range mkeys {
-			e.I64(int64(k.machine))
-			e.I64(k.key)
-			e.I64(int64(marcs[k]))
-		}
-		aarcs := gm.aggAggArcs[id]
-		akeys := make([]policy.AggID, 0, len(aarcs))
-		for k := range aarcs {
-			akeys = append(akeys, k)
-		}
-		sortAggIDs(akeys)
-		e.U32(uint32(len(akeys)))
-		for _, k := range akeys {
-			encodeAggID(e, k)
-			e.I64(int64(aarcs[k]))
+		e.U32(uint32(len(agg.aggs)))
+		for _, r := range agg.aggs {
+			encodeAggID(e, r.to)
+			e.I64(int64(r.arc))
 		}
 	}
 }
@@ -177,13 +151,9 @@ func RestoreScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config, d
 		unschedNode:    make(map[cluster.JobID]flow.NodeID),
 		unschedSink:    make(map[cluster.JobID]flow.ArcID),
 		jobAlive:       make(map[cluster.JobID]int64),
-		aggNode:        make(map[policy.AggID]flow.NodeID),
 		taskUnschedArc: make(map[cluster.TaskID]flow.ArcID),
-		taskArcs:       make(map[cluster.TaskID]map[policy.ArcTarget]flow.ArcID),
-		aggMachineArcs: make(map[policy.AggID]map[machineArcKey]flow.ArcID),
-		aggAggArcs:     make(map[policy.AggID]map[policy.AggID]flow.ArcID),
+		taskArcs:       make(map[cluster.TaskID][]taskArcRec),
 		revisit:        make(map[cluster.TaskID]struct{}),
-		seen:           make(map[policy.ArcTarget]struct{}),
 
 		// The snapshot does not carry the revisit set: the first round
 		// re-derives every task once and rebuilds it.
@@ -213,13 +183,11 @@ func RestoreScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config, d
 		gm.taskNode[id] = n
 		gm.nodeTask[n] = id
 		gm.taskUnschedArc[id] = flow.ArcID(d.I64())
-		na := d.Len(25)
-		arcs := make(map[policy.ArcTarget]flow.ArcID, na)
-		for k := 0; k < na; k++ {
-			t := decodeTarget(d)
-			arcs[t] = flow.ArcID(d.I64())
+		recs := make([]taskArcRec, d.Len(25))
+		for k := range recs {
+			recs[k] = taskArcRec{decodeTarget(d), flow.ArcID(d.I64())}
 		}
-		gm.taskArcs[id] = arcs
+		gm.taskArcs[id] = recs
 	}
 	nj := d.Len(32)
 	for i := 0; i < nj; i++ {
@@ -228,24 +196,20 @@ func RestoreScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config, d
 		gm.unschedSink[id] = flow.ArcID(d.I64())
 		gm.jobAlive[id] = d.I64()
 	}
-	na := d.Len(17)
-	for i := 0; i < na; i++ {
-		id := decodeAggID(d)
-		gm.aggNode[id] = flow.NodeID(d.I64())
-		nmk := d.Len(24)
-		marcs := make(map[machineArcKey]flow.ArcID, nmk)
-		for k := 0; k < nmk; k++ {
+	gm.aggs = make([]aggRecord, d.Len(17))
+	for i := range gm.aggs {
+		agg := &gm.aggs[i]
+		agg.id = decodeAggID(d)
+		agg.node = flow.NodeID(d.I64())
+		agg.machines = make([]machineArcRec, d.Len(24))
+		for k := range agg.machines {
 			mk := machineArcKey{machine: cluster.MachineID(d.I64()), key: d.I64()}
-			marcs[mk] = flow.ArcID(d.I64())
+			agg.machines[k] = machineArcRec{mk, flow.ArcID(d.I64())}
 		}
-		gm.aggMachineArcs[id] = marcs
-		nak := d.Len(17)
-		aarcs := make(map[policy.AggID]flow.ArcID, nak)
-		for k := 0; k < nak; k++ {
-			ak := decodeAggID(d)
-			aarcs[ak] = flow.ArcID(d.I64())
+		agg.aggs = make([]aggArcRec, d.Len(17))
+		for k := range agg.aggs {
+			agg.aggs[k] = aggArcRec{decodeAggID(d), flow.ArcID(d.I64())}
 		}
-		gm.aggAggArcs[id] = aarcs
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

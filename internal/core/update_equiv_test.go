@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,22 +17,161 @@ import (
 	"firmament/internal/wal"
 )
 
-// This file pins the change-proportional graph update against the full
-// walk it replaced. The full walk — every task node, every round — lives on
-// here, verbatim, as the oracle: a twin scheduler driven by it must stay
+// This file pins the graph update against the two designs it replaced,
+// which live on here, verbatim, as the oracle: the full walk (every task
+// node, every round) and the map-keyed diffs (each policy list diffed
+// against a map of arc records through a seen set, dead arcs sorted and
+// removed after). A twin scheduler driven by the oracle must stay
 // bit-identical (Scheduler.Fingerprint: graph, flow, potentials, node and
 // arc IDs, every entity map) to the scheduler under test through seeded
-// random schedules of everything that moves a task or a machine.
+// random schedules of everything that moves a task or a machine. The
+// oracle rebuilds its maps from the sorted records each round and writes
+// them back sorted, so the twin shares the snapshot format.
 
-// fullWalkUpdateRound is UpdateRound as it was before the revisit set.
+// fullWalkUpdateRound is UpdateRound as it was before the revisit set and
+// the merge walks.
 func fullWalkUpdateRound(gm *GraphManager, now time.Duration) {
 	gm.model.BeginRound(now)
-	gm.updateAggregators(now)
+	mapDiffUpdateAggregators(gm, now)
 	fullWalkUpdateTasks(gm, now)
 	gm.updateMachineCapacities()
 }
 
+// mapDiffUpdateAggregators is updateAggregators on map-keyed records.
+func mapDiffUpdateAggregators(gm *GraphManager, now time.Duration) {
+	aggNode := make(map[policy.AggID]flow.NodeID)
+	aggMachineArcs := make(map[policy.AggID]map[machineArcKey]flow.ArcID)
+	aggAggArcs := make(map[policy.AggID]map[policy.AggID]flow.ArcID)
+	for _, agg := range gm.aggs {
+		aggNode[agg.id] = agg.node
+		aggMachineArcs[agg.id] = make(map[machineArcKey]flow.ArcID)
+		for _, r := range agg.machines {
+			aggMachineArcs[agg.id][r.k] = r.arc
+		}
+		aggAggArcs[agg.id] = make(map[policy.AggID]flow.ArcID)
+		for _, r := range agg.aggs {
+			aggAggArcs[agg.id][r.to] = r.arc
+		}
+	}
+
+	desired := gm.model.Aggregators(nil)
+	want := make(map[policy.AggID]bool, len(desired))
+	for _, id := range desired {
+		want[id] = true
+		if _, ok := aggNode[id]; !ok {
+			n := gm.g.AddNode(0, flow.KindAggregator)
+			aggNode[id] = n
+			aggMachineArcs[id] = make(map[machineArcKey]flow.ArcID)
+			aggAggArcs[id] = make(map[policy.AggID]flow.ArcID)
+			gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: n})
+		}
+	}
+	retired := keysMissingFrom(aggNode, want)
+	sortAggIDs(retired)
+	for _, id := range retired {
+		n := aggNode[id]
+		gm.dropTaskArcRecords(n, policy.ToAgg(id))
+		for _, from := range desired {
+			delete(aggAggArcs[from], id)
+		}
+		gm.g.RemoveNode(n)
+		delete(aggNode, id)
+		delete(aggMachineArcs, id)
+		delete(aggAggArcs, id)
+		gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: n})
+	}
+	for _, id := range desired {
+		node := aggNode[id]
+		arcs := aggMachineArcs[id]
+		wantArcs := gm.model.AggArcs(nil, id, now)
+		seen := make(map[machineArcKey]bool, len(wantArcs))
+		for _, ma := range wantArcs {
+			mn, ok := gm.machineNode[ma.Machine]
+			if !ok {
+				continue // machine gone
+			}
+			k := machineArcKey{ma.Machine, ma.Key}
+			seen[k] = true
+			if a, ok := arcs[k]; ok {
+				gm.setArc(a, ma.Cost, ma.Capacity)
+			} else {
+				a := gm.g.AddArc(node, mn, ma.Capacity, ma.Cost)
+				arcs[k] = a
+				gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
+			}
+		}
+		dead := keysMissingFrom(arcs, seen)
+		sort.Slice(dead, func(i, j int) bool {
+			if dead[i].machine != dead[j].machine {
+				return dead[i].machine < dead[j].machine
+			}
+			return dead[i].key < dead[j].key
+		})
+		for _, k := range dead {
+			a := arcs[k]
+			gm.g.RemoveArc(a)
+			delete(arcs, k)
+			gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveArc, Arc: a})
+		}
+		if gm.hier != nil {
+			aarcs := aggAggArcs[id]
+			wantAgg := gm.hier.AggToAggArcs(nil, id, now)
+			seenAgg := make(map[policy.AggID]bool, len(wantAgg))
+			for _, aa := range wantAgg {
+				dst, ok := aggNode[aa.To]
+				if !ok {
+					continue
+				}
+				seenAgg[aa.To] = true
+				if a, ok := aarcs[aa.To]; ok {
+					gm.setArc(a, aa.Cost, aa.Capacity)
+				} else {
+					a := gm.g.AddArc(node, dst, aa.Capacity, aa.Cost)
+					aarcs[aa.To] = a
+					gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
+				}
+			}
+			deadAgg := keysMissingFrom(aarcs, seenAgg)
+			sortAggIDs(deadAgg)
+			for _, to := range deadAgg {
+				a := aarcs[to]
+				gm.g.RemoveArc(a)
+				delete(aarcs, to)
+				gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveArc, Arc: a})
+			}
+		}
+	}
+
+	// Write the records back, sorted.
+	ids := make([]policy.AggID, 0, len(aggNode))
+	for id := range aggNode {
+		ids = append(ids, id)
+	}
+	sortAggIDs(ids)
+	gm.aggs = nil
+	for _, id := range ids {
+		agg := aggRecord{id: id, node: aggNode[id]}
+		for k, a := range aggMachineArcs[id] {
+			agg.machines = append(agg.machines, machineArcRec{k, a})
+		}
+		sort.Slice(agg.machines, func(i, j int) bool {
+			mi, mj := agg.machines[i].k, agg.machines[j].k
+			return mi.machine < mj.machine || mi.machine == mj.machine && mi.key < mj.key
+		})
+		for to, a := range aggAggArcs[id] {
+			agg.aggs = append(agg.aggs, aggArcRec{to, a})
+		}
+		sort.Slice(agg.aggs, func(i, j int) bool { return aggLess(agg.aggs[i].to, agg.aggs[j].to) })
+		gm.aggs = append(gm.aggs, agg)
+	}
+}
+
+// fullWalkUpdateTasks re-derives every task's arcs on map-keyed records.
 func fullWalkUpdateTasks(gm *GraphManager, now time.Duration) {
+	aggNode := make(map[policy.AggID]flow.NodeID, len(gm.aggs))
+	for _, agg := range gm.aggs {
+		aggNode[agg.id] = agg.node
+	}
 	ids := make([]cluster.TaskID, 0, len(gm.taskNode))
 	for id := range gm.taskNode {
 		ids = append(ids, id)
@@ -41,8 +181,11 @@ func fullWalkUpdateTasks(gm *GraphManager, now time.Duration) {
 		t := gm.cl.Task(id)
 		node := gm.taskNode[id]
 		gm.setArc(gm.taskUnschedArc[id], gm.model.UnscheduledCost(t, now), 1)
-		arcs := gm.taskArcs[id]
-		want := gm.model.TaskArcs(t, now)
+		arcs := make(map[policy.ArcTarget]flow.ArcID)
+		for _, r := range gm.taskArcs[id] {
+			arcs[r.target] = r.arc
+		}
+		want := gm.model.TaskArcs(nil, t, now)
 		seen := make(map[policy.ArcTarget]bool, len(want))
 		for _, ta := range want {
 			var dst flow.NodeID
@@ -50,7 +193,7 @@ func fullWalkUpdateTasks(gm *GraphManager, now time.Duration) {
 			if ta.Target.Machine != cluster.InvalidMachine && ta.Target.Machine >= 0 {
 				dst, ok = gm.machineNode[ta.Target.Machine]
 			} else {
-				dst, ok = gm.aggNode[ta.Target.Agg]
+				dst, ok = aggNode[ta.Target.Agg]
 			}
 			if !ok {
 				continue
@@ -81,7 +224,46 @@ func fullWalkUpdateTasks(gm *GraphManager, now time.Duration) {
 			delete(arcs, target)
 			gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveArc, Arc: a})
 		}
+		// Write the records back, sorted.
+		recs := make([]taskArcRec, 0, len(arcs))
+		for target, a := range arcs {
+			recs = append(recs, taskArcRec{target, a})
+		}
+		sort.Slice(recs, func(i, j int) bool { return targetLess(recs[i].target, recs[j].target) })
+		gm.taskArcs[id] = recs
 	}
+}
+
+// keysMissingFrom returns the keys of have that want lacks, in no order.
+func keysMissingFrom[K comparable, V, W any](have map[K]V, want map[K]W) []K {
+	var out []K
+	for k := range have {
+		if _, ok := want[k]; !ok {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// aggLess orders aggregator IDs by (kind, index).
+func aggLess(a, b policy.AggID) bool {
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	return a.Index < b.Index
+}
+
+func sortAggIDs(ids []policy.AggID) {
+	sort.Slice(ids, func(i, j int) bool { return aggLess(ids[i], ids[j]) })
+}
+
+// targetLess orders arc targets: machine targets by ID first, then
+// aggregator targets by (kind, index).
+func targetLess(a, b policy.ArcTarget) bool {
+	if a.Machine != b.Machine {
+		return a.Machine < b.Machine
+	}
+	return aggLess(a.Agg, b.Agg)
 }
 
 // equivWorld is one of the two twins: a cluster, its scheduler, and the
@@ -151,30 +333,59 @@ func checkQuiescent(t *testing.T, gm *GraphManager, now time.Duration) {
 	gm.revisit = saved
 }
 
-// checkArcRecords verifies that the task→arc records and the graph agree
-// in both directions: every record names a live arc from the task's node to
-// the target's node, and a task node has no other outgoing arcs.
+// checkArcRecords verifies that the arc records and the graph agree in both
+// directions — every record names a live arc from its owner's node to the
+// target's node, and the owner has no other outgoing arcs — and, through
+// sanityCheck, that every record slice is strictly ascending.
 func checkArcRecords(t *testing.T, gm *GraphManager) {
 	t.Helper()
-	for tid, arcs := range gm.taskArcs {
-		node := gm.taskNode[tid]
-		for target, a := range arcs {
-			want, ok := gm.aggNode[target.Agg]
-			if target.Machine != cluster.InvalidMachine {
-				want, ok = gm.machineNode[target.Machine]
-			}
-			if !ok || !gm.g.ArcInUse(a) || gm.g.Tail(a) != node || gm.g.Head(a) != want {
-				t.Fatalf("task %d: stale arc record %+v → arc %d", tid, target, a)
-			}
+	if err := gm.sanityCheck(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(owner string, node flow.NodeID, a flow.ArcID, head flow.NodeID, ok bool) {
+		t.Helper()
+		if !ok || !gm.g.ArcInUse(a) || gm.g.Tail(a) != node || gm.g.Head(a) != head {
+			t.Fatalf("%s: stale arc record → arc %d", owner, a)
 		}
+	}
+	outDegree := func(node flow.NodeID) int {
 		out := 0
 		for a := gm.g.FirstOut(node); a != flow.InvalidArc; a = gm.g.NextOut(a) {
 			if gm.g.IsForward(a) {
 				out++
 			}
 		}
-		if out != len(arcs)+1 {
-			t.Fatalf("task %d: %d outgoing arcs, %d recorded (+1 unscheduled)", tid, out, len(arcs))
+		return out
+	}
+	for tid := range gm.taskArcs {
+		if _, ok := gm.taskNode[tid]; !ok {
+			t.Fatalf("arc records for task %d, which has no node", tid)
+		}
+	}
+	for tid, node := range gm.taskNode {
+		recs := gm.taskArcs[tid]
+		for _, r := range recs {
+			head, ok := gm.targetNode(r.target)
+			check(fmt.Sprintf("task %d target %+v", tid, r.target), node, r.arc, head, ok)
+		}
+		if out := outDegree(node); out != len(recs)+1 {
+			t.Fatalf("task %d: %d outgoing arcs, %d recorded (+1 unscheduled)", tid, out, len(recs))
+		}
+	}
+	for _, agg := range gm.aggs {
+		if !gm.g.NodeInUse(agg.node) {
+			t.Fatalf("aggregator %v: dead node %d", agg.id, agg.node)
+		}
+		for _, r := range agg.machines {
+			head, ok := gm.machineNode[r.k.machine]
+			check(fmt.Sprintf("aggregator %v machine arc %+v", agg.id, r.k), agg.node, r.arc, head, ok)
+		}
+		for _, r := range agg.aggs {
+			head, ok := gm.targetNode(policy.ToAgg(r.to))
+			check(fmt.Sprintf("aggregator %v arc to %v", agg.id, r.to), agg.node, r.arc, head, ok)
+		}
+		if out, n := outDegree(agg.node), len(agg.machines)+len(agg.aggs); out != n {
+			t.Fatalf("aggregator %v: %d outgoing arcs, %d recorded", agg.id, out, n)
 		}
 	}
 }
@@ -390,11 +601,33 @@ func runEquivSchedule(t *testing.T, pol equivPolicy, mode SolverMode, seed int64
 			t.Fatalf("step %d (t=%v): fingerprint %x, full-walk twin %x", step, now, a, b)
 		}
 		if updated {
-			gm := worlds[0].s.gm
-			checkArcRecords(t, gm)
-			if err := gm.sanityCheck(); err != nil {
-				t.Fatal(err)
-			}
+			checkArcRecords(t, worlds[0].s.gm)
 		}
 	}
+}
+
+// reversedArcs is LoadSpread with its aggregator arc list reversed, which
+// breaks the CostModel ordering contract.
+type reversedArcs struct{ *policy.LoadSpread }
+
+func (reversedArcs) Name() string { return "reversed" }
+
+func (p reversedArcs) AggArcs(dst []policy.MachineArc, id policy.AggID, now time.Duration) []policy.MachineArc {
+	n := len(dst)
+	dst = p.LoadSpread.AggArcs(dst, id, now)
+	slices.Reverse(dst[n:])
+	return dst
+}
+
+// TestUnorderedPolicyListPanics checks that the merge walk refuses a policy
+// list out of order, naming the policy, rather than diffing it wrongly.
+func TestUnorderedPolicyListPanics(t *testing.T) {
+	cl := cluster.New(cluster.Topology{Racks: 1, MachinesPerRack: 2, SlotsPerMachine: 2})
+	gm := NewGraphManager(cl, reversedArcs{policy.NewLoadSpread(cl)})
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "policy reversed: AggArcs") {
+			t.Fatalf("recovered %q, want a panic naming the policy and the list", msg)
+		}
+	}()
+	gm.UpdateRound(0)
 }

@@ -58,15 +58,15 @@ func (p *LoadSpread) UnscheduledCost(t *cluster.Task, now time.Duration) Cost {
 
 // TaskArcs implements CostModel: pending tasks connect to X; running tasks
 // connect to their current machine at zero cost (continuing is free).
-func (p *LoadSpread) TaskArcs(t *cluster.Task, now time.Duration) []TaskArc {
+func (p *LoadSpread) TaskArcs(dst []TaskArc, t *cluster.Task, now time.Duration) []TaskArc {
 	if t.State == cluster.TaskRunning {
-		return []TaskArc{{Target: ToMachine(t.Machine), Cost: 0, Capacity: 1}}
+		return append(dst, TaskArc{Target: ToMachine(t.Machine), Cost: 0, Capacity: 1})
 	}
-	return []TaskArc{{Target: ToAgg(ClusterAgg), Cost: 0, Capacity: 1}}
+	return append(dst, TaskArc{Target: ToAgg(ClusterAgg), Cost: 0, Capacity: 1})
 }
 
 // Aggregators implements CostModel.
-func (p *LoadSpread) Aggregators() []AggID { return []AggID{ClusterAgg} }
+func (p *LoadSpread) Aggregators(dst []AggID) []AggID { return append(dst, ClusterAgg) }
 
 // AggArcs implements CostModel: X has one unit-capacity arc per free slot
 // of every healthy machine, priced by the occupancy level that slot would
@@ -76,11 +76,11 @@ func (p *LoadSpread) Aggregators() []AggID { return []AggID{ClusterAgg} }
 // at least as many tasks"). The graduated unit arcs also make
 // under-populated machines contended destinations, the property that slows
 // relaxation down (paper §4.3, Figure 9).
-func (p *LoadSpread) AggArcs(id AggID, now time.Duration) []MachineArc {
+func (p *LoadSpread) AggArcs(dst []MachineArc, id AggID, now time.Duration) []MachineArc {
 	if id != ClusterAgg {
-		return nil
+		return dst
 	}
-	var out []MachineArc
+	out := dst
 	p.cl.Machines(func(m *cluster.Machine) {
 		if !m.Healthy() {
 			return

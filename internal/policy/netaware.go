@@ -1,7 +1,7 @@
 package policy
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"firmament/internal/cluster"
@@ -30,6 +30,7 @@ type NetworkAware struct {
 	RateCostUnit int64
 
 	buckets map[int64]struct{} // active request buckets, rebuilt per round
+	keys    []int64            // Aggregators' sort buffer
 }
 
 // NewNetworkAware returns the network-aware policy over cl, reading
@@ -60,7 +61,7 @@ func (p *NetworkAware) Bucket(demand int64) int64 {
 // BeginRound implements CostModel: collect the active request buckets (the
 // first update traversal of paper §6.3).
 func (p *NetworkAware) BeginRound(now time.Duration) {
-	p.buckets = make(map[int64]struct{})
+	clear(p.buckets)
 	for _, id := range p.cl.PendingTasks() {
 		p.buckets[p.Bucket(p.cl.Task(id).NetDemand)] = struct{}{}
 	}
@@ -75,37 +76,36 @@ func (p *NetworkAware) UnscheduledCost(t *cluster.Task, now time.Duration) Cost 
 }
 
 // TaskArcs implements CostModel.
-func (p *NetworkAware) TaskArcs(t *cluster.Task, now time.Duration) []TaskArc {
+func (p *NetworkAware) TaskArcs(dst []TaskArc, t *cluster.Task, now time.Duration) []TaskArc {
 	if t.State == cluster.TaskRunning {
-		return []TaskArc{{Target: ToMachine(t.Machine), Cost: 0, Capacity: 1}}
+		return append(dst, TaskArc{Target: ToMachine(t.Machine), Cost: 0, Capacity: 1})
 	}
-	return []TaskArc{{Target: ToAgg(RequestAgg(p.Bucket(t.NetDemand))), Cost: 0, Capacity: 1}}
+	return append(dst, TaskArc{Target: ToAgg(RequestAgg(p.Bucket(t.NetDemand))), Cost: 0, Capacity: 1})
 }
 
 // Aggregators implements CostModel: one RA per active bucket.
-func (p *NetworkAware) Aggregators() []AggID {
-	keys := make([]int64, 0, len(p.buckets))
+func (p *NetworkAware) Aggregators(dst []AggID) []AggID {
+	p.keys = p.keys[:0]
 	for b := range p.buckets {
-		keys = append(keys, b)
+		p.keys = append(p.keys, b)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]AggID, len(keys))
-	for i, b := range keys {
-		out[i] = RequestAgg(b)
+	slices.Sort(p.keys)
+	for _, b := range p.keys {
+		dst = append(dst, RequestAgg(b))
 	}
-	return out
+	return dst
 }
 
 // AggArcs implements CostModel: dynamic arcs to machines with spare
 // bandwidth (paper Fig. 6c: e.g. 650 MB/s of 1.25 GB/s used on a 10G link
 // leaves room for a 400 MB/s request). Capacity is the number of such
 // tasks that fit, bounded by free slots.
-func (p *NetworkAware) AggArcs(id AggID, now time.Duration) []MachineArc {
+func (p *NetworkAware) AggArcs(dst []MachineArc, id AggID, now time.Duration) []MachineArc {
 	if id.Kind != AggRequest {
-		return nil
+		return dst
 	}
 	request := id.Index * p.BucketBytes
-	var out []MachineArc
+	out := dst
 	p.cl.Machines(func(m *cluster.Machine) {
 		if !m.Healthy() {
 			return

@@ -16,6 +16,7 @@
 package policy
 
 import (
+	"cmp"
 	"time"
 
 	"firmament/internal/cluster"
@@ -43,6 +44,15 @@ type AggID struct {
 	Index int64
 }
 
+// Compare orders aggregator IDs by (Kind, Index), the order
+// CostModel.Aggregators and HierarchicalCostModel.AggToAggArcs list them in.
+func (a AggID) Compare(b AggID) int {
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Index, b.Index)
+}
+
 // ClusterAgg is the cluster-wide aggregator X.
 var ClusterAgg = AggID{Kind: AggCluster}
 
@@ -64,6 +74,15 @@ func ToMachine(m cluster.MachineID) ArcTarget { return ArcTarget{Machine: m} }
 
 // ToAgg targets aggregator a.
 func ToAgg(a AggID) ArcTarget { return ArcTarget{Machine: cluster.InvalidMachine, Agg: a} }
+
+// Compare orders arc targets by machine ID, then by aggregator: aggregator
+// targets, whose Machine is cluster.InvalidMachine, sort before machines.
+func (t ArcTarget) Compare(u ArcTarget) int {
+	if c := cmp.Compare(t.Machine, u.Machine); c != 0 {
+		return c
+	}
+	return t.Agg.Compare(u.Agg)
+}
 
 // TaskArc is one policy-requested arc from a task node.
 type TaskArc struct {
@@ -93,6 +112,15 @@ type MachineArc struct {
 // running task's arcs when an event names the task or a machine joins, not
 // every round (docs/solver.md, "Graph update cost model"). A waiting
 // task's costs may depend on now; aggregator arcs may depend on anything.
+//
+// The list methods are append-style, like strconv.AppendInt: they append
+// to a caller-owned dst and return the extended slice, so the core reuses
+// one buffer per list and a steady round allocates nothing. Aggregators,
+// AggArcs and AggToAggArcs must list strictly ascending, unique keys —
+// AggID.Compare order, MachineArc by (Machine, Key) — because the core
+// diffs each list against its sorted arc records in a single merge walk;
+// it panics, naming the policy, on a list out of order. TaskArcs may list
+// its targets in any order.
 type CostModel interface {
 	Name() string
 
@@ -108,17 +136,19 @@ type CostModel interface {
 	// so that starving tasks eventually win slots.
 	UnscheduledCost(t *cluster.Task, now time.Duration) Cost
 
-	// TaskArcs lists a task's outgoing arcs to machines and aggregators
-	// (excluding the unscheduled arc). For running tasks the policy
+	// TaskArcs appends a task's outgoing arcs to machines and aggregators
+	// (excluding the unscheduled arc) to dst. For running tasks the policy
 	// decides whether to include a continuation arc to the current machine
 	// and migration arcs elsewhere.
-	TaskArcs(t *cluster.Task, now time.Duration) []TaskArc
+	TaskArcs(dst []TaskArc, t *cluster.Task, now time.Duration) []TaskArc
 
-	// Aggregators lists the aggregator nodes that should exist this round.
-	Aggregators() []AggID
+	// Aggregators appends the aggregator nodes that should exist this
+	// round to dst, ascending.
+	Aggregators(dst []AggID) []AggID
 
-	// AggArcs lists an aggregator's outgoing arcs to machines this round.
-	AggArcs(id AggID, now time.Duration) []MachineArc
+	// AggArcs appends an aggregator's outgoing arcs to machines this round
+	// to dst, ascending by (Machine, Key).
+	AggArcs(dst []MachineArc, id AggID, now time.Duration) []MachineArc
 }
 
 // AggArc is one policy-requested arc from an aggregator to another
@@ -134,7 +164,9 @@ type AggArc struct {
 // scheduler core checks for this interface when wiring aggregator arcs.
 type HierarchicalCostModel interface {
 	CostModel
-	AggToAggArcs(id AggID, now time.Duration) []AggArc
+	// AggToAggArcs appends an aggregator's outgoing arcs to other
+	// aggregators this round to dst, ascending by To.
+	AggToAggArcs(dst []AggArc, id AggID, now time.Duration) []AggArc
 }
 
 // BandwidthOracle supplies observed per-machine network usage. The

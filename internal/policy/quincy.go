@@ -81,8 +81,8 @@ func (p *Quincy) UnscheduledCost(t *cluster.Task, now time.Duration) Cost {
 // TaskArcs implements CostModel. The cost of a preference arc is the
 // remote-transfer volume implied by the placement; the fallback arc through
 // X pays the full (all-remote) input transfer.
-func (p *Quincy) TaskArcs(t *cluster.Task, now time.Duration) []TaskArc {
-	var out []TaskArc
+func (p *Quincy) TaskArcs(dst []TaskArc, t *cluster.Task, now time.Duration) []TaskArc {
+	out := dst
 	if t.State == cluster.TaskRunning {
 		// Continuation arc: staying put costs nothing further.
 		out = append(out, TaskArc{Target: ToMachine(t.Machine), Cost: 0, Capacity: 1})
@@ -166,12 +166,12 @@ func (p *Quincy) isService(t *cluster.Task) bool {
 }
 
 // Aggregators implements CostModel: X plus one aggregator per rack.
-func (p *Quincy) Aggregators() []AggID {
-	out := []AggID{ClusterAgg}
+func (p *Quincy) Aggregators(dst []AggID) []AggID {
+	dst = append(dst, ClusterAgg)
 	for r := 0; r < p.cl.NumRacks(); r++ {
-		out = append(out, RackAgg(cluster.RackID(r)))
+		dst = append(dst, RackAgg(cluster.RackID(r)))
 	}
-	return out
+	return dst
 }
 
 // AggArcs implements CostModel: X fans out to rack aggregators — encoded as
@@ -179,11 +179,11 @@ func (p *Quincy) Aggregators() []AggID {
 // returned via the scheduler core's aggregator-to-aggregator support:
 // here, X targets every rack aggregator through AggToAggArcs, and rack
 // aggregators target their machines.
-func (p *Quincy) AggArcs(id AggID, now time.Duration) []MachineArc {
+func (p *Quincy) AggArcs(dst []MachineArc, id AggID, now time.Duration) []MachineArc {
 	if id.Kind != AggRack {
-		return nil
+		return dst
 	}
-	var out []MachineArc
+	out := dst
 	for _, mid := range p.cl.RackMachines(cluster.RackID(id.Index)) {
 		m := p.cl.Machine(mid)
 		if !m.Healthy() {
@@ -201,11 +201,11 @@ func (p *Quincy) AggArcs(id AggID, now time.Duration) []MachineArc {
 
 // AggToAggArcs reports aggregator-to-aggregator arcs: X connects to every
 // rack aggregator with the rack's free-slot capacity.
-func (p *Quincy) AggToAggArcs(id AggID, now time.Duration) []AggArc {
+func (p *Quincy) AggToAggArcs(dst []AggArc, id AggID, now time.Duration) []AggArc {
 	if id != ClusterAgg {
-		return nil
+		return dst
 	}
-	var out []AggArc
+	out := dst
 	for r := 0; r < p.cl.NumRacks(); r++ {
 		var slots int64
 		for _, mid := range p.cl.RackMachines(cluster.RackID(r)) {
