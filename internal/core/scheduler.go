@@ -98,63 +98,14 @@ func (st RoundStats) AlgorithmRuntime() time.Duration { return st.Pool.Algorithm
 // pool runs on the scheduler's own graph under no cluster lock. Call
 // ApplyRound (typically after the algorithm runtime has elapsed in
 // simulation time) to enact the decisions.
+//
+// Crash replay folds a journaled round's recorded event batches with
+// GraphManager.ApplyEvents first and then calls Schedule, whose own drain
+// finds nothing left: the graph sees exactly the event groupings the live
+// run saw, and everything after the fold runs the live code.
 func (s *Scheduler) Schedule(now time.Duration) (*Round, error) {
-	return s.schedule(now, s.gm.ApplyClusterEvents)
-}
-
-// ReplayRound is Schedule for the crash-recovery replay path: instead of
-// draining the cluster's own event journals it folds the recorded event
-// batches of the original round, so the graph receives exactly the event
-// groupings the live run saw. Everything else — the policy diff, the
-// (warm-started) solve, placement extraction — runs identically; with a
-// deterministic solver mode the resulting graph is bit-for-bit the one the
-// live run held after that round.
-func (s *Scheduler) ReplayRound(now time.Duration, batches [][]cluster.Event) (*Round, error) {
-	return s.schedule(now, func() int {
-		n := 0
-		for _, b := range batches {
-			s.gm.ApplyEvents(b)
-			n += len(b)
-		}
-		return n
-	})
-}
-
-// UpdateOnly folds pending cluster events into the flow network and runs
-// the per-round graph update WITHOUT solving — the template fast path uses
-// it for rounds whose every placement came from the cache, so the graph
-// absorbs the round's state changes (template-placed tasks enter as
-// running) at memory speed. The change set is deliberately NOT reset: it
-// keeps accumulating until the next real solve consumes it incrementally.
-// It returns the number of events folded in.
-func (s *Scheduler) UpdateOnly(now time.Duration) int {
-	n := s.gm.ApplyClusterEvents()
-	s.gm.UpdateRound(now)
-	return n
-}
-
-// ReplayUpdateOnly is UpdateOnly for the crash-recovery replay path: it
-// folds the recorded event batches of an unsolved (template-only) round
-// instead of draining the cluster's own journals.
-func (s *Scheduler) ReplayUpdateOnly(now time.Duration, batches [][]cluster.Event) int {
-	n := 0
-	for _, b := range batches {
-		s.gm.ApplyEvents(b)
-		n += len(b)
-	}
-	s.gm.UpdateRound(now)
-	return n
-}
-
-// PendingChanges reports the graph changes accumulated since the last
-// solve — non-zero only after UpdateOnly rounds. The snapshot codec does
-// not carry the change set (snapshots are cut at solved quiescence), so
-// the durable service defers snapshots while changes are pending.
-func (s *Scheduler) PendingChanges() int { return s.gm.Changes().Len() }
-
-func (s *Scheduler) schedule(now time.Duration, drain func() int) (*Round, error) {
 	t0 := time.Now()
-	nevents := drain()
+	nevents := s.gm.ApplyClusterEvents()
 	s.gm.UpdateRound(now)
 	updateTime := time.Since(t0)
 
@@ -182,6 +133,25 @@ func (s *Scheduler) schedule(now time.Duration, drain func() int) (*Round, error
 		},
 	}, nil
 }
+
+// UpdateOnly folds pending cluster events into the flow network and runs
+// the per-round graph update WITHOUT solving — the template fast path uses
+// it for rounds whose every placement came from the cache, so the graph
+// absorbs the round's state changes (template-placed tasks enter as
+// running) at memory speed. The change set is deliberately NOT reset: it
+// keeps accumulating until the next real solve consumes it incrementally.
+// It returns the number of events folded in.
+func (s *Scheduler) UpdateOnly(now time.Duration) int {
+	n := s.gm.ApplyClusterEvents()
+	s.gm.UpdateRound(now)
+	return n
+}
+
+// PendingChanges reports the graph changes accumulated since the last
+// solve — non-zero only after UpdateOnly rounds. The snapshot codec does
+// not carry the change set (snapshots are cut at solved quiescence), so
+// the durable service defers snapshots while changes are pending.
+func (s *Scheduler) PendingChanges() int { return s.gm.Changes().Len() }
 
 // ApplyStats counts the actions ApplyRound performed.
 type ApplyStats struct {

@@ -50,14 +50,13 @@ const (
 // completion of a preempted task, removal of an already-removed machine);
 // replay must reproduce it bit for bit, so a divergence is a restore error.
 type enactedOp struct {
-	seq     uint64
-	kind    opKind
-	task    cluster.TaskID
-	machine cluster.MachineID
-	stale   bool
+	op
+	stale bool
 }
 
-// roundRecord is the journal image of one scheduling round.
+// roundRecord is the journal image of one scheduling round. The live round
+// writes into a reused record as it goes (Service.rec), so journaling it is
+// an encode; replay decodes one and re-enacts it through the same stages.
 type roundRecord struct {
 	round     int64
 	drainNow  time.Duration // virtual time of the op drain + event fold
@@ -88,6 +87,15 @@ type roundRecord struct {
 	tmplHits      uint32
 	tmplMisses    uint32
 	tmplInvals    uint32
+}
+
+// reset readies the record for a round drained at now, keeping its buffers.
+func (rr *roundRecord) reset(round int64, now time.Duration) {
+	*rr = roundRecord{
+		round: round, drainNow: now, applyNow: now,
+		ops: rr.ops[:0], batches: rr.batches[:0], decisions: rr.decisions[:0],
+		tmplDecisions: rr.tmplDecisions[:0], tmplInserts: rr.tmplInserts[:0], tmplDrops: rr.tmplDrops[:0],
+	}
 }
 
 // journal wraps the WAL with the service's low-water-mark accounting.
@@ -310,13 +318,11 @@ func decodeRoundRecord(d *wal.Dec) (roundRecord, error) {
 	nops := d.Len(26)
 	rr.ops = make([]enactedOp, 0, nops)
 	for i := 0; i < nops; i++ {
-		rr.ops = append(rr.ops, enactedOp{
-			seq:     d.U64(),
-			kind:    opKind(d.U8()),
-			task:    cluster.TaskID(d.I64()),
-			machine: cluster.MachineID(d.I64()),
-			stale:   d.Bool(),
-		})
+		o := op{seq: d.U64(), kind: opKind(d.U8()), task: cluster.TaskID(d.I64()), machine: cluster.MachineID(d.I64())}
+		if o.kind > opRestoreMachine {
+			return roundRecord{}, fmt.Errorf("service: round %d cites unknown op kind %d", rr.round, o.kind)
+		}
+		rr.ops = append(rr.ops, enactedOp{o, d.Bool()})
 	}
 	nb := d.Len(4)
 	rr.batches = make([][]cluster.Event, 0, nb)

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"firmament/internal/cluster"
@@ -180,7 +181,6 @@ func Replay(opts Options) (*Service, *RestoreInfo, error) {
 	// stop accumulating batch copies nobody will journal.
 	s.jrn = nil
 	s.sched.GraphManager().EventTap = nil
-	s.roundBatches = nil
 	if err := log.Close(); err != nil {
 		return nil, nil, err
 	}
@@ -241,17 +241,6 @@ func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error)
 	}
 	rounds := md.I64()
 	lastNow := md.Dur()
-	ncounters := 13
-	if v == 1 {
-		ncounters = 10
-	}
-	counters := make([]int64, ncounters)
-	for i := range counters {
-		counters[i] = md.I64()
-	}
-	if err := md.Err(); err != nil {
-		return nil, 0, fmt.Errorf("service: snapshot meta: %w", err)
-	}
 
 	cb, err := wal.ReadSection(r)
 	if err != nil {
@@ -273,20 +262,17 @@ func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error)
 
 	s := newServiceWith(cl, sched, opts.Service)
 	s.rounds.Store(rounds)
-	s.placed.Store(counters[0])
-	s.migrated.Store(counters[1])
-	s.preempted.Store(counters[2])
-	s.completed.Store(counters[3])
-	s.staleCompletions.Store(counters[4])
-	s.staleMachineOps.Store(counters[5])
-	s.staleDecisions.Store(counters[6])
-	s.unscheduled.Store(counters[7])
-	s.warmStarts.Store(counters[8])
-	s.fullRestarts.Store(counters[9])
+	counters := s.snapCounters()
+	if v == 1 {
+		counters = counters[:10]
+	}
+	for _, c := range counters {
+		c.Store(md.I64())
+	}
+	if err := md.Err(); err != nil {
+		return nil, 0, fmt.Errorf("service: snapshot meta: %w", err)
+	}
 	if v >= 2 {
-		s.templateHits.Store(counters[10])
-		s.templateMisses.Store(counters[11])
-		s.templateInvals.Store(counters[12])
 		tb, err := wal.ReadSection(r)
 		if err != nil {
 			return nil, 0, fmt.Errorf("service: snapshot template section: %w", err)
@@ -308,6 +294,16 @@ func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error)
 	return s, lastNow, nil
 }
 
+// snapCounters lists the loop-owned counters in the order a snapshot's meta
+// section carries them. Version-1 (pre-template) meta holds the first ten.
+func (s *Service) snapCounters() []*atomic.Int64 {
+	return []*atomic.Int64{
+		&s.placed, &s.migrated, &s.preempted, &s.completed, &s.staleCompletions,
+		&s.staleMachineOps, &s.staleDecisions, &s.unscheduled, &s.warmStarts, &s.fullRestarts,
+		&s.templateHits, &s.templateMisses, &s.templateInvals,
+	}
+}
+
 // saveSnapshot cuts one snapshot: meta (round count, virtual clock,
 // loop-owned counters), the cluster tables (including undrained event
 // queues — the snapshot is fuzzy), and the scheduler state. Called only
@@ -318,19 +314,9 @@ func (s *Service) saveSnapshot() error {
 	meta.U32(snapMetaVersion)
 	meta.I64(s.rounds.Load())
 	meta.Dur(s.now())
-	meta.I64(s.placed.Load())
-	meta.I64(s.migrated.Load())
-	meta.I64(s.preempted.Load())
-	meta.I64(s.completed.Load())
-	meta.I64(s.staleCompletions.Load())
-	meta.I64(s.staleMachineOps.Load())
-	meta.I64(s.staleDecisions.Load())
-	meta.I64(s.unscheduled.Load())
-	meta.I64(s.warmStarts.Load())
-	meta.I64(s.fullRestarts.Load())
-	meta.I64(s.templateHits.Load())
-	meta.I64(s.templateMisses.Load())
-	meta.I64(s.templateInvals.Load())
+	for _, c := range s.snapCounters() {
+		meta.I64(c.Load())
+	}
 	_, err := s.jrn.log.SaveSnapshot(lw, func(w io.Writer) error {
 		if err := wal.WriteSection(w, meta.B); err != nil {
 			return err
@@ -438,7 +424,7 @@ func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info
 	for q := range pending {
 		seqs = append(seqs, q)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	for _, q := range seqs {
 		o := pending[q]
 		sh := s.opShards[opShardKey(o)&s.opMask]
@@ -465,36 +451,20 @@ func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info
 	return nil
 }
 
-// replayRound re-enacts one journaled round against the recovering service.
+// replayRound re-enacts one journaled round through the live round's
+// stages: enactOp, foldAndSolve and accountRound. What it keeps is what
+// really differs — the inputs come from the record (ops whose staleness
+// must reproduce, the recorded event batches, decisions that are forced
+// rather than derived from the re-solve) and the journaled outcomes are
+// checked as they re-apply.
 func (s *Service) replayRound(rr *roundRecord) error {
-	round := s.rounds.Add(1)
-	if round != rr.round {
+	if round := s.rounds.Add(1); round != rr.round {
 		return fmt.Errorf("journal round %d arrived as round %d (missing round record)", rr.round, round)
 	}
-	now := rr.drainNow
 	for _, eo := range rr.ops {
-		var err error
-		switch eo.kind {
-		case opComplete:
-			if err = s.cl.Complete(eo.task, now); err != nil {
-				s.staleCompletions.Add(1)
-			} else {
-				s.completed.Add(1)
-			}
-		case opRemoveMachine:
-			if err = s.cl.RemoveMachine(eo.machine, now); err != nil {
-				s.staleMachineOps.Add(1)
-			}
-		case opRestoreMachine:
-			if err = s.cl.RestoreMachine(eo.machine, now); err != nil {
-				s.staleMachineOps.Add(1)
-			}
-		default:
-			return fmt.Errorf("round %d cites unknown op kind %d", rr.round, eo.kind)
-		}
-		if eo.stale != (err != nil) {
-			return fmt.Errorf("round %d op seq %d: journaled stale=%v but replay got %v",
-				rr.round, eo.seq, eo.stale, err)
+		if stale := s.enactOp(eo.op, rr.drainNow); stale != eo.stale {
+			return fmt.Errorf("round %d op seq %d: journaled stale=%v but replay got stale=%v",
+				rr.round, eo.seq, eo.stale, stale)
 		}
 	}
 
@@ -504,69 +474,43 @@ func (s *Service) replayRound(rr *roundRecord) error {
 	if s.tmpl == nil && (len(rr.tmplDecisions) > 0 || len(rr.tmplDrops) > 0 || len(rr.tmplInserts) > 0) {
 		return fmt.Errorf("round %d carries template records but Config.Templates is off", rr.round)
 	}
-	if s.tmpl != nil {
-		for _, fp := range rr.tmplDrops {
-			s.tmpl.cache.Drop(fp)
-		}
+	for _, fp := range rr.tmplDrops {
+		s.tmpl.cache.Drop(fp)
 	}
-	if len(rr.tmplDecisions) > 0 {
-		// Hit placements were committed at drain time, before the live
-		// round folded events — replay must apply them before the fold so
-		// the graph sees those tasks as running, exactly as the live
-		// update did.
-		tap := s.sched.ApplyDecisions(rr.tmplDecisions, now)
-		if tap.Stale != 0 {
-			return fmt.Errorf("round %d: %d journaled template placements failed to re-apply", rr.round, tap.Stale)
-		}
-		s.placed.Add(int64(tap.Placed))
+	// Hit placements were committed at drain time, before the live round
+	// folded events — replay applies them before the fold so the graph
+	// sees those tasks as running, exactly as the live update did.
+	if tap := s.sched.ApplyDecisions(rr.tmplDecisions, rr.drainNow); tap.Stale != 0 {
+		return fmt.Errorf("round %d: %d journaled template placements failed to re-apply", rr.round, tap.Stale)
+	}
+	if !rr.solved && len(rr.decisions) != 0 {
+		return fmt.Errorf("round %d: unsolved round carries %d solver decisions", rr.round, len(rr.decisions))
 	}
 
 	// The replayed mutations re-queued events on the cluster's shard
 	// journals, but the graph must see the exact batches the live round
 	// drained (concurrent submitters made the live interleaving): discard
-	// the re-queued ones and fold the recorded ones.
+	// the re-queued ones and fold the recorded ones, so the graph stage's
+	// own drain finds nothing.
 	s.cl.DrainEventShards(func([]cluster.Event) {})
-	if rr.solved {
-		r, err := s.sched.ReplayRound(now, rr.batches)
-		if err != nil {
-			return fmt.Errorf("round %d re-solve: %w", rr.round, err)
-		}
-		if r.Stats.Pool.Incremental {
-			s.warmStarts.Add(1)
-		}
-		if r.Stats.Pool.FullRestart {
-			s.fullRestarts.Add(1)
-		}
-
-		// Force the journaled decisions; the re-solve's own mappings are only
-		// there to move the flow network through the same states. On identical
-		// cluster state every journaled decision must apply.
-		ap := s.sched.ApplyDecisions(rr.decisions, rr.applyNow)
-		if ap.Stale != 0 {
-			return fmt.Errorf("round %d: %d journaled decisions failed to re-apply", rr.round, ap.Stale)
-		}
-		s.placed.Add(int64(ap.Placed))
-		s.migrated.Add(int64(ap.Migrated))
-		s.preempted.Add(int64(ap.Preempted))
-	} else {
-		// The live round placed everything from the template cache and
-		// skipped the solve; replay the same update-only pass so the graph
-		// (and its accumulated change set) moves through identical states.
-		if len(rr.decisions) != 0 {
-			return fmt.Errorf("round %d: unsolved round carries %d solver decisions", rr.round, len(rr.decisions))
-		}
-		s.sched.ReplayUpdateOnly(now, rr.batches)
+	for _, b := range rr.batches {
+		s.sched.GraphManager().ApplyEvents(b)
 	}
-	if s.tmpl != nil {
-		for _, t := range rr.tmplInserts {
-			s.tmpl.cache.Insert(t)
-		}
-		s.templateHits.Add(int64(rr.tmplHits))
-		s.templateMisses.Add(int64(rr.tmplMisses))
-		s.templateInvals.Add(int64(rr.tmplInvals))
+	r, _, err := s.foldAndSolve(rr)
+	if err != nil {
+		return fmt.Errorf("round %d re-solve: %w", rr.round, err)
 	}
-	s.staleDecisions.Add(int64(rr.staleDecisions))
-	s.unscheduled.Add(int64(rr.unscheduled))
+	// Force the journaled decisions; the re-solve's own mappings are only
+	// there to move the flow network through the same states. On identical
+	// cluster state every journaled decision must apply.
+	ap := s.sched.ApplyDecisions(rr.decisions, rr.applyNow)
+	if ap.Stale != 0 {
+		return fmt.Errorf("round %d: %d journaled decisions failed to re-apply", rr.round, ap.Stale)
+	}
+	for _, t := range rr.tmplInserts {
+		s.tmpl.cache.Insert(t)
+	}
+	s.accountRound(rr, r, ap)
 	return nil
 }
 

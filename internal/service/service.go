@@ -42,6 +42,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,12 +208,12 @@ type Service struct {
 	// snapshots); see journal.go and recovery.go.
 	jrn *journal
 	dur DurabilityConfig
-	// Loop-owned journaling scratch, reset each round: the event batches
-	// the graph update drained (captured via the GraphManager's EventTap),
-	// the ops enacted, and the decisions applied.
-	roundBatches  [][]cluster.Event
-	enactedOps    []enactedOp
-	recDecisions  []core.Decision
+	// rec is the loop-owned state of the round in flight, kept as its
+	// journal image and reset each round. Template deltas and counter
+	// deltas are always filled in; the ops, the event batches (captured
+	// by the GraphManager's EventTap) and the solver decisions only when
+	// a journal is attached.
+	rec           roundRecord
 	lastSnapRound int64
 	closeJrn      sync.Once
 	closeErr      error
@@ -341,9 +342,7 @@ func (s *Service) attachJournal(log *wal.Log, dur DurabilityConfig) {
 	s.jrn = newJournal(log)
 	s.dur = dur
 	s.sched.GraphManager().EventTap = func(b []cluster.Event) {
-		cp := make([]cluster.Event, len(b))
-		copy(cp, b)
-		s.roundBatches = append(s.roundBatches, cp)
+		s.rec.batches = append(s.rec.batches, slices.Clone(b))
 	}
 }
 
@@ -794,6 +793,11 @@ func (s *Service) pendingWork() bool {
 // sched.Schedule runs on the scheduler's own graph under no cluster lock:
 // submitters keep landing jobs on their shards while it runs, and their
 // events coalesce into the next round's batch.
+//
+// The round writes its outcome into s.rec as it goes and is built from the
+// three stages crash replay shares (enactOp, foldAndSolve, accountRound).
+// What stays here is what only a live round does: drain the queues, admit
+// and record templates, apply the solver's decisions, journal, publish.
 func (s *Service) runRound() (progress bool, err error) {
 	t0 := time.Now()
 	if err := s.fatalWAL(); err != nil {
@@ -806,61 +810,26 @@ func (s *Service) runRound() (progress bool, err error) {
 		s.degradedRounds.Add(1)
 		s.maybeRearm() // probe the disk; re-arm durability if it healed
 	}
-	round := s.rounds.Add(1)
 	// Degraded rounds run the full pipeline but journal nothing: the
 	// re-arm snapshot, not the log, re-covers their effects.
 	durable := s.jrn != nil && !s.degradedNow()
-	if s.jrn != nil {
-		// Reset the journaling scratch even when degraded — the EventTap
-		// keeps feeding roundBatches regardless, and a degraded run must
-		// not accumulate batches across rounds.
-		s.roundBatches = s.roundBatches[:0]
-		s.enactedOps = s.enactedOps[:0]
-		s.recDecisions = s.recDecisions[:0]
-	}
-	if s.tmpl != nil {
-		s.tmpl.resetRound()
-	}
+	rec := &s.rec
+	rec.reset(s.rounds.Add(1), s.now())
+	round, now := rec.round, rec.drainNow
 
 	// Drain the sharded ingestion queues — one buffer swap per shard.
-	now := s.now()
 	for _, o := range s.drainOps() {
-		stale := false
-		switch o.kind {
-		case opComplete:
-			// A completion can race a preemption the previous round
-			// enacted (the task went back to pending); such completions
-			// are stale, like any decision against moved-on state.
-			if err := s.cl.Complete(o.task, now); err != nil {
-				s.staleCompletions.Add(1)
-				stale = true
-			} else {
-				s.completed.Add(1)
-			}
-		case opRemoveMachine:
-			// A machine op can go stale the same way a completion can: a
-			// remove racing a remove enacted last round, or a restore of a
-			// machine that was never removed. These used to be dropped on
-			// the floor; count them so operators can see lost ops, and
-			// journal the outcome so replay reproduces the no-op.
-			if err := s.cl.RemoveMachine(o.machine, now); err != nil {
-				s.staleMachineOps.Add(1)
-				stale = true
-			} else if s.tmpl != nil {
-				// Templates that place work on the removed machine are now
-				// meaningless; invalidate them eagerly (the drops ride the
-				// round record so replay reproduces the cache state).
-				s.tmpl.invalidateMachine(o.machine)
-			}
-		case opRestoreMachine:
-			if err := s.cl.RestoreMachine(o.machine, now); err != nil {
-				s.staleMachineOps.Add(1)
-				stale = true
-			}
+		stale := s.enactOp(o, now)
+		if o.kind == opRemoveMachine && !stale && s.tmpl != nil {
+			// Templates that place work on the removed machine are now
+			// meaningless; invalidate them eagerly. Replay applies the
+			// journaled drops instead.
+			n := len(rec.tmplDrops)
+			rec.tmplDrops = s.tmpl.cache.InvalidateMachine(o.machine, rec.tmplDrops)
+			rec.tmplInvals += uint32(len(rec.tmplDrops) - n)
 		}
 		if durable {
-			s.enactedOps = append(s.enactedOps, enactedOp{
-				seq: o.seq, kind: o.kind, task: o.task, machine: o.machine, stale: stale})
+			rec.ops = append(rec.ops, enactedOp{o, stale})
 		}
 	}
 
@@ -885,36 +854,22 @@ func (s *Service) runRound() (progress bool, err error) {
 	// snapshot forces a real solve — the snapshot codec does not carry the
 	// change set, so snapshots are only cut at solved quiescence.
 	snapshotDue := durable && round-s.lastSnapRound >= s.dur.SnapshotEvery
-	solved := true
-	applyNow := now
+	rec.solved = len(decisions) == 0 || s.cl.NumPending() > 0 || snapshotDue
+	r, batchEvents, err := s.foldAndSolve(rec)
+	if err != nil {
+		return false, err
+	}
+	// Batch size: cluster events the graph update actually folded in
+	// (submissions logged since the last round plus the ops just applied).
+	// This is the drained count reported by the update itself — a
+	// queue-depth read taken before the drain would miss events that
+	// arrive in the window between read and drain, and a round that folded
+	// them in would be misclassified as idle, triggering exponential
+	// backoff while work was actually done.
+	s.batchSize.Add(float64(batchEvents))
 	var ap core.ApplyStats
-	var batchEvents int
-	if s.tmpl != nil && len(decisions) > 0 && s.cl.NumPending() == 0 && !snapshotDue {
-		solved = false
-		batchEvents = s.sched.UpdateOnly(now)
-		s.batchSize.Add(float64(batchEvents))
-	} else {
-		r, err := s.sched.Schedule(now)
-		if err != nil {
-			return false, err
-		}
-		// Batch size: cluster events the graph update actually folded in
-		// (submissions logged since the last round plus the ops just
-		// applied). This is the drained count reported by the update itself
-		// — a queue-depth read taken before the drain would miss events that
-		// arrive in the window between read and drain, and a round that
-		// folded them in would be misclassified as idle, triggering
-		// exponential backoff while work was actually done.
-		batchEvents = r.Stats.Events
-		s.batchSize.Add(float64(batchEvents))
-		if r.Stats.Pool.Incremental {
-			s.warmStarts.Add(1)
-		}
-		if r.Stats.Pool.FullRestart {
-			s.fullRestarts.Add(1)
-		}
-
-		applyNow = s.now()
+	if r != nil {
+		rec.applyNow = s.now()
 		recording := s.tmpl != nil && len(s.tmpl.missCand) > 0
 		if recording {
 			s.tmpl.captureOccupancy(s.cl)
@@ -924,7 +879,7 @@ func (s *Service) runRound() (progress bool, err error) {
 			// preemption or migration grows the slice.
 			decisions = make([]Placement, 0, min(len(r.Mappings), s.cl.NumPending()))
 		}
-		ap = s.sched.ApplyRoundRecorded(r, applyNow, func(d core.Decision) {
+		ap = s.sched.ApplyRoundRecorded(r, rec.applyNow, func(d core.Decision) {
 			// Job and submission time come from the decision itself, resolved
 			// before the cluster was mutated: looking the task up here raced
 			// same-batch completions, which deleted the record and zeroed the
@@ -932,17 +887,18 @@ func (s *Service) runRound() (progress bool, err error) {
 			p := Placement{Task: d.Task, Job: d.Job, Kind: d.Kind, Machine: d.Machine,
 				Round: uint64(round)}
 			if d.Kind == core.DecisionPlaced {
-				p.Latency = applyNow - d.SubmitTime
+				p.Latency = rec.applyNow - d.SubmitTime
 				s.placementLatency.AddDuration(p.Latency)
 			}
 			decisions = append(decisions, p)
 			if durable {
-				s.recDecisions = append(s.recDecisions, d)
+				rec.decisions = append(rec.decisions, d)
 			}
 			if recording && d.Kind == core.DecisionPlaced {
 				s.tmpl.applied = append(s.tmpl.applied, d)
 			}
 		})
+		rec.staleDecisions, rec.unscheduled = uint32(ap.Stale), uint32(ap.Unscheduled)
 		// Record templates for the misses the solve just placed — but only
 		// when the apply performed placements alone: preemptions, migrations
 		// or stale skips would make the occupancy simulation inexact.
@@ -951,24 +907,14 @@ func (s *Service) runRound() (progress bool, err error) {
 		}
 		s.algoRuntime.AddDuration(r.Stats.AlgorithmRuntime())
 	}
-
-	s.placed.Add(int64(ap.Placed))
-	s.migrated.Add(int64(ap.Migrated))
-	s.preempted.Add(int64(ap.Preempted))
-	s.staleDecisions.Add(int64(ap.Stale))
-	s.unscheduled.Add(int64(ap.Unscheduled))
-	if s.tmpl != nil {
-		s.templateHits.Add(int64(s.tmpl.hits))
-		s.templateMisses.Add(int64(s.tmpl.misses))
-		s.templateInvals.Add(int64(s.tmpl.invals))
-	}
+	s.accountRound(rec, r, ap)
 
 	if durable {
 		// Journal the round before publishing it: nothing becomes visible
 		// to subscribers that recovery could not re-enact. A WAL failure
 		// here degrades (the round happened; its record is the casualty —
 		// the re-arm snapshot re-covers it) or fail-stops per policy.
-		if err := s.journalRound(round, now, applyNow, ap, solved); err != nil {
+		if err := s.journalRound(); err != nil {
 			if !s.walFailure(err) {
 				return false, err
 			}
@@ -999,44 +945,87 @@ func (s *Service) runRound() (progress bool, err error) {
 	return batchEvents > 0 || len(decisions) > 0, nil
 }
 
+// enactOp is the op stage, shared by the live round and crash replay: it
+// applies one ingestion op to the cluster at now and counts the outcome.
+// It reports whether the op was stale — it no longer applied, like any
+// decision against moved-on state: a completion that raced a preemption
+// the previous round enacted (the task went back to pending), a remove of
+// an already-removed machine, a restore of a healthy one. Stale ops are
+// counted rather than silently dropped, and the round record carries the
+// outcome so replay can check that it reproduces.
+func (s *Service) enactOp(o op, now time.Duration) (stale bool) {
+	switch o.kind {
+	case opComplete:
+		if s.cl.Complete(o.task, now) != nil {
+			s.staleCompletions.Add(1)
+			return true
+		}
+		s.completed.Add(1)
+		return false
+	case opRemoveMachine:
+		stale = s.cl.RemoveMachine(o.machine, now) != nil
+	case opRestoreMachine:
+		stale = s.cl.RestoreMachine(o.machine, now) != nil
+	}
+	if stale {
+		s.staleMachineOps.Add(1)
+	}
+	return stale
+}
+
+// foldAndSolve is the graph stage, shared by the live round and crash
+// replay: fold the cluster's pending events into the flow network, then
+// solve — or, for an unsolved template-only round, update the graph
+// without solving (r is nil then). It returns the events folded. Replay
+// folds the recorded batches before calling it, so there the drain finds
+// nothing.
+func (s *Service) foldAndSolve(rec *roundRecord) (r *core.Round, events int, err error) {
+	if !rec.solved {
+		return nil, s.sched.UpdateOnly(rec.drainNow), nil
+	}
+	if r, err = s.sched.Schedule(rec.drainNow); err != nil {
+		return nil, 0, err
+	}
+	return r, r.Stats.Events, nil
+}
+
+// accountRound is the accounting stage, shared by the live round and crash
+// replay: it adds the round's outcome to the service counters — the
+// apply's actions plus the record's template placements, the counter
+// deltas the record carries (stale decisions, unscheduled tasks, template
+// hits, misses and invalidations), and the solver pool's warm/full restart
+// flags (r is nil for an unsolved round).
+func (s *Service) accountRound(rec *roundRecord, r *core.Round, ap core.ApplyStats) {
+	s.placed.Add(int64(ap.Placed + len(rec.tmplDecisions)))
+	s.migrated.Add(int64(ap.Migrated))
+	s.preempted.Add(int64(ap.Preempted))
+	s.staleDecisions.Add(int64(rec.staleDecisions))
+	s.unscheduled.Add(int64(rec.unscheduled))
+	s.templateHits.Add(int64(rec.tmplHits))
+	s.templateMisses.Add(int64(rec.tmplMisses))
+	s.templateInvals.Add(int64(rec.tmplInvals))
+	if r != nil && r.Stats.Pool.Incremental {
+		s.warmStarts.Add(1)
+	}
+	if r != nil && r.Stats.Pool.FullRestart {
+		s.fullRestarts.Add(1)
+	}
+}
+
 // journalRound appends the round record for the round just enacted and
 // clears its intents from the low-water barrier. The record is flushed to
 // the OS always and fsynced under SyncAlways; losing an un-synced round
 // record to a power cut is safe — recovery re-enacts the round from the
 // intents and submits that precede it (all individually acknowledged), it
 // just re-solves instead of force-applying.
-func (s *Service) journalRound(round int64, drainNow, applyNow time.Duration, ap core.ApplyStats, solved bool) error {
-	rr := roundRecord{
-		round:          round,
-		drainNow:       drainNow,
-		applyNow:       applyNow,
-		ops:            s.enactedOps,
-		batches:        s.roundBatches,
-		decisions:      s.recDecisions,
-		staleDecisions: uint32(ap.Stale),
-		unscheduled:    uint32(ap.Unscheduled),
-		solved:         solved,
-	}
-	if s.tmpl != nil {
-		// The template cache deltas ride the round record verbatim — hits
-		// (as force-applied decisions), drops and inserts — so replay
-		// reproduces both the placements and the cache state without
-		// recomputing either: a replayed scenario is deterministic whether
-		// or not the cache was warm at record time.
-		rr.tmplDecisions = s.tmpl.decisions
-		rr.tmplInserts = s.tmpl.inserts
-		rr.tmplDrops = s.tmpl.drops
-		rr.tmplHits = s.tmpl.hits
-		rr.tmplMisses = s.tmpl.misses
-		rr.tmplInvals = s.tmpl.invals
-	}
+func (s *Service) journalRound() error {
 	var e wal.Enc
-	encodeRoundRecord(&e, &rr)
+	encodeRoundRecord(&e, &s.rec)
 	seq, err := s.jrn.log.Append(e.B)
 	if err != nil {
 		return err
 	}
-	s.jrn.consumeIntents(rr.ops)
+	s.jrn.consumeIntents(s.rec.ops)
 	return s.retryWAL(func() error { return s.jrn.syncTo(seq) })
 }
 
@@ -1140,12 +1129,12 @@ type Stats struct {
 // kept for dashboards that want one staleness number.
 func (st Stats) Stale() int64 { return st.StaleCompletions + st.StaleDecisions }
 
-// Stats returns a consistent snapshot; safe to call from any goroutine.
 // Cluster returns the cluster state the service schedules over. Open and
 // Replay construct or restore the cluster internally, so this is how their
 // callers reach it.
 func (s *Service) Cluster() *cluster.Cluster { return s.cl }
 
+// Stats returns a consistent snapshot; safe to call from any goroutine.
 func (s *Service) Stats() Stats {
 	h := s.Health()
 	return Stats{

@@ -35,16 +35,11 @@ type tmplState struct {
 	mu    sync.Mutex
 	queue []cluster.JobID // jobs submitted since the last round
 
-	// Loop-owned scratch, reset each round.
-	cand      []cluster.JobID // drained candidate buffer (recycled)
-	missCand  []cluster.JobID // candidates that missed, for post-solve recording
-	profile   []template.Slot
-	decisions []core.Decision      // hit-path placements (journal image)
-	inserts   []*template.Template // templates recorded this round
-	drops     []uint64             // fingerprints invalidated this round
-	hits      uint32
-	misses    uint32
-	invals    uint32
+	// Loop-owned scratch. The round's cache deltas (hit placements, drops,
+	// inserts) and counters live in the service's round record.
+	cand     []cluster.JobID // drained candidate buffer (recycled)
+	missCand []cluster.JobID // candidates that missed, for post-solve recording
+	profile  []template.Slot
 
 	// Recording scratch: the per-machine occupancy baseline captured just
 	// before the round's apply, advanced by each placed decision so that a
@@ -54,27 +49,10 @@ type tmplState struct {
 	applied []core.Decision // placed decisions in apply (task-ID) order
 }
 
-func (tp *tmplState) resetRound() {
-	tp.missCand = tp.missCand[:0]
-	tp.decisions = tp.decisions[:0]
-	tp.inserts = tp.inserts[:0]
-	tp.drops = tp.drops[:0]
-	tp.applied = tp.applied[:0]
-	tp.hits, tp.misses, tp.invals = 0, 0, 0
-}
-
-// invalidateMachine drops every template placing work on m (the machine
-// was just removed); the drops ride the round record so replay reproduces
-// the cache state.
-func (tp *tmplState) invalidateMachine(m cluster.MachineID) {
-	start := len(tp.drops)
-	tp.drops = tp.cache.InvalidateMachine(m, tp.drops)
-	tp.invals += uint32(len(tp.drops) - start)
-}
-
 // captureOccupancy snapshots per-machine running counts as the recording
-// baseline.
+// baseline and clears the applied decisions recorded against it.
 func (tp *tmplState) captureOccupancy(cl *cluster.Cluster) {
+	tp.applied = tp.applied[:0]
 	for k := range tp.occ {
 		delete(tp.occ, k)
 	}
@@ -125,12 +103,13 @@ func (s *Service) machineView(m cluster.MachineID) (running, slots int, healthy 
 // them in), either commits a validated cache hit or marks the job for
 // post-solve recording. Runs on the scheduling goroutine between the op
 // drain and the solve, so the cluster occupancy it validates against
-// cannot shift before the commit. Returns the hit placements for
-// publication.
+// cannot shift before the commit. Hits, drops and counters go into the
+// round record; the hit placements are also returned for publication.
 //
 //firmament:hotpath
 func (s *Service) admitTemplates(now time.Duration, round int64) ([]Placement, error) {
-	tp := s.tmpl
+	tp, rec := s.tmpl, &s.rec
+	tp.missCand = tp.missCand[:0]
 	tp.mu.Lock()
 	cand := tp.queue
 	tp.queue = tp.cand[:0]
@@ -181,7 +160,7 @@ func (s *Service) admitTemplates(now time.Duration, round int64) ([]Placement, e
 					//firmament:ignore hotalloc invariant-violation path: a validated hit cannot fail Place while the scheduling goroutine is the sole occupancy mutator
 					return placements, fmt.Errorf("template commit: task %d on machine %d: %w", tid, as.Machine, err)
 				}
-				tp.decisions = append(tp.decisions, core.Decision{
+				rec.tmplDecisions = append(rec.tmplDecisions, core.Decision{
 					Task: tid, Kind: core.DecisionPlaced, Machine: as.Machine,
 					Job: job.ID, SubmitTime: job.SubmitTime})
 				lat := now - job.SubmitTime
@@ -191,8 +170,7 @@ func (s *Service) admitTemplates(now time.Duration, round int64) ([]Placement, e
 					Task: tid, Job: job.ID, Kind: core.DecisionPlaced,
 					Machine: as.Machine, Round: uint64(round), Latency: lat})
 			}
-			s.placed.Add(int64(len(job.Tasks)))
-			tp.hits++
+			rec.tmplHits++
 			continue
 		}
 		if ent != nil {
@@ -203,10 +181,10 @@ func (s *Service) admitTemplates(now time.Duration, round int64) ([]Placement, e
 			// state that now hashes here: drop it and re-learn from the
 			// solve below.
 			tp.cache.Drop(fp)
-			tp.drops = append(tp.drops, fp)
-			tp.invals++
+			rec.tmplDrops = append(rec.tmplDrops, fp)
+			rec.tmplInvals++
 		}
-		tp.misses++
+		rec.tmplMisses++
 		tp.missCand = append(tp.missCand, jid)
 	}
 	return placements, nil
@@ -281,7 +259,7 @@ func (s *Service) recordTemplates(drainNow time.Duration) {
 		}
 		t := &template.Template{FP: r.fp, Shape: r.shape, Profile: r.profile, Assign: r.assign}
 		tp.cache.Insert(t)
-		tp.inserts = append(tp.inserts, t)
+		s.rec.tmplInserts = append(s.rec.tmplInserts, t)
 	}
 }
 
