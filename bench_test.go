@@ -634,21 +634,30 @@ func BenchmarkUpdateRoundLoadSpread64(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "update-us/round")
 }
 
-// BenchmarkExtraction measures placement extraction (Listing 1).
+// BenchmarkExtraction measures placement extraction (Listing 1): /table is
+// the node-indexed table a scheduling round extracts into (0 allocs/op),
+// /map the ExtractPlacements wrapper that copies it into a fresh map.
 func BenchmarkExtraction(b *testing.B) {
 	sched, _ := experiments.WarmedSchedulerForProfile(250, 0.8, 42)
 	gm := sched.GraphManager()
 	if _, err := mcmf.NewRelaxation().Solve(gm.Graph(), &mcmf.Options{ArcPrioritization: true}); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := gm.ExtractPlacements()
-		if len(m) == 0 {
-			b.Fatal("no placements extracted")
-		}
+	if len(gm.ExtractPlacements()) == 0 {
+		b.Fatal("no placements extracted")
 	}
+	b.Run("table", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			gm.ExtractRound()
+		}
+	})
+	b.Run("map", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			gm.ExtractPlacements()
+		}
+	})
 }
 
 // BenchmarkServiceSubmitContention measures aggregate front-door submit
@@ -798,7 +807,7 @@ func BenchmarkTemplateHitPath(b *testing.B) {
 		level := make(map[cluster.MachineID]int32)
 		assign := make([]template.Assignment, 0, tasksPerJob)
 		for _, tid := range job0.Tasks {
-			m, ok := r.Mappings[tid]
+			m, ok := r.Machine(tid)
 			if !ok {
 				b.Fatal("recording solve left a task unplaced")
 			}

@@ -6,10 +6,10 @@ import (
 )
 
 // HotAlloc flags allocation-causing constructs inside functions annotated
-// //firmament:hotpath. The solver inner loops, ExtractPlacements, and the
-// template hit path promise 0 allocs/op in steady state; the runtime
-// TestSteadyState gates catch a regression as a bare counter, while this
-// analyzer points at the construct responsible:
+// //firmament:hotpath. The solver inner loops, placement extraction and
+// apply, and the template hit path promise 0 allocs/op in steady state;
+// the runtime TestSteadyState gates catch a regression as a bare counter,
+// while this analyzer points at the construct responsible:
 //
 //   - any fmt.* call (formatting always allocates);
 //   - interface boxing: a non-pointer-shaped concrete value passed or

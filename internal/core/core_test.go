@@ -347,12 +347,18 @@ func TestSchedulerDeterministicMappings(t *testing.T) {
 			f := store.AddFile(1 << 30)
 			specs[i] = cluster.TaskSpec{InputFile: f, InputSize: 1 << 30}
 		}
-		cl.SubmitJob(cluster.Batch, 0, 0, specs)
+		job := cl.SubmitJob(cluster.Batch, 0, 0, specs)
 		r, err := sched.Schedule(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Mappings
+		mappings := make(map[cluster.TaskID]cluster.MachineID)
+		for _, id := range job.Tasks {
+			if m, ok := r.Machine(id); ok {
+				mappings[id] = m
+			}
+		}
+		return mappings
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {

@@ -7,10 +7,9 @@ import (
 	"firmament/internal/flow"
 )
 
-// extractScratch is the reusable working storage of ExtractPlacements,
-// indexed by node and arc ID. The token slices keep their capacity across
-// rounds (bounded by the machines' slot counts), so steady-state extraction
-// allocates only the result map it hands to the caller.
+// extractScratch is the reusable working storage of ExtractRound, indexed
+// by node and arc ID. Every slice keeps its capacity across rounds and grows
+// with amortised headroom, so steady-state extraction allocates nothing.
 type extractScratch struct {
 	mids      []cluster.MachineID // sorted machine IDs, refilled each round
 	tokens    [][]cluster.MachineID
@@ -18,6 +17,14 @@ type extractScratch struct {
 	remSet    []bool  // remaining[i] initialized this round
 	queued    []bool
 	queue     []flow.NodeID
+
+	// placed is the extraction's output table: the machine each task node
+	// was placed on, InvalidMachine for an unscheduled task and for every
+	// other node. gen stamps its contents; it moves whenever the table is
+	// rewritten or a task node comes or goes, which is what makes a Round
+	// holding an older stamp stale.
+	placed []cluster.MachineID
+	gen    uint64
 }
 
 func (ex *extractScratch) reset(nodeBound, arcBound int) {
@@ -25,33 +32,34 @@ func (ex *extractScratch) reset(nodeBound, arcBound int) {
 		ex.tokens = append(ex.tokens[:cap(ex.tokens)], make([][]cluster.MachineID, nodeBound-cap(ex.tokens))...)
 	}
 	ex.tokens = ex.tokens[:nodeBound]
-	if cap(ex.queued) < nodeBound {
-		ex.queued = make([]bool, nodeBound)
-	}
-	ex.queued = ex.queued[:nodeBound]
 	for i := range ex.tokens {
 		ex.tokens[i] = ex.tokens[i][:0]
-		ex.queued[i] = false
 	}
-	if cap(ex.remaining) < arcBound {
-		ex.remaining = make([]int64, arcBound)
-		ex.remSet = make([]bool, arcBound)
-	}
-	ex.remaining = ex.remaining[:arcBound]
-	ex.remSet = ex.remSet[:arcBound]
-	for i := range ex.remSet {
-		ex.remSet[i] = false
-	}
+	ex.queued = slices.Grow(ex.queued[:0], nodeBound)[:nodeBound]
+	clear(ex.queued)
+	ex.remaining = slices.Grow(ex.remaining[:0], arcBound)[:arcBound]
+	ex.remSet = slices.Grow(ex.remSet[:0], arcBound)[:arcBound]
+	clear(ex.remSet)
 	ex.queue = ex.queue[:0]
+	ex.clearPlaced(nodeBound)
 }
 
-// ExtractPlacements implements the task placement extraction algorithm of
-// paper Listing 1, generalized for arbitrary aggregator hierarchies: start
-// from the machine nodes, which know how much flow they drain to the sink,
-// and propagate "machine tokens" backwards along incoming arcs that carry
-// flow until every token reaches a task node. Tasks that do not receive a
-// token route their flow through an unscheduled aggregator and stay
-// unscheduled.
+// clearPlaced sizes the output table to nodeBound with every node
+// unscheduled, and restamps it.
+func (ex *extractScratch) clearPlaced(nodeBound int) {
+	ex.placed = slices.Grow(ex.placed[:0], nodeBound)[:nodeBound]
+	for i := range ex.placed {
+		ex.placed[i] = cluster.InvalidMachine
+	}
+	ex.gen++
+}
+
+// ExtractRound implements the task placement extraction algorithm of paper
+// Listing 1, generalized for arbitrary aggregator hierarchies: start from
+// the machine nodes, which know how much flow they drain to the sink, and
+// propagate "machine tokens" backwards along incoming arcs that carry flow
+// until every token reaches a task node. Tasks that do not receive a token
+// route their flow through an unscheduled aggregator and stay unscheduled.
 //
 // In the common case the algorithm touches every flow-carrying arc exactly
 // once — a single pass over the graph (paper §6.3). All bookkeeping lives
@@ -60,13 +68,19 @@ func (ex *extractScratch) reset(nodeBound, arcBound int) {
 // the residual of its reverse partner, which is exactly the adjacency-row
 // entry in hand), and nothing is hashed in the hot loop.
 //
+// The placements land in the scratch's node-indexed output table, which the
+// returned Round references rather than copies: it is valid until the next
+// extraction on gm or the next task arrival or departure folded into its
+// graph — in a Scheduler's terms, until the next Schedule, UpdateOnly or
+// ExtractPlacements. Applying or reading a stale Round panics.
+//
 // The extraction order is deterministic (machines visited in sorted ID
 // order, LIFO token propagation) because the resulting placements feed the
 // journaled round record byte-for-byte.
 //
 //firmament:hotpath
 //firmament:deterministic
-func (gm *GraphManager) ExtractPlacements() map[cluster.TaskID]cluster.MachineID {
+func (gm *GraphManager) ExtractRound() Round {
 	g := gm.g
 	// Extraction runs right after a solve, so the compact index is already
 	// repaired; iterating rows here is free and cache-friendly.
@@ -74,8 +88,6 @@ func (gm *GraphManager) ExtractPlacements() map[cluster.TaskID]cluster.MachineID
 	pl := g.ArcPlanes()
 	ex := &gm.ext
 	ex.reset(g.NodeIDBound(), g.ArcIDBound())
-	//firmament:ignore hotalloc the result map is the documented per-round allocation handed to the caller; everything else reuses scratch
-	mappings := make(map[cluster.TaskID]cluster.MachineID, gm.numTasks)
 
 	ex.mids = ex.mids[:0]
 	for mid := range gm.machineNode {
@@ -102,11 +114,11 @@ func (gm *GraphManager) ExtractPlacements() map[cluster.TaskID]cluster.MachineID
 		ex.queue = ex.queue[:len(ex.queue)-1]
 		ex.queued[node] = false
 
-		if tid, isTask := gm.nodeTask[node]; isTask {
+		if _, isTask := gm.taskAt(node); isTask {
 			// A task holds exactly one unit of flow; its (single) token is
 			// its placement.
 			if ts := ex.tokens[node]; len(ts) > 0 {
-				mappings[tid] = ts[0]
+				ex.placed[node] = ts[0]
 				ex.tokens[node] = ts[:0]
 			}
 			continue
@@ -152,5 +164,44 @@ func (gm *GraphManager) ExtractPlacements() map[cluster.TaskID]cluster.MachineID
 		}
 		ex.tokens[node] = ts
 	}
+	return Round{gm: gm, gen: ex.gen}
+}
+
+// ExtractPlacements is ExtractRound with its output copied into a new map
+// of task → machine for every task the flow scheduled, for callers that
+// keep placements across extractions. It allocates in proportion to the
+// graph; the scheduling round itself uses ExtractRound.
+func (gm *GraphManager) ExtractPlacements() map[cluster.TaskID]cluster.MachineID {
+	gm.ExtractRound()
+	placed := gm.ext.placed
+	mappings := make(map[cluster.TaskID]cluster.MachineID, gm.numTasks)
+	for n, id := range gm.nodeTask {
+		if id != noTask && placed[n] != cluster.InvalidMachine {
+			mappings[id] = placed[n]
+		}
+	}
 	return mappings
+}
+
+// placements returns the node-indexed table r's decisions are read from:
+// the extraction's own for a Round that ExtractRound produced on gm, or the
+// table refilled from a hand-built Round's Mappings.
+func (gm *GraphManager) placements(r *Round) []cluster.MachineID {
+	ex := &gm.ext
+	if r.gm == nil {
+		ex.clearPlaced(gm.g.NodeIDBound())
+		for id, m := range r.Mappings {
+			if n, ok := gm.taskNode[id]; ok {
+				ex.placed[n] = m
+			}
+		}
+		return ex.placed
+	}
+	if r.gm != gm {
+		panic("core: Round applied to a scheduler other than the one that extracted it")
+	}
+	if r.gen != ex.gen {
+		panic("core: stale Round: its scheduler has extracted again or folded a task arrival or departure since")
+	}
+	return ex.placed
 }

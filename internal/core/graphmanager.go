@@ -63,7 +63,8 @@ type aggRecord struct {
 // lists land in the want buffers, and each merge walk writes the new record
 // slice into a spare that it then swaps with the record it replaced.
 type updateScratch struct {
-	ids    []cluster.TaskID // also ApplyRound's task order
+	ids    []cluster.TaskID
+	order  []taskRef // ApplyRound's task order
 	mids   []cluster.MachineID
 	aggIDs []policy.AggID
 	wantM  []policy.MachineArc
@@ -94,10 +95,9 @@ type GraphManager struct {
 
 	machineNode map[cluster.MachineID]flow.NodeID
 	machineSink map[cluster.MachineID]flow.ArcID
-	nodeMachine map[flow.NodeID]cluster.MachineID
 
 	taskNode map[cluster.TaskID]flow.NodeID
-	nodeTask map[flow.NodeID]cluster.TaskID
+	nodeTask []cluster.TaskID // by node ID; noTask for every other node
 
 	unschedNode map[cluster.JobID]flow.NodeID
 	unschedSink map[cluster.JobID]flow.ArcID
@@ -145,8 +145,8 @@ type GraphManager struct {
 	// state on a graph clone (Figure 12b's controlled comparison).
 	DrainLog *[]flow.ArcID
 
-	// ext is the pinned working storage of ExtractPlacements; extraction
-	// runs every round, so its bookkeeping must not churn the heap.
+	// ext is the pinned working storage of ExtractRound, and its output;
+	// extraction runs every round, so its bookkeeping must not churn the heap.
 	ext extractScratch
 }
 
@@ -159,9 +159,7 @@ func NewGraphManager(cl *cluster.Cluster, model policy.CostModel) *GraphManager 
 		model:          model,
 		machineNode:    make(map[cluster.MachineID]flow.NodeID),
 		machineSink:    make(map[cluster.MachineID]flow.ArcID),
-		nodeMachine:    make(map[flow.NodeID]cluster.MachineID),
 		taskNode:       make(map[cluster.TaskID]flow.NodeID),
-		nodeTask:       make(map[flow.NodeID]cluster.TaskID),
 		unschedNode:    make(map[cluster.JobID]flow.NodeID),
 		unschedSink:    make(map[cluster.JobID]flow.ArcID),
 		jobAlive:       make(map[cluster.JobID]int64),
@@ -202,7 +200,6 @@ func (gm *GraphManager) addMachine(id cluster.MachineID) {
 	}
 	n := gm.g.AddNode(0, flow.KindMachine)
 	gm.machineNode[id] = n
-	gm.nodeMachine[n] = id
 	a := gm.g.AddArc(n, gm.sink, int64(gm.cl.Machine(id).Slots), 0)
 	gm.machineSink[id] = a
 	gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: n})
@@ -231,7 +228,6 @@ func (gm *GraphManager) removeMachine(id cluster.MachineID) {
 	gm.g.RemoveNode(n)
 	delete(gm.machineNode, id)
 	delete(gm.machineSink, id)
-	delete(gm.nodeMachine, n)
 	gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: n})
 }
 
@@ -244,7 +240,7 @@ func (gm *GraphManager) dropTaskArcRecords(n flow.NodeID, target policy.ArcTarge
 		if gm.g.IsForward(a) {
 			continue
 		}
-		if tid, ok := gm.nodeTask[gm.g.Head(a)]; ok {
+		if tid, ok := gm.taskAt(gm.g.Head(a)); ok {
 			recs := gm.taskArcs[tid]
 			if i, ok := slices.BinarySearchFunc(recs, target, compareTaskArc); ok {
 				gm.taskArcs[tid] = slices.Delete(recs, i, i+1)
@@ -254,6 +250,48 @@ func (gm *GraphManager) dropTaskArcRecords(n flow.NodeID, target policy.ArcTarge
 }
 
 func compareTaskArc(r taskArcRec, t policy.ArcTarget) int { return r.target.Compare(t) }
+
+// noTask marks the nodeTask entries of nodes that are not task nodes.
+const noTask cluster.TaskID = -1
+
+// taskAt returns the task whose node is n, if n is a task node.
+func (gm *GraphManager) taskAt(n flow.NodeID) (cluster.TaskID, bool) {
+	if int(n) < len(gm.nodeTask) {
+		if id := gm.nodeTask[n]; id != noTask {
+			return id, true
+		}
+	}
+	return noTask, false
+}
+
+// setTaskNode records id's node in both directions.
+func (gm *GraphManager) setTaskNode(id cluster.TaskID, n flow.NodeID) {
+	gm.taskNode[id] = n
+	for len(gm.nodeTask) <= int(n) {
+		gm.nodeTask = append(gm.nodeTask, noTask)
+	}
+	gm.nodeTask[n] = id
+}
+
+// taskRef is a task and its node, the unit of ApplyRound's walk.
+type taskRef struct {
+	id   cluster.TaskID
+	node flow.NodeID
+}
+
+// sortedTasks lists the graph's tasks with their nodes, ascending by task
+// ID, in reused storage.
+func (gm *GraphManager) sortedTasks() []taskRef {
+	order := gm.upd.order[:0]
+	for n, id := range gm.nodeTask {
+		if id != noTask {
+			order = append(order, taskRef{id, flow.NodeID(n)})
+		}
+	}
+	slices.SortFunc(order, func(a, b taskRef) int { return cmp.Compare(a.id, b.id) })
+	gm.upd.order = order
+	return order
+}
 
 // aggIndex returns id's position in gm.aggs and whether it is live.
 func (gm *GraphManager) aggIndex(id policy.AggID) (int, bool) {
@@ -282,8 +320,8 @@ func (gm *GraphManager) addTask(id cluster.TaskID) {
 	}
 	t := gm.cl.Task(id)
 	n := gm.g.AddNode(1, flow.KindTask)
-	gm.taskNode[id] = n
-	gm.nodeTask[n] = id
+	gm.setTaskNode(id, n)
+	gm.ext.gen++ // a Round's table has no entry for the new node
 	un := gm.ensureUnsched(t.Job)
 	gm.taskUnschedArc[id] = gm.g.AddArc(n, un, 1, 0)
 	gm.jobAlive[t.Job]++
@@ -306,7 +344,8 @@ func (gm *GraphManager) removeTask(id cluster.TaskID) {
 	t := gm.cl.Task(id)
 	gm.g.RemoveNode(n)
 	delete(gm.taskNode, id)
-	delete(gm.nodeTask, n)
+	gm.nodeTask[n] = noTask
+	gm.ext.gen++ // n's table entry no longer names id
 	delete(gm.taskArcs, id)
 	delete(gm.taskUnschedArc, id)
 	delete(gm.revisit, id)
@@ -741,6 +780,18 @@ func (gm *GraphManager) sanityCheck() error {
 		if !gm.g.NodeInUse(n) {
 			return fmt.Errorf("core: task %d maps to dead node %d", id, n)
 		}
+		if back, _ := gm.taskAt(n); back != id {
+			return fmt.Errorf("core: task %d maps to node %d, which maps back to %d", id, n, back)
+		}
+	}
+	nodes := 0
+	for _, id := range gm.nodeTask {
+		if id != noTask {
+			nodes++
+		}
+	}
+	if nodes != len(gm.taskNode) {
+		return fmt.Errorf("core: %d task nodes indexed by node, %d by task", nodes, len(gm.taskNode))
 	}
 	for id, n := range gm.machineNode {
 		if !gm.g.NodeInUse(n) {

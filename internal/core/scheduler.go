@@ -65,12 +65,37 @@ func (s *Scheduler) Pool() *SolverPool { return s.pool }
 // Round is the outcome of one scheduling computation, before application.
 // The simulator applies it after the algorithm runtime has (virtually)
 // elapsed, matching the flow-scheduler timeline of paper Fig. 2b.
+//
+// A Round from Schedule or ExtractRound references its scheduler's reused
+// placement table instead of copying it, and stays valid until that
+// scheduler's next Schedule, UpdateOnly, ExtractRound or ExtractPlacements;
+// applying or reading it after that panics.
 type Round struct {
-	// Mappings is task → machine for every task the optimal flow
-	// scheduled; absent tasks remain or become unscheduled.
+	// Mappings is the input of a hand-built Round: task → machine for
+	// every task to schedule, absent tasks remaining or becoming
+	// unscheduled. It is read only when the Round did not come from an
+	// extraction, which leaves it nil; read those placements with Machine.
 	Mappings map[cluster.TaskID]cluster.MachineID
 	// Stats describes the computation.
 	Stats RoundStats
+
+	gm  *GraphManager // whose table holds the placements; nil if hand-built
+	gen uint64        // the table's stamp when it was extracted
+}
+
+// Machine returns the machine the round places task id on, and false if the
+// round leaves it unscheduled.
+func (r *Round) Machine(id cluster.TaskID) (cluster.MachineID, bool) {
+	if r.gm == nil {
+		m, ok := r.Mappings[id]
+		return m, ok
+	}
+	placed := r.gm.placements(r)
+	n, ok := r.gm.taskNode[id]
+	if !ok || placed[n] == cluster.InvalidMachine {
+		return cluster.InvalidMachine, false
+	}
+	return placed[n], true
 }
 
 // RoundStats quantifies one scheduling round.
@@ -118,20 +143,16 @@ func (s *Scheduler) Schedule(now time.Duration) (*Round, error) {
 	}
 
 	t1 := time.Now()
-	mappings := s.gm.ExtractPlacements()
-	extractTime := time.Since(t1)
-
-	return &Round{
-		Mappings: mappings,
-		Stats: RoundStats{
-			Pool:        res,
-			UpdateTime:  updateTime,
-			ExtractTime: extractTime,
-			Tasks:       s.gm.NumTasks(),
-			Changes:     nchanges,
-			Events:      nevents,
-		},
-	}, nil
+	r := s.gm.ExtractRound()
+	r.Stats = RoundStats{
+		Pool:        res,
+		UpdateTime:  updateTime,
+		ExtractTime: time.Since(t1),
+		Tasks:       s.gm.NumTasks(),
+		Changes:     nchanges,
+		Events:      nevents,
+	}
+	return &r, nil
 }
 
 // UpdateOnly folds pending cluster events into the flow network and runs
@@ -215,16 +236,21 @@ func (s *Scheduler) ApplyRound(r *Round, now time.Duration) ApplyStats {
 
 // ApplyRoundRecorded is ApplyRound with a decision callback: rec (if
 // non-nil) is invoked once per enacted action, in deterministic task-ID
-// order, before the method returns.
+// order, before the method returns. It walks the graph's tasks and reads
+// each one's decision from the node-indexed placement table, so a steady
+// round allocates nothing.
+//
+//firmament:hotpath
 func (s *Scheduler) ApplyRoundRecorded(r *Round, now time.Duration, rec func(Decision)) ApplyStats {
 	var st ApplyStats
+	placed := s.gm.placements(r)
 	// Deterministic application order.
-	s.gm.upd.ids = sortedKeys(s.gm.upd.ids, s.gm.taskNode)
-	ids := s.gm.upd.ids
+	tasks := s.gm.sortedTasks()
 
 	// Preemptions and migrations first so their slots free up for
 	// placements within the same round.
-	for _, id := range ids {
+	for _, tr := range tasks {
+		id := tr.id
 		t := s.cl.Task(id)
 		if t == nil || t.State != cluster.TaskRunning {
 			continue
@@ -233,9 +259,9 @@ func (s *Scheduler) ApplyRoundRecorded(r *Round, now time.Duration, rec func(Dec
 		// lifecycle fields can change (or the record vanish from callers'
 		// view) once the cluster is touched.
 		job, submitted := t.Job, t.SubmitTime
-		want, mapped := r.Mappings[id]
+		want := placed[tr.node]
 		switch {
-		case !mapped:
+		case want == cluster.InvalidMachine:
 			if err := s.cl.Preempt(id, now); err == nil {
 				st.Preempted++
 				if rec != nil {
@@ -270,14 +296,15 @@ func (s *Scheduler) ApplyRoundRecorded(r *Round, now time.Duration, rec func(Dec
 			}
 		}
 	}
-	for _, id := range ids {
+	for _, tr := range tasks {
+		id := tr.id
 		t := s.cl.Task(id)
 		if t == nil || t.State != cluster.TaskPending {
 			continue
 		}
 		job, submitted := t.Job, t.SubmitTime
-		want, mapped := r.Mappings[id]
-		if !mapped {
+		want := placed[tr.node]
+		if want == cluster.InvalidMachine {
 			st.Unscheduled++
 			continue
 		}

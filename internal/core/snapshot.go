@@ -145,9 +145,7 @@ func RestoreScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config, d
 		model:          model,
 		machineNode:    make(map[cluster.MachineID]flow.NodeID),
 		machineSink:    make(map[cluster.MachineID]flow.ArcID),
-		nodeMachine:    make(map[flow.NodeID]cluster.MachineID),
 		taskNode:       make(map[cluster.TaskID]flow.NodeID),
-		nodeTask:       make(map[flow.NodeID]cluster.TaskID),
 		unschedNode:    make(map[cluster.JobID]flow.NodeID),
 		unschedSink:    make(map[cluster.JobID]flow.ArcID),
 		jobAlive:       make(map[cluster.JobID]int64),
@@ -173,15 +171,16 @@ func RestoreScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config, d
 		id := cluster.MachineID(d.I64())
 		n := flow.NodeID(d.I64())
 		gm.machineNode[id] = n
-		gm.nodeMachine[n] = id
 		gm.machineSink[id] = flow.ArcID(d.I64())
 	}
 	nt := d.Len(28)
 	for i := 0; i < nt; i++ {
 		id := cluster.TaskID(d.I64())
 		n := flow.NodeID(d.I64())
-		gm.taskNode[id] = n
-		gm.nodeTask[n] = id
+		if n < 0 || int(n) >= g.NodeIDBound() {
+			return nil, fmt.Errorf("core: scheduler snapshot: task %d on node %d, outside the graph", id, n)
+		}
+		gm.setTaskNode(id, n)
 		gm.taskUnschedArc[id] = flow.ArcID(d.I64())
 		recs := make([]taskArcRec, d.Len(25))
 		for k := range recs {

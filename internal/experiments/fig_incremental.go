@@ -168,8 +168,8 @@ func incrementalComparison(n int, policyKind string, o Options, refine bool) (sc
 			return 0, 0, err
 		}
 		changes.Reset()
-		r := &core.Round{Mappings: gm.ExtractPlacements()}
-		sched.ApplyRound(r, now)
+		r := gm.ExtractRound()
+		sched.ApplyRound(&r, now)
 		now += time.Second
 	}
 	k := time.Duration(o.Rounds)
@@ -262,8 +262,8 @@ func taskRemovalRun(n int, o Options) (withTR, withoutTR time.Duration, err erro
 			return 0, 0, err
 		}
 		changes.Reset()
-		r := &core.Round{Mappings: gm.ExtractPlacements()}
-		sched.ApplyRound(r, now)
+		r := gm.ExtractRound()
+		sched.ApplyRound(&r, now)
 		now += time.Second
 	}
 	k := time.Duration(o.Rounds)
@@ -314,8 +314,8 @@ func AblationIncrementalRelaxation(w io.Writer, o Options) error {
 		if err := g.CopyFlowAndPotentialsFrom(incClone); err != nil {
 			return err
 		}
-		r := &core.Round{Mappings: gm.ExtractPlacements()}
-		sched.ApplyRound(r, now)
+		r := gm.ExtractRound()
+		sched.ApplyRound(&r, now)
 		now += time.Second
 	}
 	k := time.Duration(o.Rounds)
@@ -351,8 +351,8 @@ func Fig13(w io.Writer, o Options) error {
 			if refine {
 				mcmf.PriceRefine(gm.Graph(), cs.ScaleFor(gm.Graph()), 0, nil)
 			}
-			r := &core.Round{Mappings: gm.ExtractPlacements()}
-			sched.ApplyRound(r, now)
+			r := gm.ExtractRound()
+			sched.ApplyRound(&r, now)
 			// Next round's changes arrive...
 			churn(cl, store, rng, now, n/8+1, n/8+1)
 			gm.ApplyEvents(cl.DrainEvents())

@@ -877,7 +877,7 @@ func (s *Service) runRound() (progress bool, err error) {
 		if decisions == nil {
 			// Placements are bounded by the waiting tasks; the rare
 			// preemption or migration grows the slice.
-			decisions = make([]Placement, 0, min(len(r.Mappings), s.cl.NumPending()))
+			decisions = make([]Placement, 0, s.cl.NumPending())
 		}
 		ap = s.sched.ApplyRoundRecorded(r, rec.applyNow, func(d core.Decision) {
 			// Job and submission time come from the decision itself, resolved

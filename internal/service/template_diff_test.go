@@ -144,7 +144,7 @@ func scratchCost(t *testing.T, topo cluster.Topology, occ map[cluster.MachineID]
 	}
 	perMachine := make(map[cluster.MachineID]int)
 	for _, tid := range job.Tasks {
-		m, ok := r.Mappings[tid]
+		m, ok := r.Machine(tid)
 		if !ok {
 			t.Fatalf("twin solve left task %d unmapped", tid)
 		}
