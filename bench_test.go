@@ -660,6 +660,84 @@ func BenchmarkExtraction(b *testing.B) {
 	})
 }
 
+// BenchmarkApplyRound1k measures the apply of a scheduling round on a
+// large, mostly busy cluster: 1,000 machines under Quincy, 8,400 running
+// tasks and a 38-task job just placed. /steady is the common round, whose
+// apply walks only its candidates: the tasks the update saw waiting, plus
+// any running task the round moves. /widened is the same apply while an
+// eviction sits undrained, when it walks every task. One op is one
+// ApplyRoundRecorded of a Round whose decisions are already enacted, so
+// both sub-benchmarks time the walk itself; allocs/op must be 0.
+func BenchmarkApplyRound1k(b *testing.B) {
+	const (
+		resident = 8400
+		jobSize  = 38
+		files    = 64
+	)
+	cl := cluster.New(cluster.Topology{Racks: 25, MachinesPerRack: 40, SlotsPerMachine: 12})
+	store := storage.NewStore(cl, storage.Config{Seed: 42})
+	for i := 0; i < files; i++ {
+		store.AddFile(int64(1+i%16) << 28)
+	}
+	sched := core.NewScheduler(cl, policy.NewQuincy(cl, store), core.DefaultConfig())
+	specs := func(n int) []cluster.TaskSpec {
+		out := make([]cluster.TaskSpec, n)
+		for i := range out {
+			f := int64(i % files)
+			out[i] = cluster.TaskSpec{InputFile: f, InputSize: (1 + f%16) << 28}
+		}
+		return out
+	}
+	ids := cl.SubmitJob(cluster.Batch, 0, 0, specs(resident)).Tasks
+	for i, id := range ids {
+		if err := cl.Place(id, cluster.MachineID(i%cl.NumMachines()), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	now := time.Duration(0)
+	for k := 0; ; k++ { // settle: run rounds until one moves no running task
+		now += time.Second
+		_, ap, err := sched.RunOnce(now)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ap.Migrated+ap.Preempted == 0 {
+			break
+		}
+		if k == 10 {
+			b.Fatal("the solver keeps moving running tasks")
+		}
+	}
+	cl.SubmitJob(cluster.Batch, 0, now, specs(jobSize))
+	now += time.Second
+	r, err := sched.Schedule(now)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if ap := sched.ApplyRound(r, now); ap.Placed != jobSize || cl.NumQueuedEvictions() != 0 {
+		b.Fatalf("the job's round enacted %+v, want %d placements alone", ap, jobSize)
+	}
+	b.Run("steady", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sched.ApplyRoundRecorded(r, now, nil)
+		}
+	})
+	b.Run("widened", func(b *testing.B) {
+		if cl.NumQueuedEvictions() == 0 {
+			if err := cl.Preempt(ids[0], now); err != nil {
+				b.Fatal(err)
+			}
+			sched.ApplyRound(r, now) // places it back; its eviction stays queued
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sched.ApplyRoundRecorded(r, now, nil)
+		}
+	})
+}
+
 // BenchmarkServiceSubmitContention measures aggregate front-door submit
 // throughput as the submitter count grows. Before the sharded front door,
 // every submission serialized on one cluster-wide mutex and aggregate

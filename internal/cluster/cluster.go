@@ -18,7 +18,8 @@
 // one shard, so SubmitJob takes exactly one shard lock and submitters on
 // different shards never contend. Machine occupancy lives behind a
 // separate machine lock; aggregate figures (NumPending, TotalSlots,
-// NumQueuedEvents) are atomic counters and never take a lock at all.
+// NumQueuedEvents, NumQueuedEvictions) are atomic counters and never take a
+// lock at all.
 //
 // The locking guards the tables themselves; the *Task, *Job and *Machine
 // records handed out by accessors are only mutated by cluster methods, so
@@ -209,6 +210,7 @@ type shard struct {
 	tasks   map[TaskID]*Task
 	pending map[TaskID]struct{}
 	events  []Event
+	evicted int     // EventTaskEvicted entries in events
 	spare   []Event // drained buffer recycled by DrainEventShards
 }
 
@@ -228,6 +230,7 @@ type Cluster struct {
 	// take a lock.
 	numPending   atomic.Int64
 	numEvents    atomic.Int64
+	numEvicted   atomic.Int64 // the EventTaskEvicted share of numEvents
 	healthySlots atomic.Int64
 
 	// Machine occupancy and health. Acquired after a shard lock when both
@@ -570,9 +573,11 @@ func (c *Cluster) Preempt(id TaskID, now time.Duration) error {
 	t.Preemptions++
 	sh.pending[id] = struct{}{}
 	sh.events = append(sh.events, Event{Kind: EventTaskEvicted, Task: id, Machine: t.Machine, Time: now})
+	sh.evicted++
 	t.Machine = InvalidMachine
 	c.numPending.Add(1)
 	c.numEvents.Add(1)
+	c.numEvicted.Add(1)
 	sh.mu.Unlock()
 	if c.Hooks.Preempted != nil {
 		c.Hooks.Preempted(t, now)
@@ -651,8 +656,10 @@ func (c *Cluster) RemoveMachine(id MachineID, now time.Duration) error {
 		t.Machine = InvalidMachine
 		sh.pending[tid] = struct{}{}
 		sh.events = append(sh.events, Event{Kind: EventTaskEvicted, Task: tid, Machine: id, Time: now})
+		sh.evicted++
 		c.numPending.Add(1)
 		c.numEvents.Add(1)
+		c.numEvicted.Add(1)
 		sh.mu.Unlock()
 		evicted = append(evicted, t)
 	}
@@ -712,6 +719,8 @@ func (c *Cluster) DrainEvents() []Event {
 			out = append(out, sh.events...)
 			sh.events = sh.events[:0]
 			c.numEvents.Add(-int64(n))
+			c.numEvicted.Add(-int64(sh.evicted))
+			sh.evicted = 0
 		}
 		sh.mu.Unlock()
 	}
@@ -731,6 +740,10 @@ func (c *Cluster) DrainEventShards(fn func([]Event)) {
 		sh.events = sh.spare[:0]
 		sh.spare = nil
 		c.numEvents.Add(-int64(len(ev)))
+		if sh.evicted > 0 {
+			c.numEvicted.Add(-int64(sh.evicted))
+			sh.evicted = 0
+		}
 		sh.mu.Unlock()
 		if len(ev) > 0 {
 			fn(ev)
@@ -745,6 +758,12 @@ func (c *Cluster) DrainEventShards(fn func([]Event)) {
 // drain (the service layer reports it as queue depth). Like NumPending it
 // is an atomic counter read.
 func (c *Cluster) NumQueuedEvents() int { return int(c.numEvents.Load()) }
+
+// NumQueuedEvictions returns how many of the queued events are
+// EventTaskEvicted: tasks a preemption, a migration or a machine removal
+// took off their machines since the last drain. Submissions and completions
+// leave it alone, so concurrent submitters do not move it.
+func (c *Cluster) NumQueuedEvictions() int { return int(c.numEvicted.Load()) }
 
 // detach removes a task from its machine's bookkeeping. The caller holds
 // the task's shard lock; detach takes the machine lock (shard → machine

@@ -223,9 +223,14 @@ func DecodeSnapshot(d *wal.Dec) (*Cluster, error) {
 		}
 		ne := d.Len(8)
 		for k := 0; k < ne; k++ {
-			sh.events = append(sh.events, DecodeEvent(d))
+			ev := DecodeEvent(d)
+			if ev.Kind == EventTaskEvicted {
+				sh.evicted++
+			}
+			sh.events = append(sh.events, ev)
 		}
 		c.numEvents.Add(int64(ne))
+		c.numEvicted.Add(int64(sh.evicted))
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

@@ -63,13 +63,14 @@ type aggRecord struct {
 // lists land in the want buffers, and each merge walk writes the new record
 // slice into a spare that it then swaps with the record it replaced.
 type updateScratch struct {
-	ids    []cluster.TaskID
-	order  []taskRef // ApplyRound's task order
-	mids   []cluster.MachineID
-	aggIDs []policy.AggID
-	wantM  []policy.MachineArc
-	wantA  []policy.AggArc
-	wantT  []policy.TaskArc
+	ids     []cluster.TaskID
+	waiting []taskRef // tasks updateTasks last saw not running, ascending by ID
+	order   []taskRef // ApplyRound's task order
+	mids    []cluster.MachineID
+	aggIDs  []policy.AggID
+	wantM   []policy.MachineArc
+	wantA   []policy.AggArc
+	wantT   []policy.TaskArc
 
 	aggs    []aggRecord
 	retired []aggRecord
@@ -98,6 +99,10 @@ type GraphManager struct {
 
 	taskNode map[cluster.TaskID]flow.NodeID
 	nodeTask []cluster.TaskID // by node ID; noTask for every other node
+	// runningOn is, by node ID, the machine updateTasks last saw the node's
+	// task running on: InvalidMachine for a task it saw not running, for a
+	// task it has not seen yet and for every other node.
+	runningOn []cluster.MachineID
 
 	unschedNode map[cluster.JobID]flow.NodeID
 	unschedSink map[cluster.JobID]flow.ArcID
@@ -122,6 +127,12 @@ type GraphManager struct {
 	revisit       map[cluster.TaskID]struct{}
 	refreshAll    bool
 	machineEvents bool // a machine event was folded since the last round
+
+	// described reports that runningOn and upd.waiting hold what the last
+	// updateTasks saw, with no event folded since. A new or restored
+	// manager, or one that folded events after its update, has them
+	// incomplete, and its apply walks every task (applyCandidates).
+	described bool
 
 	// Per-round working storage, reused so neither the update nor the apply
 	// allocates in proportion to the graph.
@@ -264,13 +275,15 @@ func (gm *GraphManager) taskAt(n flow.NodeID) (cluster.TaskID, bool) {
 	return noTask, false
 }
 
-// setTaskNode records id's node in both directions.
+// setTaskNode records id's node in both directions, as a task no update
+// has seen yet.
 func (gm *GraphManager) setTaskNode(id cluster.TaskID, n flow.NodeID) {
 	gm.taskNode[id] = n
 	for len(gm.nodeTask) <= int(n) {
 		gm.nodeTask = append(gm.nodeTask, noTask)
+		gm.runningOn = append(gm.runningOn, cluster.InvalidMachine)
 	}
-	gm.nodeTask[n] = id
+	gm.nodeTask[n], gm.runningOn[n] = id, cluster.InvalidMachine
 }
 
 // taskRef is a task and its node, the unit of ApplyRound's walk.
@@ -288,7 +301,33 @@ func (gm *GraphManager) sortedTasks() []taskRef {
 			order = append(order, taskRef{id, flow.NodeID(n)})
 		}
 	}
-	slices.SortFunc(order, func(a, b taskRef) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(order, compareTaskRef)
+	gm.upd.order = order
+	return order
+}
+
+func compareTaskRef(a, b taskRef) int { return cmp.Compare(a.id, b.id) }
+
+// applyCandidates lists, ascending by task ID in reused storage, the tasks
+// whose apply against the node-indexed table placed can yield a decision:
+// those the last update saw not running, and those the table moves off the
+// machine the update last saw them running on. Every other task is still
+// running where the table leaves it, unless the cluster moved it after the
+// update. That takes an eviction (a preemption, a migration's first half, a
+// machine removal), so while one sits undrained, or was folded after the
+// update, or before any update has seen the tasks, the list widens to every
+// task. Submissions are not evictions: their tasks are not in the graph.
+func (gm *GraphManager) applyCandidates(placed []cluster.MachineID) []taskRef {
+	if !gm.described || gm.cl.NumQueuedEvictions() > 0 {
+		return gm.sortedTasks()
+	}
+	order := append(gm.upd.order[:0], gm.upd.waiting...)
+	for n, m := range gm.runningOn {
+		if m != cluster.InvalidMachine && placed[n] != m {
+			order = append(order, taskRef{gm.nodeTask[n], flow.NodeID(n)})
+		}
+	}
+	slices.SortFunc(order, compareTaskRef)
 	gm.upd.order = order
 	return order
 }
@@ -344,7 +383,7 @@ func (gm *GraphManager) removeTask(id cluster.TaskID) {
 	t := gm.cl.Task(id)
 	gm.g.RemoveNode(n)
 	delete(gm.taskNode, id)
-	gm.nodeTask[n] = noTask
+	gm.nodeTask[n], gm.runningOn[n] = noTask, cluster.InvalidMachine
 	gm.ext.gen++ // n's table entry no longer names id
 	delete(gm.taskArcs, id)
 	delete(gm.taskUnschedArc, id)
@@ -416,6 +455,7 @@ func (gm *GraphManager) ApplyClusterEvents() int {
 // ApplyEvents folds a batch of cluster events into the graph. All cluster
 // events reduce to supply, capacity, and cost changes (paper §5.2).
 func (gm *GraphManager) ApplyEvents(events []cluster.Event) {
+	gm.described = false
 	for _, ev := range events {
 		switch ev.Kind {
 		case cluster.EventTaskSubmitted:
@@ -627,7 +667,9 @@ func sortedKeys[K cmp.Ordered, V any](buf []K, m map[K]V) []K {
 // updateTasks re-derives the arcs of the revisit set (of every task when
 // refreshAll is up) in ascending task-ID order. A task seen running leaves
 // the set — including one a caller placed directly, without an event —
-// and any other task stays, so its wait cost keeps growing with now.
+// and any other task stays, so its wait cost keeps growing with now. What
+// it sees is what the apply's candidate list starts from: the tasks not
+// running, in order, and the machine of each running one.
 //
 //firmament:deterministic
 //firmament:hotpath
@@ -639,26 +681,31 @@ func (gm *GraphManager) updateTasks(now time.Duration) {
 	} else {
 		u.ids = sortedKeys(u.ids, gm.revisit)
 	}
+	u.waiting = u.waiting[:0]
 	for _, id := range u.ids {
 		t := gm.cl.Task(id)
-		gm.updateTask(t, now)
+		n := gm.updateTask(t, now)
 		if t.State == cluster.TaskRunning {
+			gm.runningOn[n] = t.Machine
 			delete(gm.revisit, id)
 		} else {
+			gm.runningOn[n] = cluster.InvalidMachine
 			gm.revisit[id] = struct{}{}
+			u.waiting = append(u.waiting, taskRef{id, n})
 		}
 	}
+	gm.described = true
 }
 
 // updateTask diffs one task's unscheduled cost and policy arcs against
-// the graph. TaskArcs carries no ordering contract, so each listed target
-// is looked up in the sorted records by binary search; the mutation order
-// is that of the aggregator diffs — updates and additions in list order,
-// then removals ascending.
+// the graph, and returns the task's node. TaskArcs carries no ordering
+// contract, so each listed target is looked up in the sorted records by
+// binary search; the mutation order is that of the aggregator diffs —
+// updates and additions in list order, then removals ascending.
 //
 //firmament:deterministic
 //firmament:hotpath
-func (gm *GraphManager) updateTask(t *cluster.Task, now time.Duration) {
+func (gm *GraphManager) updateTask(t *cluster.Task, now time.Duration) flow.NodeID {
 	u := &gm.upd
 	node := gm.taskNode[t.ID]
 	// Unscheduled (or preemption) cost.
@@ -702,11 +749,12 @@ func (gm *GraphManager) updateTask(t *cluster.Task, now time.Duration) {
 		}
 	}
 	if len(recs) == len(have) && len(added) == 0 {
-		return
+		return node
 	}
 	recs = append(recs, added...)
 	slices.SortFunc(recs, func(a, b taskArcRec) int { return a.target.Compare(b.target) })
 	gm.taskArcs[t.ID] = recs
+	return node
 }
 
 // indexTarget returns the position of t's record in the unsorted recs, or -1.

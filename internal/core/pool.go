@@ -51,7 +51,7 @@ type PoolResult struct {
 	Winner          string        // algorithm whose solution was used
 	Cost            int64         // total cost of the winning flow
 	AlgorithmTime   time.Duration // runtime of the winning algorithm
-	RelaxationTime  time.Duration // runtime of relaxation (0 if not run/won race late)
+	RelaxationTime  time.Duration // relaxation's runtime, or until a stopped run returned (0 if not run or failed)
 	CostScalingTime time.Duration
 	PriceRefineTime time.Duration
 
@@ -84,7 +84,7 @@ type SolverPool struct {
 
 	relax   *mcmf.Relaxation
 	cs      *mcmf.CostScaling
-	replica *flow.Graph   // reusable clone for the speculative cost scaling run
+	replica *flow.Graph   // reusable clone the race's from-scratch relaxation runs on
 	scratch *mcmf.Scratch // pinned working storage for the per-round price refine
 }
 
@@ -141,14 +141,18 @@ func (p *SolverPool) Solve(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, 
 }
 
 // solveSpeculative implements the §6.1 race: incremental cost scaling runs
-// on a private replica (warm-started from the previous round's winning flow
-// and price-refined potentials), relaxation runs from scratch on the main
-// graph, and the first to finish cancels the other.
+// in place on the main graph (warm-started from the previous round's winning
+// flow and price-refined potentials), relaxation runs from scratch on a
+// private replica, and the first to finish cancels the other. A cost
+// scaling win leaves its solution where it belongs; only a relaxation win
+// pays to copy the replica's flow and potentials back, which also
+// overwrites whatever the stopped cost scaling run left on g.
 func (p *SolverPool) solveSpeculative(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, error) {
 	// Repair the compact adjacency index once, up front: CloneInto copies
 	// the repaired index into the replica, so neither racing solver pays a
 	// rebuild, and each graph owns a private copy (no index state is shared
-	// across the two goroutines).
+	// across the two goroutines). Relaxation discards flow and potentials,
+	// but it needs the pre-solve problem, so the clone precedes the race.
 	g.Adjacency()
 	p.replica = g.CloneInto(p.replica)
 
@@ -158,18 +162,18 @@ func (p *SolverPool) solveSpeculative(g *flow.Graph, changes *flow.ChangeSet) (P
 
 	relaxStart := time.Now()
 	go func() {
-		res, err := p.relax.Solve(g, p.opts(&stopRelax))
+		res, err := p.relax.Solve(p.replica, p.opts(&stopRelax))
 		relaxCh <- solveOutcome{res, err}
 	}()
 	go func() {
-		res, err := p.cs.SolveIncremental(p.replica, changes, p.opts(&stopCS))
+		res, err := p.cs.SolveIncremental(g, changes, p.opts(&stopCS))
 		csCh <- solveOutcome{res, err}
 	}()
 
 	var relaxOut, csOut *solveOutcome
 	var relaxElapsed time.Duration // stamped when relaxation's outcome arrives
 	var winner *mcmf.Result
-	var fromCS bool
+	var fromRelax bool
 	for winner == nil && (relaxOut == nil || csOut == nil) {
 		select {
 		case out := <-relaxCh:
@@ -177,13 +181,13 @@ func (p *SolverPool) solveSpeculative(g *flow.Graph, changes *flow.ChangeSet) (P
 			relaxElapsed = time.Since(relaxStart)
 			if out.err == nil {
 				winner = &out.res
+				fromRelax = true
 				stopCS.Store(true)
 			}
 		case out := <-csCh:
 			csOut = &out
 			if out.err == nil {
 				winner = &out.res
-				fromCS = true
 				stopRelax.Store(true)
 			}
 		}
@@ -205,10 +209,11 @@ func (p *SolverPool) solveSpeculative(g *flow.Graph, changes *flow.ChangeSet) (P
 		}
 		return PoolResult{}, csOut.err
 	}
-	if fromCS {
-		// Install the replica's solution on the main graph.
+	if fromRelax {
+		// Install relaxation's solution over the stopped cost scaling run's
+		// residuals and potentials.
 		if err := g.CopyFlowAndPotentialsFrom(p.replica); err != nil {
-			return PoolResult{}, fmt.Errorf("core: transferring cost scaling solution: %w", err)
+			return PoolResult{}, fmt.Errorf("core: transferring relaxation solution: %w", err)
 		}
 	}
 	pr := p.refine(g, nil)

@@ -236,16 +236,18 @@ func (s *Scheduler) ApplyRound(r *Round, now time.Duration) ApplyStats {
 
 // ApplyRoundRecorded is ApplyRound with a decision callback: rec (if
 // non-nil) is invoked once per enacted action, in deterministic task-ID
-// order, before the method returns. It walks the graph's tasks and reads
-// each one's decision from the node-indexed placement table, so a steady
-// round allocates nothing.
+// order, before the method returns. It walks only the tasks that can yield
+// a decision (GraphManager.applyCandidates) — every task while an eviction
+// may have moved one since the graph update — and reads each one's
+// decision from the node-indexed placement table, so a steady round
+// allocates nothing and touches few task records.
 //
 //firmament:hotpath
 func (s *Scheduler) ApplyRoundRecorded(r *Round, now time.Duration, rec func(Decision)) ApplyStats {
 	var st ApplyStats
 	placed := s.gm.placements(r)
 	// Deterministic application order.
-	tasks := s.gm.sortedTasks()
+	tasks := s.gm.applyCandidates(placed)
 
 	// Preemptions and migrations first so their slots free up for
 	// placements within the same round.

@@ -201,8 +201,9 @@ func (g *Graph) CloneInto(dst *Graph) *Graph {
 
 // CopyFlowAndPotentialsFrom copies the flow assignment and node potentials
 // from src, which must have identical topology (same node and arc IDs).
-// The solver pool uses this to transfer a winning relaxation solution into
-// the incremental cost scaling replica (paper §6.2).
+// The solver pool uses this to install a winning relaxation solution, found
+// on its replica, over the main graph that incremental cost scaling runs on
+// in place (paper §6.1).
 func (g *Graph) CopyFlowAndPotentialsFrom(src *Graph) error {
 	if len(g.arcAlive) != len(src.arcAlive) || len(g.nodes) != len(src.nodes) {
 		return fmt.Errorf("flow: topology mismatch (%d/%d nodes, %d/%d arcs)",
