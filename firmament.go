@@ -283,7 +283,8 @@ type (
 	// SchedulerService is the long-running concurrent scheduling service
 	// (the name Service is taken by the job class).
 	SchedulerService = service.Service
-	// ServiceConfig configures round pacing and subscriber buffering.
+	// ServiceConfig configures round pacing, backpressure and the
+	// placement-template fast path.
 	ServiceConfig = service.Config
 	// Placement is one published scheduling decision.
 	Placement = service.Placement

@@ -149,7 +149,11 @@ func healthToWire(h service.Health) HealthResponse {
 }
 
 // Stats is the wire form of service.Stats, with the sample distributions
-// reduced to summaries.
+// reduced to summaries. solver_warm_starts counts rounds whose cost scaling
+// run completed warm and solver_full_restarts rounds whose run fell back to
+// a from-scratch solve; a round relaxation won counts as neither, so
+// solver_warm_starts / rounds is about one minus relaxation's win share,
+// not a cold-restart rate.
 type Stats struct {
 	Rounds             int64 `json:"rounds"`
 	Submitted          int64 `json:"submitted"`

@@ -245,10 +245,9 @@ type Cluster struct {
 // the initial machines.
 func New(topo Topology) *Cluster { return NewSharded(topo, DefaultShards) }
 
-// RoundShards rounds a requested shard count up to the next power of two
-// (minimum 1) — the rounding both the cluster tables and the service's
-// ingestion queues apply, so the two front-door shard counts line up.
-func RoundShards(shards int) int {
+// roundShards rounds a requested shard count up to the next power of two
+// (minimum 1), so shard selection is a mask.
+func roundShards(shards int) int {
 	if shards < 1 {
 		return 1
 	}
@@ -266,7 +265,7 @@ func NewSharded(topo Topology, shards int) *Cluster {
 	if topo.NICBps == 0 {
 		topo.NICBps = 10 * 1000 * 1000 * 1000 / 8 // 10 Gb/s in bytes/sec
 	}
-	shards = RoundShards(shards)
+	shards = roundShards(shards)
 	c := &Cluster{
 		topo:      topo,
 		shards:    make([]*shard, shards),

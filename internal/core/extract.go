@@ -11,7 +11,6 @@ import (
 // by node and arc ID. Every slice keeps its capacity across rounds and grows
 // with amortised headroom, so steady-state extraction allocates nothing.
 type extractScratch struct {
-	mids      []cluster.MachineID // sorted machine IDs, refilled each round
 	tokens    [][]cluster.MachineID
 	remaining []int64 // per forward arc: unattributed flow
 	remSet    []bool  // remaining[i] initialized this round
@@ -74,8 +73,8 @@ func (ex *extractScratch) clearPlaced(nodeBound int) {
 // graph — in a Scheduler's terms, until the next Schedule, UpdateOnly or
 // ExtractPlacements. Applying or reading a stale Round panics.
 //
-// The extraction order is deterministic (machines visited in sorted ID
-// order, LIFO token propagation) because the resulting placements feed the
+// The extraction order is deterministic (machines visited in ID order,
+// LIFO token propagation) because the resulting placements feed the
 // journaled round record byte-for-byte.
 //
 //firmament:hotpath
@@ -89,20 +88,14 @@ func (gm *GraphManager) ExtractRound() Round {
 	ex := &gm.ext
 	ex.reset(g.NodeIDBound(), g.ArcIDBound())
 
-	ex.mids = ex.mids[:0]
-	for mid := range gm.machineNode {
-		ex.mids = append(ex.mids, mid)
-	}
-	slices.Sort(ex.mids)
-	for _, mid := range ex.mids {
-		mnode := gm.machineNode[mid]
-		f := g.Flow(gm.machineSink[mid])
-		if f <= 0 {
+	for mid, a := range gm.machineSink {
+		if a == flow.InvalidArc || g.Flow(a) <= 0 {
 			continue
 		}
+		f, mnode := g.Flow(a), g.Tail(a)
 		ts := ex.tokens[mnode]
 		for i := int64(0); i < f; i++ {
-			ts = append(ts, mid)
+			ts = append(ts, cluster.MachineID(mid))
 		}
 		ex.tokens[mnode] = ts
 		ex.queue = append(ex.queue, mnode)
@@ -174,9 +167,9 @@ func (gm *GraphManager) ExtractRound() Round {
 func (gm *GraphManager) ExtractPlacements() map[cluster.TaskID]cluster.MachineID {
 	gm.ExtractRound()
 	placed := gm.ext.placed
-	mappings := make(map[cluster.TaskID]cluster.MachineID, gm.numTasks)
-	for n, id := range gm.nodeTask {
-		if id != noTask && placed[n] != cluster.InvalidMachine {
+	mappings := make(map[cluster.TaskID]cluster.MachineID, len(gm.taskNode))
+	for n := range gm.tasks {
+		if id := gm.tasks[n].id; id != noTask && placed[n] != cluster.InvalidMachine {
 			mappings[id] = placed[n]
 		}
 	}

@@ -66,7 +66,6 @@ type updateScratch struct {
 	ids     []cluster.TaskID
 	waiting []taskRef // tasks updateTasks last saw not running, ascending by ID
 	order   []taskRef // ApplyRound's task order
-	mids    []cluster.MachineID
 	aggIDs  []policy.AggID
 	wantM   []policy.MachineArc
 	wantA   []policy.AggArc
@@ -81,11 +80,32 @@ type updateScratch struct {
 	dead    []flow.ArcID
 }
 
+// taskRec is what the manager knows of one task node beyond the graph.
+type taskRec struct {
+	id cluster.TaskID
+	// runningOn is the machine updateTasks last saw the task running on:
+	// InvalidMachine if it saw the task not running or has not seen it yet.
+	runningOn cluster.MachineID
+	unsched   flow.ArcID   // the arc to the job's unscheduled aggregator
+	arcs      []taskArcRec // the policy's arcs, ascending by target
+}
+
+// noTask marks the records of nodes that are not task nodes. A zero taskRec
+// is not one: its runningOn names machine 0.
+const noTask cluster.TaskID = -1
+
+var noTaskRec = taskRec{id: noTask, runningOn: cluster.InvalidMachine, unsched: flow.InvalidArc}
+
 // GraphManager owns the mapping between cluster state and the flow network
 // (paper Fig. 4: "the scheduling policy modifies the flow network according
 // to workload, cluster, and monitoring data"). It translates cluster events
 // into incremental graph changes (§5.2) and performs the two-pass
 // flow-network update before each solver run (§6.3).
+//
+// It holds each fact once and reads the rest off the graph: a machine and a
+// job are known by their arc to the sink, whose tail is the machine's node or
+// the job's unscheduled aggregator and whose capacity is the machine's slot
+// count or the job's number of tasks in the graph.
 type GraphManager struct {
 	g     *flow.Graph
 	cl    *cluster.Cluster
@@ -94,27 +114,18 @@ type GraphManager struct {
 
 	sink flow.NodeID
 
-	machineNode map[cluster.MachineID]flow.NodeID
-	machineSink map[cluster.MachineID]flow.ArcID
+	// machineSink is, by machine ID, the machine's arc to the sink;
+	// InvalidArc while the machine is out of the graph.
+	machineSink []flow.ArcID
 
 	taskNode map[cluster.TaskID]flow.NodeID
-	nodeTask []cluster.TaskID // by node ID; noTask for every other node
-	// runningOn is, by node ID, the machine updateTasks last saw the node's
-	// task running on: InvalidMachine for a task it saw not running, for a
-	// task it has not seen yet and for every other node.
-	runningOn []cluster.MachineID
+	tasks    []taskRec // by node ID; noTaskRec for every other node
 
-	unschedNode map[cluster.JobID]flow.NodeID
-	unschedSink map[cluster.JobID]flow.ArcID
-	jobAlive    map[cluster.JobID]int64
+	unschedSink map[cluster.JobID]flow.ArcID // per job with tasks in the graph
 
 	aggs []aggRecord // live aggregators, ascending by ID
 
-	taskUnschedArc map[cluster.TaskID]flow.ArcID
-	taskArcs       map[cluster.TaskID][]taskArcRec // ascending by target
-
-	changes  flow.ChangeSet
-	numTasks int64
+	changes flow.ChangeSet
 
 	// revisit is the set of tasks updateTasks re-derives next round: those
 	// last seen not running (only a waiting task's costs move with time)
@@ -164,31 +175,34 @@ type GraphManager struct {
 // NewGraphManager builds the initial flow network for cl: a sink node and
 // one node per healthy machine with a slot-capacity arc to the sink.
 func NewGraphManager(cl *cluster.Cluster, model policy.CostModel) *GraphManager {
-	gm := &GraphManager{
-		g:              flow.NewGraph(cl.NumMachines()*2+16, cl.NumMachines()*4+16),
-		cl:             cl,
-		model:          model,
-		machineNode:    make(map[cluster.MachineID]flow.NodeID),
-		machineSink:    make(map[cluster.MachineID]flow.ArcID),
-		taskNode:       make(map[cluster.TaskID]flow.NodeID),
-		unschedNode:    make(map[cluster.JobID]flow.NodeID),
-		unschedSink:    make(map[cluster.JobID]flow.ArcID),
-		jobAlive:       make(map[cluster.JobID]int64),
-		taskUnschedArc: make(map[cluster.TaskID]flow.ArcID),
-		taskArcs:       make(map[cluster.TaskID][]taskArcRec),
-		revisit:        make(map[cluster.TaskID]struct{}),
-
-		TaskRemovalHeuristic: true,
-	}
-	if h, ok := model.(policy.HierarchicalCostModel); ok {
-		gm.hier = h
-	}
+	gm := newGraphManager(flow.NewGraph(cl.NumMachines()*2+16, cl.NumMachines()*4+16), cl, model)
+	gm.TaskRemovalHeuristic = true
 	gm.sink = gm.g.AddNode(0, flow.KindSink)
 	cl.Machines(func(m *cluster.Machine) {
 		if m.Healthy() {
 			gm.addMachine(m.ID)
 		}
 	})
+	return gm
+}
+
+// newGraphManager returns a manager of g with no machines, tasks or jobs.
+func newGraphManager(g *flow.Graph, cl *cluster.Cluster, model policy.CostModel) *GraphManager {
+	gm := &GraphManager{
+		g:           g,
+		cl:          cl,
+		model:       model,
+		machineSink: make([]flow.ArcID, cl.NumMachines()),
+		taskNode:    make(map[cluster.TaskID]flow.NodeID),
+		unschedSink: make(map[cluster.JobID]flow.ArcID),
+		revisit:     make(map[cluster.TaskID]struct{}),
+	}
+	for i := range gm.machineSink {
+		gm.machineSink[i] = flow.InvalidArc
+	}
+	if h, ok := model.(policy.HierarchicalCostModel); ok {
+		gm.hier = h
+	}
 	return gm
 }
 
@@ -203,21 +217,27 @@ func (gm *GraphManager) Changes() *flow.ChangeSet { return &gm.changes }
 func (gm *GraphManager) CostModel() policy.CostModel { return gm.model }
 
 // NumTasks returns the number of task nodes currently in the graph.
-func (gm *GraphManager) NumTasks() int64 { return gm.numTasks }
+func (gm *GraphManager) NumTasks() int64 { return int64(len(gm.taskNode)) }
+
+// machineNode returns machine id's node, if the machine is in the graph.
+func (gm *GraphManager) machineNode(id cluster.MachineID) (flow.NodeID, bool) {
+	if id < 0 || int(id) >= len(gm.machineSink) || gm.machineSink[id] == flow.InvalidArc {
+		return flow.InvalidNode, false
+	}
+	return gm.g.Tail(gm.machineSink[id]), true
+}
 
 func (gm *GraphManager) addMachine(id cluster.MachineID) {
-	if _, ok := gm.machineNode[id]; ok {
+	if _, ok := gm.machineNode(id); ok {
 		return
 	}
 	n := gm.g.AddNode(0, flow.KindMachine)
-	gm.machineNode[id] = n
-	a := gm.g.AddArc(n, gm.sink, int64(gm.cl.Machine(id).Slots), 0)
-	gm.machineSink[id] = a
+	gm.machineSink[id] = gm.g.AddArc(n, gm.sink, int64(gm.cl.Machine(id).Slots), 0)
 	gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: n})
 }
 
 func (gm *GraphManager) removeMachine(id cluster.MachineID) {
-	n, ok := gm.machineNode[id]
+	n, ok := gm.machineNode(id)
 	if !ok {
 		return
 	}
@@ -237,8 +257,7 @@ func (gm *GraphManager) removeMachine(id cluster.MachineID) {
 	}
 	gm.dropTaskArcRecords(n, policy.ToMachine(id))
 	gm.g.RemoveNode(n)
-	delete(gm.machineNode, id)
-	delete(gm.machineSink, id)
+	gm.machineSink[id] = flow.InvalidArc
 	gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: n})
 }
 
@@ -251,10 +270,10 @@ func (gm *GraphManager) dropTaskArcRecords(n flow.NodeID, target policy.ArcTarge
 		if gm.g.IsForward(a) {
 			continue
 		}
-		if tid, ok := gm.taskAt(gm.g.Head(a)); ok {
-			recs := gm.taskArcs[tid]
-			if i, ok := slices.BinarySearchFunc(recs, target, compareTaskArc); ok {
-				gm.taskArcs[tid] = slices.Delete(recs, i, i+1)
+		if h := gm.g.Head(a); int(h) < len(gm.tasks) {
+			rec := &gm.tasks[h]
+			if i, ok := slices.BinarySearchFunc(rec.arcs, target, compareTaskArc); ok {
+				rec.arcs = slices.Delete(rec.arcs, i, i+1)
 			}
 		}
 	}
@@ -262,48 +281,31 @@ func (gm *GraphManager) dropTaskArcRecords(n flow.NodeID, target policy.ArcTarge
 
 func compareTaskArc(r taskArcRec, t policy.ArcTarget) int { return r.target.Compare(t) }
 
-// noTask marks the nodeTask entries of nodes that are not task nodes.
-const noTask cluster.TaskID = -1
-
 // taskAt returns the task whose node is n, if n is a task node.
 func (gm *GraphManager) taskAt(n flow.NodeID) (cluster.TaskID, bool) {
-	if int(n) < len(gm.nodeTask) {
-		if id := gm.nodeTask[n]; id != noTask {
+	if int(n) < len(gm.tasks) {
+		if id := gm.tasks[n].id; id != noTask {
 			return id, true
 		}
 	}
 	return noTask, false
 }
 
-// setTaskNode records id's node in both directions, as a task no update
-// has seen yet.
-func (gm *GraphManager) setTaskNode(id cluster.TaskID, n flow.NodeID) {
+// setTask records id's node in both directions, with the node's arc to the
+// job's unscheduled aggregator, as a task no update has seen yet.
+func (gm *GraphManager) setTask(id cluster.TaskID, n flow.NodeID, unsched flow.ArcID) *taskRec {
 	gm.taskNode[id] = n
-	for len(gm.nodeTask) <= int(n) {
-		gm.nodeTask = append(gm.nodeTask, noTask)
-		gm.runningOn = append(gm.runningOn, cluster.InvalidMachine)
+	for len(gm.tasks) <= int(n) {
+		gm.tasks = append(gm.tasks, noTaskRec)
 	}
-	gm.nodeTask[n], gm.runningOn[n] = id, cluster.InvalidMachine
+	gm.tasks[n] = taskRec{id: id, runningOn: cluster.InvalidMachine, unsched: unsched}
+	return &gm.tasks[n]
 }
 
 // taskRef is a task and its node, the unit of ApplyRound's walk.
 type taskRef struct {
 	id   cluster.TaskID
 	node flow.NodeID
-}
-
-// sortedTasks lists the graph's tasks with their nodes, ascending by task
-// ID, in reused storage.
-func (gm *GraphManager) sortedTasks() []taskRef {
-	order := gm.upd.order[:0]
-	for n, id := range gm.nodeTask {
-		if id != noTask {
-			order = append(order, taskRef{id, flow.NodeID(n)})
-		}
-	}
-	slices.SortFunc(order, compareTaskRef)
-	gm.upd.order = order
-	return order
 }
 
 func compareTaskRef(a, b taskRef) int { return cmp.Compare(a.id, b.id) }
@@ -318,13 +320,20 @@ func compareTaskRef(a, b taskRef) int { return cmp.Compare(a.id, b.id) }
 // update, or before any update has seen the tasks, the list widens to every
 // task. Submissions are not evictions: their tasks are not in the graph.
 func (gm *GraphManager) applyCandidates(placed []cluster.MachineID) []taskRef {
+	order := gm.upd.order[:0]
 	if !gm.described || gm.cl.NumQueuedEvictions() > 0 {
-		return gm.sortedTasks()
-	}
-	order := append(gm.upd.order[:0], gm.upd.waiting...)
-	for n, m := range gm.runningOn {
-		if m != cluster.InvalidMachine && placed[n] != m {
-			order = append(order, taskRef{gm.nodeTask[n], flow.NodeID(n)})
+		for n := range gm.tasks {
+			if id := gm.tasks[n].id; id != noTask {
+				order = append(order, taskRef{id, flow.NodeID(n)})
+			}
+		}
+	} else {
+		order = append(order, gm.upd.waiting...)
+		placed = placed[:len(gm.tasks)] // one bounds check for the loop
+		for n := range gm.tasks {
+			if m := gm.tasks[n].runningOn; m != cluster.InvalidMachine && placed[n] != m {
+				order = append(order, taskRef{gm.tasks[n].id, flow.NodeID(n)})
+			}
 		}
 	}
 	slices.SortFunc(order, compareTaskRef)
@@ -339,34 +348,24 @@ func (gm *GraphManager) aggIndex(id policy.AggID) (int, bool) {
 	})
 }
 
-// ensureUnsched returns the unscheduled aggregator node for a job,
-// creating it (and its sink arc) on first use.
-func (gm *GraphManager) ensureUnsched(j cluster.JobID) flow.NodeID {
-	if n, ok := gm.unschedNode[j]; ok {
-		return n
-	}
-	n := gm.g.AddNode(0, flow.KindUnsched)
-	a := gm.g.AddArc(n, gm.sink, 0, 0)
-	gm.unschedNode[j] = n
-	gm.unschedSink[j] = a
-	gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: n})
-	return n
-}
-
 func (gm *GraphManager) addTask(id cluster.TaskID) {
 	if _, ok := gm.taskNode[id]; ok {
 		return
 	}
 	t := gm.cl.Task(id)
 	n := gm.g.AddNode(1, flow.KindTask)
-	gm.setTaskNode(id, n)
 	gm.ext.gen++ // a Round's table has no entry for the new node
-	un := gm.ensureUnsched(t.Job)
-	gm.taskUnschedArc[id] = gm.g.AddArc(n, un, 1, 0)
-	gm.jobAlive[t.Job]++
-	gm.g.SetArcCapacity(gm.unschedSink[t.Job], gm.jobAlive[t.Job])
-	gm.numTasks++
-	gm.g.SetSupply(gm.sink, -gm.numTasks)
+	js, ok := gm.unschedSink[t.Job]
+	if !ok {
+		// The job's first task: create its unscheduled aggregator.
+		un := gm.g.AddNode(0, flow.KindUnsched)
+		js = gm.g.AddArc(un, gm.sink, 0, 0)
+		gm.unschedSink[t.Job] = js
+		gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: un})
+	}
+	gm.setTask(id, n, gm.g.AddArc(n, gm.g.Tail(js), 1, 0))
+	gm.g.SetArcCapacity(js, gm.g.Capacity(js)+1)
+	gm.g.SetSupply(gm.sink, -gm.NumTasks())
 	gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: n})
 	gm.changes.Record(flow.Change{Kind: flow.ChangeSupply, Node: gm.sink})
 	gm.revisit[id] = struct{}{}
@@ -383,29 +382,23 @@ func (gm *GraphManager) removeTask(id cluster.TaskID) {
 	t := gm.cl.Task(id)
 	gm.g.RemoveNode(n)
 	delete(gm.taskNode, id)
-	gm.nodeTask[n], gm.runningOn[n] = noTask, cluster.InvalidMachine
+	gm.tasks[n] = noTaskRec
 	gm.ext.gen++ // n's table entry no longer names id
-	delete(gm.taskArcs, id)
-	delete(gm.taskUnschedArc, id)
 	delete(gm.revisit, id)
-	gm.numTasks--
-	gm.g.SetSupply(gm.sink, -gm.numTasks)
+	gm.g.SetSupply(gm.sink, -gm.NumTasks())
 	gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: n})
 	gm.changes.Record(flow.Change{Kind: flow.ChangeSupply, Node: gm.sink})
 
-	gm.jobAlive[t.Job]--
-	if gm.jobAlive[t.Job] <= 0 {
-		// Last task of the job: retire its unscheduled aggregator.
-		if un, ok := gm.unschedNode[t.Job]; ok {
-			gm.g.RemoveNode(un)
-			gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: un})
-		}
-		delete(gm.unschedNode, t.Job)
-		delete(gm.unschedSink, t.Job)
-		delete(gm.jobAlive, t.Job)
-	} else {
-		gm.g.SetArcCapacity(gm.unschedSink[t.Job], gm.jobAlive[t.Job])
+	js := gm.unschedSink[t.Job]
+	if alive := gm.g.Capacity(js) - 1; alive > 0 {
+		gm.g.SetArcCapacity(js, alive)
+		return
 	}
+	// Last task of the job: retire its unscheduled aggregator.
+	un := gm.g.Tail(js)
+	gm.g.RemoveNode(un)
+	gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: un})
+	delete(gm.unschedSink, t.Job)
 }
 
 // drainTaskFlow implements the efficient task removal heuristic (paper
@@ -593,7 +586,7 @@ func (gm *GraphManager) diffMachineArcs(agg *aggRecord, want []policy.MachineArc
 			i++
 			continue
 		}
-		mn, ok := gm.machineNode[ma.Machine]
+		mn, ok := gm.machineNode(ma.Machine)
 		if !ok {
 			continue // machine gone
 		}
@@ -683,13 +676,14 @@ func (gm *GraphManager) updateTasks(now time.Duration) {
 	}
 	u.waiting = u.waiting[:0]
 	for _, id := range u.ids {
-		t := gm.cl.Task(id)
-		n := gm.updateTask(t, now)
+		t, n := gm.cl.Task(id), gm.taskNode[id]
+		gm.updateTask(t, n, now)
+		rec := &gm.tasks[n]
 		if t.State == cluster.TaskRunning {
-			gm.runningOn[n] = t.Machine
+			rec.runningOn = t.Machine
 			delete(gm.revisit, id)
 		} else {
-			gm.runningOn[n] = cluster.InvalidMachine
+			rec.runningOn = cluster.InvalidMachine
 			gm.revisit[id] = struct{}{}
 			u.waiting = append(u.waiting, taskRef{id, n})
 		}
@@ -697,21 +691,20 @@ func (gm *GraphManager) updateTasks(now time.Duration) {
 	gm.described = true
 }
 
-// updateTask diffs one task's unscheduled cost and policy arcs against
-// the graph, and returns the task's node. TaskArcs carries no ordering
+// updateTask diffs the unscheduled cost and policy arcs of t, whose node is
+// node, against the graph. TaskArcs carries no ordering
 // contract, so each listed target is looked up in the sorted records by
 // binary search; the mutation order is that of the aggregator diffs —
 // updates and additions in list order, then removals ascending.
 //
 //firmament:deterministic
 //firmament:hotpath
-func (gm *GraphManager) updateTask(t *cluster.Task, now time.Duration) flow.NodeID {
-	u := &gm.upd
-	node := gm.taskNode[t.ID]
+func (gm *GraphManager) updateTask(t *cluster.Task, node flow.NodeID, now time.Duration) {
+	u, rec := &gm.upd, &gm.tasks[node]
 	// Unscheduled (or preemption) cost.
-	gm.setArc(gm.taskUnschedArc[t.ID], gm.model.UnscheduledCost(t, now), 1)
+	gm.setArc(rec.unsched, gm.model.UnscheduledCost(t, now), 1)
 	// Policy arcs.
-	have := gm.taskArcs[t.ID]
+	have := rec.arcs
 	u.wantT = gm.model.TaskArcs(u.wantT[:0], t, now)
 	u.kept = slices.Grow(u.kept[:0], len(have))[:len(have)]
 	clear(u.kept)
@@ -749,12 +742,11 @@ func (gm *GraphManager) updateTask(t *cluster.Task, now time.Duration) flow.Node
 		}
 	}
 	if len(recs) == len(have) && len(added) == 0 {
-		return node
+		return
 	}
 	recs = append(recs, added...)
 	slices.SortFunc(recs, func(a, b taskArcRec) int { return a.target.Compare(b.target) })
-	gm.taskArcs[t.ID] = recs
-	return node
+	rec.arcs = recs
 }
 
 // indexTarget returns the position of t's record in the unsorted recs, or -1.
@@ -770,8 +762,7 @@ func indexTarget(recs []taskArcRec, t policy.ArcTarget) int {
 // targetNode resolves an arc target to its node, if the target is live.
 func (gm *GraphManager) targetNode(t policy.ArcTarget) (flow.NodeID, bool) {
 	if t.Machine >= 0 {
-		n, ok := gm.machineNode[t.Machine]
-		return n, ok
+		return gm.machineNode(t.Machine)
 	}
 	if i, ok := gm.aggIndex(t.Agg); ok {
 		return gm.aggs[i].node, true
@@ -784,10 +775,11 @@ func (gm *GraphManager) targetNode(t policy.ArcTarget) (flow.NodeID, bool) {
 //
 //firmament:deterministic
 func (gm *GraphManager) updateMachineCapacities() {
-	gm.upd.mids = sortedKeys(gm.upd.mids, gm.machineSink)
-	for _, id := range gm.upd.mids {
-		a := gm.machineSink[id]
-		want := int64(gm.cl.Machine(id).Slots)
+	for id, a := range gm.machineSink {
+		if a == flow.InvalidArc {
+			continue
+		}
+		want := int64(gm.cl.Machine(cluster.MachineID(id)).Slots)
 		if got := gm.g.Capacity(a); got != want {
 			gm.g.SetArcCapacity(a, want)
 			gm.changes.Record(flow.Change{Kind: flow.ChangeArcCapacity, Arc: a, Old: got, New: want})
@@ -819,10 +811,11 @@ func (gm *GraphManager) SwapGraphForExperiment(g *flow.Graph) *flow.Graph {
 	return old
 }
 
-// sanityCheck verifies internal map consistency (used by tests).
+// sanityCheck verifies that the records agree with each other and with the
+// graph (used by tests and by RestoreScheduler).
 func (gm *GraphManager) sanityCheck() error {
-	if int64(len(gm.taskNode)) != gm.numTasks {
-		return fmt.Errorf("core: task count mismatch: %d nodes vs %d counted", len(gm.taskNode), gm.numTasks)
+	if !gm.g.NodeInUse(gm.sink) || gm.g.Kind(gm.sink) != flow.KindSink {
+		return fmt.Errorf("core: sink %d is not a live sink node", gm.sink)
 	}
 	for id, n := range gm.taskNode {
 		if !gm.g.NodeInUse(n) {
@@ -831,19 +824,27 @@ func (gm *GraphManager) sanityCheck() error {
 		if back, _ := gm.taskAt(n); back != id {
 			return fmt.Errorf("core: task %d maps to node %d, which maps back to %d", id, n, back)
 		}
+		if a := gm.tasks[n].unsched; !gm.g.ArcInUse(a) || !gm.g.IsForward(a) || gm.g.Tail(a) != n {
+			return fmt.Errorf("core: task %d: unscheduled arc %d does not leave its node %d", id, a, n)
+		}
 	}
 	nodes := 0
-	for _, id := range gm.nodeTask {
-		if id != noTask {
+	for n := range gm.tasks {
+		if gm.tasks[n].id != noTask {
 			nodes++
 		}
 	}
 	if nodes != len(gm.taskNode) {
 		return fmt.Errorf("core: %d task nodes indexed by node, %d by task", nodes, len(gm.taskNode))
 	}
-	for id, n := range gm.machineNode {
-		if !gm.g.NodeInUse(n) {
-			return fmt.Errorf("core: machine %d maps to dead node %d", id, n)
+	for id, a := range gm.machineSink {
+		if a != flow.InvalidArc && !gm.isSinkArc(a) {
+			return fmt.Errorf("core: machine %d: arc %d is not a live arc to the sink", id, a)
+		}
+	}
+	for id, a := range gm.unschedSink {
+		if !gm.isSinkArc(a) || gm.g.Capacity(a) <= 0 {
+			return fmt.Errorf("core: job %d: arc %d is not a live arc to the sink with capacity", id, a)
 		}
 	}
 	// The merge walks rely on every record slice being strictly ascending.
@@ -859,12 +860,19 @@ func (gm *GraphManager) sanityCheck() error {
 			return fmt.Errorf("core: aggregator %v: aggregator arc records not strictly ascending at %v", agg.id, a[i].to)
 		}
 	}
-	for id, recs := range gm.taskArcs {
+	for _, rec := range gm.tasks {
+		recs := rec.arcs
 		if i := unordered(len(recs), func(i int) int { return recs[i-1].target.Compare(recs[i].target) }); i > 0 {
-			return fmt.Errorf("core: task %d: arc records not strictly ascending at %+v", id, recs[i].target)
+			return fmt.Errorf("core: task %d: arc records not strictly ascending at %+v", rec.id, recs[i].target)
 		}
 	}
 	return nil
+}
+
+// isSinkArc reports whether a is a live forward arc from a live node to the
+// sink.
+func (gm *GraphManager) isSinkArc(a flow.ArcID) bool {
+	return gm.g.ArcInUse(a) && gm.g.IsForward(a) && gm.g.Head(a) == gm.sink && gm.g.NodeInUse(gm.g.Tail(a))
 }
 
 // unordered returns the first i in [1, n) with cmp(i) >= 0, where cmp(i)

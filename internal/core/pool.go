@@ -57,12 +57,16 @@ type PoolResult struct {
 
 	// Incremental reports that this run's cost scaling attempt completed
 	// as a true warm start (prior flow and potentials reused). FullRestart
-	// reports the opposite: the incremental attempt had to fall back to a
-	// from-scratch solve. Both are false in modes that never run
-	// incremental cost scaling. The crash-recovery smoke test watches
-	// these: a restored server's first solve must warm-start (Fig. 11's
-	// ~70x gap is the recovery win), so FullRestart there means the
-	// snapshot failed to carry the solver state.
+	// reports that it completed only after falling back to a from-scratch
+	// solve. An attempt that did not complete — stopped because relaxation
+	// won the race, or failed — sets neither, and both are false in modes
+	// that never run incremental cost scaling. A round with neither flag
+	// is therefore not a cold restart: under ModeFirmament the share of
+	// rounds with Incremental is about one minus relaxation's win share.
+	// The crash-recovery smoke test watches FullRestart: a restored
+	// server's first solve must not fall back (Fig. 11's ~70x gap is the
+	// recovery win), so FullRestart there means the snapshot failed to
+	// carry the solver state.
 	Incremental bool
 	FullRestart bool
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"firmament/internal/cluster"
 	"firmament/internal/flow"
@@ -13,8 +12,9 @@ import (
 
 // This file serialises the scheduler's solver-facing state for durable
 // snapshots: the flow graph (with flow and potentials — the warm-start
-// capital), the GraphManager's entity↔node maps, and the cost scaling
-// solver's scale. Restoring all three lets the first post-restore round run
+// capital), the GraphManager's records of the nodes and arcs that stand for
+// each machine, task, job and aggregator, and the cost scaling solver's
+// scale. Restoring all three lets the first post-restore round run
 // SolveIncremental against a graph identical to the one the live run held,
 // paying the paper's ~370µs incremental cost instead of the ~25ms
 // from-scratch solve (Fig. 11) — which is the entire point of snapshotting
@@ -55,53 +55,51 @@ func (s *Scheduler) EncodeSnapshot(e *wal.Enc) {
 
 	gm := s.gm
 	e.I64(int64(gm.sink))
-	e.I64(gm.numTasks)
+	e.I64(gm.NumTasks())
 
-	// machineNode + machineSink, sorted by machine ID.
-	machines := make([]cluster.MachineID, 0, len(gm.machineNode))
-	for id := range gm.machineNode {
-		machines = append(machines, id)
+	// Machines in the graph, ascending by ID: node and sink arc.
+	machines := 0
+	for _, a := range gm.machineSink {
+		if a != flow.InvalidArc {
+			machines++
+		}
 	}
-	sort.Slice(machines, func(i, j int) bool { return machines[i] < machines[j] })
-	e.U32(uint32(len(machines)))
-	for _, id := range machines {
-		e.I64(int64(id))
-		e.I64(int64(gm.machineNode[id]))
-		e.I64(int64(gm.machineSink[id]))
+	e.U32(uint32(machines))
+	for id, a := range gm.machineSink {
+		if a != flow.InvalidArc {
+			e.I64(int64(id))
+			e.I64(int64(gm.g.Tail(a)))
+			e.I64(int64(a))
+		}
 	}
 
-	// taskNode + taskUnschedArc + taskArcs, sorted by task ID. The arc
-	// records are kept sorted by key, here and below.
-	tasks := make([]cluster.TaskID, 0, len(gm.taskNode))
-	for id := range gm.taskNode {
-		tasks = append(tasks, id)
-	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i] < tasks[j] })
+	// Tasks, ascending by ID: node, unscheduled arc and arc records. The
+	// arc records are kept sorted by key, here and below.
+	tasks := sortedKeys(nil, gm.taskNode)
 	e.U32(uint32(len(tasks)))
 	for _, id := range tasks {
+		n := gm.taskNode[id]
+		rec := &gm.tasks[n]
 		e.I64(int64(id))
-		e.I64(int64(gm.taskNode[id]))
-		e.I64(int64(gm.taskUnschedArc[id]))
-		recs := gm.taskArcs[id]
-		e.U32(uint32(len(recs)))
-		for _, r := range recs {
+		e.I64(int64(n))
+		e.I64(int64(rec.unsched))
+		e.U32(uint32(len(rec.arcs)))
+		for _, r := range rec.arcs {
 			encodeTarget(e, r.target)
 			e.I64(int64(r.arc))
 		}
 	}
 
-	// unschedNode + unschedSink + jobAlive, sorted by job ID.
-	jobs := make([]cluster.JobID, 0, len(gm.unschedNode))
-	for id := range gm.unschedNode {
-		jobs = append(jobs, id)
-	}
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i] < jobs[j] })
+	// Jobs with tasks in the graph, ascending by ID: unscheduled aggregator,
+	// sink arc and task count.
+	jobs := sortedKeys(nil, gm.unschedSink)
 	e.U32(uint32(len(jobs)))
 	for _, id := range jobs {
+		a := gm.unschedSink[id]
 		e.I64(int64(id))
-		e.I64(int64(gm.unschedNode[id]))
-		e.I64(int64(gm.unschedSink[id]))
-		e.I64(gm.jobAlive[id])
+		e.I64(int64(gm.g.Tail(a)))
+		e.I64(int64(a))
+		e.I64(gm.g.Capacity(a))
 	}
 
 	// Aggregators with their machine and aggregator arc records.
@@ -139,39 +137,26 @@ func RestoreScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config, d
 	}
 	scale := d.I64()
 
-	gm := &GraphManager{
-		g:              g,
-		cl:             cl,
-		model:          model,
-		machineNode:    make(map[cluster.MachineID]flow.NodeID),
-		machineSink:    make(map[cluster.MachineID]flow.ArcID),
-		taskNode:       make(map[cluster.TaskID]flow.NodeID),
-		unschedNode:    make(map[cluster.JobID]flow.NodeID),
-		unschedSink:    make(map[cluster.JobID]flow.ArcID),
-		jobAlive:       make(map[cluster.JobID]int64),
-		taskUnschedArc: make(map[cluster.TaskID]flow.ArcID),
-		taskArcs:       make(map[cluster.TaskID][]taskArcRec),
-		revisit:        make(map[cluster.TaskID]struct{}),
-
-		// The snapshot does not carry the revisit set: the first round
-		// re-derives every task once and rebuilds it.
-		refreshAll:    true,
-		machineEvents: true,
-
-		TaskRemovalHeuristic: cfg.TaskRemovalHeuristic,
-	}
-	if h, ok := model.(policy.HierarchicalCostModel); ok {
-		gm.hier = h
-	}
+	gm := newGraphManager(g, cl, model)
+	gm.TaskRemovalHeuristic = cfg.TaskRemovalHeuristic
+	// The snapshot does not carry the revisit set: the first round
+	// re-derives every task once and rebuilds it.
+	gm.refreshAll, gm.machineEvents = true, true
 	gm.sink = flow.NodeID(d.I64())
-	gm.numTasks = d.I64()
+	numTasks := d.I64()
 
+	// A machine or job record repeats its sink arc's tail (and a job its
+	// capacity), so a record that disagrees with the graph is corrupt.
 	nm := d.Len(24)
 	for i := 0; i < nm; i++ {
-		id := cluster.MachineID(d.I64())
-		n := flow.NodeID(d.I64())
-		gm.machineNode[id] = n
-		gm.machineSink[id] = flow.ArcID(d.I64())
+		id, n, a := cluster.MachineID(d.I64()), flow.NodeID(d.I64()), flow.ArcID(d.I64())
+		if id < 0 || int(id) >= len(gm.machineSink) || gm.machineSink[id] != flow.InvalidArc {
+			return nil, fmt.Errorf("core: scheduler snapshot: machine %d outside the cluster or listed twice", id)
+		}
+		if !gm.isSinkArc(a) || g.Tail(a) != n {
+			return nil, fmt.Errorf("core: scheduler snapshot: machine %d on node %d, not the tail of its sink arc %d", id, n, a)
+		}
+		gm.machineSink[id] = a
 	}
 	nt := d.Len(28)
 	for i := 0; i < nt; i++ {
@@ -180,20 +165,25 @@ func RestoreScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config, d
 		if n < 0 || int(n) >= g.NodeIDBound() {
 			return nil, fmt.Errorf("core: scheduler snapshot: task %d on node %d, outside the graph", id, n)
 		}
-		gm.setTaskNode(id, n)
-		gm.taskUnschedArc[id] = flow.ArcID(d.I64())
-		recs := make([]taskArcRec, d.Len(25))
-		for k := range recs {
-			recs[k] = taskArcRec{decodeTarget(d), flow.ArcID(d.I64())}
+		rec := gm.setTask(id, n, flow.ArcID(d.I64()))
+		rec.arcs = make([]taskArcRec, d.Len(25))
+		for k := range rec.arcs {
+			rec.arcs[k] = taskArcRec{decodeTarget(d), flow.ArcID(d.I64())}
 		}
-		gm.taskArcs[id] = recs
+	}
+	if numTasks != gm.NumTasks() {
+		return nil, fmt.Errorf("core: scheduler snapshot: %d tasks counted, %d recorded", numTasks, gm.NumTasks())
 	}
 	nj := d.Len(32)
 	for i := 0; i < nj; i++ {
-		id := cluster.JobID(d.I64())
-		gm.unschedNode[id] = flow.NodeID(d.I64())
-		gm.unschedSink[id] = flow.ArcID(d.I64())
-		gm.jobAlive[id] = d.I64()
+		id, n, a, alive := cluster.JobID(d.I64()), flow.NodeID(d.I64()), flow.ArcID(d.I64()), d.I64()
+		if !gm.isSinkArc(a) || g.Tail(a) != n {
+			return nil, fmt.Errorf("core: scheduler snapshot: job %d on node %d, not the tail of its sink arc %d", id, n, a)
+		}
+		if c := g.Capacity(a); c != alive {
+			return nil, fmt.Errorf("core: scheduler snapshot: job %d has %d tasks, its sink arc capacity %d", id, alive, c)
+		}
+		gm.unschedSink[id] = a
 	}
 	gm.aggs = make([]aggRecord, d.Len(17))
 	for i := range gm.aggs {

@@ -86,7 +86,7 @@ func mapDiffUpdateAggregators(gm *GraphManager, now time.Duration) {
 		wantArcs := gm.model.AggArcs(nil, id, now)
 		seen := make(map[machineArcKey]bool, len(wantArcs))
 		for _, ma := range wantArcs {
-			mn, ok := gm.machineNode[ma.Machine]
+			mn, ok := gm.machineNode(ma.Machine)
 			if !ok {
 				continue // machine gone
 			}
@@ -180,9 +180,10 @@ func fullWalkUpdateTasks(gm *GraphManager, now time.Duration) {
 	for _, id := range ids {
 		t := gm.cl.Task(id)
 		node := gm.taskNode[id]
-		gm.setArc(gm.taskUnschedArc[id], gm.model.UnscheduledCost(t, now), 1)
+		rec := &gm.tasks[node]
+		gm.setArc(rec.unsched, gm.model.UnscheduledCost(t, now), 1)
 		arcs := make(map[policy.ArcTarget]flow.ArcID)
-		for _, r := range gm.taskArcs[id] {
+		for _, r := range rec.arcs {
 			arcs[r.target] = r.arc
 		}
 		want := gm.model.TaskArcs(nil, t, now)
@@ -191,7 +192,7 @@ func fullWalkUpdateTasks(gm *GraphManager, now time.Duration) {
 			var dst flow.NodeID
 			var ok bool
 			if ta.Target.Machine != cluster.InvalidMachine && ta.Target.Machine >= 0 {
-				dst, ok = gm.machineNode[ta.Target.Machine]
+				dst, ok = gm.machineNode(ta.Target.Machine)
 			} else {
 				dst, ok = aggNode[ta.Target.Agg]
 			}
@@ -230,7 +231,7 @@ func fullWalkUpdateTasks(gm *GraphManager, now time.Duration) {
 			recs = append(recs, taskArcRec{target, a})
 		}
 		sort.Slice(recs, func(i, j int) bool { return targetLess(recs[i].target, recs[j].target) })
-		gm.taskArcs[id] = recs
+		rec.arcs = recs
 	}
 }
 
@@ -357,13 +358,13 @@ func checkArcRecords(t *testing.T, gm *GraphManager) {
 		}
 		return out
 	}
-	for tid := range gm.taskArcs {
-		if _, ok := gm.taskNode[tid]; !ok {
-			t.Fatalf("arc records for task %d, which has no node", tid)
+	for node, rec := range gm.tasks {
+		if _, ok := gm.taskNode[rec.id]; !ok && len(rec.arcs) > 0 {
+			t.Fatalf("arc records on node %d, which holds no task", node)
 		}
 	}
 	for tid, node := range gm.taskNode {
-		recs := gm.taskArcs[tid]
+		recs := gm.tasks[node].arcs
 		for _, r := range recs {
 			head, ok := gm.targetNode(r.target)
 			check(fmt.Sprintf("task %d target %+v", tid, r.target), node, r.arc, head, ok)
@@ -377,7 +378,7 @@ func checkArcRecords(t *testing.T, gm *GraphManager) {
 			t.Fatalf("aggregator %v: dead node %d", agg.id, agg.node)
 		}
 		for _, r := range agg.machines {
-			head, ok := gm.machineNode[r.k.machine]
+			head, ok := gm.machineNode(r.k.machine)
 			check(fmt.Sprintf("aggregator %v machine arc %+v", agg.id, r.k), agg.node, r.arc, head, ok)
 		}
 		for _, r := range agg.aggs {

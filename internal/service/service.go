@@ -78,15 +78,6 @@ type Config struct {
 	// RoundInterval toward this ceiling instead of burning a core on
 	// identical solves. Default 100ms.
 	IdleInterval time.Duration
-	// SubscriberBuffer is the per-subscriber channel capacity. A
-	// subscriber that falls more than a full buffer behind loses events
-	// (counted in Stats.WatchDropped). Default 65536.
-	SubscriberBuffer int
-	// Shards is the number of ingestion-queue shards for the batched ops
-	// (completions, machine changes), rounded up to a power of two.
-	// Default: the cluster's front-door shard count, so op and submission
-	// sharding line up.
-	Shards int
 	// MaxPendingFactor enables front-door backpressure: once the cluster's
 	// pending-task count exceeds MaxPendingFactor × TotalSlots, Submit
 	// returns ErrBacklogged and SubmitWait blocks. Zero (the default)
@@ -101,17 +92,17 @@ type Config struct {
 	// by implementing template.Signer — see docs/templates.md for the
 	// equivalence contract.
 	Templates bool
-	// TemplateCapacity bounds the template cache (FIFO eviction).
-	// Default 1024.
-	TemplateCapacity int
 }
+
+// subscriberBuffer is the per-subscriber channel capacity. Publishing never
+// blocks the round loop, so a subscriber that falls more than a full buffer
+// behind loses events (counted in Stats.WatchDropped); 65536 placements is
+// over a second of the in-process loop's output.
+const subscriberBuffer = 65536
 
 func (c Config) withDefaults() Config {
 	if c.RoundInterval <= 0 {
 		c.RoundInterval = time.Millisecond
-	}
-	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = 65536
 	}
 	if c.IdleInterval <= 0 {
 		c.IdleInterval = 100 * time.Millisecond
@@ -294,12 +285,10 @@ func newService(cl *cluster.Cluster, model policy.CostModel, schedCfg core.Confi
 // or restored from a durable snapshot (Open).
 func newServiceWith(cl *cluster.Cluster, sched *core.Scheduler, cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = cl.NumShards()
-	}
-	// Same rounding as the cluster tables, so shard selection is a mask.
-	n := cluster.RoundShards(shards)
+	// The batched ops (completions, machine changes) queue on as many
+	// shards as the cluster's front door has, so op and submission sharding
+	// line up and shard selection is a mask.
+	n := cl.NumShards()
 	s := &Service{
 		cl:       cl,
 		sched:    sched,
@@ -317,7 +306,7 @@ func newServiceWith(cl *cluster.Cluster, sched *core.Scheduler, cfg Config) *Ser
 	}
 	s.bpCond = sync.NewCond(&s.bpMu)
 	if cfg.Templates {
-		s.tmpl = newTmplState(sched.GraphManager().CostModel(), cfg.TemplateCapacity)
+		s.tmpl = newTmplState(sched.GraphManager().CostModel())
 	}
 	return s
 }
@@ -611,7 +600,7 @@ func (s *Service) wake() {
 // Placement published after the call. The returned cancel function
 // unsubscribes and closes the channel; Close also closes it.
 func (s *Service) Watch() (<-chan Placement, func()) {
-	ch := make(chan Placement, s.cfg.SubscriberBuffer)
+	ch := make(chan Placement, subscriberBuffer)
 	s.subMu.Lock()
 	id := s.nextSub
 	s.nextSub++
@@ -1077,12 +1066,16 @@ type Stats struct {
 	// WatchDropped counts placement events lost to slow Watch subscribers
 	// (the publish path never blocks the scheduling loop).
 	WatchDropped int64
-	// SolverWarmStarts and SolverFullRestarts count rounds whose
-	// incremental cost scaling run reused the prior flow and potentials
-	// versus falling back to a from-scratch solve. A restored service's
-	// first rounds must warm-start — that is what snapshotting the flow
-	// network buys (paper Fig. 11) — so the crash-recovery smoke asserts
-	// SolverFullRestarts stays zero across a restart.
+	// SolverWarmStarts counts rounds whose incremental cost scaling run
+	// completed by reusing the prior flow and potentials, and
+	// SolverFullRestarts rounds whose run completed only after falling back
+	// to a from-scratch solve (core.PoolResult). A round whose cost scaling
+	// run relaxation stopped by winning the race counts as neither, so
+	// SolverWarmStarts/Rounds is about 1 − relaxation's win share, not one
+	// minus a cold-restart rate. A restored service's first rounds must not
+	// fall back — that is what snapshotting the flow network buys (paper
+	// Fig. 11) — so the crash-recovery smoke asserts SolverFullRestarts
+	// stays zero across a restart.
 	SolverWarmStarts   int64
 	SolverFullRestarts int64
 	// TemplateHits counts jobs placed entirely from the template cache

@@ -64,13 +64,13 @@ func (tp *tmplState) captureOccupancy(cl *cluster.Cluster) {
 // newTmplState returns the template state, or nil when the policy does not
 // implement template.Signer (the fast path silently disables itself — only
 // policies that assert the equivalence contract may serve from cache).
-func newTmplState(model interface{}, capacity int) *tmplState {
+func newTmplState(model interface{}) *tmplState {
 	signer, ok := model.(template.Signer)
 	if !ok {
 		return nil
 	}
 	return &tmplState{
-		cache: template.NewCache(capacity),
+		cache: template.NewCache(template.DefaultCapacity),
 		sig:   signer.TemplateSignature(),
 		occ:   make(map[cluster.MachineID]int32),
 	}
