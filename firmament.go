@@ -127,13 +127,6 @@ const (
 // front-door shard count.
 func NewCluster(topo Topology) *Cluster { return cluster.New(topo) }
 
-// NewShardedCluster builds a cluster with an explicit front-door shard
-// count (rounded up to a power of two). More shards admit more concurrent
-// submitters before lock contention.
-func NewShardedCluster(topo Topology, shards int) *Cluster {
-	return cluster.NewSharded(topo, shards)
-}
-
 // Scheduler core (paper §3, §6).
 type (
 	// Scheduler is the Firmament scheduler engine.
@@ -289,7 +282,9 @@ type (
 	// Placement is one published scheduling decision.
 	Placement = service.Placement
 	// ServiceStats is a snapshot of the service's counters and
-	// distributions.
+	// distributions. Its scalar fields are declared once, in the embedded
+	// service.Counters; the loop-written ones are those of the last
+	// finished round.
 	ServiceStats = service.Stats
 	// Decision is one enacted action of a scheduling round.
 	Decision = core.Decision
@@ -415,8 +410,8 @@ type (
 	APIClient = api.Client
 	// RemoteJob is the client's view of a submitted job: the allocated IDs.
 	RemoteJob = api.Job
-	// APIStats is the wire form of ServiceStats, with the sample
-	// distributions reduced to summaries.
+	// APIStats is the wire form of ServiceStats: the same embedded
+	// counters, with the sample distributions reduced to summaries.
 	APIStats = api.Stats
 	// APIWatchStream is a live remote placement subscription; after its C
 	// closes, Err distinguishes clean close from transport failure.

@@ -316,7 +316,8 @@ func TestAPIShutdown503(t *testing.T) {
 }
 
 // TestAPIValidation400 sends malformed requests and checks each is refused
-// with 400 (or the mux's 404/405), never a panic or a 5xx.
+// with 400 (or the mux's 404/405), never a panic or a 5xx. A negative
+// input_file is not malformed: it means the task reads no input.
 func TestAPIValidation400(t *testing.T) {
 	_, _, ts := newTestAPI(t,
 		cluster.Topology{Racks: 1, MachinesPerRack: 2, SlotsPerMachine: 2}, service.Config{})
@@ -340,6 +341,10 @@ func TestAPIValidation400(t *testing.T) {
 		{"malformed json", "/v1/jobs", `{"tasks":`, 400},
 		{"no tasks", "/v1/jobs", `{"tasks":[]}`, 400},
 		{"unknown class", "/v1/jobs", `{"class":"interactive","tasks":[{}]}`, 400},
+		{"negative duration", "/v1/jobs", `{"tasks":[{},{"duration_ns":-1}]}`, 400},
+		{"negative input size", "/v1/jobs", `{"tasks":[{"input_size":-1}]}`, 400},
+		{"negative net demand", "/v1/jobs", `{"tasks":[{"net_demand":-1}]}`, 400},
+		{"no input file", "/v1/jobs", `{"tasks":[{"input_file":-1}]}`, 200},
 		{"non-numeric task id", "/v1/tasks/abc/complete", ``, 400},
 		{"batch complete no ids", "/v1/tasks/complete", `{"tasks":[]}`, 400},
 		{"non-numeric machine id", "/v1/machines/x/remove", ``, 400},

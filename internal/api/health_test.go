@@ -3,8 +3,11 @@ package api
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -165,11 +168,13 @@ func TestAPIHealthzFailStop(t *testing.T) {
 	}
 }
 
-// TestStatsWireFieldNames pins the wire spelling of the fault-tolerance
-// additions: the drop counter travels as watch_dropped, and the WAL
-// counters and health fields are present.
+// TestStatsWireFieldNames pins the wire contract of /v1/stats: the exact
+// key set, the spelling of the fault-tolerance additions (the drop counter
+// travels as watch_dropped, the WAL counters and health fields are
+// present), and a lossless round trip through json.Unmarshal, which is how
+// Client.Stats reads the counters the CI smokes check.
 func TestStatsWireFieldNames(t *testing.T) {
-	b, err := json.Marshal(Stats{WatchDropped: 7, WALRearms: 1, Health: "ok"})
+	b, err := json.Marshal(Stats{Counters: service.Counters{WatchDropped: 7, WALRearms: 1, Health: "ok"}})
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -181,5 +186,75 @@ func TestStatsWireFieldNames(t *testing.T) {
 	}
 	if strings.Contains(s, "dropped_publications") {
 		t.Fatalf("stats wire form still carries the old dropped_publications key: %s", s)
+	}
+
+	wantKeys := []string{
+		"rounds", "submitted", "backlogged", "placed", "migrated", "preempted",
+		"completed", "stale_completions", "stale_machine_ops", "stale_decisions",
+		"unscheduled", "watch_dropped", "solver_warm_starts", "solver_full_restarts",
+		"template_hits", "template_misses", "template_invalidations",
+		"wal_retries", "degraded_rounds", "wal_rearms", "health", "pending", "running",
+		"queue_depth", "batch_size", "algorithm_runtime", "round_time", "placement_latency",
+	}
+	keysOf := func(b []byte) []string {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	sorted := func(keys ...string) []string {
+		keys = slices.Clone(keys)
+		slices.Sort(keys)
+		return keys
+	}
+	if got, want := keysOf(b), sorted(wantKeys...); !slices.Equal(got, want) {
+		t.Fatalf("stats keys with no failure cause:\n got %v\nwant %v", got, want)
+	}
+
+	// Every field distinct and nonzero: a counter the wire loses, or two
+	// that share a key, cannot survive the trip.
+	var full Stats
+	v := reflect.ValueOf(&full).Elem()
+	n := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Int, reflect.Int64:
+			n++
+			v.SetInt(int64(n))
+		case reflect.Float64:
+			n++
+			v.SetFloat(float64(n) + 0.5)
+		case reflect.String:
+			n++
+			v.SetString(fmt.Sprintf("s%d", n))
+		default:
+			t.Fatalf("stats field of unhandled kind %s", v.Kind())
+		}
+	}
+	fill(v)
+	b, err = json.Marshal(full)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	if got, want := keysOf(b), sorted(append(wantKeys, "failure_cause")...); !slices.Equal(got, want) {
+		t.Fatalf("stats keys with a failure cause:\n got %v\nwant %v", got, want)
+	}
+	var back Stats
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if back != full {
+		t.Fatalf("stats did not survive the wire:\n sent %+v\n got %+v", full, back)
 	}
 }

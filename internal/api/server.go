@@ -85,7 +85,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	specs := make([]cluster.TaskSpec, len(req.Tasks))
 	for i, ts := range req.Tasks {
-		specs[i] = ts.toCluster()
+		if specs[i], err = ts.toCluster(); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("task %d: %v", i, err))
+			return
+		}
 	}
 	var job *cluster.Job
 	if r.URL.Query().Get("wait") == "1" {

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -28,13 +29,18 @@ func specToWire(s cluster.TaskSpec) TaskSpec {
 	}
 }
 
-func (s TaskSpec) toCluster() cluster.TaskSpec {
+// toCluster converts a wire task spec, rejecting a negative duration, input
+// size or network demand. InputFile stays signed: negative means no input.
+func (s TaskSpec) toCluster() (cluster.TaskSpec, error) {
+	if s.DurationNs < 0 || s.InputSize < 0 || s.NetDemand < 0 {
+		return cluster.TaskSpec{}, errors.New("duration_ns, input_size and net_demand must not be negative")
+	}
 	return cluster.TaskSpec{
 		Duration:  time.Duration(s.DurationNs),
 		InputFile: s.InputFile,
 		InputSize: s.InputSize,
 		NetDemand: s.NetDemand,
-	}
+	}, nil
 }
 
 // SubmitRequest is the body of POST /v1/jobs.
@@ -148,45 +154,11 @@ func healthToWire(h service.Health) HealthResponse {
 	return HealthResponse{Status: h.State.String(), Cause: h.Cause}
 }
 
-// Stats is the wire form of service.Stats, with the sample distributions
-// reduced to summaries. solver_warm_starts counts rounds whose cost scaling
-// run completed warm and solver_full_restarts rounds whose run fell back to
-// a from-scratch solve; a round relaxation won counts as neither, so
-// solver_warm_starts / rounds is about one minus relaxation's win share,
-// not a cold-restart rate.
+// Stats is the wire form of service.Stats: the counters, health and gauges
+// travel as service.Counters, whose JSON tags are the wire spelling, and the
+// sample distributions are reduced to summaries.
 type Stats struct {
-	Rounds             int64 `json:"rounds"`
-	Submitted          int64 `json:"submitted"`
-	Backlogged         int64 `json:"backlogged"`
-	Placed             int64 `json:"placed"`
-	Migrated           int64 `json:"migrated"`
-	Preempted          int64 `json:"preempted"`
-	Completed          int64 `json:"completed"`
-	StaleCompletions   int64 `json:"stale_completions"`
-	StaleMachineOps    int64 `json:"stale_machine_ops"`
-	StaleDecisions     int64 `json:"stale_decisions"`
-	Unscheduled        int64 `json:"unscheduled"`
-	WatchDropped       int64 `json:"watch_dropped"`
-	SolverWarmStarts   int64 `json:"solver_warm_starts"`
-	SolverFullRestarts int64 `json:"solver_full_restarts"`
-	// Template fast-path counters (zero unless the service runs with
-	// ServiceConfig.Templates on): jobs placed straight from the placement
-	// template cache, jobs that fell through to the solver, and cached
-	// templates dropped on machine churn.
-	TemplateHits          int64 `json:"template_hits"`
-	TemplateMisses        int64 `json:"template_misses"`
-	TemplateInvalidations int64 `json:"template_invalidations"`
-	// Disk-fault tolerance counters and health (docs/durability.md, fault
-	// model): transient errors retried away, rounds run with durability
-	// off, successful re-arms, and the current health state plus captured
-	// cause ("" while ok).
-	WALRetries     int64  `json:"wal_retries"`
-	DegradedRounds int64  `json:"degraded_rounds"`
-	WALRearms      int64  `json:"wal_rearms"`
-	Health         string `json:"health"`
-	FailureCause   string `json:"failure_cause,omitempty"`
-	Pending        int64  `json:"pending"`
-	Running        int64  `json:"running"`
+	service.Counters
 
 	QueueDepth       DistSummary `json:"queue_depth"`
 	BatchSize        DistSummary `json:"batch_size"`
@@ -200,34 +172,11 @@ type Stats struct {
 // shape.
 func StatsFromService(st service.Stats) Stats {
 	return Stats{
-		Rounds:                st.Rounds,
-		Submitted:             st.Submitted,
-		Backlogged:            st.Backlogged,
-		Placed:                st.Placed,
-		Migrated:              st.Migrated,
-		Preempted:             st.Preempted,
-		Completed:             st.Completed,
-		StaleCompletions:      st.StaleCompletions,
-		StaleMachineOps:       st.StaleMachineOps,
-		StaleDecisions:        st.StaleDecisions,
-		Unscheduled:           st.Unscheduled,
-		WatchDropped:          st.WatchDropped,
-		SolverWarmStarts:      st.SolverWarmStarts,
-		SolverFullRestarts:    st.SolverFullRestarts,
-		TemplateHits:          st.TemplateHits,
-		TemplateMisses:        st.TemplateMisses,
-		TemplateInvalidations: st.TemplateInvalidations,
-		WALRetries:            st.WALRetries,
-		DegradedRounds:        st.DegradedRounds,
-		WALRearms:             st.WALRearms,
-		Health:                st.Health,
-		FailureCause:          st.FailureCause,
-		Pending:               st.Pending,
-		Running:               st.Running,
-		QueueDepth:            summarize(st.QueueDepth),
-		BatchSize:             summarize(st.BatchSize),
-		AlgorithmRuntime:      summarize(st.AlgorithmRuntime),
-		RoundTime:             summarize(st.RoundTime),
-		PlacementLatency:      summarize(st.PlacementLatency),
+		Counters:         st.Counters,
+		QueueDepth:       summarize(st.QueueDepth),
+		BatchSize:        summarize(st.BatchSize),
+		AlgorithmRuntime: summarize(st.AlgorithmRuntime),
+		RoundTime:        summarize(st.RoundTime),
+		PlacementLatency: summarize(st.PlacementLatency),
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -49,8 +50,7 @@ func manualDurableCfg(t *testing.T, dir string, clock *time.Duration, svcCfg Con
 		Dir:           dir,
 		Sync:          wal.SyncNone, // flushed-on-ack is what a kill -9 test needs
 		SnapshotEvery: 4,            // several snapshot cuts within a short run
-		Retain:        2,
-		SegmentBytes:  4096, // force segment rotation too
+		SegmentBytes:  4096,         // force segment rotation too
 	}.withDefaults()
 	opts := Options{
 		Topology:   cluster.Topology{Racks: 2, MachinesPerRack: 2, SlotsPerMachine: 4},
@@ -720,5 +720,106 @@ func TestReplayTemplateDeterminism(t *testing.T) {
 		if got := svc.TemplateCacheLen(); got != liveLen {
 			t.Fatalf("run %d cache len %d != live %d", run, got, liveLen)
 		}
+	}
+}
+
+// TestRestoreSnapshotMetaV1 covers restoreSnapshot's version-1 branch: a
+// snapshot written before the template counters existed carries the first
+// ten counters in its meta section and no template section. It rewrites a
+// real snapshot, cut with templates off, into that form; the restore must
+// recover the ten counters and the same cluster and scheduler, and leave
+// the template counters zero.
+func TestRestoreSnapshotMetaV1(t *testing.T) {
+	var clock time.Duration
+	a, _ := manualDurable(t, t.TempDir(), &clock)
+	round := func() {
+		t.Helper()
+		clock += time.Millisecond
+		if _, err := a.runRound(); err != nil {
+			t.Fatalf("runRound: %v", err)
+		}
+	}
+	job, err := a.Submit(cluster.Batch, 0, make([]cluster.TaskSpec, 3))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	round()
+	// One completion, a stale repeat of it, and a stale restore of a
+	// healthy machine, so that most of the ten counters move.
+	for _, err := range []error{a.Complete(job.Tasks[0]), a.Complete(job.Tasks[0]), a.RestoreMachine(1)} {
+		if err != nil {
+			t.Fatalf("queueing an op: %v", err)
+		}
+	}
+	round()
+	if c := a.ctr; c.Placed == 0 || c.Completed == 0 || c.StaleCompletions == 0 || c.StaleMachineOps == 0 {
+		t.Fatalf("traffic left counters at zero: %+v", c)
+	}
+	// A version-2 meta carries these; the version-1 rewrite cannot.
+	a.ctr.TemplateHits, a.ctr.TemplateMisses, a.ctr.TemplateInvalidations = 5, 6, 7
+	if err := a.saveSnapshot(); err != nil {
+		t.Fatalf("saveSnapshot: %v", err)
+	}
+
+	r, _, closeSnap, err := a.jrn.log.LatestSnapshot()
+	if err != nil {
+		t.Fatalf("LatestSnapshot: %v", err)
+	}
+	var v2 bytes.Buffer
+	if _, err := v2.ReadFrom(r); err != nil {
+		t.Fatalf("reading the snapshot: %v", err)
+	}
+	closeSnap()
+	sections := bytes.NewReader(v2.Bytes())
+	var sec [4][]byte
+	for i := range sec {
+		if sec[i], err = wal.ReadSection(sections); err != nil {
+			t.Fatalf("snapshot section %d: %v", i, err)
+		}
+	}
+	md := wal.NewDec(sec[0])
+	if v := md.U32(); v != snapMetaVersion {
+		t.Fatalf("snapshot meta version %d, want %d", v, snapMetaVersion)
+	}
+	var meta wal.Enc
+	meta.U32(1)
+	meta.I64(md.I64()) // rounds
+	meta.Dur(md.Dur()) // virtual clock
+	for range 10 {
+		meta.I64(md.I64())
+	}
+	var v1 bytes.Buffer
+	for _, b := range [][]byte{meta.B, sec[1], sec[2]} {
+		if err := wal.WriteSection(&v1, b); err != nil {
+			t.Fatalf("WriteSection: %v", err)
+		}
+	}
+
+	opts := Options{
+		Model:     func(cl *cluster.Cluster) policy.CostModel { return policy.NewLoadSpread(cl) },
+		Scheduler: detCfg(),
+	}
+	restore := func(snap []byte) *Service {
+		t.Helper()
+		s, _, err := restoreSnapshot(opts, bytes.NewReader(snap))
+		if err != nil {
+			t.Fatalf("restoreSnapshot: %v", err)
+		}
+		return s
+	}
+	if got := restore(v2.Bytes()).ctr; got != a.ctr {
+		t.Fatalf("version-2 restore counters %+v, want %+v", got, a.ctr)
+	}
+	b := restore(v1.Bytes())
+	want := a.ctr
+	want.TemplateHits, want.TemplateMisses, want.TemplateInvalidations = 0, 0, 0
+	if b.ctr != want {
+		t.Fatalf("version-1 restore counters %+v, want %+v", b.ctr, want)
+	}
+	if got, want := b.cl.Fingerprint(), a.cl.Fingerprint(); got != want {
+		t.Fatalf("cluster fingerprint %x, want %x", got, want)
+	}
+	if got, want := b.sched.Fingerprint(), a.sched.Fingerprint(); got != want {
+		t.Fatalf("scheduler fingerprint %x, want %x", got, want)
 	}
 }

@@ -23,7 +23,6 @@ func faultDur(fs wal.FS, onFailure WALFailurePolicy) DurabilityConfig {
 	return DurabilityConfig{
 		Sync:          wal.SyncAlways,
 		SnapshotEvery: 4,
-		Retain:        2,
 		SegmentBytes:  4096,
 		OnWALFailure:  onFailure,
 		RetryLimit:    2,
@@ -208,9 +207,21 @@ func TestWALDegradeAndRearm(t *testing.T) {
 		t.Fatalf("WALRearms = %d while the disk is sick, want 0", st.WALRearms)
 	}
 
-	// The disk heals; the next round's probe re-arms durability.
+	// The disk heals; the next round's probe re-arms durability. A poll
+	// inside that round already sees health ok, so it must already see
+	// the re-arm counted.
 	ffs.Heal()
+	midRearms := int64(-1)
+	s.testHookBeforeSchedule = func() {
+		s.testHookBeforeSchedule = nil
+		if s.Health().State == HealthOK {
+			midRearms = s.Stats().WALRearms
+		}
+	}
 	round()
+	if midRearms != 1 {
+		t.Fatalf("mid-round poll after the re-arm: WALRearms = %d, want 1 (-1: health not yet ok)", midRearms)
+	}
 	if h := s.Health(); h.State != HealthOK {
 		t.Fatalf("health = %+v after heal+probe, want ok", h)
 	}

@@ -320,11 +320,14 @@ func (s *Service) maybeRearm() {
 	if err := s.saveSnapshot(); err != nil {
 		return
 	}
-	s.lastSnapRound = s.rounds.Load()
-	if err := s.jrn.log.TruncateBefore(s.dur.Retain); err != nil {
+	s.lastSnapRound = s.ctr.Rounds
+	if err := s.jrn.log.TruncateBefore(snapRetain); err != nil {
 		return
 	}
+	// Expose the re-arm before health reads ok, so a poll that sees ok
+	// sees it counted; the round's own counters follow at its end.
+	s.ctr.WALRearms++
+	s.exposeCounters()
 	s.clearHealthCause()
 	s.health.Store(int32(HealthOK))
-	s.walRearms.Add(1)
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"firmament/internal/cluster"
@@ -31,8 +30,6 @@ type DurabilityConfig struct {
 	// SnapshotEvery cuts a cluster+graph snapshot every that many rounds,
 	// after which older log segments become collectable. Default 1024.
 	SnapshotEvery int64
-	// Retain is how many snapshots TruncateBefore keeps. Default 2.
-	Retain int
 	// SegmentBytes overrides the WAL segment size (testing).
 	SegmentBytes int64
 	// OnWALFailure selects the response to a permanent WAL error:
@@ -61,9 +58,6 @@ func (d DurabilityConfig) withDefaults() DurabilityConfig {
 	if d.SnapshotEvery <= 0 {
 		d.SnapshotEvery = 1024
 	}
-	if d.Retain <= 0 {
-		d.Retain = 2
-	}
 	if d.RetryLimit == 0 {
 		d.RetryLimit = 3
 	}
@@ -82,8 +76,6 @@ type Options struct {
 	// Topology shapes a freshly built cluster. Ignored when a snapshot is
 	// restored — the snapshot carries its own topology.
 	Topology cluster.Topology
-	// Shards is the fresh cluster's front-door shard count (0 = default).
-	Shards int
 	// Model builds the scheduling policy over the (fresh or restored)
 	// cluster. It must construct the same policy the journal was written
 	// under: the snapshot's flow network encodes its decisions.
@@ -114,6 +106,9 @@ type RestoreInfo struct {
 	RunningTasks int
 	PendingTasks int
 }
+
+// snapRetain is how many snapshots TruncateBefore keeps.
+const snapRetain = 2
 
 // snapMetaVersion 2 added the template counters to the meta section and a
 // fourth snapshot section carrying the template cache; version-1 snapshots
@@ -202,16 +197,12 @@ func buildFromJournal(opts Options, dur DurabilityConfig, log *wal.Log) (*Servic
 			return nil, nil, err
 		}
 		info.Restored = true
-		info.SnapshotRound = s.rounds.Load()
+		info.SnapshotRound = s.ctr.Rounds
 	case errors.Is(err, os.ErrNotExist):
 		// No snapshot: fresh state, but the log may still hold records
 		// (a crash before the first snapshot cut). Replay from the start.
 		lw = 1
-		shards := opts.Shards
-		if shards <= 0 {
-			shards = cluster.DefaultShards
-		}
-		cl := cluster.NewSharded(opts.Topology, shards)
+		cl := cluster.New(opts.Topology)
 		s = newService(cl, opts.Model(cl), opts.Scheduler, opts.Service)
 	default:
 		return nil, nil, err
@@ -220,7 +211,8 @@ func buildFromJournal(opts Options, dur DurabilityConfig, log *wal.Log) (*Servic
 	if err := s.replay(lw, info.SnapshotRound, lastNow, info); err != nil {
 		return nil, nil, fmt.Errorf("service: journal replay: %w", err)
 	}
-	s.lastSnapRound = s.rounds.Load()
+	s.lastSnapRound = s.ctr.Rounds
+	s.exposeCounters()
 	info.PendingTasks = s.cl.NumPending()
 	info.RunningTasks = s.cl.NumRunning()
 	return s, info, nil
@@ -261,13 +253,13 @@ func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error)
 	}
 
 	s := newServiceWith(cl, sched, opts.Service)
-	s.rounds.Store(rounds)
+	s.ctr.Rounds = rounds
 	counters := s.snapCounters()
 	if v == 1 {
 		counters = counters[:10]
 	}
 	for _, c := range counters {
-		c.Store(md.I64())
+		*c = md.I64()
 	}
 	if err := md.Err(); err != nil {
 		return nil, 0, fmt.Errorf("service: snapshot meta: %w", err)
@@ -296,11 +288,12 @@ func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error)
 
 // snapCounters lists the loop-owned counters in the order a snapshot's meta
 // section carries them. Version-1 (pre-template) meta holds the first ten.
-func (s *Service) snapCounters() []*atomic.Int64 {
-	return []*atomic.Int64{
-		&s.placed, &s.migrated, &s.preempted, &s.completed, &s.staleCompletions,
-		&s.staleMachineOps, &s.staleDecisions, &s.unscheduled, &s.warmStarts, &s.fullRestarts,
-		&s.templateHits, &s.templateMisses, &s.templateInvals,
+func (s *Service) snapCounters() []*int64 {
+	c := &s.ctr
+	return []*int64{
+		&c.Placed, &c.Migrated, &c.Preempted, &c.Completed, &c.StaleCompletions,
+		&c.StaleMachineOps, &c.StaleDecisions, &c.Unscheduled, &c.SolverWarmStarts, &c.SolverFullRestarts,
+		&c.TemplateHits, &c.TemplateMisses, &c.TemplateInvalidations,
 	}
 }
 
@@ -312,10 +305,10 @@ func (s *Service) saveSnapshot() error {
 	lw := s.jrn.lowWater()
 	var meta wal.Enc
 	meta.U32(snapMetaVersion)
-	meta.I64(s.rounds.Load())
+	meta.I64(s.ctr.Rounds)
 	meta.Dur(s.now())
 	for _, c := range s.snapCounters() {
-		meta.I64(c.Load())
+		meta.I64(*c)
 	}
 	_, err := s.jrn.log.SaveSnapshot(lw, func(w io.Writer) error {
 		if err := wal.WriteSection(w, meta.B); err != nil {
@@ -458,8 +451,9 @@ func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info
 // rather than derived from the re-solve) and the journaled outcomes are
 // checked as they re-apply.
 func (s *Service) replayRound(rr *roundRecord) error {
-	if round := s.rounds.Add(1); round != rr.round {
-		return fmt.Errorf("journal round %d arrived as round %d (missing round record)", rr.round, round)
+	s.ctr.Rounds++
+	if s.ctr.Rounds != rr.round {
+		return fmt.Errorf("journal round %d arrived as round %d (missing round record)", rr.round, s.ctr.Rounds)
 	}
 	for _, eo := range rr.ops {
 		if stale := s.enactOp(eo.op, rr.drainNow); stale != eo.stale {

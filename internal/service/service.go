@@ -233,28 +233,17 @@ type Service struct {
 	healthCause error
 	lastProbe   time.Time // loop-owned probe pacing
 
-	// Counters (atomics: read by Stats from any goroutine).
-	rounds           atomic.Int64
-	submitted        atomic.Int64
-	refused          atomic.Int64
-	placed           atomic.Int64
-	migrated         atomic.Int64
-	preempted        atomic.Int64
-	completed        atomic.Int64
-	staleCompletions atomic.Int64
-	staleMachineOps  atomic.Int64
-	staleDecisions   atomic.Int64
-	unscheduled      atomic.Int64
-	dropped          atomic.Int64
-	warmStarts       atomic.Int64
-	fullRestarts     atomic.Int64
-	walRetries       atomic.Int64
-	degradedRounds   atomic.Int64
-	walRearms        atomic.Int64
-
-	templateHits   atomic.Int64
-	templateMisses atomic.Int64
-	templateInvals atomic.Int64
+	// ctr holds the counters the scheduling loop alone writes (restore and
+	// replay write them before the loop starts). It is a plain value the
+	// loop owns; exposeCounters copies it to pub under pubMu at the end of
+	// every round, so Stats never sees half a round.
+	ctr   Counters
+	pubMu sync.Mutex
+	pub   Counters
+	// Front-door counters (atomics: written from any goroutine).
+	submitted  atomic.Int64
+	refused    atomic.Int64
+	walRetries atomic.Int64
 
 	// tmpl is the placement-template fast path state (nil when disabled or
 	// when the policy does not implement template.Signer). See template.go.
@@ -662,7 +651,7 @@ func (s *Service) Close() error {
 			if s.Err() == nil && !degraded && s.sched.PendingChanges() == 0 {
 				if err := s.saveSnapshot(); err != nil {
 					s.closeErr = err
-				} else if err := s.jrn.log.TruncateBefore(s.dur.Retain); err != nil {
+				} else if err := s.jrn.log.TruncateBefore(snapRetain); err != nil {
 					s.closeErr = err
 				}
 			}
@@ -728,7 +717,7 @@ func (s *Service) loop() {
 			// A front-door walFailure under WALFailStop may have recorded
 			// the cause already; the first error wins.
 			if s.runErr == nil {
-				s.runErr = fmt.Errorf("service: scheduling round %d: %w", s.rounds.Load(), err)
+				s.runErr = fmt.Errorf("service: scheduling round %d: %w", s.ctr.Rounds, err)
 			}
 			s.runErrMu.Unlock()
 			s.closeMu.Lock() // same guarded transition as Close
@@ -789,6 +778,7 @@ func (s *Service) pendingWork() bool {
 // and record templates, apply the solver's decisions, journal, publish.
 func (s *Service) runRound() (progress bool, err error) {
 	t0 := time.Now()
+	defer s.exposeCounters() // on every exit, a failed round's included
 	if err := s.fatalWAL(); err != nil {
 		// A front-door goroutine hit a permanent WAL failure under
 		// WALFailStop; it could not stop the loop itself (it holds the
@@ -796,14 +786,15 @@ func (s *Service) runRound() (progress bool, err error) {
 		return false, err
 	}
 	if s.jrn != nil && s.degradedNow() {
-		s.degradedRounds.Add(1)
+		s.ctr.DegradedRounds++
 		s.maybeRearm() // probe the disk; re-arm durability if it healed
 	}
 	// Degraded rounds run the full pipeline but journal nothing: the
 	// re-arm snapshot, not the log, re-covers their effects.
 	durable := s.jrn != nil && !s.degradedNow()
 	rec := &s.rec
-	rec.reset(s.rounds.Add(1), s.now())
+	s.ctr.Rounds++
+	rec.reset(s.ctr.Rounds, s.now())
 	round, now := rec.round, rec.drainNow
 
 	// Drain the sharded ingestion queues — one buffer swap per shard.
@@ -920,7 +911,7 @@ func (s *Service) runRound() (progress bool, err error) {
 			}
 		} else {
 			s.lastSnapRound = round
-			if err := s.jrn.log.TruncateBefore(s.dur.Retain); err != nil {
+			if err := s.jrn.log.TruncateBefore(snapRetain); err != nil {
 				if !s.walFailure(err) {
 					return false, err
 				}
@@ -946,10 +937,10 @@ func (s *Service) enactOp(o op, now time.Duration) (stale bool) {
 	switch o.kind {
 	case opComplete:
 		if s.cl.Complete(o.task, now) != nil {
-			s.staleCompletions.Add(1)
+			s.ctr.StaleCompletions++
 			return true
 		}
-		s.completed.Add(1)
+		s.ctr.Completed++
 		return false
 	case opRemoveMachine:
 		stale = s.cl.RemoveMachine(o.machine, now) != nil
@@ -957,7 +948,7 @@ func (s *Service) enactOp(o op, now time.Duration) (stale bool) {
 		stale = s.cl.RestoreMachine(o.machine, now) != nil
 	}
 	if stale {
-		s.staleMachineOps.Add(1)
+		s.ctr.StaleMachineOps++
 	}
 	return stale
 }
@@ -985,20 +976,30 @@ func (s *Service) foldAndSolve(rec *roundRecord) (r *core.Round, events int, err
 // hits, misses and invalidations), and the solver pool's warm/full restart
 // flags (r is nil for an unsolved round).
 func (s *Service) accountRound(rec *roundRecord, r *core.Round, ap core.ApplyStats) {
-	s.placed.Add(int64(ap.Placed + len(rec.tmplDecisions)))
-	s.migrated.Add(int64(ap.Migrated))
-	s.preempted.Add(int64(ap.Preempted))
-	s.staleDecisions.Add(int64(rec.staleDecisions))
-	s.unscheduled.Add(int64(rec.unscheduled))
-	s.templateHits.Add(int64(rec.tmplHits))
-	s.templateMisses.Add(int64(rec.tmplMisses))
-	s.templateInvals.Add(int64(rec.tmplInvals))
+	c := &s.ctr
+	c.Placed += int64(ap.Placed + len(rec.tmplDecisions))
+	c.Migrated += int64(ap.Migrated)
+	c.Preempted += int64(ap.Preempted)
+	c.StaleDecisions += int64(rec.staleDecisions)
+	c.Unscheduled += int64(rec.unscheduled)
+	c.TemplateHits += int64(rec.tmplHits)
+	c.TemplateMisses += int64(rec.tmplMisses)
+	c.TemplateInvalidations += int64(rec.tmplInvals)
 	if r != nil && r.Stats.Pool.Incremental {
-		s.warmStarts.Add(1)
+		c.SolverWarmStarts++
 	}
 	if r != nil && r.Stats.Pool.FullRestart {
-		s.fullRestarts.Add(1)
+		c.SolverFullRestarts++
 	}
+}
+
+// exposeCounters makes the loop-owned counters visible to Stats as one
+// whole: the loop calls it when a round ends, and restore and replay
+// before they hand the service over.
+func (s *Service) exposeCounters() {
+	s.pubMu.Lock()
+	s.pub = s.ctr
+	s.pubMu.Unlock()
 }
 
 // journalRound appends the round record for the round just enacted and
@@ -1031,41 +1032,41 @@ func (s *Service) publish(decisions []Placement) {
 			select {
 			case ch <- p:
 			default:
-				s.dropped.Add(1)
+				s.ctr.WatchDropped++
 			}
 		}
 	}
 }
 
-// Stats is a point-in-time snapshot of the service's counters and
-// distributions.
-type Stats struct {
-	Rounds    int64
-	Submitted int64
+// Counters declares every scalar the service reports, once: Stats and the
+// wire form (internal/api) embed it, and its JSON tags are the wire
+// spelling of /v1/stats.
+type Counters struct {
+	Rounds    int64 `json:"rounds"`
+	Submitted int64 `json:"submitted"`
 	// Backlogged counts front-door admissions refused (Submit) or delayed
 	// (SubmitWait backlog re-checks) by backpressure.
-	Backlogged int64
-	Placed     int64
-	Migrated   int64
-	Preempted  int64
-	Completed  int64
+	Backlogged int64 `json:"backlogged"`
+	Placed     int64 `json:"placed"`
+	Migrated   int64 `json:"migrated"`
+	Preempted  int64 `json:"preempted"`
+	Completed  int64 `json:"completed"`
 	// StaleCompletions counts queued completions that raced a preemption
 	// the previous round enacted: by the time the op drained, the task was
 	// no longer running.
-	StaleCompletions int64
+	StaleCompletions int64 `json:"stale_completions"`
 	// StaleMachineOps counts machine remove/restore ops that no longer
 	// applied when their round drained them (remove of an already-removed
-	// machine, restore of a healthy one). They were silently discarded
-	// before this counter existed.
-	StaleMachineOps int64
+	// machine, restore of a healthy one).
+	StaleMachineOps int64 `json:"stale_machine_ops"`
 	// StaleDecisions counts round decisions skipped because cluster state
 	// moved on between the solve and the apply (task finished, machine
 	// failed, destination slot taken — core.ApplyStats.Stale).
-	StaleDecisions int64
-	Unscheduled    int64 // per-round sum of tasks left waiting
+	StaleDecisions int64 `json:"stale_decisions"`
+	Unscheduled    int64 `json:"unscheduled"` // per-round sum of tasks left waiting
 	// WatchDropped counts placement events lost to slow Watch subscribers
 	// (the publish path never blocks the scheduling loop).
-	WatchDropped int64
+	WatchDropped int64 `json:"watch_dropped"`
 	// SolverWarmStarts counts rounds whose incremental cost scaling run
 	// completed by reusing the prior flow and potentials, and
 	// SolverFullRestarts rounds whose run completed only after falling back
@@ -1076,8 +1077,8 @@ type Stats struct {
 	// fall back — that is what snapshotting the flow network buys (paper
 	// Fig. 11) — so the crash-recovery smoke asserts SolverFullRestarts
 	// stays zero across a restart.
-	SolverWarmStarts   int64
-	SolverFullRestarts int64
+	SolverWarmStarts   int64 `json:"solver_warm_starts"`
+	SolverFullRestarts int64 `json:"solver_full_restarts"`
 	// TemplateHits counts jobs placed entirely from the template cache
 	// (internal/template) without a solve; TemplateMisses counts candidate
 	// jobs that fell through to the solver (and were recorded);
@@ -1085,25 +1086,32 @@ type Stats struct {
 	// machine state moved on (machine removal, failed validation, hash
 	// collision). All zero when Config.Templates is off or the policy does
 	// not implement template.Signer.
-	TemplateHits          int64
-	TemplateMisses        int64
-	TemplateInvalidations int64
+	TemplateHits          int64 `json:"template_hits"`
+	TemplateMisses        int64 `json:"template_misses"`
+	TemplateInvalidations int64 `json:"template_invalidations"`
 	// WALRetries counts transient WAL errors absorbed by in-round retry;
 	// DegradedRounds counts scheduling rounds run with durability off
 	// after a WAL failure under WALDegrade; WALRearms counts successful
 	// degraded→ok recoveries (reopened WAL plus a fresh full snapshot).
 	// See docs/durability.md, fault model.
-	WALRetries     int64
-	DegradedRounds int64
-	WALRearms      int64
+	WALRetries     int64 `json:"wal_retries"`
+	DegradedRounds int64 `json:"degraded_rounds"`
+	WALRearms      int64 `json:"wal_rearms"`
 	// Health is the coarse health state ("ok", "degraded", "failed") and
 	// FailureCause the captured reason when not ok — a stopped scheduler
 	// is distinguishable from a gracefully closed one.
-	Health       string
-	FailureCause string
+	Health       string `json:"health"`
+	FailureCause string `json:"failure_cause,omitempty"`
 	// Pending and Running are point-in-time cluster gauges (tasks).
-	Pending int64
-	Running int64
+	Pending int64 `json:"pending"`
+	Running int64 `json:"running"`
+}
+
+// Stats is a point-in-time snapshot of the service's counters and
+// distributions. The counters the scheduling loop writes are those of the
+// last finished round: a poll never sees half a round.
+type Stats struct {
+	Counters
 
 	// QueueDepth samples the cluster event backlog at each round end;
 	// BatchSize the events folded into each round's graph update.
@@ -1128,37 +1136,24 @@ func (st Stats) Stale() int64 { return st.StaleCompletions + st.StaleDecisions }
 func (s *Service) Cluster() *cluster.Cluster { return s.cl }
 
 // Stats returns a consistent snapshot; safe to call from any goroutine.
+// The loop-owned counters come from the last finished round; the
+// front-door counters, health and gauges are read now.
 func (s *Service) Stats() Stats {
+	s.pubMu.Lock()
+	c := s.pub
+	s.pubMu.Unlock()
+	c.Submitted = s.submitted.Load()
+	c.Backlogged = s.refused.Load()
+	c.WALRetries = s.walRetries.Load()
 	h := s.Health()
+	c.Health, c.FailureCause = h.State.String(), h.Cause
+	c.Pending, c.Running = int64(s.cl.NumPending()), int64(s.cl.NumRunning())
 	return Stats{
-		Rounds:                s.rounds.Load(),
-		Submitted:             s.submitted.Load(),
-		Backlogged:            s.refused.Load(),
-		Placed:                s.placed.Load(),
-		Migrated:              s.migrated.Load(),
-		Preempted:             s.preempted.Load(),
-		Completed:             s.completed.Load(),
-		StaleCompletions:      s.staleCompletions.Load(),
-		StaleMachineOps:       s.staleMachineOps.Load(),
-		StaleDecisions:        s.staleDecisions.Load(),
-		Unscheduled:           s.unscheduled.Load(),
-		WatchDropped:          s.dropped.Load(),
-		SolverWarmStarts:      s.warmStarts.Load(),
-		SolverFullRestarts:    s.fullRestarts.Load(),
-		TemplateHits:          s.templateHits.Load(),
-		TemplateMisses:        s.templateMisses.Load(),
-		TemplateInvalidations: s.templateInvals.Load(),
-		WALRetries:            s.walRetries.Load(),
-		DegradedRounds:        s.degradedRounds.Load(),
-		WALRearms:             s.walRearms.Load(),
-		Health:                h.State.String(),
-		FailureCause:          h.Cause,
-		Pending:               int64(s.cl.NumPending()),
-		Running:               int64(s.cl.NumRunning()),
-		QueueDepth:            s.queueDepth.Snapshot(),
-		BatchSize:             s.batchSize.Snapshot(),
-		AlgorithmRuntime:      s.algoRuntime.Snapshot(),
-		RoundTime:             s.roundTime.Snapshot(),
-		PlacementLatency:      s.placementLatency.Snapshot(),
+		Counters:         c,
+		QueueDepth:       s.queueDepth.Snapshot(),
+		BatchSize:        s.batchSize.Snapshot(),
+		AlgorithmRuntime: s.algoRuntime.Snapshot(),
+		RoundTime:        s.roundTime.Snapshot(),
+		PlacementLatency: s.placementLatency.Snapshot(),
 	}
 }

@@ -110,6 +110,29 @@ func TestConcurrentSubmitters(t *testing.T) {
 		}
 	}()
 
+	// A poller reads Stats while the loop publishes: under -race this
+	// exercises the published counters, and a snapshot must never run
+	// backwards or count a completion before its placement.
+	pollStop, pollDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(pollDone)
+		var last Stats
+		for {
+			select {
+			case <-pollStop:
+				return
+			default:
+			}
+			st := svc.Stats()
+			if st.Rounds < last.Rounds || st.Completed < last.Completed || st.Completed > st.Placed {
+				t.Errorf("stats poll went backwards or out of order: %+v after %+v", st.Counters, last.Counters)
+				return
+			}
+			last = st
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+
 	var wg sync.WaitGroup
 	errCh := make(chan error, submitters)
 	for i := 0; i < submitters; i++ {
@@ -156,6 +179,8 @@ func TestConcurrentSubmitters(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	close(pollStop)
+	<-pollDone
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
@@ -755,5 +780,45 @@ func TestSubmitWaitCtxCanceled(t *testing.T) {
 	}
 	if got := cl.NumPending(); got != pendingBefore {
 		t.Fatalf("canceled SubmitWaitCtx changed pending from %d to %d", pendingBefore, got)
+	}
+}
+
+// TestStatsNeverShowHalfARound polls Stats between a round's op drain and
+// its solve. The counters the loop writes must still read as the previous
+// round left them — the drained completion is not yet counted, nor is the
+// round itself — and both must advance once the round ends.
+func TestStatsNeverShowHalfARound(t *testing.T) {
+	var clock time.Duration
+	svc := manualService(cluster.Topology{Racks: 1, MachinesPerRack: 1, SlotsPerMachine: 1}, &clock)
+	job, err := svc.Submit(cluster.Batch, 0, make([]cluster.TaskSpec, 1))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	clock = time.Millisecond
+	if _, err := svc.runRound(); err != nil {
+		t.Fatalf("runRound: %v", err)
+	}
+	before := svc.Stats()
+	if before.Rounds != 1 || before.Placed != 1 {
+		t.Fatalf("after the first round: rounds %d placed %d, want 1 and 1", before.Rounds, before.Placed)
+	}
+
+	if err := svc.Complete(job.Tasks[0]); err != nil {
+		t.Fatalf("Complete: %v", err)
+	}
+	var mid Stats
+	svc.testHookBeforeSchedule = func() { mid = svc.Stats() }
+	clock = 2 * time.Millisecond
+	if _, err := svc.runRound(); err != nil {
+		t.Fatalf("runRound: %v", err)
+	}
+	if mid.Completed != before.Completed || mid.Rounds != before.Rounds {
+		t.Fatalf("mid-round poll saw completed %d rounds %d, want the previous round's %d and %d",
+			mid.Completed, mid.Rounds, before.Completed, before.Rounds)
+	}
+	after := svc.Stats()
+	if after.Completed != before.Completed+1 || after.Rounds != before.Rounds+1 {
+		t.Fatalf("after the round: completed %d rounds %d, want %d and %d",
+			after.Completed, after.Rounds, before.Completed+1, before.Rounds+1)
 	}
 }
