@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -14,9 +15,9 @@ import (
 )
 
 // FuzzSubmitBody posts arbitrary bodies to POST /v1/jobs on a live service.
-// Every response must be a 2xx or a 4xx, nothing may panic, and a body the
-// server accepts must carry no negative duration, input size or network
-// demand — those would reach the cluster state and the journal.
+// Every response must be a 2xx or a 4xx, nothing may panic, and a body
+// that carries a negative duration, input size or network demand must get
+// 400 — those values would reach the cluster state and the journal.
 func FuzzSubmitBody(f *testing.F) {
 	for _, seed := range []string{
 		`{"tasks":[{}]}`,
@@ -47,22 +48,21 @@ func FuzzSubmitBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
-		switch {
-		case rec.Code >= 200 && rec.Code < 300:
-			// Decode as the server does: the first JSON value, trailing
-			// bytes ignored.
-			var req SubmitRequest
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				t.Fatalf("accepted a body that does not decode (%v): %q", err, body)
-			}
-			for i, ts := range req.Tasks {
-				if ts.DurationNs < 0 || ts.InputSize < 0 || ts.NetDemand < 0 {
-					t.Fatalf("accepted task %d with a negative field %+v: %q", i, ts, body)
-				}
-			}
-		case rec.Code >= 400 && rec.Code < 500:
-		default:
+		if !(rec.Code >= 200 && rec.Code < 300 || rec.Code >= 400 && rec.Code < 500) {
 			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
+		}
+		// Decode as the server does. A body that parses and carries a
+		// negative field must get 400 whatever the backlog, so the check
+		// holds once the backlog is full and valid bodies get 429.
+		var req SubmitRequest
+		dec := json.NewDecoder(http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), maxBodyBytes))
+		if dec.Decode(&req) != nil {
+			return
+		}
+		for i, ts := range req.Tasks {
+			if (ts.DurationNs < 0 || ts.InputSize < 0 || ts.NetDemand < 0) && rec.Code != http.StatusBadRequest {
+				t.Fatalf("status %d for task %d with a negative field %+v: %q", rec.Code, i, ts, body)
+			}
 		}
 	})
 }

@@ -324,10 +324,12 @@ func (s *Service) maybeRearm() {
 	if err := s.jrn.log.TruncateBefore(snapRetain); err != nil {
 		return
 	}
-	// Expose the re-arm before health reads ok, so a poll that sees ok
-	// sees it counted; the round's own counters follow at its end.
+	// Expose the re-arm alone before health reads ok, so a poll that sees
+	// ok sees it counted; the round's own counters follow at its end.
 	s.ctr.WALRearms++
-	s.exposeCounters()
+	s.pubMu.Lock()
+	s.pub.WALRearms = s.ctr.WALRearms
+	s.pubMu.Unlock()
 	s.clearHealthCause()
 	s.health.Store(int32(HealthOK))
 }

@@ -235,8 +235,9 @@ type Service struct {
 
 	// ctr holds the counters the scheduling loop alone writes (restore and
 	// replay write them before the loop starts). It is a plain value the
-	// loop owns; exposeCounters copies it to pub under pubMu at the end of
-	// every round, so Stats never sees half a round.
+	// loop owns; exposeCounters copies it to pub under pubMu once a round's
+	// accounting is done and again when the round ends, so Stats never
+	// sees half a round (see Stats for the two counters that trail or lead).
 	ctr   Counters
 	pubMu sync.Mutex
 	pub   Counters
@@ -902,6 +903,10 @@ func (s *Service) runRound() (progress bool, err error) {
 		}
 	}
 
+	// Expose the round before its placements go out, so a subscriber that
+	// has seen a placement finds its round in Stats; WatchDropped, counted
+	// as they go out, follows at the round's end.
+	s.exposeCounters()
 	s.publish(decisions)
 
 	if snapshotDue && durable {
@@ -994,8 +999,8 @@ func (s *Service) accountRound(rec *roundRecord, r *core.Round, ap core.ApplySta
 }
 
 // exposeCounters makes the loop-owned counters visible to Stats as one
-// whole: the loop calls it when a round ends, and restore and replay
-// before they hand the service over.
+// whole: the loop calls it before a round publishes and when the round
+// ends, and restore and replay before they hand the service over.
 func (s *Service) exposeCounters() {
 	s.pubMu.Lock()
 	s.pub = s.ctr
@@ -1109,7 +1114,11 @@ type Counters struct {
 
 // Stats is a point-in-time snapshot of the service's counters and
 // distributions. The counters the scheduling loop writes are those of the
-// last finished round: a poll never sees half a round.
+// last accounted round: a poll never sees half a round, and a Watch
+// subscriber that has seen a placement finds its round counted. Two
+// counters sit outside a round: WatchDropped, counted as a round's
+// placements go out, shows at that round's end, and WALRearms shows the
+// moment a re-arm flips health to ok, mid-round.
 type Stats struct {
 	Counters
 

@@ -822,3 +822,55 @@ func TestStatsNeverShowHalfARound(t *testing.T) {
 			after.Completed, after.Rounds, before.Completed+1, before.Rounds+1)
 	}
 }
+
+// TestStatsCountARoundBeforeWatchSeesIt: a subscriber that has drained
+// Watch to a round's last placement must find that round in Stats, without
+// polling. The round is a snapshot round, whose cut reads the clock after
+// the placements go out and before the round ends; the clock hook drains
+// Watch there and reads Stats, as a fast subscriber would.
+func TestStatsCountARoundBeforeWatchSeesIt(t *testing.T) {
+	var clock time.Duration
+	s, _ := manualDurable(t, t.TempDir(), &clock)
+	events, cancel := s.Watch()
+	defer cancel()
+	for s.Stats().Rounds+1-s.lastSnapRound < s.dur.SnapshotEvery {
+		clock += time.Millisecond
+		if _, err := s.runRound(); err != nil {
+			t.Fatalf("runRound: %v", err)
+		}
+	}
+	before := s.Stats()
+
+	const tasks = 3
+	job, err := s.Submit(cluster.Batch, 0, make([]cluster.TaskSpec, tasks))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	placed := 0
+	var atLast *Stats
+	s.testHookNow = func() time.Duration {
+		for len(events) > 0 {
+			if p := <-events; p.Kind == core.DecisionPlaced && p.Job == job.ID {
+				if placed++; placed == tasks {
+					st := s.Stats()
+					atLast = &st
+				}
+			}
+		}
+		return clock
+	}
+	clock += time.Millisecond
+	if _, err := s.runRound(); err != nil {
+		t.Fatalf("runRound: %v", err)
+	}
+	if s.lastSnapRound != before.Rounds+1 {
+		t.Fatalf("round %d cut no snapshot (last at %d); the test needs one", before.Rounds+1, s.lastSnapRound)
+	}
+	if atLast == nil {
+		t.Fatalf("saw %d of %d placements inside the round", placed, tasks)
+	}
+	if atLast.Placed != before.Placed+tasks || atLast.Rounds != before.Rounds+1 {
+		t.Fatalf("at the round's last placement: placed %d rounds %d, want %d and %d",
+			atLast.Placed, atLast.Rounds, before.Placed+tasks, before.Rounds+1)
+	}
+}
