@@ -9,6 +9,20 @@
 // time is supplied by the caller (the simulator or a real clock); the
 // cluster never reads a wall clock.
 //
+// # Retirement
+//
+// A job whose last task completes joins its shard's done list. Nothing
+// leaves the tables on its own: the owner calls RetireDone once every
+// consumer of the completion events has folded them in, and the listed
+// jobs and their task records are deleted, their task count added to the
+// shard's retired totals. The tables then hold live work only, and the
+// cost of retirement is proportional to the jobs retired. CountStates and
+// the snapshot carry the retired totals, so the task conservation
+// identity (pending + running + completed + failed = submitted) holds
+// across retirement. A retired job or task is unknown to Task, Job and
+// JobDone. The serving layer retires once per round; the simulator and
+// the experiments never do and keep every record.
+//
 // # Concurrency
 //
 // A Cluster is safe for concurrent use, and its front door scales with
@@ -32,6 +46,7 @@ package cluster
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -212,6 +227,10 @@ type shard struct {
 	events  []Event
 	evicted int     // EventTaskEvicted entries in events
 	spare   []Event // drained buffer recycled by DrainEventShards
+	done    []JobID // finished jobs awaiting RetireDone
+	// Retired totals: jobs RetireDone removed and their (completed) tasks.
+	retiredJobs  int64
+	retiredTasks int64
 }
 
 // Cluster is the authoritative cluster state.
@@ -479,6 +498,9 @@ func (c *Cluster) SubmitJobWithID(id JobID, class JobClass, priority int, now ti
 	sh := c.jobShard(id)
 	sh.mu.Lock()
 	sh.jobs[id] = job
+	if len(specs) == 0 {
+		sh.done = append(sh.done, id) // nothing to wait for
+	}
 	for i, spec := range specs {
 		t := &Task{
 			ID:         taskID(id, i),
@@ -599,7 +621,10 @@ func (c *Cluster) Complete(id TaskID, now time.Duration) error {
 	t.State = TaskCompleted
 	t.FinishTime = now
 	t.Machine = InvalidMachine
-	sh.jobs[t.Job].remaining-- // job lives in the task's shard
+	j := sh.jobs[t.Job] // the job lives in the task's shard
+	if j.remaining--; j.remaining == 0 {
+		sh.done = append(sh.done, j.ID)
+	}
 	sh.events = append(sh.events, Event{Kind: EventTaskCompleted, Task: id, Machine: m, Time: now})
 	c.numEvents.Add(1)
 	sh.mu.Unlock()
@@ -607,14 +632,58 @@ func (c *Cluster) Complete(id TaskID, now time.Duration) error {
 }
 
 // JobDone reports whether all tasks of the job have completed. An unknown
-// job is not done: remote clients can probe arbitrary IDs, so the lookup
-// must answer rather than panic.
+// job — a retired one included — is not done: remote clients can probe
+// arbitrary IDs, so the lookup must answer rather than panic.
 func (c *Cluster) JobDone(id JobID) bool {
 	sh := c.jobShard(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	j, ok := sh.jobs[id]
 	return ok && j.remaining == 0
+}
+
+// RetireDone deletes every finished job on the done lists, with its task
+// records, except the jobs in hold, which stay listed for the next call.
+// It returns the number of jobs retired; their tasks join the retired
+// totals. The caller must have folded the jobs' completion events into
+// whatever consumes them (the scheduler's graph looks task records up as
+// it removes their nodes). The work is proportional to the jobs retired
+// and their tasks: no table is walked.
+func (c *Cluster) RetireDone(hold []JobID) int {
+	n := 0
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		kept := sh.done[:0]
+		for _, id := range sh.done {
+			if slices.Contains(hold, id) {
+				kept = append(kept, id)
+				continue
+			}
+			j := sh.jobs[id]
+			for _, tid := range j.Tasks {
+				delete(sh.tasks, tid)
+			}
+			delete(sh.jobs, id)
+			sh.retiredJobs++
+			sh.retiredTasks += int64(len(j.Tasks))
+			n++
+		}
+		sh.done = kept
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// Retired returns the retired totals: jobs RetireDone has removed and
+// their tasks, all of which had completed.
+func (c *Cluster) Retired() (jobs, tasks int64) {
+	for _, sh := range c.shards {
+		sh.mu.RLock()
+		jobs += sh.retiredJobs
+		tasks += sh.retiredTasks
+		sh.mu.RUnlock()
+	}
+	return jobs, tasks
 }
 
 // RemoveMachine marks a machine unhealthy and evicts its tasks back to

@@ -450,3 +450,59 @@ func TestUnknownIDAccessors(t *testing.T) {
 		}
 	})
 }
+
+// TestRetireDone checks retirement: finished jobs leave the tables with
+// their tasks, held jobs wait for a later call, unfinished jobs stay, and
+// the tally still counts every task ever submitted.
+func TestRetireDone(t *testing.T) {
+	c := New(testTopo())
+	a := c.SubmitJob(Batch, 0, 0, []TaskSpec{{}, {}})
+	b := c.SubmitJob(Batch, 0, 0, []TaskSpec{{}})
+	live := c.SubmitJob(Batch, 0, 0, []TaskSpec{{}, {}})
+	empty := c.SubmitJob(Batch, 0, 0, nil)
+	for i, id := range []TaskID{a.Tasks[0], a.Tasks[1], b.Tasks[0], live.Tasks[0]} {
+		if err := c.Place(id, MachineID(i), time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []TaskID{a.Tasks[0], a.Tasks[1], b.Tasks[0], live.Tasks[0]} {
+		if err := c.Complete(id, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if n := c.RetireDone([]JobID{b.ID}); n != 2 {
+		t.Fatalf("RetireDone retired %d jobs, want 2 (a and the empty job; b held)", n)
+	}
+	for _, id := range []JobID{a.ID, empty.ID} {
+		if c.Job(id) != nil || c.JobDone(id) {
+			t.Fatalf("job %d still known after retirement", id)
+		}
+	}
+	if c.Task(a.Tasks[0]) != nil || c.Task(a.Tasks[1]) != nil {
+		t.Fatal("retired job's tasks still in the tables")
+	}
+	if err := c.Complete(a.Tasks[0], 3*time.Second); err == nil {
+		t.Fatal("Complete of a retired task succeeded")
+	}
+	if c.Job(b.ID) == nil || c.Job(live.ID) == nil || c.Task(live.Tasks[0]) == nil {
+		t.Fatal("a held or unfinished job was retired")
+	}
+	if jobs, tasks := c.Retired(); jobs != 2 || tasks != 2 {
+		t.Fatalf("Retired = (%d, %d), want (2, 2)", jobs, tasks)
+	}
+	if p, r, done, f := c.CountStates(); p != 1 || r != 0 || done != 4 || f != 0 {
+		t.Fatalf("CountStates = (%d, %d, %d, %d), want (1, 0, 4, 0)", p, r, done, f)
+	}
+
+	// The held job retires on the next call; nothing else is left to do.
+	if n := c.RetireDone(nil); n != 1 || c.Job(b.ID) != nil {
+		t.Fatalf("second RetireDone retired %d jobs (b known: %v), want 1", n, c.Job(b.ID) != nil)
+	}
+	if n := c.RetireDone(nil); n != 0 {
+		t.Fatalf("third RetireDone retired %d jobs, want 0", n)
+	}
+	if p, r, done, f := c.CountStates(); p+r+done+f != 5 {
+		t.Fatalf("CountStates = (%d, %d, %d, %d): %d tasks, want the 5 submitted", p, r, done, f, p+r+done+f)
+	}
+}

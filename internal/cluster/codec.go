@@ -9,14 +9,18 @@ import (
 )
 
 // This file is the durable representation of a Cluster: a deterministic
-// binary snapshot of the full job/task/machine tables (including the
-// undrained per-shard event journals) and the per-event codec used by the
-// service's write-ahead journal. Both use the fixed-width little-endian
-// wal.Enc/wal.Dec encoding so identical state always produces identical
-// bytes — the crash-recovery differential tests fingerprint the encoding
-// directly.
+// binary snapshot of the job/task/machine tables (including the undrained
+// per-shard event journals and the retired totals) and the per-event codec
+// used by the service's write-ahead journal. Both use the fixed-width
+// little-endian wal.Enc/wal.Dec encoding so identical state always
+// produces identical bytes — the crash-recovery differential tests
+// fingerprint the encoding directly.
 
-const snapVersion = 1
+// snapVersion 2 added each shard's retired totals; version-1 snapshots
+// (written before retirement existed) still decode, with zero totals.
+// Neither carries the done lists: a decoded job with no task left to
+// complete joins its shard's done list.
+const snapVersion = 2
 
 // EncodeEvent appends the wire form of one cluster event.
 //
@@ -96,7 +100,8 @@ func decodeTask(d *wal.Dec) *Task {
 	return t
 }
 
-// EncodeSnapshot serialises the complete cluster state. The caller must
+// EncodeSnapshot serialises the cluster state: the live tables and the
+// retired totals. The caller must
 // guarantee quiescence (no concurrent mutators) — in the service this runs
 // on the scheduling goroutine between rounds. Iteration is in sorted ID
 // order throughout so identical state yields identical bytes.
@@ -141,6 +146,8 @@ func (c *Cluster) EncodeSnapshot(e *wal.Enc) {
 				encodeTask(e, sh.tasks[tid])
 			}
 		}
+		e.I64(sh.retiredJobs)
+		e.I64(sh.retiredTasks)
 		// Undrained event journal: a fuzzy snapshot may capture a job whose
 		// submission events have not yet been consumed by the scheduler, so
 		// the queue is part of the state.
@@ -156,8 +163,9 @@ func (c *Cluster) EncodeSnapshot(e *wal.Enc) {
 //
 //firmament:deterministic
 func DecodeSnapshot(d *wal.Dec) (*Cluster, error) {
-	if v := d.U32(); v != snapVersion {
-		return nil, fmt.Errorf("cluster: snapshot version %d (want %d)", v, snapVersion)
+	v := d.U32()
+	if v != 1 && v != snapVersion {
+		return nil, fmt.Errorf("cluster: snapshot version %d (want <= %d)", v, snapVersion)
 	}
 	topo := Topology{
 		Racks:           int(d.I64()),
@@ -220,6 +228,13 @@ func DecodeSnapshot(d *wal.Dec) (*Cluster, error) {
 				}
 			}
 			sh.jobs[job.ID] = job
+			if job.remaining == 0 {
+				sh.done = append(sh.done, job.ID)
+			}
+		}
+		if v >= 2 {
+			sh.retiredJobs = d.I64()
+			sh.retiredTasks = d.I64()
 		}
 		ne := d.Len(8)
 		for k := 0; k < ne; k++ {
@@ -252,9 +267,10 @@ func (c *Cluster) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// CountStates tallies tasks by lifecycle state across all shards — the
-// restore path's accounting self-check compares these totals against the
-// journal-derived counters.
+// CountStates tallies tasks by lifecycle state across all shards, counting
+// retired tasks as completed — the restore path's accounting self-check
+// compares these totals against the journal-derived counters, and every
+// task ever submitted is in exactly one of them.
 //
 //firmament:deterministic
 func (c *Cluster) CountStates() (pending, running, completed, failed int) {
@@ -268,6 +284,7 @@ func (c *Cluster) CountStates() (pending, running, completed, failed int) {
 			ids = append(ids, id)
 		}
 		slices.Sort(ids)
+		completed += int(sh.retiredTasks)
 		for _, id := range ids {
 			switch sh.tasks[id].State {
 			case TaskPending:

@@ -172,3 +172,52 @@ func TestMachineOpErrors(t *testing.T) {
 		t.Fatalf("slots after remove+restore = %d, want 2", slots)
 	}
 }
+
+// TestSnapshotRetirement round-trips a cluster that has retired jobs and a
+// finished job not yet retired: the retired totals survive, and the
+// decoded cluster lists the finished job for its next RetireDone.
+func TestSnapshotRetirement(t *testing.T) {
+	c := buildMessyCluster(t, 1)
+	finish := func(j *Job, at time.Duration) {
+		t.Helper()
+		for i, id := range j.Tasks {
+			if err := c.Place(id, MachineID(i), at); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Complete(id, at+time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	finish(c.SubmitJob(Service, 1, 45*time.Second, []TaskSpec{{}, {}}), 46*time.Second)
+	c.RetireDone(nil)
+	retiredJobs, retiredTasks := c.Retired()
+	if retiredJobs == 0 {
+		t.Fatal("no job retired")
+	}
+	j := c.SubmitJob(Batch, 0, 50*time.Second, []TaskSpec{{}})
+	finish(j, 51*time.Second)
+
+	var e wal.Enc
+	c.EncodeSnapshot(&e)
+	c2, err := DecodeSnapshot(wal.NewDec(e.B))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Fingerprint() != c2.Fingerprint() {
+		t.Fatal("fingerprint mismatch after round trip")
+	}
+	if jobs, tasks := c2.Retired(); jobs != retiredJobs || tasks != retiredTasks {
+		t.Fatalf("decoded Retired = (%d, %d), want (%d, %d)", jobs, tasks, retiredJobs, retiredTasks)
+	}
+	p, r, done, f := c.CountStates()
+	if p2, r2, done2, f2 := c2.CountStates(); p2 != p || r2 != r || done2 != done || f2 != f {
+		t.Fatalf("decoded CountStates (%d, %d, %d, %d), want (%d, %d, %d, %d)", p2, r2, done2, f2, p, r, done, f)
+	}
+	if n := c2.RetireDone(nil); n != 1 || c2.Job(j.ID) != nil {
+		t.Fatalf("decoded RetireDone retired %d jobs, want the 1 finished since the last call", n)
+	}
+	if n := c.RetireDone(nil); n != 1 || c.Fingerprint() != c2.Fingerprint() {
+		t.Fatal("the original and the decoded cluster diverge after retiring the same job")
+	}
+}

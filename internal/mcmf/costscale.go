@@ -183,6 +183,9 @@ func (c *CostScaling) refine(g *flow.Graph, eps int64, opts *Options) error {
 	// most one direction can violate and both plane entries sit on the same
 	// cache lines.
 	for a := 0; a < g.ArcIDBound(); a += 2 {
+		if (a/2+1)%stopCheckInterval == 0 && opts.poll(phaseSaturate) {
+			return ErrStopped
+		}
 		fwd := flow.ArcID(a)
 		if !g.ArcInUse(fwd) {
 			continue
@@ -217,7 +220,7 @@ func (c *CostScaling) refine(g *flow.Graph, eps int64, opts *Options) error {
 	// front — essential for incremental warm starts, where a small epsilon
 	// would otherwise cross large potential gaps one relabel at a time —
 	// and again whenever relabels accumulate.
-	if err := c.priceUpdate(g, eps); err != nil {
+	if err := c.priceUpdate(g, eps, opts); err != nil {
 		return err
 	}
 	relabelBudget := 8*g.NumNodes() + 64
@@ -237,7 +240,7 @@ func (c *CostScaling) refine(g *flow.Graph, eps int64, opts *Options) error {
 		piU := g.Potential(u)
 		for c.excess[u] > 0 {
 			work++
-			if work%stopCheckInterval == 0 && opts.stopped() {
+			if work%stopCheckInterval == 0 && opts.poll(phaseDischarge) {
 				return ErrStopped
 			}
 			i := c.cur[u]
@@ -258,7 +261,7 @@ func (c *CostScaling) refine(g *flow.Graph, eps int64, opts *Options) error {
 				}
 				relabelsSinceUpdate++
 				if relabelsSinceUpdate > relabelBudget {
-					if err := c.priceUpdate(g, eps); err != nil {
+					if err := c.priceUpdate(g, eps, opts); err != nil {
 						return err
 					}
 					for j := 0; j < bound; j++ {
@@ -298,10 +301,11 @@ func (c *CostScaling) refine(g *flow.Graph, eps int64, opts *Options) error {
 // eps-optimality and turns every shortest path from an excess node into an
 // admissible path, collapsing what would otherwise be thousands of
 // single-eps relabels. An excess node that cannot reach any deficit proves
-// the problem infeasible.
+// the problem infeasible. The search checks for cancellation every
+// stopCheckInterval arcs relaxed.
 //
 //firmament:hotpath
-func (c *CostScaling) priceUpdate(g *flow.Graph, eps int64) error {
+func (c *CostScaling) priceUpdate(g *flow.Graph, eps int64, opts *Options) error {
 	const inf = int64(1) << 62
 	bound := g.NodeIDBound()
 	pl := g.ArcPlanes()
@@ -332,6 +336,7 @@ func (c *CostScaling) priceUpdate(g *flow.Graph, eps int64) error {
 	// >= D, which the relaxation of each finalized v already bounded by
 	// dist(v) + l.
 	cut := int64(-1)
+	var work int
 	for c.pq.size() > 0 {
 		nd := c.pq.pop()
 		v := nd.node
@@ -350,6 +355,9 @@ func (c *CostScaling) priceUpdate(g *flow.Graph, eps int64) error {
 		// pi(v) is loop-invariant, so hoist it out of the row scan.
 		piV := g.Potential(v)
 		for _, b := range c.adj.Out(v) {
+			if work++; work%stopCheckInterval == 0 && opts.poll(phasePriceUpdate) {
+				return ErrStopped
+			}
 			in := b ^ 1
 			if pl.Resid[in] <= 0 {
 				continue

@@ -34,8 +34,23 @@ var ErrStopped = errors.New("mcmf: solve cancelled")
 var ErrInfeasible = errors.New("mcmf: no feasible flow exists")
 
 // stopCheckInterval is how many units of solver work pass between
-// cooperative cancellation checks.
+// cooperative cancellation checks. Every phase of a solve that can do more
+// than that much work checks at this granularity, so a stopped solver
+// returns within one interval of the flag being set — the §6.1 race waits
+// for its loser before the round goes on.
 const stopCheckInterval = 4096
+
+// phase names a stretch of solver work with its own cancellation checks.
+type phase uint8
+
+const (
+	phaseRelaxQueue  phase = iota // relaxation: between iterations
+	phaseRelaxTree                // relaxation: growing one iteration's tree
+	phaseSaturate                 // cost scaling: a refine's saturation pass
+	phaseDischarge                // cost scaling: push-relabel discharge
+	phasePriceUpdate              // cost scaling: the set-relabel Dijkstra
+	numPhases
+)
 
 // Options configures a solve.
 type Options struct {
@@ -61,6 +76,10 @@ type Options struct {
 	// placements. The graph is in a consistent (feasible or CS-respecting)
 	// intermediate state during the call but must not be mutated.
 	SnapshotHook func(elapsed time.Duration)
+
+	// onPoll, if non-nil, observes every cancellation check of the phased
+	// solvers before Stop is read (tests).
+	onPoll func(phase)
 }
 
 func (o *Options) alpha() int64 {
@@ -72,6 +91,20 @@ func (o *Options) alpha() int64 {
 
 func (o *Options) stopped() bool {
 	return o != nil && o.Stop != nil && o.Stop.Load()
+}
+
+// poll is stopped for a check inside phase ph of relaxation or cost
+// scaling. A solve it stops leaves the graph's flow and potentials
+// mid-phase; the caller discards them (the §6.1 race re-clones the
+// replica, or copies the winner's solution over the main graph).
+func (o *Options) poll(ph phase) bool {
+	if o == nil {
+		return false
+	}
+	if o.onPoll != nil {
+		o.onPoll(ph)
+	}
+	return o.Stop != nil && o.Stop.Load()
 }
 
 func (o *Options) snapshot(start time.Time) {

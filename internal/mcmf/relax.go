@@ -61,6 +61,7 @@ type Relaxation struct {
 	delta   int64 // cumulative dual ascent of the current tree
 	surplus int64 // total excess trapped in Z
 	zresid  int64 // residual capacity of zero-rc arcs leaving Z
+	work    int   // tree-growth work since the last cancellation check
 }
 
 // NewRelaxation returns a relaxation solver.
@@ -102,6 +103,7 @@ func (r *Relaxation) run(g *flow.Graph, start time.Time, opts *Options) (Result,
 		}
 	}
 	r.excess = g.ImbalancesInto(r.excess)
+	r.work = 0
 	r.queue = r.queue[:0]
 	for i := 0; i < bound; i++ {
 		r.inQueue[i] = false
@@ -121,7 +123,7 @@ func (r *Relaxation) run(g *flow.Graph, start time.Time, opts *Options) (Result,
 		if r.excess[s] <= 0 {
 			continue
 		}
-		if opts.stopped() {
+		if opts.poll(phaseRelaxQueue) {
 			return Result{}, ErrStopped
 		}
 		if err := r.iterate(g, s, opts); err != nil {
@@ -146,10 +148,11 @@ func (r *Relaxation) run(g *flow.Graph, start time.Time, opts *Options) (Result,
 // label adds u to the tree Z (reached via arc `via`, InvalidArc for the
 // root) and classifies u's out-arcs into the zero-reduced-cost frontier,
 // the positive-reduced-cost crossing heap, or — for complementary
-// slackness violations — immediate saturation.
+// slackness violations — immediate saturation. It returns the number of
+// arcs scanned.
 //
 //firmament:hotpath
-func (r *Relaxation) label(g *flow.Graph, opts *Options, u flow.NodeID, via flow.ArcID) {
+func (r *Relaxation) label(g *flow.Graph, opts *Options, u flow.NodeID, via flow.ArcID) int {
 	r.labeled[u] = r.epoch
 	r.joinDelta[u] = r.delta
 	r.parent[u] = via
@@ -157,7 +160,8 @@ func (r *Relaxation) label(g *flow.Graph, opts *Options, u flow.NodeID, via flow
 	r.surplus += r.excess[u]
 	pl := g.ArcPlanes()
 	piU := g.Potential(u) // row-invariant: the scan never touches pi(u)
-	for _, a := range r.adj.Out(u) {
+	row := r.adj.Out(u)
+	for _, a := range row {
 		res := pl.Resid[a]
 		if res <= 0 {
 			continue
@@ -192,6 +196,19 @@ func (r *Relaxation) label(g *flow.Graph, opts *Options, u flow.NodeID, via flow
 			}
 		}
 	}
+	return len(row)
+}
+
+// spend counts n units of tree-growth work (arcs scanned or popped) and
+// reports, once per stopCheckInterval units, whether the solve must stop.
+//
+//firmament:hotpath
+func (r *Relaxation) spend(n int, opts *Options) bool {
+	if r.work += n; r.work < stopCheckInterval {
+		return false
+	}
+	r.work = 0
+	return opts.poll(phaseRelaxTree)
 }
 
 // finish applies the accumulated dual ascent to every node of the current
@@ -208,7 +225,8 @@ func (r *Relaxation) finish(g *flow.Graph) {
 // the zero-reduced-cost tree until either a deficit node is labeled (then
 // augment) or the trapped surplus exceeds the zero-cost out-capacity (then
 // saturate-and-ascend), repeating ascents until an augmentation happens or
-// the surplus has been pushed out of Z entirely.
+// the surplus has been pushed out of Z entirely. It checks for
+// cancellation as the tree grows (spend) and returns ErrStopped mid-tree.
 //
 //firmament:hotpath
 func (r *Relaxation) iterate(g *flow.Graph, s flow.NodeID, opts *Options) error {
@@ -219,7 +237,9 @@ func (r *Relaxation) iterate(g *flow.Graph, s flow.NodeID, opts *Options) error 
 	r.zprio.reset()
 	r.delta, r.surplus, r.zresid = 0, 0, 0
 
-	r.label(g, opts, s, flow.InvalidArc)
+	if r.spend(r.label(g, opts, s, flow.InvalidArc), opts) {
+		return ErrStopped
+	}
 	for {
 		if r.surplus <= 0 {
 			// All trapped surplus was pushed out of Z by saturations.
@@ -231,6 +251,9 @@ func (r *Relaxation) iterate(g *flow.Graph, s flow.NodeID, opts *Options) error 
 			fronts := [2]*arcDeque{&r.zprio, &r.zfront} // array, not slice: no heap allocation
 			for _, front := range fronts[:] {
 				for front.len() > 0 {
+					if r.spend(1, opts) {
+						return ErrStopped
+					}
 					a := front.popFront()
 					v := g.Head(a)
 					if r.labeled[v] == r.epoch {
@@ -259,6 +282,9 @@ func (r *Relaxation) iterate(g *flow.Graph, s flow.NodeID, opts *Options) error 
 			// crossing reduced cost.
 			stale := true
 			for stale {
+				if r.spend(1, opts) {
+					return ErrStopped
+				}
 				top, ok := r.heap.peek()
 				if !ok {
 					r.finish(g)
@@ -274,6 +300,9 @@ func (r *Relaxation) iterate(g *flow.Graph, s flow.NodeID, opts *Options) error 
 			r.delta = top.key // effective rc of top becomes zero
 			// Move every now-zero crossing arc to the frontier.
 			for {
+				if r.spend(1, opts) {
+					return ErrStopped
+				}
 				t, ok := r.heap.peek()
 				if !ok || t.key > r.delta {
 					break
@@ -352,7 +381,9 @@ func (r *Relaxation) iterate(g *flow.Graph, s flow.NodeID, opts *Options) error 
 			r.finish(g)
 			return nil
 		}
-		r.label(g, opts, v, a)
+		if r.spend(1+r.label(g, opts, v, a), opts) {
+			return ErrStopped
+		}
 	}
 }
 

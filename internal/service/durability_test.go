@@ -633,6 +633,138 @@ func TestOpenReplaysWALWithoutSnapshot(t *testing.T) {
 	}
 }
 
+// TestReplayDoesNotResurrectRetiredJobs pins the replay rule for submit
+// records: a submit held in flight across a snapshot cut pulls the replay
+// window back past a newer job that was placed, completed and retired
+// before the cut. That job's record is in the window and its job is absent
+// from the snapshot, yet replay must not register it again — absent means
+// retired here, not missed. The held job, which the cut had not
+// registered, must come back.
+func TestReplayDoesNotResurrectRetiredJobs(t *testing.T) {
+	var clock time.Duration
+	dir := t.TempDir()
+	a, _ := manualDurable(t, dir, &clock)
+	round := func() {
+		t.Helper()
+		clock += time.Millisecond
+		if _, err := a.runRound(); err != nil {
+			t.Fatalf("runRound: %v", err)
+		}
+	}
+
+	// A front-door submit paused between journaling its record and
+	// registering its job.
+	clock += time.Millisecond
+	held, heldAt := a.cl.AllocJobID(), clock
+	heldSpecs := make([]cluster.TaskSpec, 1)
+	var e wal.Enc
+	encodeSubmitRecord(&e, held, cluster.Batch, 0, heldAt, heldSpecs)
+	heldSeq, err := a.jrn.appendSubmit(e.B, held)
+	if err != nil {
+		t.Fatalf("appendSubmit: %v", err)
+	}
+
+	// A newer job lives its whole life meanwhile.
+	job, err := a.Submit(cluster.Batch, 0, make([]cluster.TaskSpec, 2))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	round()
+	for _, id := range job.Tasks {
+		if err := a.Complete(id); err != nil {
+			t.Fatalf("Complete: %v", err)
+		}
+	}
+	round()
+	if a.cl.Job(job.ID) != nil {
+		t.Fatalf("job %d finished but was not retired", job.ID)
+	}
+	if err := a.saveSnapshot(); err != nil {
+		t.Fatalf("saveSnapshot: %v", err)
+	}
+
+	// The held submit lands after the cut and is scheduled.
+	a.cl.SubmitJobWithID(held, cluster.Batch, 0, heldAt, heldSpecs)
+	a.jrn.releaseSubmit(heldSeq)
+	round()
+
+	// Crash (no Close) and restore.
+	b, info := manualDurable(t, dir, &clock)
+	if !info.Restored || info.SnapshotRound != 2 || info.ReplayedRounds != 1 {
+		t.Fatalf("RestoreInfo %+v, want the round-2 snapshot and one replayed round", *info)
+	}
+	if b.cl.Job(job.ID) != nil {
+		t.Fatalf("retired job %d resurrected by replay", job.ID)
+	}
+	if b.cl.Job(held) == nil {
+		t.Fatalf("held job %d lost", held)
+	}
+	if p, r, c, f := b.cl.CountStates(); p != 0 || r != 1 || c != 2 || f != 0 {
+		t.Fatalf("restored CountStates (%d, %d, %d, %d), want (0, 1, 2, 0)", p, r, c, f)
+	}
+	if got, want := b.cl.Fingerprint(), a.cl.Fingerprint(); got != want {
+		t.Fatalf("cluster fingerprint %x, want the live %x", got, want)
+	}
+	if got, want := b.sched.Fingerprint(), a.sched.Fingerprint(); got != want {
+		t.Fatalf("scheduler fingerprint %x, want the live %x", got, want)
+	}
+}
+
+// TestRetireHoldsInFlightSubmit covers the one job replay's cut cannot
+// speak for: one that registers, runs and finishes while its own submit
+// record is still in flight. Retired then, it would be absent from a
+// snapshot that lists its record as in flight, and replay would register
+// it again. Retirement therefore waits until the front door releases the
+// record.
+func TestRetireHoldsInFlightSubmit(t *testing.T) {
+	var clock time.Duration
+	dir := t.TempDir()
+	a, _ := manualDurable(t, dir, &clock)
+	round := func() {
+		t.Helper()
+		clock += time.Millisecond
+		if _, err := a.runRound(); err != nil {
+			t.Fatalf("runRound: %v", err)
+		}
+	}
+
+	// A submit paused between registering its job and releasing its record.
+	clock += time.Millisecond
+	id := a.cl.AllocJobID()
+	specs := make([]cluster.TaskSpec, 1)
+	var e wal.Enc
+	encodeSubmitRecord(&e, id, cluster.Batch, 0, clock, specs)
+	seq, err := a.jrn.appendSubmit(e.B, id)
+	if err != nil {
+		t.Fatalf("appendSubmit: %v", err)
+	}
+	job := a.cl.SubmitJobWithID(id, cluster.Batch, 0, clock, specs)
+	round()
+	if err := a.Complete(job.Tasks[0]); err != nil {
+		t.Fatalf("Complete: %v", err)
+	}
+	round()
+	if a.cl.Job(id) == nil {
+		t.Fatal("a job retired while its submit record was in flight")
+	}
+	if err := a.saveSnapshot(); err != nil {
+		t.Fatalf("saveSnapshot: %v", err)
+	}
+	a.jrn.releaseSubmit(seq)
+	round()
+	if a.cl.Job(id) != nil {
+		t.Fatal("the finished job did not retire once its record was released")
+	}
+
+	b, _ := manualDurable(t, dir, &clock)
+	if b.cl.Job(id) != nil {
+		t.Fatalf("retired job %d resurrected by replay", id)
+	}
+	if got, want := b.cl.Fingerprint(), a.cl.Fingerprint(); got != want {
+		t.Fatalf("cluster fingerprint %x, want the live %x", got, want)
+	}
+}
+
 // TestReplayTemplateDeterminism is the regression test for the replay
 // contract of template hits: a journal recorded with a warm cache contains
 // rounds that never solved (every placement came from the cache), and
@@ -801,7 +933,7 @@ func TestRestoreSnapshotMetaV1(t *testing.T) {
 	}
 	restore := func(snap []byte) *Service {
 		t.Helper()
-		s, _, err := restoreSnapshot(opts, bytes.NewReader(snap))
+		s, _, _, err := restoreSnapshot(opts, bytes.NewReader(snap))
 		if err != nil {
 			t.Fatalf("restoreSnapshot: %v", err)
 		}

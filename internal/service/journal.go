@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -37,8 +38,12 @@ import (
 // Snapshot low-water marks are "fuzzy": a snapshot may be cut while submits
 // are mid-registration and while accepted ops are still queued. The journal
 // tracks both — in-flight submit registrations and un-enacted intents — and
-// lowWater returns the minimum sequence any of them holds, so the replay
-// window always covers every record whose effect the snapshot might miss.
+// the cut's low-water mark is the minimum sequence any of them holds, so
+// the replay window always covers every record whose effect the snapshot
+// might miss. The window can therefore open before submits the snapshot
+// already reflects — some of whose jobs have finished and been retired —
+// so the snapshot also records the cut (snapCut) that tells replay which
+// submit records to skip.
 const (
 	recSubmit uint8 = 1 + iota
 	recIntent
@@ -103,32 +108,33 @@ type journal struct {
 	log *wal.Log
 
 	// mu guards the two barrier sets and makes append+register atomic with
-	// respect to lowWater — without that atomicity a snapshot cut between a
+	// respect to a snapshot cut — without that atomicity a cut between a
 	// submit's append and its registration would compute a low-water mark
 	// past the record and replay would never see the job.
 	mu       sync.Mutex
-	inflight map[uint64]struct{} // submit records not yet in the cluster tables
-	intents  map[uint64]struct{} // accepted ops not yet enacted by a round
+	inflight map[uint64]cluster.JobID // submit records, by job, not yet released as registered
+	intents  map[uint64]struct{}      // accepted ops not yet enacted by a round
 }
 
 func newJournal(log *wal.Log) *journal {
 	return &journal{
 		log:      log,
-		inflight: make(map[uint64]struct{}),
+		inflight: make(map[uint64]cluster.JobID),
 		intents:  make(map[uint64]struct{}),
 	}
 }
 
-// appendSubmit appends a submit record and registers its sequence as
-// in-flight; the caller must releaseSubmit once the job is in the cluster.
-func (j *journal) appendSubmit(payload []byte) (uint64, error) {
+// appendSubmit appends the submit record of job id and registers its
+// sequence as in-flight; the caller must releaseSubmit once the job is in
+// the cluster.
+func (j *journal) appendSubmit(payload []byte, id cluster.JobID) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	seq, err := j.log.Append(payload)
 	if err != nil {
 		return 0, err
 	}
-	j.inflight[seq] = struct{}{}
+	j.inflight[seq] = id
 	return seq, nil
 }
 
@@ -136,6 +142,19 @@ func (j *journal) releaseSubmit(seq uint64) {
 	j.mu.Lock()
 	delete(j.inflight, seq)
 	j.mu.Unlock()
+}
+
+// submitting appends to buf the jobs whose submit records are in flight.
+// Retirement holds them back: a job retired while its record was in
+// flight could be cut absent from a snapshot that also lists the record as
+// in flight, and replay would register it again.
+func (j *journal) submitting(buf []cluster.JobID) []cluster.JobID {
+	j.mu.Lock()
+	for _, id := range j.inflight {
+		buf = append(buf, id)
+	}
+	j.mu.Unlock()
+	return buf
 }
 
 // appendIntent appends an op-intent record and registers its sequence as
@@ -169,25 +188,43 @@ func (j *journal) consumeIntents(ops []enactedOp) {
 	j.mu.Unlock()
 }
 
-// lowWater returns the snapshot low-water mark: the lowest sequence number
-// whose effect might not be captured by a snapshot cut now. With no
-// in-flight submits and no pending intents that is lastSeq+1 (everything
-// journaled is reflected in state).
-func (j *journal) lowWater() uint64 {
+// snapCut is what a snapshot records about the journal at its cut: the
+// last sequence journaled, and the submit records then in flight (sorted).
+// Every other submit record at or below seq had registered its job before
+// the cut, so the snapshot holds that job — or retired it.
+type snapCut struct {
+	seq      uint64
+	inflight []uint64
+}
+
+// registered reports whether the state cut at c already reflects the
+// submit record seq: replay must not register it again.
+func (c *snapCut) registered(seq uint64) bool {
+	if c == nil {
+		return false // no cut recorded: the replay window alone decides
+	}
+	_, found := slices.BinarySearch(c.inflight, seq)
+	return seq <= c.seq && !found
+}
+
+// cut returns, under one lock, the snapshot low-water mark — the lowest
+// sequence whose effect a snapshot cut now might miss: the minimum held by
+// an in-flight submit or a pending intent, lastSeq+1 when there is none —
+// and the cut itself.
+func (j *journal) cut() (lw uint64, c snapCut) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	lw := j.log.LastSeq() + 1
+	c.seq = j.log.LastSeq()
+	lw = c.seq + 1
 	for s := range j.inflight {
-		if s < lw {
-			lw = s
-		}
+		c.inflight = append(c.inflight, s)
+		lw = min(lw, s)
 	}
+	slices.Sort(c.inflight)
 	for s := range j.intents {
-		if s < lw {
-			lw = s
-		}
+		lw = min(lw, s)
 	}
-	return lw
+	return lw, c
 }
 
 // syncTo makes record seq durable per the log's sync policy (flush to the

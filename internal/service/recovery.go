@@ -112,8 +112,11 @@ const snapRetain = 2
 
 // snapMetaVersion 2 added the template counters to the meta section and a
 // fourth snapshot section carrying the template cache; version-1 snapshots
-// (pre-template) still restore, with an empty cache.
-const snapMetaVersion = 2
+// (pre-template) still restore, with an empty cache. Version 3 appended the
+// journal cut (snapCut) to the meta section. Snapshots older than that were
+// written before jobs retired, so they hold every job their cut had
+// registered and replay's "register if absent" rule suffices for them.
+const snapMetaVersion = 3
 
 // Open builds a durable service: it opens (or creates) the write-ahead
 // journal in opts.Durability.Dir, restores the latest snapshot if one
@@ -188,10 +191,11 @@ func buildFromJournal(opts Options, dur DurabilityConfig, log *wal.Log) (*Servic
 	info := &RestoreInfo{}
 	var s *Service
 	var lastNow time.Duration
+	var cut *snapCut
 	r, lw, closeSnap, err := log.LatestSnapshot()
 	switch {
 	case err == nil:
-		s, lastNow, err = restoreSnapshot(opts, r)
+		s, lastNow, cut, err = restoreSnapshot(opts, r)
 		closeSnap()
 		if err != nil {
 			return nil, nil, err
@@ -208,7 +212,7 @@ func buildFromJournal(opts Options, dur DurabilityConfig, log *wal.Log) (*Servic
 		return nil, nil, err
 	}
 	s.attachJournal(log, dur)
-	if err := s.replay(lw, info.SnapshotRound, lastNow, info); err != nil {
+	if err := s.replay(lw, cut, info.SnapshotRound, lastNow, info); err != nil {
 		return nil, nil, fmt.Errorf("service: journal replay: %w", err)
 	}
 	s.lastSnapRound = s.ctr.Rounds
@@ -218,38 +222,39 @@ func buildFromJournal(opts Options, dur DurabilityConfig, log *wal.Log) (*Servic
 	return s, info, nil
 }
 
-// restoreSnapshot decodes the three snapshot sections — service meta,
-// cluster tables, scheduler (flow network + entity maps + solver scale) —
-// and rebuilds a stopped service around them.
-func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error) {
+// restoreSnapshot decodes the snapshot sections — service meta, cluster
+// tables, scheduler (flow network + entity maps + solver scale), template
+// cache — and rebuilds a stopped service around them. It returns the
+// journal cut the meta records, nil for a snapshot older than version 3.
+func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, *snapCut, error) {
 	meta, err := wal.ReadSection(r)
 	if err != nil {
-		return nil, 0, fmt.Errorf("service: snapshot meta: %w", err)
+		return nil, 0, nil, fmt.Errorf("service: snapshot meta: %w", err)
 	}
 	md := wal.NewDec(meta)
 	v := md.U32()
-	if v != 1 && v != snapMetaVersion {
-		return nil, 0, fmt.Errorf("service: snapshot meta version %d (want <= %d)", v, snapMetaVersion)
+	if v < 1 || v > snapMetaVersion {
+		return nil, 0, nil, fmt.Errorf("service: snapshot meta version %d (want <= %d)", v, snapMetaVersion)
 	}
 	rounds := md.I64()
 	lastNow := md.Dur()
 
 	cb, err := wal.ReadSection(r)
 	if err != nil {
-		return nil, 0, fmt.Errorf("service: snapshot cluster section: %w", err)
+		return nil, 0, nil, fmt.Errorf("service: snapshot cluster section: %w", err)
 	}
 	cl, err := cluster.DecodeSnapshot(wal.NewDec(cb))
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 
 	sb, err := wal.ReadSection(r)
 	if err != nil {
-		return nil, 0, fmt.Errorf("service: snapshot scheduler section: %w", err)
+		return nil, 0, nil, fmt.Errorf("service: snapshot scheduler section: %w", err)
 	}
 	sched, err := core.RestoreScheduler(cl, opts.Model(cl), opts.Scheduler, wal.NewDec(sb))
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 
 	s := newServiceWith(cl, sched, opts.Service)
@@ -261,13 +266,21 @@ func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error)
 	for _, c := range counters {
 		*c = md.I64()
 	}
+	var cut *snapCut
+	if v >= 3 {
+		cut = &snapCut{seq: md.U64()}
+		n := md.Len(8)
+		for i := 0; i < n; i++ {
+			cut.inflight = append(cut.inflight, md.U64())
+		}
+	}
 	if err := md.Err(); err != nil {
-		return nil, 0, fmt.Errorf("service: snapshot meta: %w", err)
+		return nil, 0, nil, fmt.Errorf("service: snapshot meta: %w", err)
 	}
 	if v >= 2 {
 		tb, err := wal.ReadSection(r)
 		if err != nil {
-			return nil, 0, fmt.Errorf("service: snapshot template section: %w", err)
+			return nil, 0, nil, fmt.Errorf("service: snapshot template section: %w", err)
 		}
 		td := wal.NewDec(tb)
 		if td.Bool() {
@@ -275,15 +288,15 @@ func restoreSnapshot(opts Options, r io.Reader) (*Service, time.Duration, error)
 				// The journal was recorded with templates on; replaying its
 				// round records needs the cache. Restoring without it would
 				// silently diverge, so fail loudly.
-				return nil, 0, errors.New("service: snapshot carries a template cache but Config.Templates is off (or the policy lacks a TemplateSignature)")
+				return nil, 0, nil, errors.New("service: snapshot carries a template cache but Config.Templates is off (or the policy lacks a TemplateSignature)")
 			}
 			s.tmpl.cache.DecodeInto(td)
 		}
 		if err := td.Err(); err != nil {
-			return nil, 0, fmt.Errorf("service: snapshot template section: %w", err)
+			return nil, 0, nil, fmt.Errorf("service: snapshot template section: %w", err)
 		}
 	}
-	return s, lastNow, nil
+	return s, lastNow, cut, nil
 }
 
 // snapCounters lists the loop-owned counters in the order a snapshot's meta
@@ -298,17 +311,23 @@ func (s *Service) snapCounters() []*int64 {
 }
 
 // saveSnapshot cuts one snapshot: meta (round count, virtual clock,
-// loop-owned counters), the cluster tables (including undrained event
-// queues — the snapshot is fuzzy), and the scheduler state. Called only
-// from the scheduling goroutine (between rounds) or after it has exited.
+// loop-owned counters, journal cut), the cluster tables (live jobs, retired
+// totals and undrained event queues — the snapshot is fuzzy), and the
+// scheduler state. Called only from the scheduling goroutine (between
+// rounds) or after it has exited.
 func (s *Service) saveSnapshot() error {
-	lw := s.jrn.lowWater()
+	lw, cut := s.jrn.cut()
 	var meta wal.Enc
 	meta.U32(snapMetaVersion)
 	meta.I64(s.ctr.Rounds)
 	meta.Dur(s.now())
 	for _, c := range s.snapCounters() {
 		meta.I64(*c)
+	}
+	meta.U64(cut.seq)
+	meta.U32(uint32(len(cut.inflight)))
+	for _, q := range cut.inflight {
+		meta.U64(q)
 	}
 	_, err := s.jrn.log.SaveSnapshot(lw, func(w io.Writer) error {
 		if err := wal.WriteSection(w, meta.B); err != nil {
@@ -337,7 +356,7 @@ func (s *Service) saveSnapshot() error {
 }
 
 // replay re-enacts the journal tail from sequence lw: submits not captured
-// by the snapshot re-register under their journaled IDs, op intents
+// by the snapshot (cut) re-register under their journaled IDs, op intents
 // accumulate, and round records past the snapshot's round re-run the
 // scheduling pipeline — recorded ops applied at the recorded virtual time,
 // the recorded event batches folded into the (warm) flow network with an
@@ -345,7 +364,7 @@ func (s *Service) saveSnapshot() error {
 // no round consumed are re-queued for the first live round.
 //
 //firmament:journaled replay consumes the journal: every registration here re-derives an already-durable record
-func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info *RestoreInfo) error {
+func (s *Service) replay(lw uint64, cut *snapCut, snapRound int64, lastNow time.Duration, info *RestoreInfo) error {
 	pending := make(map[uint64]op)
 	maxNow := lastNow
 	// cand reconstructs the template candidate queue: a submit record queues
@@ -367,10 +386,13 @@ func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info
 				maxNow = at
 			}
 			cand = append(cand, id)
-			// A fuzzy snapshot may already hold the job (its registration
-			// finished before the cluster section was encoded); replay only
-			// what it missed.
-			if s.cl.Job(id) == nil {
+			// The window may open before submits the cut had registered, and
+			// their jobs may since have finished and retired: absence alone
+			// does not mean missed, so those stay skipped. A submit the cut
+			// had not registered may still have landed before the cluster
+			// section was encoded (the snapshot is fuzzy); replay only what
+			// the snapshot missed.
+			if !cut.registered(seq) && s.cl.Job(id) == nil {
 				s.cl.SubmitJobWithID(id, class, prio, at, specs)
 			}
 		case recIntent:
@@ -445,11 +467,11 @@ func (s *Service) replay(lw uint64, snapRound int64, lastNow time.Duration, info
 }
 
 // replayRound re-enacts one journaled round through the live round's
-// stages: enactOp, foldAndSolve and accountRound. What it keeps is what
-// really differs — the inputs come from the record (ops whose staleness
-// must reproduce, the recorded event batches, decisions that are forced
-// rather than derived from the re-solve) and the journaled outcomes are
-// checked as they re-apply.
+// stages: enactOp, foldAndSolve, retireDone and accountRound. What it
+// keeps is what really differs — the inputs come from the record (ops
+// whose staleness must reproduce, the recorded event batches, decisions
+// that are forced rather than derived from the re-solve) and the journaled
+// outcomes are checked as they re-apply.
 func (s *Service) replayRound(rr *roundRecord) error {
 	s.ctr.Rounds++
 	if s.ctr.Rounds != rr.round {
@@ -504,6 +526,7 @@ func (s *Service) replayRound(rr *roundRecord) error {
 	for _, t := range rr.tmplInserts {
 		s.tmpl.cache.Insert(t)
 	}
+	s.retireDone()
 	s.accountRound(rr, r, ap)
 	return nil
 }

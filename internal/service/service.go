@@ -205,6 +205,8 @@ type Service struct {
 	// by the GraphManager's EventTap) and the solver decisions only when
 	// a journal is attached.
 	rec           roundRecord
+	recEnc        wal.Enc         // journalRound's encode buffer, reused every round
+	held          []cluster.JobID // retireDone's reused buffer: jobs whose submit is in flight
 	lastSnapRound int64
 	closeJrn      sync.Once
 	closeErr      error
@@ -442,7 +444,7 @@ func (s *Service) submit(class cluster.JobClass, priority int, specs []cluster.T
 	id := s.cl.AllocJobID()
 	var e wal.Enc
 	encodeSubmitRecord(&e, id, class, priority, now, specs)
-	seq, err := s.jrn.appendSubmit(e.B)
+	seq, err := s.jrn.appendSubmit(e.B, id)
 	if err != nil {
 		// A failed append may have torn the buffered frame; no in-place
 		// retry can mend it (the re-arm reopen does). Fail-stop surfaces
@@ -774,7 +776,8 @@ func (s *Service) pendingWork() bool {
 // events coalesce into the next round's batch.
 //
 // The round writes its outcome into s.rec as it goes and is built from the
-// three stages crash replay shares (enactOp, foldAndSolve, accountRound).
+// four stages crash replay shares (enactOp, foldAndSolve, retireDone,
+// accountRound).
 // What stays here is what only a live round does: drain the queues, admit
 // and record templates, apply the solver's decisions, journal, publish.
 func (s *Service) runRound() (progress bool, err error) {
@@ -888,6 +891,7 @@ func (s *Service) runRound() (progress bool, err error) {
 		}
 		s.algoRuntime.AddDuration(r.Stats.AlgorithmRuntime())
 	}
+	s.retireDone()
 	s.accountRound(rec, r, ap)
 
 	if durable {
@@ -974,6 +978,23 @@ func (s *Service) foldAndSolve(rec *roundRecord) (r *core.Round, events int, err
 	return r, r.Stats.Events, nil
 }
 
+// retireDone is the retirement stage, shared by the live round and crash
+// replay: once foldAndSolve has folded the round's completion events into
+// the graph, nothing but the cluster tables names the tasks of a finished
+// job, and the cluster drops those records (cluster.RetireDone). It runs
+// after the apply, so it adds nothing to placement latency, and before the
+// round is journaled and published. Done-ness follows from the enacted
+// ops alone, so replay, re-enacting the same ops, retires the same jobs at
+// the same point. Jobs whose submit record is still in flight wait for a
+// later round (journal.submitting).
+func (s *Service) retireDone() {
+	s.held = s.held[:0]
+	if s.jrn != nil {
+		s.held = s.jrn.submitting(s.held)
+	}
+	s.cl.RetireDone(s.held)
+}
+
 // accountRound is the accounting stage, shared by the live round and crash
 // replay: it adds the round's outcome to the service counters — the
 // apply's actions plus the record's template placements, the counter
@@ -1014,9 +1035,11 @@ func (s *Service) exposeCounters() {
 // intents and submits that precede it (all individually acknowledged), it
 // just re-solves instead of force-applying.
 func (s *Service) journalRound() error {
-	var e wal.Enc
-	encodeRoundRecord(&e, &s.rec)
-	seq, err := s.jrn.log.Append(e.B)
+	// Append copies the payload into the log's buffered writer, so the
+	// loop-owned buffer is free again as soon as it returns.
+	s.recEnc.B = s.recEnc.B[:0]
+	encodeRoundRecord(&s.recEnc, &s.rec)
+	seq, err := s.jrn.log.Append(s.recEnc.B)
 	if err != nil {
 		return err
 	}
@@ -1056,9 +1079,10 @@ type Counters struct {
 	Migrated   int64 `json:"migrated"`
 	Preempted  int64 `json:"preempted"`
 	Completed  int64 `json:"completed"`
-	// StaleCompletions counts queued completions that raced a preemption
-	// the previous round enacted: by the time the op drained, the task was
-	// no longer running.
+	// StaleCompletions counts queued completions that no longer applied
+	// when their op drained: the task had gone back to pending (a
+	// preemption the previous round enacted), or it is unknown — never
+	// submitted, or completed and retired with its job.
 	StaleCompletions int64 `json:"stale_completions"`
 	// StaleMachineOps counts machine remove/restore ops that no longer
 	// applied when their round drained them (remove of an already-removed

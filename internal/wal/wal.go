@@ -134,8 +134,9 @@ type Log struct {
 	segments []segment  // sorted by firstSeq; last is active
 	f        File       // active segment
 	w        *bufio.Writer
-	size     int64  // bytes written to active segment
-	lastSeq  uint64 // last appended sequence number
+	size     int64           // bytes written to active segment
+	lastSeq  uint64          // last appended sequence number
+	frame    [frameSize]byte // Append's frame header; a local would escape into the writer
 
 	syncMu     sync.Mutex // serialises fsync; queued callers form the commit group
 	flushedSeq uint64     // highest seq flushed to the OS (guarded by mu)
@@ -376,10 +377,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	var frame [frameSize]byte
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := l.w.Write(frame[:]); err != nil {
+	binary.LittleEndian.PutUint32(l.frame[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(l.frame[4:], crc32.Checksum(payload, castagnoli))
+	if _, err := l.w.Write(l.frame[:]); err != nil {
 		return 0, err
 	}
 	if _, err := l.w.Write(payload); err != nil {
