@@ -368,7 +368,7 @@ func ParseWALFailurePolicy(s string) (WALFailurePolicy, error) {
 const (
 	// SyncAlways fsyncs (group-committed) before every acknowledgement.
 	SyncAlways = wal.SyncAlways
-	// SyncBatch fsyncs on a timer (DurabilityConfig.SyncInterval).
+	// SyncBatch fsyncs every 50ms from the journal log's own pacer.
 	SyncBatch = wal.SyncBatch
 	// SyncNone leaves fsync to the OS (and snapshot/close barriers).
 	SyncNone = wal.SyncNone

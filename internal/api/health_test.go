@@ -36,7 +36,6 @@ func newFaultyAPI(t *testing.T, onFailure service.WALFailurePolicy) (*Client, *s
 			Dir:           t.TempDir(),
 			OnWALFailure:  onFailure,
 			ProbeInterval: time.Millisecond,
-			RetryBackoff:  time.Microsecond,
 			FS:            ffs,
 		},
 	})

@@ -148,7 +148,7 @@ func (c *Cluster) EncodeSnapshot(e *wal.Enc) {
 		}
 		e.I64(sh.retiredJobs)
 		e.I64(sh.retiredTasks)
-		// Undrained event journal: a fuzzy snapshot may capture a job whose
+		// Undrained event journal: a snapshot may capture a job whose
 		// submission events have not yet been consumed by the scheduler, so
 		// the queue is part of the state.
 		e.U32(uint32(len(sh.events)))

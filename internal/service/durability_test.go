@@ -524,7 +524,7 @@ func TestDurableGracefulRestart(t *testing.T) {
 		Model:      func(cl *cluster.Cluster) policy.CostModel { return policy.NewLoadSpread(cl) },
 		Scheduler:  detCfg(),
 		Service:    Config{RoundInterval: 200 * time.Microsecond},
-		Durability: DurabilityConfig{Dir: dir, Sync: wal.SyncBatch, SyncInterval: time.Millisecond},
+		Durability: DurabilityConfig{Dir: dir, Sync: wal.SyncBatch},
 	}
 	svc, info, err := Open(opts)
 	if err != nil {
@@ -634,12 +634,11 @@ func TestOpenReplaysWALWithoutSnapshot(t *testing.T) {
 }
 
 // TestReplayDoesNotResurrectRetiredJobs pins the replay rule for submit
-// records: a submit held in flight across a snapshot cut pulls the replay
-// window back past a newer job that was placed, completed and retired
-// before the cut. That job's record is in the window and its job is absent
-// from the snapshot, yet replay must not register it again — absent means
-// retired here, not missed. The held job, which the cut had not
-// registered, must come back.
+// records: a queued intent — the only thing that can hold the replay window
+// open past a registered submit — pulls the window back past a newer job
+// that was placed, completed and retired before the cut. That job's record
+// is in the window and its job is absent from the snapshot, yet replay must
+// not register it again: absent means retired here, not missed.
 func TestReplayDoesNotResurrectRetiredJobs(t *testing.T) {
 	var clock time.Duration
 	dir := t.TempDir()
@@ -652,16 +651,19 @@ func TestReplayDoesNotResurrectRetiredJobs(t *testing.T) {
 		}
 	}
 
-	// A front-door submit paused between journaling its record and
-	// registering its job.
-	clock += time.Millisecond
-	held, heldAt := a.cl.AllocJobID(), clock
-	heldSpecs := make([]cluster.TaskSpec, 1)
-	var e wal.Enc
-	encodeSubmitRecord(&e, held, cluster.Batch, 0, heldAt, heldSpecs)
-	heldSeq, err := a.jrn.appendSubmit(e.B, held)
+	old, err := a.Submit(cluster.Batch, 0, make([]cluster.TaskSpec, 1))
 	if err != nil {
-		t.Fatalf("appendSubmit: %v", err)
+		t.Fatalf("Submit: %v", err)
+	}
+	round() // 1: old placed
+
+	// A slow Complete of old's task: its intent is journaled, but the op
+	// reaches its shard only later (the front door is between the two).
+	done := op{kind: opComplete, task: old.Tasks[0]}
+	var e wal.Enc
+	encodeIntentRecord(&e, done)
+	if done.seq, err = a.jrn.appendIntent(e.B); err != nil {
+		t.Fatalf("appendIntent: %v", err)
 	}
 
 	// A newer job lives its whole life meanwhile.
@@ -669,38 +671,43 @@ func TestReplayDoesNotResurrectRetiredJobs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	round()
+	round() // 2: job placed
 	for _, id := range job.Tasks {
 		if err := a.Complete(id); err != nil {
 			t.Fatalf("Complete: %v", err)
 		}
 	}
-	round()
+	round() // 3: job completed and retired
 	if a.cl.Job(job.ID) != nil {
 		t.Fatalf("job %d finished but was not retired", job.ID)
 	}
-	if err := a.saveSnapshot(); err != nil {
-		t.Fatalf("saveSnapshot: %v", err)
-	}
 
-	// The held submit lands after the cut and is scheduled.
-	a.cl.SubmitJobWithID(held, cluster.Batch, 0, heldAt, heldSpecs)
-	a.jrn.releaseSubmit(heldSeq)
-	round()
+	// The slow Complete queues its op after round 4's drain; round 4 cuts
+	// the snapshot with it queued, so the window opens at its intent.
+	a.testHookBeforeSchedule = func() {
+		a.testHookBeforeSchedule = nil
+		sh := a.opShards[opShardKey(done)&a.opMask]
+		sh.mu.Lock()
+		sh.ops = append(sh.ops, done)
+		sh.mu.Unlock()
+		a.opsQueued.Add(1)
+	}
+	round() // 4: snapshot
+	if a.lastSnapRound != 4 {
+		t.Fatalf("round 4 cut no snapshot (last at %d)", a.lastSnapRound)
+	}
+	round() // 5: old completed and retired
 
 	// Crash (no Close) and restore.
 	b, info := manualDurable(t, dir, &clock)
-	if !info.Restored || info.SnapshotRound != 2 || info.ReplayedRounds != 1 {
-		t.Fatalf("RestoreInfo %+v, want the round-2 snapshot and one replayed round", *info)
+	if !info.Restored || info.SnapshotRound != 4 || info.ReplayedRounds != 1 {
+		t.Fatalf("RestoreInfo %+v, want the round-4 snapshot and one replayed round", *info)
 	}
 	if b.cl.Job(job.ID) != nil {
 		t.Fatalf("retired job %d resurrected by replay", job.ID)
 	}
-	if b.cl.Job(held) == nil {
-		t.Fatalf("held job %d lost", held)
-	}
-	if p, r, c, f := b.cl.CountStates(); p != 0 || r != 1 || c != 2 || f != 0 {
-		t.Fatalf("restored CountStates (%d, %d, %d, %d), want (0, 1, 2, 0)", p, r, c, f)
+	if p, r, c, f := b.cl.CountStates(); p != 0 || r != 0 || c != 3 || f != 0 {
+		t.Fatalf("restored CountStates (%d, %d, %d, %d), want (0, 0, 3, 0)", p, r, c, f)
 	}
 	if got, want := b.cl.Fingerprint(), a.cl.Fingerprint(); got != want {
 		t.Fatalf("cluster fingerprint %x, want the live %x", got, want)
@@ -710,58 +717,59 @@ func TestReplayDoesNotResurrectRetiredJobs(t *testing.T) {
 	}
 }
 
-// TestRetireHoldsInFlightSubmit covers the one job replay's cut cannot
-// speak for: one that registers, runs and finishes while its own submit
-// record is still in flight. Retired then, it would be absent from a
-// snapshot that lists its record as in flight, and replay would register
-// it again. Retirement therefore waits until the front door releases the
-// record.
-func TestRetireHoldsInFlightSubmit(t *testing.T) {
+// TestSnapshotWaitsForFrontDoor pins the pause a snapshot cut takes: with a
+// submit journaled but its job not yet registered (the front door holds
+// closeMu's read side between the two), a round due to snapshot must not
+// finish until the submit does. The snapshot then holds the job, so a
+// restore finds it though the replay window opens past its record.
+func TestSnapshotWaitsForFrontDoor(t *testing.T) {
 	var clock time.Duration
 	dir := t.TempDir()
 	a, _ := manualDurable(t, dir, &clock)
-	round := func() {
-		t.Helper()
+	for i := 0; i < 3; i++ {
 		clock += time.Millisecond
 		if _, err := a.runRound(); err != nil {
 			t.Fatalf("runRound: %v", err)
 		}
 	}
 
-	// A submit paused between registering its job and releasing its record.
+	// The front door, halfway through a durable submit.
 	clock += time.Millisecond
-	id := a.cl.AllocJobID()
-	specs := make([]cluster.TaskSpec, 1)
+	a.closeMu.RLock()
+	id, specs := a.cl.AllocJobID(), make([]cluster.TaskSpec, 1)
 	var e wal.Enc
 	encodeSubmitRecord(&e, id, cluster.Batch, 0, clock, specs)
-	seq, err := a.jrn.appendSubmit(e.B, id)
-	if err != nil {
+	if _, err := a.jrn.appendSubmit(e.B); err != nil {
 		t.Fatalf("appendSubmit: %v", err)
 	}
-	job := a.cl.SubmitJobWithID(id, cluster.Batch, 0, clock, specs)
-	round()
-	if err := a.Complete(job.Tasks[0]); err != nil {
-		t.Fatalf("Complete: %v", err)
+
+	finished := make(chan error, 1)
+	go func() {
+		_, err := a.runRound() // round 4: snapshot due
+		finished <- err
+	}()
+	select {
+	case err := <-finished:
+		a.closeMu.RUnlock()
+		t.Fatalf("the snapshot round finished (err %v) while a submit was between its append and its registration", err)
+	case <-time.After(100 * time.Millisecond):
 	}
-	round()
-	if a.cl.Job(id) == nil {
-		t.Fatal("a job retired while its submit record was in flight")
+	a.cl.SubmitJobWithID(id, cluster.Batch, 0, clock, specs)
+	a.closeMu.RUnlock()
+	if err := <-finished; err != nil {
+		t.Fatalf("runRound: %v", err)
 	}
-	if err := a.saveSnapshot(); err != nil {
-		t.Fatalf("saveSnapshot: %v", err)
-	}
-	a.jrn.releaseSubmit(seq)
-	round()
-	if a.cl.Job(id) != nil {
-		t.Fatal("the finished job did not retire once its record was released")
+	if a.lastSnapRound != 4 {
+		t.Fatalf("round 4 cut no snapshot (last at %d)", a.lastSnapRound)
 	}
 
-	b, _ := manualDurable(t, dir, &clock)
-	if b.cl.Job(id) != nil {
-		t.Fatalf("retired job %d resurrected by replay", id)
+	// Crash (no Close) and restore from that snapshot alone.
+	b, info := manualDurable(t, dir, &clock)
+	if !info.Restored || info.SnapshotRound != 4 || info.ReplayedRecords != 0 {
+		t.Fatalf("RestoreInfo %+v, want the round-4 snapshot and an empty tail", *info)
 	}
-	if got, want := b.cl.Fingerprint(), a.cl.Fingerprint(); got != want {
-		t.Fatalf("cluster fingerprint %x, want the live %x", got, want)
+	if b.cl.Job(id) == nil {
+		t.Fatalf("job %d, journaled before the cut, lost", id)
 	}
 }
 

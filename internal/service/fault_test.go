@@ -18,16 +18,14 @@ import (
 
 // faultDur is the durability configuration the fault tests run under:
 // fsync-per-ack so faults surface at the acknowledgement they endanger,
-// degrade-friendly retry/probe pacing tuned for manual rounds (a probe per
-// round), and the journal routed through the given fault-injecting FS.
+// probe pacing tuned for manual rounds (a probe per round), and the journal
+// routed through the given fault-injecting FS.
 func faultDur(fs wal.FS, onFailure WALFailurePolicy) DurabilityConfig {
 	return DurabilityConfig{
 		Sync:          wal.SyncAlways,
 		SnapshotEvery: 4,
 		SegmentBytes:  4096,
 		OnWALFailure:  onFailure,
-		RetryLimit:    2,
-		RetryBackoff:  time.Microsecond,
 		ProbeInterval: time.Nanosecond, // manual rounds: probe every round
 		FS:            fs,
 	}
@@ -101,6 +99,11 @@ func TestWALFailStopDistinguishable(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
+	}
+	// Let the round Open kicks off journal first: the fault below must
+	// reach the submit, not that round.
+	for svc.Stats().Rounds == 0 {
+		time.Sleep(100 * time.Microsecond)
 	}
 
 	ffs.Inject(faultfs.Fault{Op: faultfs.OpSync, Count: faultfs.Persistent, Err: syscall.EIO})
@@ -551,11 +554,19 @@ func TestWALFaultMatrixSeeded(t *testing.T) {
 // TestWALDegradeLiveConcurrent runs the degrade/heal/re-arm cycle on a real
 // service (loop running, concurrent submitters) — the race-detector coverage
 // for the health transitions, the volatile-path submits, and the re-arm's
-// journal swap under the close membrane.
+// journal swap under the close membrane — under both fsync-per-ack and the
+// batch policy, whose log paces its own background fsync.
 func TestWALDegradeLiveConcurrent(t *testing.T) {
+	for _, sync := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncBatch} {
+		t.Run(sync.String(), func(t *testing.T) { testWALDegradeLiveConcurrent(t, sync) })
+	}
+}
+
+func testWALDegradeLiveConcurrent(t *testing.T, sync wal.SyncPolicy) {
 	ffs := faultfs.New()
 	dur := faultDur(ffs, WALDegrade)
 	dur.Dir = t.TempDir()
+	dur.Sync = sync
 	dur.ProbeInterval = time.Millisecond
 	svc, _, err := Open(Options{
 		Topology:   cluster.Topology{Racks: 2, MachinesPerRack: 4, SlotsPerMachine: 8},
@@ -615,6 +626,10 @@ func TestWALDegradeLiveConcurrent(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		total += <-done
 	}
+	// Stay up across three ticks of the batch policy's 50ms fsync pacer,
+	// so the race detector sees it run against the journal the re-arm
+	// swapped in.
+	time.Sleep(150 * time.Millisecond)
 	if total == 0 {
 		t.Fatal("no submits landed across the degrade cycle")
 	}

@@ -154,18 +154,25 @@ func transientWALError(err error) bool {
 	return errors.Is(err, syscall.EINTR) || errors.Is(err, syscall.EAGAIN)
 }
 
+// walRetryLimit bounds in-round retries of a transient WAL sync error, and
+// walRetryBackoff is the first wait between them; each later wait doubles.
+const (
+	walRetryLimit   = 3
+	walRetryBackoff = time.Millisecond
+)
+
 // retryWAL runs fn, retrying transient errors with bounded exponential
-// backoff (RetryLimit attempts, RetryBackoff initial, doubling). Only sync
-// operations are retried this way: a failed append may have left a torn
-// frame in the buffered writer, which no in-place retry can repair — that
-// path goes straight to walFailure and is healed by the re-arm reopen.
+// backoff (walRetryLimit attempts, walRetryBackoff initial, doubling). Only
+// sync operations are retried this way: a failed append may have left a
+// torn frame in the buffered writer, which no in-place retry can repair —
+// that path goes straight to walFailure and is healed by the re-arm reopen.
 func (s *Service) retryWAL(fn func() error) error {
 	err := fn()
 	if err == nil {
 		return nil
 	}
-	backoff := s.dur.RetryBackoff
-	for attempt := 0; attempt < s.dur.RetryLimit && transientWALError(err); attempt++ {
+	backoff := walRetryBackoff
+	for attempt := 0; attempt < walRetryLimit && transientWALError(err); attempt++ {
 		s.walRetries.Add(1)
 		time.Sleep(backoff)
 		backoff *= 2
@@ -225,14 +232,15 @@ func (s *Service) fatalWAL() error {
 //     from the durable prefix with a continuous sequence numbering.
 //  2. Under the closeMu write lock (no front-door journaling straddles the
 //     swap), re-stamp the queued ops: ops accepted during the volatile
-//     window (seq 0) get fresh intent records, ops journaled before the
-//     failure re-register their old sequences with the new journal's
-//     low-water accounting. Then swap the journal in.
-//  3. Cut a fresh full snapshot. Everything the volatile window did —
-//     jobs, placements, completions — becomes durable at once. Only after
-//     the snapshot lands does health flip back to OK: an ack issued
-//     between swap and snapshot would otherwise cite state (volatile-era
-//     jobs) that recovery could not rebuild.
+//     window (seq 0), or whose records did not survive the reopen, get
+//     fresh intent records. Then swap the journal in.
+//  3. Still under the lock, cut a fresh full snapshot. Everything the
+//     volatile window did — jobs, placements, completions — becomes
+//     durable at once, and the queued ops' sequences, old and re-stamped,
+//     set its low-water mark like any other cut's. Only after the snapshot
+//     lands does health flip back to OK: an ack issued between swap and
+//     snapshot would otherwise cite state (volatile-era jobs) that
+//     recovery could not rebuild.
 //
 // Any failure along the way leaves the service degraded; the next probe
 // starts over.
@@ -259,10 +267,10 @@ func (s *Service) maybeRearm() {
 		log.Close()
 		return // open worked but writes still fail; stay degraded
 	}
-	jr := newJournal(log)
+	jr := &journal{log: log}
 	// Records past this point did not survive the reopen (torn tail, or a
 	// previous re-arm attempt whose appends never flushed): their ops are
-	// re-stamped like volatile ones rather than adopted.
+	// re-stamped like volatile ones.
 	durableSeq := log.LastSeq()
 	// Everything from the re-stamp through the health flip happens under
 	// the closeMu write lock. While degraded, submits are volatile: they
@@ -286,7 +294,6 @@ func (s *Service) maybeRearm() {
 		// drainer, so the shard slices are stable without sh.mu.
 		for i := range sh.ops {
 			if sh.ops[i].seq != 0 && sh.ops[i].seq <= durableSeq {
-				jr.adoptIntent(sh.ops[i].seq)
 				continue
 			}
 			var e wal.Enc
@@ -317,11 +324,7 @@ func (s *Service) maybeRearm() {
 	s.jrn = jr
 	// Health is still Degraded: front-door acks stay volatile until the
 	// snapshot below makes the whole volatile window durable.
-	if err := s.saveSnapshot(); err != nil {
-		return
-	}
-	s.lastSnapRound = s.ctr.Rounds
-	if err := s.jrn.log.TruncateBefore(snapRetain); err != nil {
+	if err := s.snapshot(); err != nil {
 		return
 	}
 	// Expose the re-arm alone before health reads ok, so a poll that sees

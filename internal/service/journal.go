@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"firmament/internal/cluster"
@@ -35,15 +34,14 @@ import (
 //     decisions: the solver race of §6.1 is timing-dependent, so the
 //     journal, not a re-run solve, is the ground truth for what happened.
 //
-// Snapshot low-water marks are "fuzzy": a snapshot may be cut while submits
-// are mid-registration and while accepted ops are still queued. The journal
-// tracks both — in-flight submit registrations and un-enacted intents — and
-// the cut's low-water mark is the minimum sequence any of them holds, so
-// the replay window always covers every record whose effect the snapshot
-// might miss. The window can therefore open before submits the snapshot
-// already reflects — some of whose jobs have finished and been retired —
-// so the snapshot also records the cut (snapCut) that tells replay which
-// submit records to skip.
+// Every snapshot is cut with the front door paused (closeMu's write side),
+// so at the cut each journaled submit has registered its job and each
+// journaled intent sits in an op shard or has been enacted. The replay
+// low-water mark is therefore the oldest intent still queued, or the next
+// sequence when none is. A queued intent can hold the window open before
+// submits the snapshot already reflects — some of whose jobs have finished
+// and been retired — so the snapshot also records the cut (snapCut) that
+// tells replay which submit records to skip.
 const (
 	recSubmit uint8 = 1 + iota
 	recIntent
@@ -103,95 +101,26 @@ func (rr *roundRecord) reset(round int64, now time.Duration) {
 	}
 }
 
-// journal wraps the WAL with the service's low-water-mark accounting.
+// journal is the service's handle on the WAL. Its appends need no
+// bookkeeping: snapshots are cut with the front door paused (see above).
 type journal struct {
 	log *wal.Log
-
-	// mu guards the two barrier sets and makes append+register atomic with
-	// respect to a snapshot cut — without that atomicity a cut between a
-	// submit's append and its registration would compute a low-water mark
-	// past the record and replay would never see the job.
-	mu       sync.Mutex
-	inflight map[uint64]cluster.JobID // submit records, by job, not yet released as registered
-	intents  map[uint64]struct{}      // accepted ops not yet enacted by a round
 }
 
-func newJournal(log *wal.Log) *journal {
-	return &journal{
-		log:      log,
-		inflight: make(map[uint64]cluster.JobID),
-		intents:  make(map[uint64]struct{}),
-	}
-}
+// appendSubmit appends a job's submit record; the caller registers the job
+// after it, under the same hold of closeMu's read side.
+func (j *journal) appendSubmit(payload []byte) (uint64, error) { return j.log.Append(payload) }
 
-// appendSubmit appends the submit record of job id and registers its
-// sequence as in-flight; the caller must releaseSubmit once the job is in
-// the cluster.
-func (j *journal) appendSubmit(payload []byte, id cluster.JobID) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	seq, err := j.log.Append(payload)
-	if err != nil {
-		return 0, err
-	}
-	j.inflight[seq] = id
-	return seq, nil
-}
-
-func (j *journal) releaseSubmit(seq uint64) {
-	j.mu.Lock()
-	delete(j.inflight, seq)
-	j.mu.Unlock()
-}
-
-// submitting appends to buf the jobs whose submit records are in flight.
-// Retirement holds them back: a job retired while its record was in
-// flight could be cut absent from a snapshot that also lists the record as
-// in flight, and replay would register it again.
-func (j *journal) submitting(buf []cluster.JobID) []cluster.JobID {
-	j.mu.Lock()
-	for _, id := range j.inflight {
-		buf = append(buf, id)
-	}
-	j.mu.Unlock()
-	return buf
-}
-
-// appendIntent appends an op-intent record and registers its sequence as
-// un-enacted; consumeIntents clears it when a round enacts the op.
-func (j *journal) appendIntent(payload []byte) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	seq, err := j.log.Append(payload)
-	if err != nil {
-		return 0, err
-	}
-	j.intents[seq] = struct{}{}
-	return seq, nil
-}
-
-// adoptIntent registers an already-durable intent sequence with this
-// journal's low-water accounting. The re-arm (health.go) builds a fresh
-// journal over the reopened log and carries the pre-failure intents over
-// with it, so the next snapshot's replay window still covers their records.
-func (j *journal) adoptIntent(seq uint64) {
-	j.mu.Lock()
-	j.intents[seq] = struct{}{}
-	j.mu.Unlock()
-}
-
-func (j *journal) consumeIntents(ops []enactedOp) {
-	j.mu.Lock()
-	for _, o := range ops {
-		delete(j.intents, o.seq)
-	}
-	j.mu.Unlock()
-}
+// appendIntent appends an op-intent record; the caller queues the op after
+// it, under the same hold of closeMu's read side.
+func (j *journal) appendIntent(payload []byte) (uint64, error) { return j.log.Append(payload) }
 
 // snapCut is what a snapshot records about the journal at its cut: the
 // last sequence journaled, and the submit records then in flight (sorted).
 // Every other submit record at or below seq had registered its job before
-// the cut, so the snapshot holds that job — or retired it.
+// the cut, so the snapshot holds that job — or retired it. Snapshots are
+// cut with the front door paused, so the list is written empty; snapshots
+// from before the pause may carry one, and restore honours it.
 type snapCut struct {
 	seq      uint64
 	inflight []uint64
@@ -205,26 +134,6 @@ func (c *snapCut) registered(seq uint64) bool {
 	}
 	_, found := slices.BinarySearch(c.inflight, seq)
 	return seq <= c.seq && !found
-}
-
-// cut returns, under one lock, the snapshot low-water mark — the lowest
-// sequence whose effect a snapshot cut now might miss: the minimum held by
-// an in-flight submit or a pending intent, lastSeq+1 when there is none —
-// and the cut itself.
-func (j *journal) cut() (lw uint64, c snapCut) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	c.seq = j.log.LastSeq()
-	lw = c.seq + 1
-	for s := range j.inflight {
-		c.inflight = append(c.inflight, s)
-		lw = min(lw, s)
-	}
-	slices.Sort(c.inflight)
-	for s := range j.intents {
-		lw = min(lw, s)
-	}
-	return lw, c
 }
 
 // syncTo makes record seq durable per the log's sync policy (flush to the

@@ -20,13 +20,10 @@ type DurabilityConfig struct {
 	Dir string
 	// Sync selects the fsync policy for front-door acknowledgements:
 	// SyncAlways fsyncs before every ack (group-committed), SyncBatch
-	// fsyncs on a SyncInterval timer, SyncNone leaves it to the OS. All
-	// policies flush to the OS before acking, so a killed process — as
+	// fsyncs on the log's own 50ms timer, SyncNone leaves it to the OS.
+	// All policies flush to the OS before acking, so a killed process — as
 	// opposed to a lost power supply — loses nothing acknowledged.
 	Sync wal.SyncPolicy
-	// SyncInterval paces the background fsync under SyncBatch.
-	// Default 50ms.
-	SyncInterval time.Duration
 	// SnapshotEvery cuts a cluster+graph snapshot every that many rounds,
 	// after which older log segments become collectable. Default 1024.
 	SnapshotEvery int64
@@ -37,12 +34,6 @@ type DurabilityConfig struct {
 	// WALDegrade keeps scheduling volatile, probes the disk, and re-arms
 	// durability once it heals. See docs/durability.md, fault model.
 	OnWALFailure WALFailurePolicy
-	// RetryLimit bounds in-round retries of transient WAL sync errors
-	// (EINTR, EAGAIN). Default 3; negative disables retry.
-	RetryLimit int
-	// RetryBackoff is the initial backoff between retries, doubling each
-	// attempt. Default 1ms.
-	RetryBackoff time.Duration
 	// ProbeInterval paces degraded-mode disk probes (re-arm attempts).
 	// Default 1s.
 	ProbeInterval time.Duration
@@ -52,17 +43,8 @@ type DurabilityConfig struct {
 }
 
 func (d DurabilityConfig) withDefaults() DurabilityConfig {
-	if d.SyncInterval <= 0 {
-		d.SyncInterval = 50 * time.Millisecond
-	}
 	if d.SnapshotEvery <= 0 {
 		d.SnapshotEvery = 1024
-	}
-	if d.RetryLimit == 0 {
-		d.RetryLimit = 3
-	}
-	if d.RetryBackoff <= 0 {
-		d.RetryBackoff = time.Millisecond
 	}
 	if d.ProbeInterval <= 0 {
 		d.ProbeInterval = time.Second
@@ -140,11 +122,6 @@ func Open(opts Options) (*Service, *RestoreInfo, error) {
 	if err != nil {
 		log.Close()
 		return nil, nil, err
-	}
-	if dur.Sync == wal.SyncBatch {
-		s.syncStop = make(chan struct{})
-		s.syncDone = make(chan struct{})
-		go s.syncLoop(dur.SyncInterval)
 	}
 	go s.loop()
 	s.wake() // recovered pending work (tasks, ops, queued events) needs a round
@@ -310,13 +287,39 @@ func (s *Service) snapCounters() []*int64 {
 	}
 }
 
-// saveSnapshot cuts one snapshot: meta (round count, virtual clock,
+// snapshot cuts a snapshot, notes its round and trims the log behind it.
+// The front door must be paused: the caller holds closeMu's write side, or
+// the service is closed and its loop has exited. Then no front-door call
+// sits between its WAL append and its registration or op push, so every
+// journaled submit has registered its job and every journaled intent is
+// queued in a shard or was enacted by a round. Called only from the
+// scheduling goroutine (between rounds) or after it has exited.
+func (s *Service) snapshot() error {
+	if err := s.saveSnapshot(); err != nil {
+		return err
+	}
+	s.lastSnapRound = s.ctr.Rounds
+	return s.jrn.log.TruncateBefore(snapRetain)
+}
+
+// saveSnapshot writes one snapshot: meta (round count, virtual clock,
 // loop-owned counters, journal cut), the cluster tables (live jobs, retired
-// totals and undrained event queues — the snapshot is fuzzy), and the
-// scheduler state. Called only from the scheduling goroutine (between
-// rounds) or after it has exited.
+// totals and undrained event queues), the scheduler state and the template
+// cache. Its low-water mark is the oldest intent still queued, or the next
+// sequence when none is: with the front door paused, every older record has
+// taken effect in the state written here.
 func (s *Service) saveSnapshot() error {
-	lw, cut := s.jrn.cut()
+	seq := s.jrn.log.LastSeq()
+	lw := seq + 1
+	// The front door is paused and the loop (or nobody) drains, so the
+	// shard slices are stable without sh.mu.
+	for _, sh := range s.opShards {
+		for _, o := range sh.ops {
+			if o.seq != 0 {
+				lw = min(lw, o.seq)
+			}
+		}
+	}
 	var meta wal.Enc
 	meta.U32(snapMetaVersion)
 	meta.I64(s.ctr.Rounds)
@@ -324,11 +327,8 @@ func (s *Service) saveSnapshot() error {
 	for _, c := range s.snapCounters() {
 		meta.I64(*c)
 	}
-	meta.U64(cut.seq)
-	meta.U32(uint32(len(cut.inflight)))
-	for _, q := range cut.inflight {
-		meta.U64(q)
-	}
+	meta.U64(seq) // the cut: every submit at or below it is registered
+	meta.U32(0)   // and none is in flight
 	_, err := s.jrn.log.SaveSnapshot(lw, func(w io.Writer) error {
 		if err := wal.WriteSection(w, meta.B); err != nil {
 			return err
@@ -386,12 +386,12 @@ func (s *Service) replay(lw uint64, cut *snapCut, snapRound int64, lastNow time.
 				maxNow = at
 			}
 			cand = append(cand, id)
-			// The window may open before submits the cut had registered, and
-			// their jobs may since have finished and retired: absence alone
-			// does not mean missed, so those stay skipped. A submit the cut
-			// had not registered may still have landed before the cluster
-			// section was encoded (the snapshot is fuzzy); replay only what
-			// the snapshot missed.
+			// A queued intent can hold the window open before submits the
+			// cut had registered, and their jobs may since have finished
+			// and retired: absence alone does not mean missed, so those stay
+			// skipped. A submit the cut had not registered (past its seq, or
+			// in flight in a snapshot from before the pause) is replayed
+			// only if the snapshot lacks its job.
 			if !cut.registered(seq) && s.cl.Job(id) == nil {
 				s.cl.SubmitJobWithID(id, class, prio, at, specs)
 			}
@@ -454,9 +454,9 @@ func (s *Service) replay(lw uint64, cut *snapCut, snapRound int64, lastNow time.
 		s.noteTemplateCandidate(id)
 	}
 
-	// The submission counter is front-door-owned and therefore not captured
-	// consistently by a fuzzy snapshot; every task ever submitted is in
-	// exactly one lifecycle state, so the cluster tables recompute it.
+	// The submission counter is front-door-owned and not in the snapshot;
+	// every task ever submitted is in exactly one lifecycle state, so the
+	// cluster tables recompute it.
 	p, r, c, f := s.cl.CountStates()
 	s.submitted.Store(int64(p + r + c + f))
 
@@ -538,19 +538,4 @@ func opShardKey(o op) int64 {
 		return int64(cluster.JobOfTask(o.task))
 	}
 	return int64(o.machine)
-}
-
-// syncLoop is the SyncBatch fsync pacer.
-func (s *Service) syncLoop(interval time.Duration) {
-	defer close(s.syncDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.syncStop:
-			return
-		case <-t.C:
-			s.jrn.log.Sync()
-		}
-	}
 }

@@ -71,13 +71,6 @@ type Config struct {
 	// (round pacing). Shorter intervals reduce placement latency; longer
 	// intervals batch more events per round. Default 1ms.
 	RoundInterval time.Duration
-	// IdleInterval caps the exponential backoff between rounds that make
-	// no progress: when tasks stay pending but no events arrive, the loop
-	// keeps re-solving (wait costs grow with time, so decisions can still
-	// change — the paper's continuous rescheduling) but decays from
-	// RoundInterval toward this ceiling instead of burning a core on
-	// identical solves. Default 100ms.
-	IdleInterval time.Duration
 	// MaxPendingFactor enables front-door backpressure: once the cluster's
 	// pending-task count exceeds MaxPendingFactor × TotalSlots, Submit
 	// returns ErrBacklogged and SubmitWait blocks. Zero (the default)
@@ -94,6 +87,14 @@ type Config struct {
 	Templates bool
 }
 
+// idleInterval caps the exponential backoff between rounds that make no
+// progress: when tasks stay pending but no events arrive, the loop keeps
+// re-solving (wait costs grow with time, so decisions can still change —
+// the paper's continuous rescheduling) but decays from RoundInterval toward
+// this ceiling (or RoundInterval, if longer) instead of burning a core on
+// identical solves.
+const idleInterval = 100 * time.Millisecond
+
 // subscriberBuffer is the per-subscriber channel capacity. Publishing never
 // blocks the round loop, so a subscriber that falls more than a full buffer
 // behind loses events (counted in Stats.WatchDropped); 65536 placements is
@@ -103,12 +104,6 @@ const subscriberBuffer = 65536
 func (c Config) withDefaults() Config {
 	if c.RoundInterval <= 0 {
 		c.RoundInterval = time.Millisecond
-	}
-	if c.IdleInterval <= 0 {
-		c.IdleInterval = 100 * time.Millisecond
-	}
-	if c.IdleInterval < c.RoundInterval {
-		c.IdleInterval = c.RoundInterval
 	}
 	return c
 }
@@ -185,12 +180,13 @@ type Service struct {
 	doneCh   chan struct{}
 	stopOnce sync.Once
 	closed   atomic.Bool
-	// closeMu serializes the closed transition against in-flight front-door
-	// registrations: submit and enqueue hold the read side while they
-	// re-check closed and register work, and every closed.Store(true)
-	// happens under the write side. Without it, a submitter that passed the
-	// entry check could register a job after the loop exited — handing the
-	// caller a handle that will never be scheduled.
+	// closeMu pauses the front door. Submit and enqueue hold the read side
+	// while they re-check closed, journal and register work; every
+	// closed.Store(true) and every snapshot cut happens under the write
+	// side. Without it, a submitter that passed the entry check could
+	// register a job after the loop exited — handing the caller a handle
+	// that will never be scheduled — and a snapshot could be cut between a
+	// record's append and its registration.
 	closeMu sync.RWMutex
 
 	// Durability (nil/zero when the service is not durable — New). The
@@ -205,13 +201,10 @@ type Service struct {
 	// by the GraphManager's EventTap) and the solver decisions only when
 	// a journal is attached.
 	rec           roundRecord
-	recEnc        wal.Enc         // journalRound's encode buffer, reused every round
-	held          []cluster.JobID // retireDone's reused buffer: jobs whose submit is in flight
+	recEnc        wal.Enc // journalRound's encode buffer, reused every round
 	lastSnapRound int64
 	closeJrn      sync.Once
 	closeErr      error
-	syncStop      chan struct{} // SyncBatch fsync pacer shutdown
-	syncDone      chan struct{}
 
 	// Test hooks (nil in production): testHookSubmit runs at the top of
 	// submit, before the close guard; testHookBeforeSchedule runs in
@@ -320,7 +313,7 @@ func (s *Service) now() time.Duration {
 // attachJournal makes the service durable: front-door mutations and rounds
 // are journaled from here on. Must run before the scheduling loop starts.
 func (s *Service) attachJournal(log *wal.Log, dur DurabilityConfig) {
-	s.jrn = newJournal(log)
+	s.jrn = &journal{log: log}
 	s.dur = dur
 	s.sched.GraphManager().EventTap = func(b []cluster.Event) {
 		s.rec.batches = append(s.rec.batches, slices.Clone(b))
@@ -437,14 +430,13 @@ func (s *Service) submit(class cluster.JobClass, priority int, specs []cluster.T
 		return job, nil
 	}
 	// Durable order: reserve the ID, journal the submission under it, then
-	// register it. The in-flight barrier keeps a concurrent snapshot's
-	// low-water mark at or below this record until the job is in the
-	// cluster tables, so recovery either finds the job in the snapshot or
-	// replays this record — never neither.
+	// register it. Snapshots are cut under closeMu's write side, so none
+	// falls between this append and the registration: recovery either finds
+	// the job in the snapshot or replays this record — never neither.
 	id := s.cl.AllocJobID()
 	var e wal.Enc
 	encodeSubmitRecord(&e, id, class, priority, now, specs)
-	seq, err := s.jrn.appendSubmit(e.B, id)
+	seq, err := s.jrn.appendSubmit(e.B)
 	if err != nil {
 		// A failed append may have torn the buffered frame; no in-place
 		// retry can mend it (the re-arm reopen does). Fail-stop surfaces
@@ -459,7 +451,6 @@ func (s *Service) submit(class cluster.JobClass, priority int, specs []cluster.T
 		return job, nil
 	}
 	job := s.cl.SubmitJobWithID(id, class, priority, now, specs)
-	s.jrn.releaseSubmit(seq)
 	s.noteTemplateCandidate(job.ID)
 	s.submitted.Add(int64(len(specs)))
 	s.wake()
@@ -637,14 +628,11 @@ func (s *Service) Close() error {
 	<-s.doneCh
 	if s.jrn != nil {
 		s.closeJrn.Do(func() {
-			if s.syncStop != nil {
-				close(s.syncStop)
-				<-s.syncDone
-			}
-			// A clean shutdown cuts a final snapshot (the loop is quiescent,
-			// so it captures everything) and trims the log; after a loop
-			// death the WAL alone is the consistent truth — the dying round
-			// never journaled, so its partial effects must not be snapshot.
+			// A clean shutdown cuts a final snapshot (the front door is
+			// closed and the loop has exited, so it captures everything) and
+			// trims the log; after a loop death the WAL alone is the
+			// consistent truth — the dying round never journaled, so its
+			// partial effects must not be snapshot.
 			// Unsolved template rounds may have left graph changes the
 			// snapshot codec cannot carry; then the WAL alone stays the
 			// consistent truth and no snapshot is cut. A degraded close
@@ -652,11 +640,7 @@ func (s *Service) Close() error {
 			// window was never promised durable.
 			degraded := s.degradedNow()
 			if s.Err() == nil && !degraded && s.sched.PendingChanges() == 0 {
-				if err := s.saveSnapshot(); err != nil {
-					s.closeErr = err
-				} else if err := s.jrn.log.TruncateBefore(snapRetain); err != nil {
-					s.closeErr = err
-				}
+				s.closeErr = s.snapshot()
 			}
 			if err := s.jrn.log.Close(); err != nil && s.closeErr == nil && !degraded {
 				s.closeErr = err
@@ -740,7 +724,7 @@ func (s *Service) loop() {
 		// More work already waiting (ops queued, events logged, or tasks
 		// still pending placement): keep going, pacing bounds the rate.
 		// Rounds that neither folded in events nor enacted decisions back
-		// off exponentially toward IdleInterval — tasks stuck pending on a
+		// off exponentially toward idleInterval — tasks stuck pending on a
 		// saturated cluster still get re-evaluated as their wait costs
 		// grow, without a core-burning solve every RoundInterval. A new
 		// front-door event kicks the loop immediately regardless.
@@ -751,8 +735,8 @@ func (s *Service) loop() {
 			} else {
 				idleRounds++
 				delay := s.cfg.RoundInterval << min(idleRounds, 16)
-				if delay > s.cfg.IdleInterval || delay <= 0 {
-					delay = s.cfg.IdleInterval
+				if ceiling := max(idleInterval, s.cfg.RoundInterval); delay > ceiling || delay <= 0 {
+					delay = ceiling
 				}
 				time.AfterFunc(delay, s.wake)
 			}
@@ -914,17 +898,12 @@ func (s *Service) runRound() (progress bool, err error) {
 	s.publish(decisions)
 
 	if snapshotDue && durable {
-		if err := s.saveSnapshot(); err != nil {
-			if !s.walFailure(err) {
-				return false, err
-			}
-		} else {
-			s.lastSnapRound = round
-			if err := s.jrn.log.TruncateBefore(snapRetain); err != nil {
-				if !s.walFailure(err) {
-					return false, err
-				}
-			}
+		// Pause the front door for the cut (see snapshot).
+		s.closeMu.Lock()
+		err := s.snapshot()
+		s.closeMu.Unlock()
+		if err != nil && !s.walFailure(err) {
+			return false, err
 		}
 	}
 
@@ -985,15 +964,8 @@ func (s *Service) foldAndSolve(rec *roundRecord) (r *core.Round, events int, err
 // after the apply, so it adds nothing to placement latency, and before the
 // round is journaled and published. Done-ness follows from the enacted
 // ops alone, so replay, re-enacting the same ops, retires the same jobs at
-// the same point. Jobs whose submit record is still in flight wait for a
-// later round (journal.submitting).
-func (s *Service) retireDone() {
-	s.held = s.held[:0]
-	if s.jrn != nil {
-		s.held = s.jrn.submitting(s.held)
-	}
-	s.cl.RetireDone(s.held)
-}
+// the same point.
+func (s *Service) retireDone() { s.cl.RetireDone(nil) }
 
 // accountRound is the accounting stage, shared by the live round and crash
 // replay: it adds the round's outcome to the service counters — the
@@ -1028,12 +1000,11 @@ func (s *Service) exposeCounters() {
 	s.pubMu.Unlock()
 }
 
-// journalRound appends the round record for the round just enacted and
-// clears its intents from the low-water barrier. The record is flushed to
-// the OS always and fsynced under SyncAlways; losing an un-synced round
-// record to a power cut is safe — recovery re-enacts the round from the
-// intents and submits that precede it (all individually acknowledged), it
-// just re-solves instead of force-applying.
+// journalRound appends the round record for the round just enacted. The
+// record is flushed to the OS always and fsynced under SyncAlways; losing an
+// un-synced round record to a power cut is safe — recovery re-enacts the
+// round from the intents and submits that precede it (all individually
+// acknowledged), it just re-solves instead of force-applying.
 func (s *Service) journalRound() error {
 	// Append copies the payload into the log's buffered writer, so the
 	// loop-owned buffer is free again as soon as it returns.
@@ -1043,7 +1014,6 @@ func (s *Service) journalRound() error {
 	if err != nil {
 		return err
 	}
-	s.jrn.consumeIntents(s.rec.ops)
 	return s.retryWAL(func() error { return s.jrn.syncTo(seq) })
 }
 

@@ -642,7 +642,7 @@ func TestSubmitCloseRaceStress(t *testing.T) {
 // Stats.Backlogged, not once per wakeup re-check.
 func TestSubmitWaitBackloggedCountedOnce(t *testing.T) {
 	svc, _ := newTestService(t, cluster.Topology{Racks: 1, MachinesPerRack: 1, SlotsPerMachine: 2},
-		Config{MaxPendingFactor: 2, IdleInterval: 2 * time.Millisecond})
+		Config{MaxPendingFactor: 2})
 	events, cancel := svc.Watch()
 	defer cancel()
 
@@ -674,9 +674,9 @@ func TestSubmitWaitBackloggedCountedOnce(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// The loop keeps re-solving the saturated cluster (idle backoff capped
-	// at 2ms) and broadcasts after every round, so the parked caller
-	// re-checks the backlog many times during this window.
-	time.Sleep(100 * time.Millisecond)
+	// at idleInterval, 100ms) and broadcasts after every round, so the
+	// parked caller re-checks the backlog several times during this window.
+	time.Sleep(350 * time.Millisecond)
 	select {
 	case err := <-waitDone:
 		t.Fatalf("SubmitWait returned %v while still backlogged", err)

@@ -42,6 +42,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 )
 
 // SyncPolicy selects when appended records are fsynced.
@@ -51,9 +52,10 @@ const (
 	// SyncAlways fsyncs before SyncTo returns. Group commit still batches
 	// concurrent callers into one fsync.
 	SyncAlways SyncPolicy = iota
-	// SyncBatch flushes records to the OS on every round but leaves fsync
-	// to the kernel (plus explicit Sync calls, e.g. before a snapshot).
-	// Survives process crashes (kill -9); may lose the tail on power loss.
+	// SyncBatch flushes records to the OS on every SyncTo and fsyncs them
+	// from a background pacer every batchSyncInterval (plus explicit Sync
+	// calls, e.g. before a snapshot). Survives process crashes (kill -9);
+	// may lose up to one interval's tail on power loss.
 	SyncBatch
 	// SyncNone never fsyncs except before snapshots and on Close.
 	SyncNone
@@ -96,6 +98,9 @@ const (
 	DefaultSegmentBytes = 64 << 20
 
 	maxRecordBytes = 1 << 30
+
+	// batchSyncInterval paces a SyncBatch log's background fsync.
+	batchSyncInterval = 50 * time.Millisecond
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -141,6 +146,12 @@ type Log struct {
 	syncMu     sync.Mutex // serialises fsync; queued callers form the commit group
 	flushedSeq uint64     // highest seq flushed to the OS (guarded by mu)
 	syncedSeq  uint64     // highest seq known fsynced (guarded by syncMu)
+
+	// The SyncBatch fsync pacer (nil channels under the other policies):
+	// Open starts it, Close stops it and waits for it to exit.
+	pacerStop chan struct{}
+	pacerDone chan struct{}
+	stopPacer sync.Once
 }
 
 // Open opens (creating if needed) the journal in dir and recovers its tail:
@@ -171,7 +182,30 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	l.flushedSeq = l.lastSeq
 	l.syncedSeq = l.lastSeq
+	if opts.Sync == SyncBatch {
+		l.pacerStop = make(chan struct{})
+		l.pacerDone = make(chan struct{})
+		go l.pace()
+	}
 	return l, nil
+}
+
+// pace is the SyncBatch fsync pacer: every batchSyncInterval it fsyncs
+// whatever has been appended since the last fsync. Its errors are dropped:
+// the next SyncTo, Sync or Close on a sick disk reports the fault to a
+// caller that can act on it.
+func (l *Log) pace() {
+	defer close(l.pacerDone)
+	t := time.NewTicker(batchSyncInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-l.pacerStop:
+			return
+		case <-t.C:
+			l.Sync()
+		}
+	}
 }
 
 // removeStaleTmp deletes leftover snapshot temp files. A crash between
@@ -714,8 +748,15 @@ func (l *Log) TruncateBefore(retain int) error {
 	return nil
 }
 
-// Close flushes, syncs and closes the active segment.
+// Close stops the SyncBatch pacer, then flushes, syncs and closes the
+// active segment.
 func (l *Log) Close() error {
+	if l.pacerStop != nil {
+		l.stopPacer.Do(func() {
+			close(l.pacerStop)
+			<-l.pacerDone
+		})
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {

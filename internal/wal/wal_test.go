@@ -7,8 +7,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func openT(t *testing.T, dir string, opts Options) *Log {
@@ -344,5 +347,59 @@ func TestEncDecRoundTrip(t *testing.T) {
 	d2.Str()
 	if d2.Err() == nil {
 		t.Fatal("truncated decode did not error")
+	}
+}
+
+// syncCountFS counts fsyncs of segment files.
+type syncCountFS struct {
+	FS
+	syncs atomic.Int64
+}
+
+type syncCountFile struct {
+	File
+	fs *syncCountFS
+}
+
+func (c *syncCountFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), "wal-") {
+		return f, err
+	}
+	return syncCountFile{f, c}, nil
+}
+
+func (f syncCountFile) Sync() error {
+	f.fs.syncs.Add(1)
+	return f.File.Sync()
+}
+
+// TestSyncBatchPacesItself: a SyncBatch log fsyncs what it has appended
+// within two pacer intervals, with no Sync or SyncTo call from its user,
+// and Close stops the pacer before it returns.
+func TestSyncBatchPacesItself(t *testing.T) {
+	fs := &syncCountFS{FS: OSFS}
+	l := openT(t, t.TempDir(), Options{Sync: SyncBatch, FS: fs})
+	if _, err := l.Append([]byte("paced")); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	before := fs.syncs.Load()
+	deadline := time.Now().Add(2 * batchSyncInterval)
+	for fs.syncs.Load() == before {
+		if time.Now().After(deadline) {
+			t.Fatalf("no fsync within %v of an append", 2*batchSyncInterval)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	select {
+	case <-l.pacerDone:
+	default:
+		t.Fatal("Close returned with the pacer still running")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
