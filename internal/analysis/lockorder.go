@@ -16,7 +16,7 @@ import (
 //     the acquisition order provably ascends (waiver with the argument);
 //   - no blocking channel send under any mutex — publish paths use
 //     select-with-default, which is allowed;
-//   - no WAL fsync (Sync/SyncTo/syncTo/syncNow) under any mutex. The WAL's
+//   - no WAL fsync (Sync/SyncTo/syncNow) under any mutex. The WAL's
 //     own group-commit coordinator syncMu exists precisely to serialize
 //     fsyncs *outside* the buffer lock and is exempt.
 //
@@ -208,7 +208,7 @@ func handleLockCall(pass *Pass, call *ast.CallExpr, held heldSet) {
 		}
 		name, _ := classifyLock(pass, sel.X)
 		delete(held, name)
-	case "Sync", "SyncTo", "syncTo", "syncNow":
+	case "Sync", "SyncTo", "syncNow":
 		if name, blocked := held.anyNonExempt(); blocked {
 			pass.Reportf(call.Pos(), "fsync (%s) while holding %s stalls every contender for the lock; sync after unlocking", sel.Sel.Name, name)
 		}

@@ -2,17 +2,20 @@
 // the journal-before-publish rules apply as in the real internal/service.
 package fixture
 
-type journal struct{}
+// Log stands in for wal.Log, whose Append makes a record durable.
+type Log struct{}
 
-func (journal) appendSubmit(b []byte) (uint64, error) { return 0, nil }
-func (journal) appendIntent(b []byte) (uint64, error) { return 0, nil }
+func (*Log) Append(b []byte) (uint64, error) { return 0, nil }
+
+func encodeSubmitRecord(b *[]byte) {}
+func encodeIntentRecord(b *[]byte) {}
 
 type registry struct{}
 
 func (registry) SubmitJobWithID(id int64) {}
 
 type svc struct {
-	jrn journal
+	jrn *Log
 	cl  registry
 }
 
@@ -30,20 +33,30 @@ func (s *svc) goodRound(v int) {
 }
 
 func (s *svc) badSubmit() {
-	s.cl.SubmitJobWithID(1) // want `before appendSubmit`
+	s.cl.SubmitJobWithID(1) // want `before its submit record was journaled`
 }
 
 func (s *svc) goodSubmit(b []byte) {
-	_, _ = s.jrn.appendSubmit(b)
+	encodeSubmitRecord(&b)
+	_, _ = s.jrn.Append(b)
 	s.cl.SubmitJobWithID(1)
 }
 
-// intentOnlyDoesNotCoverSubmit: appendIntent satisfies the publish rule
-// but not the stricter register rule.
+// intentOnlyDoesNotCoverSubmit: an intent append satisfies the publish
+// rule but not the stricter register rule.
 func (s *svc) intentOnly(b []byte) {
-	_, _ = s.jrn.appendIntent(b)
+	encodeIntentRecord(&b)
+	_, _ = s.jrn.Append(b)
 	s.publish(1)
-	s.cl.SubmitJobWithID(1) // want `before appendSubmit`
+	s.cl.SubmitJobWithID(1) // want `before its submit record was journaled`
+}
+
+// submitAfterAppend: the submit record must be encoded before the append
+// that journals it.
+func (s *svc) submitAfterAppend(b []byte) {
+	_, _ = s.jrn.Append(b)
+	encodeSubmitRecord(&b)
+	s.cl.SubmitJobWithID(1) // want `before its submit record was journaled`
 }
 
 //firmament:journaled fixture: replay consumes the journal, writes re-derive durable records

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // WALOrder enforces the journal-before-publish rule of internal/service
@@ -13,10 +14,12 @@ import (
 //
 // Concretely, within internal/service:
 //
-//   - a call to publish(...) requires an earlier call (by source
-//     position, the walk's dominance approximation) to journalRound,
-//     appendSubmit, or appendIntent in the same function;
-//   - a call to SubmitJobWithID requires an earlier appendSubmit.
+//   - a call to publish(...) requires an earlier journal append (by
+//     source position, the walk's dominance approximation) in the same
+//     function: a call to journalRound, or Append on the write-ahead log
+//     (a *wal.Log);
+//   - a call to SubmitJobWithID requires an earlier journal append of a
+//     submit record: an Append that follows a call to encodeSubmitRecord.
 //
 // Functions annotated //firmament:journaled are exempt: they *consume*
 // the journal (replay/restore), so their writes are re-derivations of
@@ -25,13 +28,6 @@ var WALOrder = &Analyzer{
 	Name: "walorder",
 	Doc:  "requires WAL appends to dominate publishes and job registration in internal/service",
 	Run:  runWALOrder,
-}
-
-// journalAppends are the service methods that make a record durable.
-var journalAppends = map[string]bool{
-	"journalRound": true,
-	"appendSubmit": true,
-	"appendIntent": true,
 }
 
 func runWALOrder(pass *Pass) error {
@@ -49,24 +45,27 @@ func runWALOrder(pass *Pass) error {
 
 func checkWALOrderFunc(pass *Pass, fn *ast.FuncDecl) {
 	var (
-		firstAppend = token.Pos(0) // earliest journal append of any kind
-		firstSubmit = token.Pos(0) // earliest appendSubmit specifically
+		firstAppend  = token.Pos(0) // earliest journal append of any kind
+		encodeSubmit = token.Pos(0) // earliest encodeSubmitRecord call
+		firstSubmit  = token.Pos(0) // earliest append after encodeSubmit
 	)
-	// First sweep: find the earliest journal appends.
+	// First sweep, which visits calls in source order: find the earliest
+	// journal append, and the earliest one that follows a submit encoding.
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		name := calleeMethodName(call)
-		if !journalAppends[name] {
-			return true
+		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "encodeSubmitRecord" && encodeSubmit == 0 {
+			encodeSubmit = call.Pos()
 		}
-		if firstAppend == 0 || call.Pos() < firstAppend {
-			firstAppend = call.Pos()
-		}
-		if name == "appendSubmit" && (firstSubmit == 0 || call.Pos() < firstSubmit) {
-			firstSubmit = call.Pos()
+		if isJournalAppend(pass, call) {
+			if firstAppend == 0 {
+				firstAppend = call.Pos()
+			}
+			if encodeSubmit != 0 && firstSubmit == 0 {
+				firstSubmit = call.Pos()
+			}
 		}
 		return true
 	})
@@ -83,11 +82,32 @@ func checkWALOrderFunc(pass *Pass, fn *ast.FuncDecl) {
 			}
 		case "SubmitJobWithID":
 			if firstSubmit == 0 || call.Pos() < firstSubmit {
-				pass.Reportf(call.Pos(), "job registered in the cluster before appendSubmit made it durable (journal-before-register)")
+				pass.Reportf(call.Pos(), "job registered in the cluster before its submit record was journaled (journal-before-register)")
 			}
 		}
 		return true
 	})
+}
+
+// isJournalAppend reports whether call makes a record durable: the
+// journalRound stage, or Append on a write-ahead log (a named Log type).
+func isJournalAppend(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	switch sel.Sel.Name {
+	case "journalRound":
+		return true
+	case "Append":
+		t := pass.Info.TypeOf(sel.X)
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		named, ok := t.(*types.Named)
+		return ok && named.Obj().Name() == "Log"
+	}
+	return false
 }
 
 // calleeMethodName returns the bare method/function name of a call's

@@ -46,7 +46,6 @@ package cluster
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -643,22 +642,16 @@ func (c *Cluster) JobDone(id JobID) bool {
 }
 
 // RetireDone deletes every finished job on the done lists, with its task
-// records, except the jobs in hold, which stay listed for the next call.
-// It returns the number of jobs retired; their tasks join the retired
-// totals. The caller must have folded the jobs' completion events into
+// records. It returns the number of jobs retired; their tasks join the
+// retired totals. The caller must have folded the jobs' completion events into
 // whatever consumes them (the scheduler's graph looks task records up as
 // it removes their nodes). The work is proportional to the jobs retired
 // and their tasks: no table is walked.
-func (c *Cluster) RetireDone(hold []JobID) int {
+func (c *Cluster) RetireDone() int {
 	n := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		kept := sh.done[:0]
 		for _, id := range sh.done {
-			if slices.Contains(hold, id) {
-				kept = append(kept, id)
-				continue
-			}
 			j := sh.jobs[id]
 			for _, tid := range j.Tasks {
 				delete(sh.tasks, tid)
@@ -668,7 +661,7 @@ func (c *Cluster) RetireDone(hold []JobID) int {
 			sh.retiredTasks += int64(len(j.Tasks))
 			n++
 		}
-		sh.done = kept
+		sh.done = sh.done[:0]
 		sh.mu.Unlock()
 	}
 	return n

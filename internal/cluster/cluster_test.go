@@ -452,8 +452,8 @@ func TestUnknownIDAccessors(t *testing.T) {
 }
 
 // TestRetireDone checks retirement: finished jobs leave the tables with
-// their tasks, held jobs wait for a later call, unfinished jobs stay, and
-// the tally still counts every task ever submitted.
+// their tasks, unfinished jobs stay, and the tally still counts every task
+// ever submitted.
 func TestRetireDone(t *testing.T) {
 	c := New(testTopo())
 	a := c.SubmitJob(Batch, 0, 0, []TaskSpec{{}, {}})
@@ -471,36 +471,33 @@ func TestRetireDone(t *testing.T) {
 		}
 	}
 
-	if n := c.RetireDone([]JobID{b.ID}); n != 2 {
-		t.Fatalf("RetireDone retired %d jobs, want 2 (a and the empty job; b held)", n)
+	if n := c.RetireDone(); n != 3 {
+		t.Fatalf("RetireDone retired %d jobs, want 3 (a, b and the empty job)", n)
 	}
-	for _, id := range []JobID{a.ID, empty.ID} {
+	for _, id := range []JobID{a.ID, b.ID, empty.ID} {
 		if c.Job(id) != nil || c.JobDone(id) {
 			t.Fatalf("job %d still known after retirement", id)
 		}
 	}
-	if c.Task(a.Tasks[0]) != nil || c.Task(a.Tasks[1]) != nil {
+	if c.Task(a.Tasks[0]) != nil || c.Task(a.Tasks[1]) != nil || c.Task(b.Tasks[0]) != nil {
 		t.Fatal("retired job's tasks still in the tables")
 	}
 	if err := c.Complete(a.Tasks[0], 3*time.Second); err == nil {
 		t.Fatal("Complete of a retired task succeeded")
 	}
-	if c.Job(b.ID) == nil || c.Job(live.ID) == nil || c.Task(live.Tasks[0]) == nil {
-		t.Fatal("a held or unfinished job was retired")
+	if c.Job(live.ID) == nil || c.Task(live.Tasks[0]) == nil {
+		t.Fatal("an unfinished job was retired")
 	}
-	if jobs, tasks := c.Retired(); jobs != 2 || tasks != 2 {
-		t.Fatalf("Retired = (%d, %d), want (2, 2)", jobs, tasks)
+	if jobs, tasks := c.Retired(); jobs != 3 || tasks != 3 {
+		t.Fatalf("Retired = (%d, %d), want (3, 3)", jobs, tasks)
 	}
 	if p, r, done, f := c.CountStates(); p != 1 || r != 0 || done != 4 || f != 0 {
 		t.Fatalf("CountStates = (%d, %d, %d, %d), want (1, 0, 4, 0)", p, r, done, f)
 	}
 
-	// The held job retires on the next call; nothing else is left to do.
-	if n := c.RetireDone(nil); n != 1 || c.Job(b.ID) != nil {
-		t.Fatalf("second RetireDone retired %d jobs (b known: %v), want 1", n, c.Job(b.ID) != nil)
-	}
-	if n := c.RetireDone(nil); n != 0 {
-		t.Fatalf("third RetireDone retired %d jobs, want 0", n)
+	// Nothing else is left to do.
+	if n := c.RetireDone(); n != 0 {
+		t.Fatalf("second RetireDone retired %d jobs, want 0", n)
 	}
 	if p, r, done, f := c.CountStates(); p+r+done+f != 5 {
 		t.Fatalf("CountStates = (%d, %d, %d, %d): %d tasks, want the 5 submitted", p, r, done, f, p+r+done+f)

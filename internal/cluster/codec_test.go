@@ -190,7 +190,7 @@ func TestSnapshotRetirement(t *testing.T) {
 		}
 	}
 	finish(c.SubmitJob(Service, 1, 45*time.Second, []TaskSpec{{}, {}}), 46*time.Second)
-	c.RetireDone(nil)
+	c.RetireDone()
 	retiredJobs, retiredTasks := c.Retired()
 	if retiredJobs == 0 {
 		t.Fatal("no job retired")
@@ -214,10 +214,10 @@ func TestSnapshotRetirement(t *testing.T) {
 	if p2, r2, done2, f2 := c2.CountStates(); p2 != p || r2 != r || done2 != done || f2 != f {
 		t.Fatalf("decoded CountStates (%d, %d, %d, %d), want (%d, %d, %d, %d)", p2, r2, done2, f2, p, r, done, f)
 	}
-	if n := c2.RetireDone(nil); n != 1 || c2.Job(j.ID) != nil {
+	if n := c2.RetireDone(); n != 1 || c2.Job(j.ID) != nil {
 		t.Fatalf("decoded RetireDone retired %d jobs, want the 1 finished since the last call", n)
 	}
-	if n := c.RetireDone(nil); n != 1 || c.Fingerprint() != c2.Fingerprint() {
+	if n := c.RetireDone(); n != 1 || c.Fingerprint() != c2.Fingerprint() {
 		t.Fatal("the original and the decoded cluster diverge after retiring the same job")
 	}
 }

@@ -81,8 +81,8 @@ func (ex *extractScratch) clearPlaced(nodeBound int) {
 //firmament:deterministic
 func (gm *GraphManager) ExtractRound() Round {
 	g := gm.g
-	// Extraction runs right after a solve, so the compact index is already
-	// repaired; iterating rows here is free and cache-friendly.
+	// Extraction runs right after a solve, so the adjacency rows are
+	// already compacted; iterating them here is free and cache-friendly.
 	adj := g.Adjacency()
 	pl := g.ArcPlanes()
 	ex := &gm.ext

@@ -266,7 +266,7 @@ func (gm *GraphManager) removeMachine(id cluster.MachineID) {
 // the tails of n's incoming arcs, so the graph's own adjacency is the
 // reverse index: the cost is n's degree, not the number of tasks.
 func (gm *GraphManager) dropTaskArcRecords(n flow.NodeID, target policy.ArcTarget) {
-	for a := gm.g.FirstOut(n); a != flow.InvalidArc; a = gm.g.NextOut(a) {
+	for _, a := range gm.g.Out(n) {
 		if gm.g.IsForward(a) {
 			continue
 		}
@@ -409,7 +409,7 @@ func (gm *GraphManager) drainTaskFlow(taskNode flow.NodeID) {
 	cur := taskNode
 	for cur != gm.sink {
 		var carrier flow.ArcID = flow.InvalidArc
-		for a := gm.g.FirstOut(cur); a != flow.InvalidArc; a = gm.g.NextOut(a) {
+		for _, a := range gm.g.Out(cur) {
 			if gm.g.IsForward(a) && gm.g.Flow(a) > 0 {
 				carrier = a
 				break

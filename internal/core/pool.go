@@ -110,8 +110,10 @@ type solveOutcome struct {
 }
 
 // Solve runs the configured algorithm(s) on g and leaves the winning
-// optimal flow on g. changes describes the graph deltas since the previous
-// call (used by incremental cost scaling to pick its starting epsilon).
+// optimal flow on g. changes holds the graph deltas since the previous
+// call; no solver reads it (incremental cost scaling finds its starting
+// epsilon by scanning g), and only its length is reported, as
+// RoundStats.Changes and Scheduler.PendingChanges.
 func (p *SolverPool) Solve(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, error) {
 	switch p.Mode {
 	case ModeRelaxationOnly:
@@ -152,11 +154,12 @@ func (p *SolverPool) Solve(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, 
 // pays to copy the replica's flow and potentials back, which also
 // overwrites whatever the stopped cost scaling run left on g.
 func (p *SolverPool) solveSpeculative(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, error) {
-	// Repair the compact adjacency index once, up front: CloneInto copies
-	// the repaired index into the replica, so neither racing solver pays a
-	// rebuild, and each graph owns a private copy (no index state is shared
-	// across the two goroutines). Relaxation discards flow and potentials,
-	// but it needs the pre-solve problem, so the clone precedes the race.
+	// Compact the adjacency rows once, up front: CloneInto copies the
+	// compacted rows into the replica, so neither racing solver compacts
+	// them again, and each graph owns a private copy (no row state is
+	// shared across the two goroutines). Relaxation discards flow and
+	// potentials, but it needs the pre-solve problem, so the clone precedes
+	// the race.
 	g.Adjacency()
 	p.replica = g.CloneInto(p.replica)
 

@@ -351,7 +351,7 @@ func checkArcRecords(t *testing.T, gm *GraphManager) {
 	}
 	outDegree := func(node flow.NodeID) int {
 		out := 0
-		for a := gm.g.FirstOut(node); a != flow.InvalidArc; a = gm.g.NextOut(a) {
+		for _, a := range gm.g.Out(node) {
 			if gm.g.IsForward(a) {
 				out++
 			}

@@ -1,32 +1,36 @@
 package flow
 
-// This file implements the compact adjacency index: a CSR-style snapshot of
-// the residual adjacency that solvers iterate instead of chasing the
-// doubly-linked arc list. The linked list (graph.go) remains the mutable
-// source of truth; the index is a cache-friendly projection of it that the
-// graph repairs lazily, one dirty row at a time.
+import "slices"
+
+// This file holds the graph's only adjacency structure: one row of ArcIDs
+// per node, each a region of a shared backing array, CSR-style. A row lists
+// every arc leaving its node, forward and residual, newest first. The MCMF
+// hot loops visit a node's out-arcs many times per solve, and a contiguous
+// row lets the CPU pipeline and prefetch the arc records where a linked
+// list would serialize them behind dependent loads (cs2 and LEMON store
+// adjacency this way for the same reason).
 //
-// Why it exists: every MCMF hot loop visits the out-arcs of a node many
-// times per solve. The linked list serializes those visits behind dependent
-// loads (each next pointer must arrive before the following arc can be
-// fetched), while a contiguous []ArcID row lets the CPU pipeline and
-// prefetch the arc records. Real MCMF codes (cs2, LEMON) store adjacency
-// this way for exactly this reason.
+// Row rules:
 //
-// Invalidation rules: AddNode, AddArc, RemoveArc and RemoveNode mark only
-// the rows of the touched tails dirty (an arc pair appears in two rows: the
-// forward arc in the tail's, the reverse partner in the head's). Adjacency()
-// rebuilds just the dirty rows from the linked list, so a steady-state
-// scheduling round with a small ChangeSet pays O(changed rows), not O(M).
-// Rows carry a little slack so that modest degree growth repairs in place;
-// a row that outgrows its slot relocates to the end of the backing array,
-// and when relocation waste exceeds half the array the whole index is
-// rebuilt compactly. Non-structural mutations (Push, SetArcCost,
-// SetArcCapacity, SetSupply, SetPotential) never touch the index.
+//   - A row keeps its free slots at the front, so AddArc prepends into the
+//     slot just before the row's first arc: amortized O(1). A row with no
+//     free slot is first compacted if it holds blanks, and otherwise
+//     relocates to the end of the backing array with rowSlack free slots,
+//     orphaning its old region. A relocation that would orphan more than
+//     half the array repacks every row afresh instead.
+//   - RemoveArc blanks the arc's slot (InvalidArc), found through the
+//     per-arc position plane arcPos, and marks the row dirty. The other
+//     arcs stay where they are. A position counts from the row's end,
+//     which neither a prepend nor a move of the whole row shifts, so only
+//     compaction rewrites positions, and only of the arcs it slides.
+//   - Adjacency() compacts only the dirty rows, sliding their arcs toward
+//     the row's end in order.
 //
-// Rows list arcs in linked-list order, so solvers iterate arcs in exactly
-// the order FirstOut/NextOut would have produced and results are bitwise
-// identical to the pointer-chasing implementation.
+// So Out(n) always lists n's live arcs newest first, and a removal leaves
+// the others in order: the order a prepend-on-add, unlink-on-remove linked
+// list gives, which solvers, extraction and snapshots rely on for
+// bit-identical results. Non-structural mutations (Push, SetArcCost,
+// SetArcCapacity, SetSupply, SetPotential) never touch the rows.
 
 // Adjacency is a read-only compact view of the residual adjacency, obtained
 // from Graph.Adjacency. It stays valid until the next structural mutation
@@ -40,8 +44,8 @@ type Adjacency struct {
 }
 
 // Out returns the arcs (forward and residual) leaving n as a contiguous
-// slice, in the same order FirstOut/NextOut iterates them. The slice aliases
-// index storage: read-only, valid until the next structural mutation.
+// slice, newest first. The slice aliases row storage: read-only, valid
+// until the next structural mutation.
 func (a *Adjacency) Out(n NodeID) []ArcID {
 	s := a.start[n]
 	e := s + a.deg[n]
@@ -51,163 +55,164 @@ func (a *Adjacency) Out(n NodeID) []ArcID {
 // Degree returns the residual out-degree of n (forward plus reverse arcs).
 func (a *Adjacency) Degree(n NodeID) int { return int(a.deg[n]) }
 
-// adjIndex is the graph-embedded state behind Adjacency views.
-type adjIndex struct {
-	built   bool
-	start   []int32 // per node: first slot of the node's row in ids
-	deg     []int32 // per node: live row length
-	room    []int32 // per node: allocated row capacity (>= deg)
-	ids     []ArcID // backing row storage
-	holes   int     // slots orphaned by row relocations
-	isDirty []bool
-	dirty   []NodeID
+// adjRows is the graph-embedded row state. Node n's region of ids is
+// [start[n]-free[n], start[n]+deg[n]); its arcs occupy the last deg[n]
+// slots, of which a dirty row may have blanked some.
+type adjRows struct {
+	start []int32  // per node: first used slot of the row
+	deg   []int32  // per node: used slots, blanks included until compacted
+	free  []int32  // per node: free slots in front of start
+	ids   []ArcID  // backing storage shared by all rows
+	spare []ArcID  // the previous backing array, reused by the next repack
+	holes int      // slots orphaned by relocations
+	blank []bool   // per node: the row holds blanked slots
+	dirty []NodeID // nodes whose blank flag is set
 }
 
-// Adjacency returns the compact adjacency index, first repairing any rows
-// whose linked-list adjacency changed since the last call. The first call
-// after graph construction builds the full index; subsequent calls cost
-// O(total degree of dirty rows).
+// Adjacency returns the compact adjacency view, first compacting the rows
+// that removals blanked since the last call: O(total length of those rows).
 func (g *Graph) Adjacency() Adjacency {
-	a := &g.adj
-	if !a.built {
-		g.adjRebuild()
-	} else if len(a.dirty) > 0 {
-		g.adjRepair()
-		if a.holes*2 > len(a.ids) {
-			g.adjRebuild()
+	r := &g.adj
+	for _, n := range r.dirty {
+		if r.blank[n] {
+			g.compactRow(n)
 		}
 	}
-	return Adjacency{start: a.start, deg: a.deg, ids: a.ids}
+	r.dirty = r.dirty[:0]
+	return Adjacency{start: r.start, deg: r.deg, ids: r.ids}
 }
 
-// adjTouch marks node n's row dirty. Called by every structural mutation;
-// a no-op until the index is first built, so graph construction pays
-// nothing for the index it has not asked for yet.
-func (g *Graph) adjTouch(n NodeID) {
-	a := &g.adj
-	if !a.built {
+// Out returns the arcs (forward and residual) leaving n, newest first,
+// compacting n's row first if removals blanked it. It serves callers that
+// walk a few rows between mutations; solvers take the whole Adjacency view
+// instead. The slice aliases row storage: read-only, valid until the next
+// structural mutation.
+func (g *Graph) Out(n NodeID) []ArcID {
+	r := &g.adj
+	if r.blank[n] {
+		g.compactRow(n)
+	}
+	s := r.start[n]
+	e := s + r.deg[n]
+	return r.ids[s:e:e]
+}
+
+// addRow gives a newly allocated node ID an empty row with no slots; its
+// first arc relocates it.
+func (r *adjRows) addRow() {
+	r.start = append(r.start, int32(len(r.ids)))
+	r.deg = append(r.deg, 0)
+	r.free = append(r.free, 0)
+	r.blank = append(r.blank, false)
+}
+
+// prepend puts arc a at the front of n's row.
+func (g *Graph) prepend(n NodeID, a ArcID) {
+	r := &g.adj
+	if r.free[n] == 0 {
+		if r.blank[n] {
+			g.compactRow(n)
+		}
+		if r.free[n] == 0 {
+			g.relocateRow(n)
+		}
+	}
+	r.start[n]--
+	r.ids[r.start[n]] = a
+	r.deg[n]++
+	g.arcPos[a] = r.deg[n]
+	r.free[n]--
+}
+
+// blankSlot removes arc a from n's row, leaving a blank in its slot.
+func (g *Graph) blankSlot(n NodeID, a ArcID) {
+	r := &g.adj
+	r.ids[r.start[n]+r.deg[n]-g.arcPos[a]] = InvalidArc
+	if !r.blank[n] {
+		r.blank[n] = true
+		r.dirty = append(r.dirty, n)
+	}
+}
+
+// compactRow slides n's arcs over its blanks toward the row's end, keeping
+// their order, and turns the blanks into free slots.
+func (g *Graph) compactRow(n NodeID) {
+	r := &g.adj
+	s, e := r.start[n], r.start[n]+r.deg[n]
+	w := e
+	for i := e - 1; i >= s; i-- {
+		if a := r.ids[i]; a != InvalidArc {
+			w--
+			if w != i {
+				r.ids[w] = a
+				g.arcPos[a] = e - w
+			}
+		}
+	}
+	r.free[n] += w - s
+	r.start[n] = w
+	r.deg[n] = e - w
+	r.blank[n] = false
+}
+
+// rowSlack is the number of free slots a relocated or repacked row of deg
+// arcs gets: doubling the room, so that a row built up arc by arc is
+// copied about once per arc.
+func rowSlack(deg int32) int32 { return deg + 2 }
+
+// relocateRow moves n's row, which must hold no blanks, to the end of the
+// backing array with fresh free slots in front of it, or repacks every row
+// if the move would leave more than half the array orphaned.
+func (g *Graph) relocateRow(n NodeID) {
+	r := &g.adj
+	r.holes += int(r.free[n] + r.deg[n])
+	if r.holes*2 > len(r.ids) {
+		g.repackRows()
 		return
 	}
-	if int(n) >= len(a.isDirty) {
-		a.growNodes(len(g.nodes))
-	}
-	if !a.isDirty[n] {
-		a.isDirty[n] = true
-		a.dirty = append(a.dirty, n)
-	}
+	r.ids = g.appendRow(r.ids, n)
 }
 
-// growNodes extends the per-node arrays to cover n nodes; new rows are
-// empty with no reserved slots (their first repair relocates them).
-func (a *adjIndex) growNodes(n int) {
-	for len(a.start) < n {
-		a.start = append(a.start, int32(len(a.ids)))
-		a.deg = append(a.deg, 0)
-		a.room = append(a.room, 0)
-		a.isDirty = append(a.isDirty, false)
+// repackRows lays every row out afresh in node order, dropping blanks and
+// relocation holes. It writes into the array the previous repack left
+// behind, so repacks reuse memory rather than allocate afresh.
+func (g *Graph) repackRows() {
+	r := &g.adj
+	ids := r.spare[:0]
+	for n := range r.start {
+		if r.blank[n] {
+			g.compactRow(NodeID(n))
+		}
+		ids = g.appendRow(ids, NodeID(n))
 	}
+	r.ids, r.spare = ids, r.ids
+	r.holes = 0
 }
 
-// rowSlack is the spare capacity reserved per row so small degree growth
-// repairs in place instead of relocating the row.
-func rowSlack(deg int32) int32 { return deg/4 + 2 }
-
-// adjRebuild constructs the full index from the linked lists, compacting
-// away any relocation holes.
-func (g *Graph) adjRebuild() {
-	a := &g.adj
-	n := len(g.nodes)
-	a.start = grownI32(a.start, n)
-	a.deg = grownI32(a.deg, n)
-	a.room = grownI32(a.room, n)
-	if cap(a.isDirty) < n {
-		a.isDirty = make([]bool, n)
-	} else {
-		a.isDirty = a.isDirty[:n]
-		for i := range a.isDirty {
-			a.isDirty[i] = false
-		}
-	}
-	a.dirty = a.dirty[:0]
-	a.ids = a.ids[:0]
-	a.holes = 0
-	for i := range g.nodes {
-		d := int32(0)
-		if g.nodes[i].inUse {
-			for arc := g.nodes[i].firstOut; arc != InvalidArc; arc = g.arcNext[arc] {
-				a.ids = append(a.ids, arc)
-				d++
-			}
-		}
-		slack := rowSlack(d)
-		a.start[i] = int32(len(a.ids)) - d
-		a.deg[i] = d
-		a.room[i] = d + slack
-		for s := int32(0); s < slack; s++ {
-			a.ids = append(a.ids, InvalidArc)
-		}
-	}
-	a.built = true
+// appendRow appends n's row, which must hold no blanks, to ids behind
+// rowSlack free slots and points the row at the copy; its arcs' positions,
+// counted from the row's end, still hold. Free slots are never read, so
+// they keep whatever ids held.
+func (g *Graph) appendRow(ids []ArcID, n NodeID) []ArcID {
+	r := &g.adj
+	s, d := r.start[n], r.deg[n]
+	slack := rowSlack(d)
+	ids = slices.Grow(ids, int(slack+d))
+	ns := int32(len(ids)) + slack
+	ids = append(ids[:ns], r.ids[s:s+d]...)
+	r.start[n], r.free[n] = ns, slack
+	return ids
 }
 
-// adjRepair rewrites every dirty row from its linked list. Rows that still
-// fit their slot are rewritten in place; rows that outgrew it relocate to
-// the end of the backing array, orphaning their old slot.
-func (g *Graph) adjRepair() {
-	a := &g.adj
-	if len(a.start) < len(g.nodes) {
-		a.growNodes(len(g.nodes))
-	}
-	for _, n := range a.dirty {
-		a.isDirty[n] = false
-		d := int32(0)
-		if g.nodes[n].inUse {
-			for arc := g.nodes[n].firstOut; arc != InvalidArc; arc = g.arcNext[arc] {
-				d++
-			}
-		}
-		if d > a.room[n] {
-			a.holes += int(a.room[n])
-			slack := rowSlack(d)
-			a.start[n] = int32(len(a.ids))
-			a.room[n] = d + slack
-			for s := int32(0); s < d+slack; s++ {
-				a.ids = append(a.ids, InvalidArc)
-			}
-		}
-		w := a.start[n]
-		if g.nodes[n].inUse {
-			for arc := g.nodes[n].firstOut; arc != InvalidArc; arc = g.arcNext[arc] {
-				a.ids[w] = arc
-				w++
-			}
-		}
-		a.deg[n] = d
-	}
-	a.dirty = a.dirty[:0]
-}
-
-// copyFrom deep-copies src's index state into a, reusing a's storage. The
-// solver pool clones the scheduling graph every round; copying the index
-// (three memmoves) is far cheaper than rebuilding it through the linked
-// list, and keeps the replica's index fully private so the speculative
-// solvers never share mutable index state across goroutines.
-func (a *adjIndex) copyFrom(src *adjIndex) {
-	a.built = src.built
-	a.holes = src.holes
-	a.start = append(a.start[:0], src.start...)
-	a.deg = append(a.deg[:0], src.deg...)
-	a.room = append(a.room[:0], src.room...)
-	a.ids = append(a.ids[:0], src.ids...)
-	a.isDirty = append(a.isDirty[:0], src.isDirty...)
-	a.dirty = append(a.dirty[:0], src.dirty...)
-}
-
-// grownI32 resizes s to n entries, reusing capacity. Contents are
-// unspecified (callers overwrite every entry).
-func grownI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
+// copyFrom deep-copies src's rows into r, reusing r's storage, so that a
+// replica and its source never share mutable row state across the
+// speculative solvers' goroutines.
+func (r *adjRows) copyFrom(src *adjRows) {
+	r.start = append(r.start[:0], src.start...)
+	r.deg = append(r.deg[:0], src.deg...)
+	r.free = append(r.free[:0], src.free...)
+	r.ids = append(r.ids[:0], src.ids...)
+	r.holes = src.holes
+	r.blank = append(r.blank[:0], src.blank...)
+	r.dirty = append(r.dirty[:0], src.dirty...)
 }

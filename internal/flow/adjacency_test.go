@@ -1,16 +1,32 @@
 package flow
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
+
+// wantRow fails the test unless the compacted row of n lists exactly want.
+func wantRow(t *testing.T, g *Graph, n NodeID, want ...ArcID) {
+	t.Helper()
+	adj := g.Adjacency()
+	if got := adj.Out(n); !slices.Equal(got, want) || adj.Degree(n) != len(want) {
+		t.Fatalf("node %d row %v (degree %d), want %v", n, got, adj.Degree(n), want)
+	}
+}
 
 func TestAdjacencyMatchesListsAfterBuild(t *testing.T) {
 	g := NewGraph(4, 4)
 	a := g.AddNode(1, KindTask)
 	b := g.AddNode(0, KindMachine)
 	c := g.AddNode(-1, KindSink)
-	g.AddArc(a, b, 1, 2)
-	g.AddArc(b, c, 1, 0)
-	g.AddArc(a, c, 1, 5)
-	if err := indexMatchesLists(g); err != nil {
+	ab := g.AddArc(a, b, 1, 2)
+	bc := g.AddArc(b, c, 1, 0)
+	ac := g.AddArc(a, c, 1, 5)
+	// Newest first, reverse partners in their heads' rows.
+	wantRow(t, g, a, ac, ab)
+	wantRow(t, g, b, bc, ab^1)
+	wantRow(t, g, c, ac^1, bc^1)
+	if err := adjacencyConsistent(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -19,16 +35,17 @@ func TestAdjacencyLazyUntilFirstCall(t *testing.T) {
 	g := NewGraph(0, 0)
 	a := g.AddNode(0, KindTask)
 	b := g.AddNode(0, KindSink)
-	g.AddArc(a, b, 1, 1)
-	if g.adj.built {
-		t.Fatal("index built before first Adjacency call")
+	ab := g.AddArc(a, b, 1, 1)
+	ab2 := g.AddArc(a, b, 2, 2)
+	g.RemoveArc(ab2)
+	// The removal only blanks its slots; compaction waits for Adjacency.
+	if g.adj.deg[a] != 2 || !g.adj.blank[a] || g.adj.ids[g.adj.start[a]] != InvalidArc {
+		t.Fatalf("row of a: degree %d, blank %v; want the blanked slot still in place",
+			g.adj.deg[a], g.adj.blank[a])
 	}
-	g.Adjacency()
-	if !g.adj.built {
-		t.Fatal("index not built by Adjacency call")
-	}
-	if len(g.adj.dirty) != 0 {
-		t.Fatal("freshly built index has dirty rows")
+	wantRow(t, g, a, ab)
+	if len(g.adj.dirty) != 0 || g.adj.blank[a] || g.adj.blank[b] {
+		t.Fatal("Adjacency left dirty rows behind")
 	}
 }
 
@@ -41,14 +58,18 @@ func TestAdjacencyMarksOnlyTouchedRowsDirty(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		g.AddArc(ids[i], ids[i+1], 1, 1)
 	}
-	g.Adjacency() // build and clean
-	g.AddArc(ids[0], ids[3], 2, 2)
-	if got := len(g.adj.dirty); got != 2 {
-		t.Fatalf("AddArc dirtied %d rows, want 2 (tail and head)", got)
+	extra := g.AddArc(ids[0], ids[3], 2, 2)
+	if len(g.adj.dirty) != 0 {
+		t.Fatalf("AddArc dirtied %d rows, want none (it prepends in place)", len(g.adj.dirty))
 	}
-	if err := indexMatchesLists(g); err != nil {
+	g.RemoveArc(extra)
+	if !slices.Equal(g.adj.dirty, []NodeID{ids[0], ids[3]}) {
+		t.Fatalf("RemoveArc dirtied rows %v, want tail and head %v", g.adj.dirty, []NodeID{ids[0], ids[3]})
+	}
+	if err := adjacencyConsistent(g); err != nil {
 		t.Fatal(err)
 	}
+	g.Adjacency()
 	if len(g.adj.dirty) != 0 {
 		t.Fatal("Adjacency left dirty rows behind")
 	}
@@ -58,27 +79,58 @@ func TestAdjacencyRowRelocationAndCompaction(t *testing.T) {
 	g := NewGraph(0, 0)
 	hub := g.AddNode(0, KindAggregator)
 	sink := g.AddNode(0, KindSink)
-	g.AddArc(hub, sink, 1, 0)
-	g.Adjacency()
-	// Grow the hub's row far beyond its reserved slack, repairing after
-	// each batch so rows relocate repeatedly and holes accumulate until a
-	// compacting rebuild triggers.
-	var spokes []NodeID
+	var model rowModel
+	model.add(g, g.AddArc(hub, sink, 1, 0))
+	// Grow the hub's and the sink's rows far beyond their slack (parallel
+	// arcs) so they relocate repeatedly and holes accumulate until a
+	// relocation repacks the backing array.
+	relocations, repacks := 0, 0
 	for batch := 0; batch < 12; batch++ {
 		for i := 0; i < 4; i++ {
-			n := g.AddNode(0, KindMachine)
-			spokes = append(spokes, n)
-			g.AddArc(hub, n, 1, int64(i))
+			start, holes := g.adj.start[hub], g.adj.holes
+			model.add(g, g.AddArc(hub, sink, 1, int64(i)))
+			if g.adj.start[hub] != start-1 {
+				relocations++
+			}
+			if g.adj.holes < holes {
+				repacks++
+			}
+			if g.adj.holes*2 > len(g.adj.ids) {
+				t.Fatalf("%d holes in %d slots", g.adj.holes, len(g.adj.ids))
+			}
 		}
-		if err := indexMatchesLists(g); err != nil {
+		if err := adjacencyConsistent(g); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		if err := model.matches(g); err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
 	}
-	if deg := len(spokes) + 1; g.adj.deg[hub] != int32(deg) {
-		t.Fatalf("hub row degree %d, want %d", g.adj.deg[hub], deg)
+	if relocations < 3 || repacks == 0 {
+		t.Fatalf("hub row relocated %d times with %d repacks, want several and some", relocations, repacks)
 	}
-	if g.adj.holes*2 > len(g.adj.ids) {
-		t.Fatalf("compaction never ran: %d holes in %d slots", g.adj.holes, len(g.adj.ids))
+
+	// Fill the hub's free slots, then blank two of its arcs: the next add
+	// compacts the row in place instead of relocating it.
+	for g.adj.free[hub] > 0 {
+		model.add(g, g.AddArc(hub, sink, 1, 0))
+	}
+	row := g.Out(hub)
+	for _, a := range []ArcID{row[1], row[len(row)-2]} {
+		model.remove(g, a)
+		g.RemoveArc(a)
+	}
+	holes, end := g.adj.holes, g.adj.start[hub]+g.adj.deg[hub]
+	model.add(g, g.AddArc(hub, sink, 1, 0))
+	if g.adj.holes != holes || g.adj.start[hub]+g.adj.deg[hub] != end || g.adj.free[hub] != 1 {
+		t.Fatalf("add after removals relocated the row (holes %d→%d, end %d→%d, free %d)",
+			holes, g.adj.holes, end, g.adj.start[hub]+g.adj.deg[hub], g.adj.free[hub])
+	}
+	if err := adjacencyConsistent(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := model.matches(g); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -89,7 +141,6 @@ func TestAdjacencyRemoveNodeEmptiesRow(t *testing.T) {
 	c := g.AddNode(0, KindSink)
 	g.AddArc(a, b, 1, 1)
 	g.AddArc(b, c, 1, 1)
-	g.Adjacency()
 	g.RemoveNode(b)
 	adj := g.Adjacency()
 	if adj.Degree(b) != 0 {
@@ -98,7 +149,13 @@ func TestAdjacencyRemoveNodeEmptiesRow(t *testing.T) {
 	if adj.Degree(a) != 0 || adj.Degree(c) != 0 {
 		t.Fatal("neighbours of removed node retain dangling row entries")
 	}
-	if err := indexMatchesLists(g); err != nil {
+	// The freed ID's row is reused by the next node.
+	if d := g.AddNode(0, KindMachine); d != b {
+		t.Fatalf("node ID %d not reused (got %d)", b, d)
+	}
+	ca := g.AddArc(c, b, 1, 1)
+	wantRow(t, g, b, ca^1)
+	if err := adjacencyConsistent(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,16 +164,14 @@ func TestAdjacencyNodeAddedAfterBuild(t *testing.T) {
 	g := NewGraph(0, 0)
 	a := g.AddNode(0, KindTask)
 	b := g.AddNode(0, KindSink)
-	g.AddArc(a, b, 1, 1)
+	ab := g.AddArc(a, b, 1, 1)
 	g.Adjacency()
-	// A node allocated beyond the built bound must grow the index arrays.
+	// A node allocated beyond the current bound gets a row of its own.
 	n := g.AddNode(0, KindMachine)
-	g.AddArc(n, b, 2, 3)
-	adj := g.Adjacency()
-	if adj.Degree(n) != 1 {
-		t.Fatalf("late node degree %d, want 1", adj.Degree(n))
-	}
-	if err := indexMatchesLists(g); err != nil {
+	nb := g.AddArc(n, b, 2, 3)
+	wantRow(t, g, n, nb)
+	wantRow(t, g, b, nb^1, ab^1)
+	if err := adjacencyConsistent(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -127,41 +182,21 @@ func TestAdjacencyCloneCopiesIndexAndDirtyState(t *testing.T) {
 	b := g.AddNode(0, KindMachine)
 	c := g.AddNode(0, KindSink)
 	ab := g.AddArc(a, b, 1, 1)
-	g.AddArc(b, c, 1, 1)
-	g.Adjacency()
-	g.RemoveArc(ab) // leave pending dirty rows in the source
+	bc := g.AddArc(b, c, 1, 1)
+	g.RemoveArc(ab) // leave blanked rows awaiting compaction in the source
 	clone := g.CloneInto(nil)
-	if err := indexMatchesLists(clone); err != nil {
-		t.Fatalf("clone index: %v", err)
+	if err := adjacencyConsistent(clone); err != nil {
+		t.Fatalf("clone rows: %v", err)
 	}
-	// Repairing the clone must not clean the source's dirty rows.
-	if len(g.adj.dirty) == 0 {
-		t.Fatal("source dirty state vanished after clone repair")
+	wantRow(t, clone, b, bc)
+	// Compacting the clone must not compact the source's rows.
+	if len(g.adj.dirty) == 0 || !g.adj.blank[a] {
+		t.Fatal("source's pending blanks vanished after clone compaction")
 	}
-	if err := indexMatchesLists(g); err != nil {
-		t.Fatalf("source index: %v", err)
-	}
+	wantRow(t, g, b, bc)
 	// Diverge the clone; the source's rows must be unaffected.
-	clone.AddArc(a, c, 5, 5)
-	if err := indexMatchesLists(clone); err != nil {
-		t.Fatalf("clone after divergence: %v", err)
-	}
-	gAdj := g.Adjacency()
-	if gAdj.Degree(a) != 0 {
-		t.Fatalf("source row for a has %d entries after clone mutation, want 0", gAdj.Degree(a))
-	}
-}
-
-func TestAdjacencyUnbuiltCloneStaysUnbuilt(t *testing.T) {
-	g := NewGraph(0, 0)
-	a := g.AddNode(0, KindTask)
-	b := g.AddNode(0, KindSink)
-	g.AddArc(a, b, 1, 1)
-	clone := g.CloneInto(nil)
-	if clone.adj.built {
-		t.Fatal("clone of unbuilt index claims to be built")
-	}
-	if err := indexMatchesLists(clone); err != nil {
-		t.Fatal(err)
-	}
+	ac := clone.AddArc(a, c, 5, 5)
+	wantRow(t, clone, a, ac)
+	wantRow(t, g, a)
+	wantRow(t, g, c, bc^1)
 }

@@ -8,13 +8,15 @@ import (
 )
 
 // This file serialises a Graph for the durable snapshots behind crash
-// recovery. The encoding is a direct dump of the internal representation —
-// node and arc slices including dead entries, plus both free lists — so a
-// decoded graph assigns exactly the same IDs to future AddNode/AddArc
-// calls as the original would have. ID stability is what lets a restored
-// scheduler keep using the GraphManager's persisted node maps and lets the
-// incremental solver warm-start: the replayed graph is bit-identical to
-// the one the live run held, dead slots and all.
+// recovery. The encoding dumps the node and arc slices including dead
+// entries, plus both free lists, so a decoded graph assigns exactly the
+// same IDs to future AddNode/AddArc calls as the original would have. ID
+// stability is what lets a restored scheduler keep using the
+// GraphManager's persisted node maps and lets the incremental solver
+// warm-start. Adjacency is written in linked-list form — each node's first
+// arc, each arc's successor and predecessor in its row — which is the
+// layout version 1 has always had; only the row order it spells matters,
+// so dead arc slots carry InvalidArc links.
 
 const graphSnapVersion = 1
 
@@ -22,11 +24,12 @@ const graphSnapVersion = 1
 //
 //firmament:deterministic
 func (g *Graph) EncodeSnapshot(e *wal.Enc) {
+	first, next, prev := g.rowLinks()
 	e.U32(graphSnapVersion)
 	e.U32(uint32(len(g.nodes)))
 	for i := range g.nodes {
 		n := &g.nodes[i]
-		e.I64(int64(n.firstOut))
+		e.I64(int64(first[i]))
 		e.I64(n.supply)
 		e.I64(n.potential)
 		e.U8(uint8(n.kind))
@@ -35,8 +38,8 @@ func (g *Graph) EncodeSnapshot(e *wal.Enc) {
 	e.U32(uint32(len(g.arcHead)))
 	for i := range g.arcHead {
 		e.I64(int64(g.arcHead[i]))
-		e.I64(int64(g.arcNext[i]))
-		e.I64(int64(g.arcPrev[i]))
+		e.I64(int64(next[i]))
+		e.I64(int64(prev[i]))
 		e.I64(g.arcResid[i])
 		e.I64(g.arcCost[i])
 		e.Bool(g.arcAlive[i])
@@ -53,10 +56,40 @@ func (g *Graph) EncodeSnapshot(e *wal.Enc) {
 	e.I64(int64(g.numArcs))
 }
 
-// DecodeSnapshot rebuilds a graph from EncodeSnapshot bytes. The compact
-// adjacency index is left unbuilt; the first Adjacency() call reconstructs
-// it from the (restored) linked lists, producing the same row contents the
-// live graph had.
+// rowLinks spells the rows in the snapshot's linked-list form: each node's
+// first arc, and each live arc's successor and predecessor in its row, with
+// InvalidArc past a row's ends and for dead arcs.
+func (g *Graph) rowLinks() (first, next, prev []ArcID) {
+	first = make([]ArcID, len(g.nodes))
+	next = make([]ArcID, len(g.arcHead))
+	prev = make([]ArcID, len(g.arcHead))
+	for i := range next {
+		next[i], prev[i] = InvalidArc, InvalidArc
+	}
+	r := &g.adj
+	for n := range g.nodes {
+		first[n] = InvalidArc
+		last := InvalidArc
+		for _, a := range r.ids[r.start[n] : r.start[n]+r.deg[n]] {
+			if a == InvalidArc {
+				continue
+			}
+			if last == InvalidArc {
+				first[n] = a
+			} else {
+				next[last] = a
+			}
+			prev[a] = last
+			last = a
+		}
+	}
+	return first, next, prev
+}
+
+// DecodeSnapshot rebuilds a graph from EncodeSnapshot bytes. Each node's
+// row is laid out from its arc chain, so Out lists the same arcs in the
+// same order as on the graph that was encoded. Predecessor links are
+// redundant with the chains and are not read back.
 //
 //firmament:deterministic
 func DecodeSnapshot(d *wal.Dec) (*Graph, error) {
@@ -66,9 +99,10 @@ func DecodeSnapshot(d *wal.Dec) (*Graph, error) {
 	g := &Graph{}
 	nn := d.Len(27)
 	g.nodes = make([]node, nn)
+	first := make([]ArcID, nn)
 	for i := range g.nodes {
+		first[i] = ArcID(d.I64())
 		g.nodes[i] = node{
-			firstOut:  ArcID(d.I64()),
 			supply:    d.I64(),
 			potential: d.I64(),
 			kind:      NodeKind(d.U8()),
@@ -80,15 +114,14 @@ func DecodeSnapshot(d *wal.Dec) (*Graph, error) {
 		return nil, fmt.Errorf("flow: odd arc slot count %d", na)
 	}
 	g.arcHead = make([]NodeID, na)
-	g.arcNext = make([]ArcID, na)
-	g.arcPrev = make([]ArcID, na)
+	next := make([]ArcID, na)
 	g.arcResid = make([]int64, na)
 	g.arcCost = make([]int64, na)
 	g.arcAlive = make([]bool, na)
 	for i := 0; i < na; i++ {
 		g.arcHead[i] = NodeID(d.I64())
-		g.arcNext[i] = ArcID(d.I64())
-		g.arcPrev[i] = ArcID(d.I64())
+		next[i] = ArcID(d.I64())
+		d.I64() // predecessor link
 		g.arcResid[i] = d.I64()
 		g.arcCost[i] = d.I64()
 		g.arcAlive[i] = d.Bool()
@@ -105,9 +138,6 @@ func DecodeSnapshot(d *wal.Dec) (*Graph, error) {
 	}
 	g.numNodes = int(d.I64())
 	g.numArcs = int(d.I64())
-	// The snapshot predates the incremental max-cost tracker's state; a lazy
-	// rescan on the first MaxAbsCost call rebuilds it from the cost plane.
-	g.costMaxStale = true
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -116,7 +146,43 @@ func DecodeSnapshot(d *wal.Dec) (*Graph, error) {
 			return nil, fmt.Errorf("flow: arc %d head %d out of range", i, h)
 		}
 	}
+	if err := g.rowsFromChains(first, next); err != nil {
+		return nil, err
+	}
 	return g, nil
+}
+
+// rowsFromChains lays out every node's row from its snapshot arc chain
+// first[n], next[first[n]], ... The chains come from disk, so each must
+// name only live arcs leaving a live node, no arc may sit on two chains or
+// twice on one (which also stops a cyclic chain), and every live arc must
+// sit on one.
+func (g *Graph) rowsFromChains(first, next []ArcID) error {
+	g.arcPos = make([]int32, len(g.arcHead))
+	onChain := make([]bool, len(g.arcHead))
+	r := &g.adj
+	for n := range g.nodes {
+		r.addRow()
+		for a := first[n]; a != InvalidArc; a = next[a] {
+			if a < 0 || int(a) >= len(g.arcHead) || !g.arcAlive[a] || onChain[a] ||
+				!g.nodes[n].inUse || g.arcHead[a^1] != NodeID(n) {
+				return fmt.Errorf("flow: node %d's arc chain is broken at arc %d", n, a)
+			}
+			onChain[a] = true
+			r.ids = append(r.ids, a)
+			r.deg[n]++
+		}
+		for i, a := range r.ids[r.start[n]:] {
+			g.arcPos[a] = r.deg[n] - int32(i)
+		}
+	}
+	for a, alive := range g.arcAlive {
+		if alive && !onChain[a] {
+			return fmt.Errorf("flow: live arc %d is on no node's chain", a)
+		}
+	}
+	g.repackRows()
+	return nil
 }
 
 // Fingerprint hashes the graph's structure and solver state: live nodes

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -88,8 +89,8 @@ func TestGraphSnapshotRoundTrip(t *testing.T) {
 		if g.Fingerprint() != g2.Fingerprint() {
 			t.Fatalf("seed %d: fingerprint diverged after identical mutation", seed)
 		}
-		// The decoded adjacency index rebuilds lazily and must match the
-		// linked-list truth.
+		// The decoded rows, laid out from the snapshot's arc chains, must
+		// list the same arcs in the same order as the live graph's.
 		rows1 := g.Adjacency()
 		rows2 := g2.Adjacency()
 		g.Nodes(func(n NodeID) {
@@ -120,5 +121,40 @@ func TestGraphSnapshotRejectsGarbage(t *testing.T) {
 	bad[0] = 0xfe
 	if _, err := DecodeSnapshot(wal.NewDec(bad)); err == nil {
 		t.Fatal("bad version decoded")
+	}
+
+	// Broken arc chains. Node a's chain is ac -> ab; each case re-points
+	// ab's successor link and must fail to decode rather than build a row
+	// that loops or lists an arc that is not a's.
+	g = NewGraph(0, 0)
+	a := g.AddNode(1, KindTask)
+	b := g.AddNode(0, KindMachine)
+	c := g.AddNode(-1, KindSink)
+	ab := g.AddArc(a, b, 1, 1)
+	bc := g.AddArc(b, c, 1, 1)
+	ac := g.AddArc(a, c, 1, 1)
+	dead := g.AddArc(b, c, 1, 1)
+	g.RemoveArc(dead)
+	var enc wal.Enc
+	g.EncodeSnapshot(&enc)
+	if _, err := DecodeSnapshot(wal.NewDec(enc.B)); err != nil {
+		t.Fatalf("unpatched snapshot: %v", err)
+	}
+	// Layout: version, node count, 26-byte node records, arc count, then
+	// 41-byte arc records whose second field is the successor link.
+	nextAt := func(arc ArcID) int { return 4 + 4 + 26*g.NodeIDBound() + 4 + 41*int(arc) + 8 }
+	for _, tc := range []struct {
+		name string
+		to   ArcID
+	}{
+		{"cyclic chain", ac},
+		{"chain through another node's arc", bc},
+		{"chain through a dead arc", dead},
+	} {
+		bad := append([]byte(nil), enc.B...)
+		binary.LittleEndian.PutUint64(bad[nextAt(ab):], uint64(int64(tc.to)))
+		if _, err := DecodeSnapshot(wal.NewDec(bad)); err == nil {
+			t.Errorf("%s decoded", tc.name)
+		}
 	}
 }

@@ -88,7 +88,7 @@ func mutateBatch(g *flow.Graph, cs *flow.ChangeSet, ops []byte) {
 		switch o.next() % 3 {
 		case 0: // cost change on a task arc
 			task := tasks[o.next()%len(tasks)]
-			for a := g.FirstOut(task); a != flow.InvalidArc; a = g.NextOut(a) {
+			for _, a := range g.Out(task) {
 				if g.IsForward(a) {
 					old := g.Cost(a)
 					g.SetArcCost(a, int64(o.next()%80))
@@ -105,7 +105,7 @@ func mutateBatch(g *flow.Graph, cs *flow.ChangeSet, ops []byte) {
 			cs.Record(flow.Change{Kind: flow.ChangeSupply, Node: sink})
 			// Keep the graph feasible: the unscheduled aggregator must be
 			// able to absorb every task.
-			for a := g.FirstOut(unsched); a != flow.InvalidArc; a = g.NextOut(a) {
+			for _, a := range g.Out(unsched) {
 				if g.IsForward(a) && g.Head(a) == sink {
 					g.SetArcCapacity(a, g.Capacity(a)+1)
 					break
@@ -114,7 +114,7 @@ func mutateBatch(g *flow.Graph, cs *flow.ChangeSet, ops []byte) {
 			tasks = append(tasks, task)
 		case 2: // machine slot count changes
 			m := machines[o.next()%len(machines)]
-			for a := g.FirstOut(m); a != flow.InvalidArc; a = g.NextOut(a) {
+			for _, a := range g.Out(m) {
 				if g.IsForward(a) && g.Head(a) == sink {
 					old := g.Capacity(a)
 					g.SetArcCapacity(a, int64(1+o.next()%4))
@@ -134,10 +134,10 @@ func mutateBatch(g *flow.Graph, cs *flow.ChangeSet, ops []byte) {
 // mutated graph and that every produced flow is feasible and optimal — the
 // Table 1 invariant under arbitrary fuzzer-chosen change sequences.
 func FuzzSolverChanges(f *testing.F) {
-	f.Add([]byte{})                                                  // minimal graph, no changes
-	f.Add([]byte{1, 0, 4, 2, 1, 7, 0, 30, 3})                        // cost changes
-	f.Add([]byte{3, 1, 8, 1, 2, 0, 9, 1, 1, 2, 20, 3, 90})           // arrivals
-	f.Add([]byte{0, 2, 6, 2, 0, 1, 5, 2, 2, 0, 2, 1, 2, 3, 2, 2})    // slot churn
+	f.Add([]byte{})                                               // minimal graph, no changes
+	f.Add([]byte{1, 0, 4, 2, 1, 7, 0, 30, 3})                     // cost changes
+	f.Add([]byte{3, 1, 8, 1, 2, 0, 9, 1, 1, 2, 20, 3, 90})        // arrivals
+	f.Add([]byte{0, 2, 6, 2, 0, 1, 5, 2, 2, 0, 2, 1, 2, 3, 2, 2}) // slot churn
 	f.Add([]byte{4, 2, 11, 1, 1, 15, 0, 44, 2, 1, 9, 0, 70, 1, 1,
 		33, 2, 2, 2, 0, 12, 1, 3, 80, 2, 1, 1, 0, 5}) // mixed batches
 	f.Fuzz(func(t *testing.T, data []byte) {

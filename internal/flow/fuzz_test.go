@@ -2,6 +2,7 @@ package flow
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -14,12 +15,13 @@ import (
 // them), clones are faithful, and the feasibility/optimality checkers never
 // panic or corrupt state.
 //
-// It also cross-checks the two adjacency representations: after every few
-// mutations (so that repairs see batches of dirty rows, not just single
-// ones) and at the end of the sequence, the lazily-repaired compact index
-// must list, for every node, exactly the arcs of the node's linked list in
-// the same order — including across Clone and CloneInto reuse cycles, which
-// copy the index together with its dirty-row bookkeeping.
+// It also checks the adjacency rows against a per-node model list that
+// prepends on add and deletes in place on remove: after every few
+// mutations (so that compaction sees batches of blanked rows, not just
+// single ones) and at the end of the sequence, Adjacency().Out must list,
+// for every node, exactly the model's arcs in the model's order — including
+// across Clone and CloneInto reuse cycles, which copy the rows together
+// with the blanks still awaiting compaction.
 //
 // The seed corpus encodes the mutation patterns the unit tests exercise:
 // build-up then teardown, capacity shrink below flow, hub-node removal,
@@ -37,6 +39,7 @@ func FuzzGraphChanges(f *testing.F) {
 		g := NewGraph(0, 0)
 		var nodes []NodeID
 		var arcs []ArcID // forward IDs of live arcs
+		var model rowModel
 
 		next := func(i *int) byte {
 			if *i >= len(data) {
@@ -49,22 +52,20 @@ func FuzzGraphChanges(f *testing.F) {
 
 		ops := 0
 		checkInvariants := func(op string) {
-			if !adjacencyConsistent(g) {
-				t.Fatalf("%s: adjacency structure corrupt", op)
+			if err := adjacencyConsistent(g); err != nil {
+				t.Fatalf("%s: %v", op, err)
 			}
-			// Cross-check the compact index against the linked list every
-			// few mutations, leaving gaps so repairs process multi-row
-			// dirty batches rather than one row at a time.
+			// Check the rows against the model every few mutations,
+			// leaving gaps so compaction processes multi-row batches of
+			// blanks rather than one row at a time.
 			ops++
 			if ops%5 == 0 {
-				if err := indexMatchesLists(g); err != nil {
+				if err := model.matches(g); err != nil {
 					t.Fatalf("%s: %v", op, err)
 				}
 			}
-			// Cross-check the SoA arc planes against the linked lists (and
-			// the incremental max-cost tracker against a brute-force scan)
-			// on a different cadence, so plane checks see states where the
-			// compact index is mid-repair.
+			// Check the SoA arc planes on a different cadence, so plane
+			// checks see states where rows still hold blanks.
 			if ops%3 == 0 {
 				if err := planesMatchModel(g); err != nil {
 					t.Fatalf("%s: %v", op, err)
@@ -113,15 +114,24 @@ func FuzzGraphChanges(f *testing.F) {
 				}
 				capacity := int64(next(&i) % 16)
 				cost := int64(int8(next(&i)))
-				arcs = append(arcs, g.AddArc(tail, head, capacity, cost))
+				a := g.AddArc(tail, head, capacity, cost)
+				arcs = append(arcs, a)
+				model.add(g, a)
 				checkInvariants("AddArc")
 			case 2: // remove arc
 				if len(arcs) == 0 {
 					continue
 				}
 				j := int(next(&i)) % len(arcs)
+				tail := g.Tail(arcs[j])
+				model.remove(g, arcs[j])
 				g.RemoveArc(arcs[j])
 				arcs = append(arcs[:j], arcs[j+1:]...)
+				// Out compacts the one row it returns and leaves the
+				// other blanked rows to the next Adjacency call.
+				if row := g.Out(tail); !slices.Equal(row, model[tail]) {
+					t.Fatalf("RemoveArc: Out(%d) = %v, model %v", tail, row, model[tail])
+				}
 				checkInvariants("RemoveArc")
 			case 3: // remove node (and its incident arcs)
 				if len(nodes) == 0 {
@@ -137,6 +147,7 @@ func FuzzGraphChanges(f *testing.F) {
 					}
 				}
 				arcs = kept
+				model.removeNode(g, n)
 				g.RemoveNode(n)
 				checkInvariants("RemoveNode")
 			case 4: // change arc cost (forward or reverse ID)
@@ -180,9 +191,9 @@ func FuzzGraphChanges(f *testing.F) {
 			}
 		}
 
-		// The compact index must agree with the linked lists on the final
-		// state, whether or not the periodic checks above ever built it.
-		if err := indexMatchesLists(g); err != nil {
+		// The rows must agree with the model on the final state, whatever
+		// the periodic checks above left uncompacted.
+		if err := model.matches(g); err != nil {
 			t.Fatalf("final state: %v", err)
 		}
 		if err := planesMatchModel(g); err != nil {
@@ -192,10 +203,10 @@ func FuzzGraphChanges(f *testing.F) {
 		// Clone fidelity on the final state: structure, cost and imbalance
 		// profile all survive a deep copy and a CloneInto reuse cycle.
 		c := g.Clone()
-		if !adjacencyConsistent(c) {
-			t.Fatal("clone has corrupt adjacency structure")
+		if err := adjacencyConsistent(c); err != nil {
+			t.Fatalf("clone: %v", err)
 		}
-		if err := indexMatchesLists(c); err != nil {
+		if err := model.matches(c); err != nil {
 			t.Fatalf("clone: %v", err)
 		}
 		if err := planesMatchModel(c); err != nil {
@@ -227,38 +238,45 @@ func FuzzGraphChanges(f *testing.F) {
 		}
 
 		// CloneInto reuse cycle: copy into a reused destination, mutate the
-		// source, re-copy. The destination's index (including dirty-row
-		// bookkeeping copied mid-repair-cycle) must track its own lists,
-		// and the source must be unaffected by the destination's repairs.
+		// source, re-copy. The destination's rows (including blanks copied
+		// before compaction) must match the model, and the source must be
+		// unaffected by the destination's compaction.
 		reused := NewGraph(0, 0)
 		for cycle := 0; cycle < 2; cycle++ {
 			g.CloneInto(reused)
-			if err := indexMatchesLists(reused); err != nil {
+			if err := adjacencyConsistent(reused); err != nil {
+				t.Fatalf("CloneInto cycle %d: %v", cycle, err)
+			}
+			if err := model.matches(reused); err != nil {
 				t.Fatalf("CloneInto cycle %d: %v", cycle, err)
 			}
 			if err := planesMatchModel(reused); err != nil {
 				t.Fatalf("CloneInto cycle %d: %v", cycle, err)
 			}
-			// Dirty the source between cycles so the second copy carries
-			// pending repairs into the reused destination.
+			// Change the source between cycles (and blank a row when an
+			// arc is left to remove) so the second copy carries different
+			// rows and pending blanks into the reused destination.
 			n1 := g.AddNode(1, KindTask)
 			n2 := g.AddNode(-1, KindSink)
-			g.AddArc(n1, n2, 3, 1)
+			model.add(g, g.AddArc(n1, n2, 3, 1))
+			if len(arcs) > 0 {
+				model.remove(g, arcs[0])
+				g.RemoveArc(arcs[0])
+				arcs = arcs[1:]
+			}
 		}
-		if err := indexMatchesLists(g); err != nil {
+		if err := adjacencyConsistent(g); err != nil {
+			t.Fatalf("source after CloneInto cycles: %v", err)
+		}
+		if err := model.matches(g); err != nil {
 			t.Fatalf("source after CloneInto cycles: %v", err)
 		}
 	})
 }
 
 // planesMatchModel verifies that the structure-of-arrays arc planes agree
-// with the linked-list adjacency and with each other: every arc reachable
-// from a live node's list is alive in the alive plane with its tail plane
-// pointing back at that node, every alive plane entry is reachable from
-// exactly one list, paired arcs share liveness and carry negated costs, no
-// residual is negative, the ArcPlanes view aliases the live storage, and
-// the incrementally-tracked MaxAbsCost matches a brute-force scan of the
-// cost plane.
+// with each other: paired arcs share liveness and carry negated costs, no
+// residual is negative, and the ArcPlanes view aliases the live storage.
 func planesMatchModel(g *Graph) error {
 	bound := g.ArcIDBound()
 	pl := g.ArcPlanes()
@@ -266,37 +284,12 @@ func planesMatchModel(g *Graph) error {
 		return fmt.Errorf("plane lengths %d/%d/%d != arc ID bound %d",
 			len(pl.Head), len(pl.Resid), len(pl.Cost), bound)
 	}
-	listed := make([]int, bound)
-	nlisted := 0
-	for i := 0; i < g.NodeIDBound(); i++ {
-		n := NodeID(i)
-		if !g.NodeInUse(n) {
-			continue
-		}
-		for a := g.FirstOut(n); a != InvalidArc; a = g.NextOut(a) {
-			if !g.ArcInUse(a &^ 1) {
-				return fmt.Errorf("node %d lists arc %d, alive plane says dead", n, a)
-			}
-			if got := pl.Head[a^1]; got != n {
-				return fmt.Errorf("arc %d in node %d's list, tail plane says %d", a, n, got)
-			}
-			listed[a]++
-			nlisted++
-		}
-	}
-	alive := 0
-	var brute int64
 	for a := 0; a < bound; a += 2 {
 		if g.ArcInUse(ArcID(a)) != g.ArcInUse(ArcID(a^1)) {
 			return fmt.Errorf("arc pair %d/%d disagrees on liveness", a, a^1)
 		}
 		if !g.ArcInUse(ArcID(a)) {
 			continue
-		}
-		alive += 2
-		if listed[a] != 1 || listed[a^1] != 1 {
-			return fmt.Errorf("alive arc pair %d/%d listed %d/%d times (want once each)",
-				a, a^1, listed[a], listed[a^1])
 		}
 		if pl.Cost[a] != -pl.Cost[a^1] {
 			return fmt.Errorf("arc %d cost %d, reverse cost %d (want negation)",
@@ -309,46 +302,75 @@ func planesMatchModel(g *Graph) error {
 		if pl.Head[a] != g.Head(ArcID(a)) || pl.Resid[a] != g.Resid(ArcID(a)) || pl.Cost[a] != g.Cost(ArcID(a)) {
 			return fmt.Errorf("plane view diverges from accessors at arc %d", a)
 		}
-		c := pl.Cost[a]
-		if c < 0 {
-			c = -c
-		}
-		if c > brute {
-			brute = c
-		}
-	}
-	if nlisted != alive {
-		return fmt.Errorf("lists hold %d arcs, alive plane holds %d", nlisted, alive)
-	}
-	if got := g.MaxAbsCost(); got != brute {
-		return fmt.Errorf("incremental MaxAbsCost %d != brute-force %d", got, brute)
 	}
 	return nil
 }
 
-// indexMatchesLists verifies that the compact adjacency index agrees with
-// the linked-list adjacency: for every node (live or dead, up to the ID
-// bound), Adjacency().Out must list exactly the arcs of the node's list, in
-// list order, and no row may contain stale entries.
-func indexMatchesLists(g *Graph) error {
+// rowModel is the adjacency rows' reference: per node, the arcs leaving it
+// in the order a prepend-on-add, delete-in-place-on-remove list holds them.
+type rowModel [][]ArcID
+
+// add records the new arc pair fwd: fwd leaves its tail, its partner its
+// head, each at the front of the row.
+func (m *rowModel) add(g *Graph, fwd ArcID) {
+	m.prepend(g.Tail(fwd), fwd)
+	m.prepend(g.Head(fwd), fwd^1)
+}
+
+func (m *rowModel) prepend(n NodeID, a ArcID) {
+	for int(n) >= len(*m) {
+		*m = append(*m, nil)
+	}
+	(*m)[n] = append([]ArcID{a}, (*m)[n]...)
+}
+
+// remove deletes the live arc pair of a from both rows; call it before
+// g.RemoveArc, while the pair's endpoints are still readable.
+func (m *rowModel) remove(g *Graph, a ArcID) {
+	fwd := a &^ 1
+	m.delete(g.Tail(fwd), fwd)
+	m.delete(g.Head(fwd), fwd^1)
+}
+
+func (m *rowModel) delete(n NodeID, a ArcID) {
+	row := (*m)[n]
+	for i, b := range row {
+		if b == a {
+			(*m)[n] = append(row[:i:i], row[i+1:]...)
+			return
+		}
+	}
+	panic(fmt.Sprintf("model: arc %d not in node %d's row", a, n))
+}
+
+// removeNode deletes every pair incident to the live node n; call it
+// before g.RemoveNode.
+func (m *rowModel) removeNode(g *Graph, n NodeID) {
+	if int(n) >= len(*m) {
+		return
+	}
+	for len((*m)[n]) > 0 {
+		m.remove(g, (*m)[n][0])
+	}
+}
+
+// matches verifies that Adjacency().Out lists, for every node ID (live or
+// dead) below the bound, exactly the model's arcs in the model's order.
+func (m rowModel) matches(g *Graph) error {
 	adj := g.Adjacency()
 	for i := 0; i < g.NodeIDBound(); i++ {
-		n := NodeID(i)
-		row := adj.Out(n)
-		j := 0
-		if g.NodeInUse(n) {
-			for a := g.FirstOut(n); a != InvalidArc; a = g.NextOut(a) {
-				if j >= len(row) {
-					return fmt.Errorf("node %d: row has %d arcs, list has more (missing %d)", n, len(row), a)
-				}
-				if row[j] != a {
-					return fmt.Errorf("node %d: row[%d] = %d, list has %d", n, j, row[j], a)
-				}
-				j++
-			}
+		var want []ArcID
+		if i < len(m) {
+			want = m[i]
 		}
-		if j != len(row) {
-			return fmt.Errorf("node %d: row has %d arcs, list has %d", n, len(row), j)
+		row := adj.Out(NodeID(i))
+		if len(row) != len(want) || adj.Degree(NodeID(i)) != len(want) {
+			return fmt.Errorf("node %d: row %v, model %v", i, row, want)
+		}
+		for j := range row {
+			if row[j] != want[j] {
+				return fmt.Errorf("node %d: row %v, model %v", i, row, want)
+			}
 		}
 	}
 	return nil

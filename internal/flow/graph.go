@@ -17,34 +17,26 @@
 // # Structure-of-arrays arc store
 //
 // Arc data lives in flat per-field planes indexed by ArcID (arcHead,
-// arcResid, arcCost, plus the arcNext/arcPrev/arcAlive bookkeeping), the
-// cs2/LEMON-style layout, instead of a slice of 40-byte arc structs. The
-// MCMF hot loops each touch only a subset of the fields — a residual scan
-// reads resid alone, a reduced-cost scan reads cost and head — so per-plane
+// arcResid, arcCost, plus the arcPos/arcAlive bookkeeping), the
+// cs2/LEMON-style layout, instead of a slice of arc structs. The MCMF hot
+// loops each touch only a subset of the fields — a residual scan reads
+// resid alone, a reduced-cost scan reads cost and head — so per-plane
 // slices put 8 arcs on a cache line where the struct layout managed 1.6,
 // and the pairwise sweeps (refine saturation, maxViolation, TotalCost,
-// Imbalances, ResetFlow) become linear walks over dense memory. Arc IDs are
-// assigned in insertion order and the compact adjacency rows preserve it,
-// so row iteration reads near-sequential plane entries too.
+// Imbalances, ResetFlow) become linear walks over dense memory.
 //
-// # Dual adjacency representation
+// # Adjacency rows
 //
-// The graph keeps adjacency twice. The doubly-linked per-node arc list
-// (FirstOut/NextOut, stored in the arcNext/arcPrev planes) is the mutable
-// source of truth: O(1) arc insertion and removal, which the scheduler's
-// per-round churn needs. Layered on top is a compact CSR-style index
-// (Adjacency) — per-node contiguous []ArcID rows — which is what the MCMF
-// solvers iterate: walking a linked list through the shared planes
-// serializes the solver hot path behind dependent loads, while contiguous
-// rows let the CPU prefetch and pipeline them.
-//
-// The index is maintained lazily. Structural mutations (AddNode, AddArc,
-// RemoveArc, RemoveNode) mark only the touched tails dirty; the next
-// Adjacency() call repairs just those rows, so a steady-state scheduling
-// round with a small ChangeSet pays O(changed) rather than O(M) to refresh
-// the index. Flow pushes and cost/capacity/supply/potential updates leave
-// the index untouched. See adjacency.go for the invalidation rules in
-// detail.
+// The graph keeps one adjacency structure: a CSR-style row of ArcIDs per
+// node (Adjacency), which is what the MCMF solvers iterate and what every
+// structural mutation edits directly. AddArc prepends to the two rows of
+// its pair in amortized O(1) (rows keep their free slots at the front),
+// RemoveArc blanks two slots through the arcPos plane, and the next
+// Adjacency() call compacts only the rows that hold blanks, so a
+// steady-state scheduling round pays O(changed rows), not O(M). Rows list
+// arcs newest first and a removal leaves the rest in order. Flow pushes
+// and cost/capacity/supply/potential updates leave the rows untouched. See
+// adjacency.go for the row rules in detail.
 package flow
 
 import "fmt"
@@ -97,11 +89,10 @@ func (k NodeKind) String() string {
 	}
 }
 
-// node is the internal node record. Adjacency is a doubly-linked list of
-// outgoing arcs (which includes reverse residual arcs, as solvers need to
-// traverse the full residual network from a node).
+// node is the internal node record. Its outgoing arcs (which include
+// reverse residual arcs, as solvers need to traverse the full residual
+// network from a node) live in the node's adjacency row.
 type node struct {
-	firstOut  ArcID
 	supply    int64
 	potential int64
 	kind      NodeKind
@@ -121,8 +112,7 @@ type Graph struct {
 	// forward arc a, arcResid[a]+arcResid[a^1] is the pair's capacity and
 	// arcResid[a^1] its flow; arcCost[a^1] == -arcCost[a].
 	arcHead  []NodeID
-	arcNext  []ArcID // next outgoing arc of the same tail
-	arcPrev  []ArcID // previous outgoing arc of the same tail
+	arcPos   []int32 // slots from the arc to the end of its tail's row
 	arcResid []int64
 	arcCost  []int64
 	arcAlive []bool
@@ -130,19 +120,8 @@ type Graph struct {
 	freeNodes []NodeID
 	freeArcs  []ArcID // forward (even) IDs of freed pairs
 	numNodes  int
-	numArcs   int      // number of live forward arcs
-	adj       adjIndex // lazily-repaired compact adjacency (adjacency.go)
-
-	// Exact incremental max-|cost| tracking over live forward arcs, so that
-	// cost scaling's initial epsilon does not pay an O(M) scan per solve
-	// (paper §6.2 warm starts run every round). costMaxCount counts live
-	// forward arcs whose |cost| equals costMax; when it drops to zero the
-	// maximum is stale and the next MaxAbsCost call rescans.
-	costMax      int64
-	costMaxCount int
-	costMaxStale bool
-
-	removeScratch []ArcID // reusable pair buffer for RemoveNode
+	numArcs   int     // number of live forward arcs
+	adj       adjRows // per-node adjacency rows (adjacency.go)
 }
 
 // NewGraph returns an empty graph. The hint sizes pre-allocate internal
@@ -151,8 +130,7 @@ func NewGraph(nodeHint, arcHint int) *Graph {
 	return &Graph{
 		nodes:    make([]node, 0, nodeHint),
 		arcHead:  make([]NodeID, 0, 2*arcHint),
-		arcNext:  make([]ArcID, 0, 2*arcHint),
-		arcPrev:  make([]ArcID, 0, 2*arcHint),
+		arcPos:   make([]int32, 0, 2*arcHint),
 		arcResid: make([]int64, 0, 2*arcHint),
 		arcCost:  make([]int64, 0, 2*arcHint),
 		arcAlive: make([]bool, 0, 2*arcHint),
@@ -199,11 +177,11 @@ func (g *Graph) AddNode(supply int64, kind NodeKind) NodeID {
 		g.freeNodes = g.freeNodes[:n-1]
 	} else {
 		g.nodes = append(g.nodes, node{})
+		g.adj.addRow()
 		id = NodeID(len(g.nodes) - 1)
 	}
-	g.nodes[id] = node{firstOut: InvalidArc, supply: supply, kind: kind, inUse: true}
+	g.nodes[id] = node{supply: supply, kind: kind, inUse: true}
 	g.numNodes++
-	g.adjTouch(id)
 	return id
 }
 
@@ -213,23 +191,18 @@ func (g *Graph) AddNode(supply int64, kind NodeKind) NodeID {
 // removal heuristic, paper §5.3.2, implemented in the scheduler core).
 func (g *Graph) RemoveNode(id NodeID) {
 	g.mustLiveNode(id, "RemoveNode")
-	// Removing arcs mutates the adjacency list we are iterating, so collect
-	// first into a graph-held scratch buffer (task completion calls this
-	// thousands of times per minute; a fresh slice per call would churn the
-	// allocator). Every incident arc (in or out) appears in this node's out
-	// list: out-arcs directly, in-arcs via their reverse partner.
-	pairs := g.removeScratch[:0]
-	for a := g.nodes[id].firstOut; a != InvalidArc; a = g.arcNext[a] {
-		pairs = append(pairs, a&^1)
-	}
-	g.removeScratch = pairs
-	for _, a := range pairs {
-		g.RemoveArc(a)
+	// Every incident arc (in or out) appears in this node's row: out-arcs
+	// directly, in-arcs via their reverse partner. RemoveArc only blanks
+	// slots, so the row can be walked while it empties.
+	r := &g.adj
+	for i, e := r.start[id], r.start[id]+r.deg[id]; i < e; i++ {
+		if a := r.ids[i]; a != InvalidArc {
+			g.RemoveArc(a)
+		}
 	}
 	g.nodes[id].inUse = false
 	g.freeNodes = append(g.freeNodes, id)
 	g.numNodes--
-	g.adjTouch(id)
 }
 
 // NodeInUse reports whether id refers to a live node.
@@ -251,8 +224,7 @@ func (g *Graph) AddArc(tail, head NodeID, capacity, cost int64) ArcID {
 		g.freeArcs = g.freeArcs[:n-1]
 	} else {
 		g.arcHead = append(g.arcHead, 0, 0)
-		g.arcNext = append(g.arcNext, 0, 0)
-		g.arcPrev = append(g.arcPrev, 0, 0)
+		g.arcPos = append(g.arcPos, 0, 0)
 		g.arcResid = append(g.arcResid, 0, 0)
 		g.arcCost = append(g.arcCost, 0, 0)
 		g.arcAlive = append(g.arcAlive, false, false)
@@ -261,12 +233,9 @@ func (g *Graph) AddArc(tail, head NodeID, capacity, cost int64) ArcID {
 	rev := fwd ^ 1
 	g.arcHead[fwd], g.arcResid[fwd], g.arcCost[fwd], g.arcAlive[fwd] = head, capacity, cost, true
 	g.arcHead[rev], g.arcResid[rev], g.arcCost[rev], g.arcAlive[rev] = tail, 0, -cost, true
-	g.linkOut(tail, fwd)
-	g.linkOut(head, rev)
+	g.prepend(tail, fwd)
+	g.prepend(head, rev)
 	g.numArcs++
-	g.costMaxAdd(cost)
-	g.adjTouch(tail)
-	g.adjTouch(head)
 	return fwd
 }
 
@@ -278,15 +247,12 @@ func (g *Graph) RemoveArc(a ArcID) {
 	g.mustLiveArc(fwd, "RemoveArc")
 	rev := fwd ^ 1
 	tail, head := g.arcHead[rev], g.arcHead[fwd]
-	g.unlinkOut(tail, fwd)
-	g.unlinkOut(head, rev)
+	g.blankSlot(tail, fwd)
+	g.blankSlot(head, rev)
 	g.arcAlive[fwd] = false
 	g.arcAlive[rev] = false
 	g.freeArcs = append(g.freeArcs, fwd)
 	g.numArcs--
-	g.costMaxDrop(g.arcCost[fwd])
-	g.adjTouch(tail)
-	g.adjTouch(head)
 }
 
 // ArcInUse reports whether a refers to a live arc (forward or reverse).
@@ -300,37 +266,6 @@ func (g *Graph) IsForward(a ArcID) bool { return a&1 == 0 }
 
 // Reverse returns the residual partner of a.
 func (g *Graph) Reverse(a ArcID) ArcID { return a ^ 1 }
-
-// linkOut pushes arc a onto the front of n's outgoing adjacency list.
-func (g *Graph) linkOut(n NodeID, a ArcID) {
-	first := g.nodes[n].firstOut
-	g.arcNext[a] = first
-	g.arcPrev[a] = InvalidArc
-	if first != InvalidArc {
-		g.arcPrev[first] = a
-	}
-	g.nodes[n].firstOut = a
-}
-
-// unlinkOut removes arc a from n's outgoing adjacency list.
-func (g *Graph) unlinkOut(n NodeID, a ArcID) {
-	prev, next := g.arcPrev[a], g.arcNext[a]
-	if prev != InvalidArc {
-		g.arcNext[prev] = next
-	} else {
-		g.nodes[n].firstOut = next
-	}
-	if next != InvalidArc {
-		g.arcPrev[next] = prev
-	}
-}
-
-// FirstOut returns the first arc (forward or residual) leaving n, or
-// InvalidArc. Together with NextOut it iterates n's residual adjacency.
-func (g *Graph) FirstOut(n NodeID) ArcID { return g.nodes[n].firstOut }
-
-// NextOut returns the arc after a in the tail's adjacency list.
-func (g *Graph) NextOut(a ArcID) ArcID { return g.arcNext[a] }
 
 // Head returns the destination of arc a.
 func (g *Graph) Head(a ArcID) NodeID { return g.arcHead[a] }
@@ -394,10 +329,8 @@ func (g *Graph) Kind(n NodeID) NodeKind { return g.nodes[n].kind }
 func (g *Graph) SetArcCost(a ArcID, cost int64) {
 	fwd := a &^ 1
 	g.mustLiveArc(fwd, "SetArcCost")
-	g.costMaxDrop(g.arcCost[fwd])
 	g.arcCost[fwd] = cost
 	g.arcCost[fwd^1] = -cost
-	g.costMaxAdd(cost)
 }
 
 // SetArcCapacity changes the capacity of the forward arc of a's pair. If
@@ -419,67 +352,6 @@ func (g *Graph) SetArcCapacity(a ArcID, capacity int64) {
 		flow = capacity
 	}
 	g.arcResid[fwd] = capacity - flow
-}
-
-// MaxAbsCost returns the largest absolute cost over live forward arcs (zero
-// for an arcless graph). The value is tracked incrementally under AddArc,
-// RemoveArc and SetArcCost, so steady-state calls are O(1); only when every
-// arc carrying the previous maximum has been removed or repriced does a
-// call rescan the cost plane. Cost scaling derives its initial epsilon from
-// this — formerly an O(M) sweep on every solve.
-func (g *Graph) MaxAbsCost() int64 {
-	if g.costMaxStale {
-		g.costMax, g.costMaxCount = 0, 0
-		for a := 0; a < len(g.arcCost); a += 2 {
-			if !g.arcAlive[a] {
-				continue
-			}
-			c := g.arcCost[a]
-			if c < 0 {
-				c = -c
-			}
-			if c > g.costMax {
-				g.costMax, g.costMaxCount = c, 1
-			} else if c == g.costMax {
-				g.costMaxCount++
-			}
-		}
-		g.costMaxStale = false
-	}
-	return g.costMax
-}
-
-// costMaxAdd folds a newly live forward-arc cost into the tracked maximum.
-// A stale maximum stays stale (the pending rescan will see this arc).
-func (g *Graph) costMaxAdd(cost int64) {
-	if cost < 0 {
-		cost = -cost
-	}
-	if g.costMaxStale {
-		return
-	}
-	if cost > g.costMax {
-		g.costMax, g.costMaxCount = cost, 1
-	} else if cost == g.costMax {
-		g.costMaxCount++
-	}
-}
-
-// costMaxDrop removes a no-longer-live forward-arc cost from the tracked
-// maximum, marking it stale when the last arc at the maximum goes away.
-func (g *Graph) costMaxDrop(cost int64) {
-	if g.costMaxStale {
-		return
-	}
-	if cost < 0 {
-		cost = -cost
-	}
-	if cost == g.costMax {
-		g.costMaxCount--
-		if g.costMaxCount <= 0 {
-			g.costMaxStale = true
-		}
-	}
 }
 
 // Nodes calls fn for every live node. Iteration order is unspecified.

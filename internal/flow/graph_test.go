@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -304,18 +305,12 @@ func TestChangeSetRecording(t *testing.T) {
 	}
 }
 
-func countOut(g *Graph, n NodeID) int {
-	c := 0
-	for a := g.FirstOut(n); a != InvalidArc; a = g.NextOut(a) {
-		c++
-	}
-	return c
-}
+func countOut(g *Graph, n NodeID) int { return len(g.Out(n)) }
 
 // TestQuickAdjacencyInvariants drives a random sequence of graph mutations
-// and verifies structural invariants after each: adjacency lists are
-// doubly-linked correctly, arc pairs agree on endpoints and costs, and live
-// counts match reality.
+// and verifies structural invariants after each: adjacency rows are laid
+// out consistently, arc pairs agree on endpoints and costs, and live counts
+// match reality.
 func TestQuickAdjacencyInvariants(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -358,7 +353,8 @@ func TestQuickAdjacencyInvariants(t *testing.T) {
 				arcs = kept
 				g.RemoveNode(n)
 			}
-			if !adjacencyConsistent(g) {
+			if err := adjacencyConsistent(g); err != nil {
+				t.Log(err)
 				return false
 			}
 			if g.NumArcs() != len(arcs) || g.NumNodes() != len(nodes) {
@@ -372,54 +368,79 @@ func TestQuickAdjacencyInvariants(t *testing.T) {
 	}
 }
 
-// adjacencyConsistent verifies the doubly-linked adjacency structure and
-// pair symmetry of a graph.
-func adjacencyConsistent(g *Graph) bool {
-	seen := make(map[ArcID]bool)
-	ok := true
-	g.Nodes(func(n NodeID) {
-		prev := InvalidArc
-		for a := g.FirstOut(n); a != InvalidArc; a = g.NextOut(a) {
-			if !g.ArcInUse(a) || g.Tail(a) != n {
-				ok = false
-				return
+// adjacencyConsistent verifies the raw row layout, blanks and all, without
+// compacting anything: row regions lie inside the backing array and never
+// overlap, the slots outside every region are the counted relocation holes
+// and no more than half the array, every filled slot holds a live arc leaving the row's node whose
+// position plane points back at the slot, a row with a blank is marked
+// dirty, every live arc sits in exactly one row, and arc pairs agree on
+// costs and hold no negative residual.
+func adjacencyConsistent(g *Graph) error {
+	r := &g.adj
+	owner := make([]NodeID, len(r.ids))
+	for i := range owner {
+		owner[i] = InvalidNode
+	}
+	dirty := make(map[NodeID]bool)
+	for _, n := range r.dirty {
+		dirty[n] = true
+	}
+	seen := make([]bool, g.ArcIDBound())
+	owned := 0
+	for i := 0; i < g.NodeIDBound(); i++ {
+		n := NodeID(i)
+		lo, s, e := r.start[n]-r.free[n], r.start[n], r.start[n]+r.deg[n]
+		if lo < 0 || r.free[n] < 0 || r.deg[n] < 0 || int(e) > len(r.ids) {
+			return fmt.Errorf("node %d: row region [%d, %d) outside %d slots", n, lo, e, len(r.ids))
+		}
+		for j := lo; j < e; j++ {
+			if owner[j] != InvalidNode {
+				return fmt.Errorf("slot %d in the rows of nodes %d and %d", j, owner[j], n)
 			}
-			if g.arcPrev[a] != prev {
-				ok = false
-				return
+			owner[j] = n
+			owned++
+		}
+		for j := s; j < e; j++ {
+			a := r.ids[j]
+			if a == InvalidArc {
+				if !r.blank[n] || !dirty[n] {
+					return fmt.Errorf("node %d: blank slot %d in a row not marked dirty", n, j)
+				}
+				continue
 			}
-			if seen[a] { // an arc may appear in exactly one adjacency list
-				ok = false
-				return
+			if !g.NodeInUse(n) || !g.ArcInUse(a) || g.Tail(a) != n {
+				return fmt.Errorf("node %d: slot %d holds arc %d (live %v, tail %d)", n, j, a, g.ArcInUse(a), g.Tail(a))
+			}
+			if e-g.arcPos[a] != j {
+				return fmt.Errorf("arc %d in slot %d, position plane says %d", a, j, e-g.arcPos[a])
+			}
+			if seen[a] {
+				return fmt.Errorf("arc %d sits in two row slots", a)
 			}
 			seen[a] = true
-			// Pair symmetry.
-			r := g.Reverse(a)
-			if g.Cost(a) != -g.Cost(r) || g.Head(r) != n && g.Tail(r) != g.Head(a) {
-				ok = false
-				return
+			rev := g.Reverse(a)
+			if g.Cost(a) != -g.Cost(rev) || g.Resid(a) < 0 || g.Resid(rev) < 0 {
+				return fmt.Errorf("arc pair %d/%d: costs %d/%d, residuals %d/%d",
+					a, rev, g.Cost(a), g.Cost(rev), g.Resid(a), g.Resid(rev))
 			}
-			if g.Resid(a) < 0 || g.Resid(r) < 0 {
-				ok = false
-				return
-			}
-			prev = a
 		}
-	})
-	if !ok {
-		return false
 	}
-	// Every live arc must have been reachable from its tail's list.
+	if holes := len(r.ids) - owned; holes != r.holes || 2*holes > len(r.ids) {
+		return fmt.Errorf("%d of %d slots in no row, %d counted as holes", holes, len(r.ids), r.holes)
+	}
 	live := 0
 	for i := range g.arcAlive {
 		if g.arcAlive[i] {
 			live++
-			if !seen[ArcID(i)] {
-				return false
+			if !seen[i] {
+				return fmt.Errorf("live arc %d sits in no row", i)
 			}
 		}
 	}
-	return live == 2*g.NumArcs()
+	if live != 2*g.NumArcs() {
+		return fmt.Errorf("%d live arc slots, NumArcs says %d pairs", live, g.NumArcs())
+	}
+	return nil
 }
 
 // TestQuickImbalanceConservation: pushes never change the total imbalance of

@@ -167,24 +167,21 @@ func (g *Graph) Clone() *Graph {
 
 // CloneInto deep-copies g into dst (reusing dst's storage where possible)
 // and returns dst; pass nil to allocate. The solver pool re-clones the
-// scheduling graph every round for the speculative cost scaling run, so
+// scheduling graph every round for the speculative relaxation run, so
 // avoiding reallocation matters at 10,000-machine scale.
 //
-// The compact adjacency index is copied along with the graph — including
-// its dirty-row bookkeeping — so a replica cloned from a graph with a
-// built index never rebuilds it from scratch: its first Adjacency() call
-// repairs only the rows dirtied since the source last repaired. The copy
-// is deep; the clone and the original never share mutable index state, so
-// the speculative solver race can run both graphs concurrently. The same
-// holds for the arc planes and the incremental max-cost tracker.
+// The adjacency rows are copied along with the arc planes, including the
+// rows still awaiting compaction, so a replica's first Adjacency() call
+// compacts only what the source had not. The copy is deep: the clone and
+// the original never share mutable state, so the speculative solver race
+// can run both graphs concurrently.
 func (g *Graph) CloneInto(dst *Graph) *Graph {
 	if dst == nil {
 		dst = &Graph{}
 	}
 	dst.nodes = append(dst.nodes[:0], g.nodes...)
 	dst.arcHead = append(dst.arcHead[:0], g.arcHead...)
-	dst.arcNext = append(dst.arcNext[:0], g.arcNext...)
-	dst.arcPrev = append(dst.arcPrev[:0], g.arcPrev...)
+	dst.arcPos = append(dst.arcPos[:0], g.arcPos...)
 	dst.arcResid = append(dst.arcResid[:0], g.arcResid...)
 	dst.arcCost = append(dst.arcCost[:0], g.arcCost...)
 	dst.arcAlive = append(dst.arcAlive[:0], g.arcAlive...)
@@ -192,9 +189,6 @@ func (g *Graph) CloneInto(dst *Graph) *Graph {
 	dst.freeArcs = append(dst.freeArcs[:0], g.freeArcs...)
 	dst.numNodes = g.numNodes
 	dst.numArcs = g.numArcs
-	dst.costMax = g.costMax
-	dst.costMaxCount = g.costMaxCount
-	dst.costMaxStale = g.costMaxStale
 	dst.adj.copyFrom(&g.adj)
 	return dst
 }

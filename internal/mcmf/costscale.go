@@ -20,10 +20,10 @@ import (
 // the latest graph changes introduced rather than at the global maximum
 // cost (paper §5.2, §6.2).
 //
-// All adjacency iteration goes through the graph's compact index
+// All adjacency iteration goes through the graph's adjacency rows
 // (flow.Graph.Adjacency): the discharge loop visits each node's out-arcs
-// many times per refine, and iterating a contiguous row beats chasing the
-// linked arc list exactly where this solver spends its time.
+// many times per refine, and a contiguous row keeps those visits inside
+// the cache exactly where this solver spends its time.
 type CostScaling struct {
 	// scale multiplies arc costs internally so that a flow that is
 	// 1-optimal in scaled costs is optimal in original costs. It must be
@@ -90,7 +90,7 @@ func (c *CostScaling) Solve(g *flow.Graph, opts *Options) (Result, error) {
 	g.ResetFlow()
 	g.ResetPotentials()
 	c.ensureScale(g, true)
-	eps := c.maxScaledCost(g)
+	_, eps := c.maxViolation(g)
 	return c.run(g, eps, start, opts)
 }
 
@@ -106,16 +106,16 @@ func (c *CostScaling) SolveIncremental(g *flow.Graph, changes *flow.ChangeSet, o
 		// epsilon guarantees are void, so restart scaled state.
 		g.ResetPotentials()
 		c.ensureScale(g, true)
-		eps := c.maxScaledCost(g)
+		_, eps := c.maxViolation(g)
 		res, err := c.run(g, eps, start, opts)
 		res.FullRestart = true
 		return res, err
 	}
-	eps := c.maxViolation(g)
+	eps, m := c.maxViolation(g)
 	if eps < 1 {
 		eps = 1
 	}
-	if m := c.maxScaledCost(g); eps > m {
+	if eps > m {
 		eps = m
 	}
 	return c.run(g, eps, start, opts)
@@ -147,7 +147,7 @@ func (c *CostScaling) run(g *flow.Graph, eps int64, start time.Time, opts *Optio
 		// net win (cs2 applies the same check between scaling phases). A
 		// zero violation means the feasible flow is already 0-optimal —
 		// optimal — and the remaining tiers are no-ops.
-		v := c.maxViolation(g)
+		v, _ := c.maxViolation(g)
 		if v == 0 {
 			break
 		}
@@ -439,48 +439,40 @@ func (c *CostScaling) scaledReducedCost(g *flow.Graph, a flow.ArcID) int64 {
 	return g.Cost(a)*c.scale - g.Potential(g.Tail(a)) + g.Potential(g.Head(a))
 }
 
-// maxScaledCost returns the largest absolute scaled arc cost (the classic
-// initial epsilon). The graph tracks the maximum incrementally under
-// AddArc/RemoveArc/SetArcCost, so the steady-state warm start pays O(1)
-// here instead of the O(M) sweep this used to be.
-//
-//firmament:hotpath
-func (c *CostScaling) maxScaledCost(g *flow.Graph) int64 {
-	m := g.MaxAbsCost()
-	if m < 1 {
-		m = 1
-	}
-	return m * c.scale
-}
-
 // maxViolation returns the largest negative scaled reduced cost over
-// residual arcs — how far the current state is from 0-optimality. Graph
-// changes since the last run are the only possible source of violations.
+// residual arcs — how far the current state is from 0-optimality — and the
+// largest absolute scaled arc cost (at least one scale unit), the classic
+// initial epsilon. Graph changes since the last run are the only possible
+// source of violations.
 //
 //firmament:hotpath
-func (c *CostScaling) maxViolation(g *flow.Graph) int64 {
-	var m int64
+func (c *CostScaling) maxViolation(g *flow.Graph) (viol, maxCost int64) {
 	pl := g.ArcPlanes()
 	for a := 0; a < g.ArcIDBound(); a += 2 {
 		fwd := flow.ArcID(a)
 		if !g.ArcInUse(fwd) {
 			continue
 		}
+		if cost := pl.Cost[fwd]; cost > maxCost {
+			maxCost = cost
+		} else if -cost > maxCost {
+			maxCost = -cost
+		}
 		// The reverse partner's reduced cost is the negation, so one pair
 		// load covers both directions: the forward arc violates when rc < 0
 		// with forward residual, the reverse when rc > 0 with flow on it.
 		rc := c.scaledReducedCost(g, fwd)
-		if rc < -m {
+		if rc < -viol {
 			if pl.Resid[fwd] > 0 {
-				m = -rc
+				viol = -rc
 			}
-		} else if rc > m {
+		} else if rc > viol {
 			if pl.Resid[fwd^1] > 0 {
-				m = rc
+				viol = rc
 			}
 		}
 	}
-	return m
+	return viol, max(maxCost, 1) * c.scale
 }
 
 func (c *CostScaling) grow(n int) {

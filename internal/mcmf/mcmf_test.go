@@ -380,7 +380,7 @@ func mutateSchedulingGraph(rng *rand.Rand, g *flow.Graph, cs *flow.ChangeSet) {
 		switch rng.Intn(3) {
 		case 0: // cost change on a random task arc
 			task := tasks[rng.Intn(len(tasks))]
-			for a := g.FirstOut(task); a != flow.InvalidArc; a = g.NextOut(a) {
+			for _, a := range g.Out(task) {
 				if g.IsForward(a) {
 					old := g.Cost(a)
 					g.SetArcCost(a, int64(rng.Intn(80)))
@@ -397,7 +397,7 @@ func mutateSchedulingGraph(rng *rand.Rand, g *flow.Graph, cs *flow.ChangeSet) {
 			cs.Record(flow.Change{Kind: flow.ChangeSupply, Node: sink})
 			// Keep the graph feasible: the unscheduled aggregator must be
 			// able to absorb every task.
-			for a := g.FirstOut(unsched); a != flow.InvalidArc; a = g.NextOut(a) {
+			for _, a := range g.Out(unsched) {
 				if g.IsForward(a) && g.Head(a) == sink {
 					g.SetArcCapacity(a, g.Capacity(a)+1)
 					break
@@ -406,7 +406,7 @@ func mutateSchedulingGraph(rng *rand.Rand, g *flow.Graph, cs *flow.ChangeSet) {
 			tasks = append(tasks, task)
 		case 2: // machine slot count changes
 			m := machines[rng.Intn(len(machines))]
-			for a := g.FirstOut(m); a != flow.InvalidArc; a = g.NextOut(a) {
+			for _, a := range g.Out(m) {
 				if g.IsForward(a) && g.Head(a) == sink {
 					old := g.Capacity(a)
 					g.SetArcCapacity(a, int64(1+rng.Intn(4)))

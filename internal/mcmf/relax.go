@@ -38,7 +38,7 @@ import (
 // uses breadth-first exploration otherwise". Firmament always runs
 // relaxation with the heuristic enabled.
 //
-// Tree growth iterates the compact adjacency index (flow.Graph.Adjacency):
+// Tree growth iterates the graph's adjacency rows (flow.Graph.Adjacency):
 // labeling a node scans its whole out-row, and the contiguous row layout is
 // what keeps that scan inside the cache.
 type Relaxation struct {

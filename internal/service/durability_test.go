@@ -662,8 +662,8 @@ func TestReplayDoesNotResurrectRetiredJobs(t *testing.T) {
 	done := op{kind: opComplete, task: old.Tasks[0]}
 	var e wal.Enc
 	encodeIntentRecord(&e, done)
-	if done.seq, err = a.jrn.appendIntent(e.B); err != nil {
-		t.Fatalf("appendIntent: %v", err)
+	if done.seq, err = a.jrn.Append(e.B); err != nil {
+		t.Fatalf("append intent: %v", err)
 	}
 
 	// A newer job lives its whole life meanwhile.
@@ -739,8 +739,8 @@ func TestSnapshotWaitsForFrontDoor(t *testing.T) {
 	id, specs := a.cl.AllocJobID(), make([]cluster.TaskSpec, 1)
 	var e wal.Enc
 	encodeSubmitRecord(&e, id, cluster.Batch, 0, clock, specs)
-	if _, err := a.jrn.appendSubmit(e.B); err != nil {
-		t.Fatalf("appendSubmit: %v", err)
+	if _, err := a.jrn.Append(e.B); err != nil {
+		t.Fatalf("append submit: %v", err)
 	}
 
 	finished := make(chan error, 1)
@@ -901,7 +901,7 @@ func TestRestoreSnapshotMetaV1(t *testing.T) {
 		t.Fatalf("saveSnapshot: %v", err)
 	}
 
-	r, _, closeSnap, err := a.jrn.log.LatestSnapshot()
+	r, _, closeSnap, err := a.jrn.LatestSnapshot()
 	if err != nil {
 		t.Fatalf("LatestSnapshot: %v", err)
 	}

@@ -106,7 +106,7 @@ func TestGoldenJournalRestore(t *testing.T) {
 		got, want uint64
 	}{
 		{"Cluster.Fingerprint", s.Cluster().Fingerprint(), 0x5d58396f62bcad8c},
-		{"Scheduler.Fingerprint", s.Scheduler().Fingerprint(), 0x5e612cd27913931f},
+		{"Scheduler.Fingerprint", s.Scheduler().Fingerprint(), 0xd4f6d53023564224},
 		{"TemplateCacheFingerprint", s.TemplateCacheFingerprint(), 0x86a6ed1c2aae622d},
 	} {
 		if c.got != c.want {

@@ -249,7 +249,7 @@ func (s *Service) maybeRearm() {
 		return
 	}
 	s.lastProbe = time.Now()
-	s.jrn.log.Close() // best effort: the handle is poisoned anyway
+	s.jrn.Close() // best effort: the handle is poisoned anyway
 	log, err := wal.Open(s.dur.Dir, wal.Options{
 		SegmentBytes: s.dur.SegmentBytes,
 		Sync:         s.dur.Sync,
@@ -267,7 +267,6 @@ func (s *Service) maybeRearm() {
 		log.Close()
 		return // open worked but writes still fail; stay degraded
 	}
-	jr := &journal{log: log}
 	// Records past this point did not survive the reopen (torn tail, or a
 	// previous re-arm attempt whose appends never flushed): their ops are
 	// re-stamped like volatile ones.
@@ -298,7 +297,7 @@ func (s *Service) maybeRearm() {
 			}
 			var e wal.Enc
 			encodeIntentRecord(&e, sh.ops[i])
-			seq, err := jr.appendIntent(e.B)
+			seq, err := log.Append(e.B)
 			if err != nil {
 				ok = false
 				break
@@ -315,13 +314,13 @@ func (s *Service) maybeRearm() {
 	// they are synced before the flip, not left in the writer's buffer.
 	if ok && restamped != 0 {
 		//firmament:ignore lockorder the re-arm holds the close membrane by design: the restamped intents must be durable and health flipped before any front-door call can run again, and probes are rare
-		ok = jr.syncTo(restamped) == nil
+		ok = log.SyncTo(restamped) == nil
 	}
 	if !ok {
 		log.Close()
 		return
 	}
-	s.jrn = jr
+	s.jrn = log
 	// Health is still Degraded: front-door acks stay volatile until the
 	// snapshot below makes the whole volatile window durable.
 	if err := s.snapshot(); err != nil {

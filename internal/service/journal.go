@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"firmament/internal/cluster"
@@ -100,46 +99,6 @@ func (rr *roundRecord) reset(round int64, now time.Duration) {
 		tmplDecisions: rr.tmplDecisions[:0], tmplInserts: rr.tmplInserts[:0], tmplDrops: rr.tmplDrops[:0],
 	}
 }
-
-// journal is the service's handle on the WAL. Its appends need no
-// bookkeeping: snapshots are cut with the front door paused (see above).
-type journal struct {
-	log *wal.Log
-}
-
-// appendSubmit appends a job's submit record; the caller registers the job
-// after it, under the same hold of closeMu's read side.
-func (j *journal) appendSubmit(payload []byte) (uint64, error) { return j.log.Append(payload) }
-
-// appendIntent appends an op-intent record; the caller queues the op after
-// it, under the same hold of closeMu's read side.
-func (j *journal) appendIntent(payload []byte) (uint64, error) { return j.log.Append(payload) }
-
-// snapCut is what a snapshot records about the journal at its cut: the
-// last sequence journaled, and the submit records then in flight (sorted).
-// Every other submit record at or below seq had registered its job before
-// the cut, so the snapshot holds that job — or retired it. Snapshots are
-// cut with the front door paused, so the list is written empty; snapshots
-// from before the pause may carry one, and restore honours it.
-type snapCut struct {
-	seq      uint64
-	inflight []uint64
-}
-
-// registered reports whether the state cut at c already reflects the
-// submit record seq: replay must not register it again.
-func (c *snapCut) registered(seq uint64) bool {
-	if c == nil {
-		return false // no cut recorded: the replay window alone decides
-	}
-	_, found := slices.BinarySearch(c.inflight, seq)
-	return seq <= c.seq && !found
-}
-
-// syncTo makes record seq durable per the log's sync policy (flush to the
-// OS always — a killed process loses nothing flushed — fsync under
-// SyncAlways).
-func (j *journal) syncTo(seq uint64) error { return j.log.SyncTo(seq) }
 
 // ---- record encoding ----
 

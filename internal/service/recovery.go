@@ -199,6 +199,27 @@ func buildFromJournal(opts Options, dur DurabilityConfig, log *wal.Log) (*Servic
 	return s, info, nil
 }
 
+// snapCut is what a snapshot records about the journal at its cut: the
+// last sequence journaled, and the submit records then in flight (sorted).
+// Every other submit record at or below seq had registered its job before
+// the cut, so the snapshot holds that job — or retired it. Snapshots are
+// cut with the front door paused, so the list is written empty; snapshots
+// from before the pause may carry one, and restore honours it.
+type snapCut struct {
+	seq      uint64
+	inflight []uint64
+}
+
+// registered reports whether the state cut at c already reflects the
+// submit record seq: replay must not register it again.
+func (c *snapCut) registered(seq uint64) bool {
+	if c == nil {
+		return false // no cut recorded: the replay window alone decides
+	}
+	_, found := slices.BinarySearch(c.inflight, seq)
+	return seq <= c.seq && !found
+}
+
 // restoreSnapshot decodes the snapshot sections — service meta, cluster
 // tables, scheduler (flow network + entity maps + solver scale), template
 // cache — and rebuilds a stopped service around them. It returns the
@@ -299,7 +320,7 @@ func (s *Service) snapshot() error {
 		return err
 	}
 	s.lastSnapRound = s.ctr.Rounds
-	return s.jrn.log.TruncateBefore(snapRetain)
+	return s.jrn.TruncateBefore(snapRetain)
 }
 
 // saveSnapshot writes one snapshot: meta (round count, virtual clock,
@@ -309,7 +330,7 @@ func (s *Service) snapshot() error {
 // sequence when none is: with the front door paused, every older record has
 // taken effect in the state written here.
 func (s *Service) saveSnapshot() error {
-	seq := s.jrn.log.LastSeq()
+	seq := s.jrn.LastSeq()
 	lw := seq + 1
 	// The front door is paused and the loop (or nobody) drains, so the
 	// shard slices are stable without sh.mu.
@@ -329,7 +350,7 @@ func (s *Service) saveSnapshot() error {
 	}
 	meta.U64(seq) // the cut: every submit at or below it is registered
 	meta.U32(0)   // and none is in flight
-	_, err := s.jrn.log.SaveSnapshot(lw, func(w io.Writer) error {
+	_, err := s.jrn.SaveSnapshot(lw, func(w io.Writer) error {
 		if err := wal.WriteSection(w, meta.B); err != nil {
 			return err
 		}
@@ -373,7 +394,7 @@ func (s *Service) replay(lw uint64, cut *snapCut, snapRound int64, lastNow time.
 	// submitted after the last journaled round — exactly the jobs whose
 	// admission attempt the crash stole — and is re-queued below.
 	var cand []cluster.JobID
-	err := s.jrn.log.Replay(lw, func(seq uint64, payload []byte) error {
+	err := s.jrn.Replay(lw, func(seq uint64, payload []byte) error {
 		d := wal.NewDec(payload)
 		switch k := d.U8(); k {
 		case recSubmit:
@@ -467,7 +488,7 @@ func (s *Service) replay(lw uint64, cut *snapCut, snapRound int64, lastNow time.
 }
 
 // replayRound re-enacts one journaled round through the live round's
-// stages: enactOp, foldAndSolve, retireDone and accountRound. What it
+// stages: enactOp, foldAndSolve, cluster.RetireDone and accountRound. What it
 // keeps is what really differs — the inputs come from the record (ops
 // whose staleness must reproduce, the recorded event batches, decisions
 // that are forced rather than derived from the re-solve) and the journaled
@@ -526,7 +547,7 @@ func (s *Service) replayRound(rr *roundRecord) error {
 	for _, t := range rr.tmplInserts {
 		s.tmpl.cache.Insert(t)
 	}
-	s.retireDone()
+	s.cl.RetireDone()
 	s.accountRound(rr, r, ap)
 	return nil
 }

@@ -193,7 +193,7 @@ type Service struct {
 	// journal and its scratch buffers are written by the front door
 	// (submit/intent records) and the scheduling goroutine (round records,
 	// snapshots); see journal.go and recovery.go.
-	jrn *journal
+	jrn *wal.Log
 	dur DurabilityConfig
 	// rec is the loop-owned state of the round in flight, kept as its
 	// journal image and reset each round. Template deltas and counter
@@ -313,7 +313,7 @@ func (s *Service) now() time.Duration {
 // attachJournal makes the service durable: front-door mutations and rounds
 // are journaled from here on. Must run before the scheduling loop starts.
 func (s *Service) attachJournal(log *wal.Log, dur DurabilityConfig) {
-	s.jrn = &journal{log: log}
+	s.jrn = log
 	s.dur = dur
 	s.sched.GraphManager().EventTap = func(b []cluster.Event) {
 		s.rec.batches = append(s.rec.batches, slices.Clone(b))
@@ -436,7 +436,7 @@ func (s *Service) submit(class cluster.JobClass, priority int, specs []cluster.T
 	id := s.cl.AllocJobID()
 	var e wal.Enc
 	encodeSubmitRecord(&e, id, class, priority, now, specs)
-	seq, err := s.jrn.appendSubmit(e.B)
+	seq, err := s.jrn.Append(e.B)
 	if err != nil {
 		// A failed append may have torn the buffered frame; no in-place
 		// retry can mend it (the re-arm reopen does). Fail-stop surfaces
@@ -459,7 +459,7 @@ func (s *Service) submit(class cluster.JobClass, priority int, specs []cluster.T
 	// before Close can tear down the log. Transient sync errors (EINTR,
 	// EAGAIN) retry with bounded backoff before the failure policy weighs
 	// in.
-	if err := s.retryWAL(func() error { return s.jrn.syncTo(seq) }); err != nil {
+	if err := s.retryWAL(func() error { return s.jrn.SyncTo(seq) }); err != nil {
 		if !s.walFailure(err) {
 			// Fail-stop: the job is registered and will be scheduled until
 			// the loop notices, but its durability ack failed — surface the
@@ -512,7 +512,7 @@ func (s *Service) enqueue(key int64, o op) error {
 		// volatile with seq 0 (degrade) — the re-arm restamps it.
 		var e wal.Enc
 		encodeIntentRecord(&e, o)
-		seq, err := s.jrn.appendIntent(e.B)
+		seq, err := s.jrn.Append(e.B)
 		if err != nil {
 			if !s.walFailure(err) {
 				return err
@@ -521,7 +521,7 @@ func (s *Service) enqueue(key int64, o op) error {
 			o.seq = seq
 			// closeMu.RLock is the close membrane, not a data lock: the
 			// ack's fsync must complete before Close can tear down the log.
-			if err := s.retryWAL(func() error { return s.jrn.syncTo(seq) }); err != nil {
+			if err := s.retryWAL(func() error { return s.jrn.SyncTo(seq) }); err != nil {
 				if !s.walFailure(err) {
 					return err
 				}
@@ -642,7 +642,7 @@ func (s *Service) Close() error {
 			if s.Err() == nil && !degraded && s.sched.PendingChanges() == 0 {
 				s.closeErr = s.snapshot()
 			}
-			if err := s.jrn.log.Close(); err != nil && s.closeErr == nil && !degraded {
+			if err := s.jrn.Close(); err != nil && s.closeErr == nil && !degraded {
 				s.closeErr = err
 			}
 		})
@@ -760,8 +760,8 @@ func (s *Service) pendingWork() bool {
 // events coalesce into the next round's batch.
 //
 // The round writes its outcome into s.rec as it goes and is built from the
-// four stages crash replay shares (enactOp, foldAndSolve, retireDone,
-// accountRound).
+// four stages crash replay shares (enactOp, foldAndSolve,
+// cluster.RetireDone, accountRound).
 // What stays here is what only a live round does: drain the queues, admit
 // and record templates, apply the solver's decisions, journal, publish.
 func (s *Service) runRound() (progress bool, err error) {
@@ -875,7 +875,13 @@ func (s *Service) runRound() (progress bool, err error) {
 		}
 		s.algoRuntime.AddDuration(r.Stats.AlgorithmRuntime())
 	}
-	s.retireDone()
+	// Retirement: foldAndSolve has folded the round's completion events
+	// into the graph, so nothing but the cluster tables names the tasks of
+	// a finished job any more. It runs after the apply, adding nothing to
+	// placement latency, and before the round is journaled and published.
+	// Done-ness follows from the enacted ops alone, so replay, re-enacting
+	// the same ops, retires the same jobs at the same point.
+	s.cl.RetireDone()
 	s.accountRound(rec, r, ap)
 
 	if durable {
@@ -957,16 +963,6 @@ func (s *Service) foldAndSolve(rec *roundRecord) (r *core.Round, events int, err
 	return r, r.Stats.Events, nil
 }
 
-// retireDone is the retirement stage, shared by the live round and crash
-// replay: once foldAndSolve has folded the round's completion events into
-// the graph, nothing but the cluster tables names the tasks of a finished
-// job, and the cluster drops those records (cluster.RetireDone). It runs
-// after the apply, so it adds nothing to placement latency, and before the
-// round is journaled and published. Done-ness follows from the enacted
-// ops alone, so replay, re-enacting the same ops, retires the same jobs at
-// the same point.
-func (s *Service) retireDone() { s.cl.RetireDone(nil) }
-
 // accountRound is the accounting stage, shared by the live round and crash
 // replay: it adds the round's outcome to the service counters — the
 // apply's actions plus the record's template placements, the counter
@@ -1010,11 +1006,11 @@ func (s *Service) journalRound() error {
 	// loop-owned buffer is free again as soon as it returns.
 	s.recEnc.B = s.recEnc.B[:0]
 	encodeRoundRecord(&s.recEnc, &s.rec)
-	seq, err := s.jrn.log.Append(s.recEnc.B)
+	seq, err := s.jrn.Append(s.recEnc.B)
 	if err != nil {
 		return err
 	}
-	return s.retryWAL(func() error { return s.jrn.syncTo(seq) })
+	return s.retryWAL(func() error { return s.jrn.SyncTo(seq) })
 }
 
 // publish fans a round's decisions out to all subscribers. Slow subscribers

@@ -121,7 +121,7 @@ func TestSoakDurableSnapshots(t *testing.T) {
 		if s.lastSnapRound != s.ctr.Rounds {
 			return // no snapshot this round
 		}
-		lws, err := s.jrn.log.Snapshots()
+		lws, err := s.jrn.Snapshots()
 		if err != nil || len(lws) == 0 {
 			t.Fatalf("no snapshot after a cut: %v", err)
 		}
