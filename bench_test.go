@@ -119,11 +119,11 @@ func BenchmarkFig11Large(b *testing.B) {
 	for _, m := range largeBenchSizes(b) {
 		m := m
 		b.Run(fmt.Sprintf("machines-%d", m), func(b *testing.B) {
-			g, changes := experiments.ChangedGraph(m, 42)
+			g := experiments.ChangedGraph(m, 42)
 			b.Run("incremental", func(b *testing.B) {
 				cs := mcmf.NewCostScaling()
 				clone := g.Clone()
-				if _, err := cs.SolveIncremental(clone, changes, nil); err != nil {
+				if _, err := cs.SolveIncremental(clone, nil); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
@@ -131,7 +131,7 @@ func BenchmarkFig11Large(b *testing.B) {
 					b.StopTimer()
 					g.CloneInto(clone)
 					b.StartTimer()
-					if _, err := cs.SolveIncremental(clone, changes, nil); err != nil {
+					if _, err := cs.SolveIncremental(clone, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -206,11 +206,11 @@ func BenchmarkFig10Approximate(b *testing.B) {
 // after a realistic change batch, against the from-scratch alternative
 // (Figure 11).
 func BenchmarkFig11Incremental(b *testing.B) {
-	g, changes := experiments.ChangedGraph(150, 42)
+	g := experiments.ChangedGraph(150, 42)
 	b.Run("incremental", func(b *testing.B) {
 		cs := mcmf.NewCostScaling()
 		clone := g.Clone()
-		if _, err := cs.SolveIncremental(clone, changes, nil); err != nil {
+		if _, err := cs.SolveIncremental(clone, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -218,7 +218,7 @@ func BenchmarkFig11Incremental(b *testing.B) {
 			b.StopTimer()
 			g.CloneInto(clone)
 			b.StartTimer()
-			if _, err := cs.SolveIncremental(clone, changes, nil); err != nil {
+			if _, err := cs.SolveIncremental(clone, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -282,10 +282,11 @@ func BenchmarkFig13PriceRefine(b *testing.B) {
 		b.Fatal(err)
 	}
 	scale := mcmf.NewCostScaling().ScaleFor(g)
+	sc := mcmf.NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !mcmf.PriceRefine(g, scale, 0, nil) {
+		if !sc.PriceRefine(g, scale, 0, nil) {
 			b.Fatal("price refine failed on optimal flow")
 		}
 	}
@@ -363,14 +364,13 @@ func BenchmarkFig16Oversubscription(b *testing.B) {
 	pool := core.NewSolverPool(core.ModeFirmament)
 	pool.Options.ArcPrioritization = true
 	pool.Options.Alpha = 9
-	var changes flow.ChangeSet
 	clone := g.Clone()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		g.CloneInto(clone)
 		b.StartTimer()
-		if _, err := pool.Solve(clone, &changes); err != nil {
+		if _, err := pool.Solve(clone, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -556,7 +556,6 @@ func BenchmarkUpdateRound1k(b *testing.B) {
 		start(waiting, now)
 		live = append(live, waiting...)
 		waiting = cl.SubmitJob(cluster.Batch, 0, now, specs(jobSize, i+1)).Tasks
-		gm.Changes().Reset()
 	}
 	for i := 0; i < 40; i++ { // reach the steady state before timing
 		round(i)
@@ -615,7 +614,6 @@ func BenchmarkUpdateRoundLoadSpread64(b *testing.B) {
 		start(waiting, now)
 		live = append(live, waiting)
 		waiting = cl.SubmitJob(cluster.Batch, 0, now, make([]cluster.TaskSpec, shapes[i%len(shapes)])).Tasks
-		gm.Changes().Reset()
 	}
 	for i := 0; i < 8; i++ { // reach the steady state before timing
 		round(i)

@@ -31,7 +31,6 @@ func TestSteadyStateUpdateAllocations(t *testing.T) {
 	round := func() {
 		now += 300 * time.Millisecond // wait costs step every 2 s
 		gm.UpdateRound(now)
-		gm.Changes().Reset()
 	}
 	for i := 0; i < 3; i++ { // warm up: grow every buffer to the world's size
 		round()

@@ -300,11 +300,9 @@ func runApplyEquiv(t *testing.T, pol equivPolicy, mode SolverMode, seed int64, s
 			}
 		case op < 19:
 			disturb()
-		default: // snapshot → RestoreScheduler, at solved quiescence only
-			if twins[0].s.PendingChanges() == 0 {
-				for _, w := range twins {
-					w.s = w.restore()
-				}
+		default: // snapshot → RestoreScheduler, solved or not
+			for _, w := range twins {
+				w.s = w.restore()
 			}
 		}
 		if a, b := twins[0].s.Fingerprint(), twins[1].s.Fingerprint(); a != b {

@@ -209,7 +209,7 @@ func newGraphManager(g *flow.Graph, cl *cluster.Cluster, model policy.CostModel)
 // Graph exposes the managed flow network (the solver pool operates on it).
 func (gm *GraphManager) Graph() *flow.Graph { return gm.g }
 
-// Changes exposes the change set accumulated since the last Reset.
+// Changes exposes the count of graph mutations since the last Reset.
 func (gm *GraphManager) Changes() *flow.ChangeSet { return &gm.changes }
 
 // CostModel returns the policy the graph is shaped by. The serving layer
@@ -233,7 +233,7 @@ func (gm *GraphManager) addMachine(id cluster.MachineID) {
 	}
 	n := gm.g.AddNode(0, flow.KindMachine)
 	gm.machineSink[id] = gm.g.AddArc(n, gm.sink, int64(gm.cl.Machine(id).Slots), 0)
-	gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: n})
+	gm.changes.Add()
 }
 
 func (gm *GraphManager) removeMachine(id cluster.MachineID) {
@@ -258,7 +258,7 @@ func (gm *GraphManager) removeMachine(id cluster.MachineID) {
 	gm.dropTaskArcRecords(n, policy.ToMachine(id))
 	gm.g.RemoveNode(n)
 	gm.machineSink[id] = flow.InvalidArc
-	gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: n})
+	gm.changes.Add()
 }
 
 // dropTaskArcRecords forgets every task's arc record for target, whose
@@ -361,13 +361,13 @@ func (gm *GraphManager) addTask(id cluster.TaskID) {
 		un := gm.g.AddNode(0, flow.KindUnsched)
 		js = gm.g.AddArc(un, gm.sink, 0, 0)
 		gm.unschedSink[t.Job] = js
-		gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: un})
+		gm.changes.Add()
 	}
 	gm.setTask(id, n, gm.g.AddArc(n, gm.g.Tail(js), 1, 0))
 	gm.g.SetArcCapacity(js, gm.g.Capacity(js)+1)
 	gm.g.SetSupply(gm.sink, -gm.NumTasks())
-	gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: n})
-	gm.changes.Record(flow.Change{Kind: flow.ChangeSupply, Node: gm.sink})
+	gm.changes.Add() // the task node
+	gm.changes.Add() // the sink's supply
 	gm.revisit[id] = struct{}{}
 }
 
@@ -386,8 +386,8 @@ func (gm *GraphManager) removeTask(id cluster.TaskID) {
 	gm.ext.gen++ // n's table entry no longer names id
 	delete(gm.revisit, id)
 	gm.g.SetSupply(gm.sink, -gm.NumTasks())
-	gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: n})
-	gm.changes.Record(flow.Change{Kind: flow.ChangeSupply, Node: gm.sink})
+	gm.changes.Add() // the task node
+	gm.changes.Add() // the sink's supply
 
 	js := gm.unschedSink[t.Job]
 	if alive := gm.g.Capacity(js) - 1; alive > 0 {
@@ -397,7 +397,7 @@ func (gm *GraphManager) removeTask(id cluster.TaskID) {
 	// Last task of the job: retire its unscheduled aggregator.
 	un := gm.g.Tail(js)
 	gm.g.RemoveNode(un)
-	gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: un})
+	gm.changes.Add()
 	delete(gm.unschedSink, t.Job)
 }
 
@@ -517,7 +517,7 @@ func (gm *GraphManager) updateAggregators(now time.Duration) {
 		}
 		n := gm.g.AddNode(0, flow.KindAggregator)
 		next = append(next, aggRecord{id: id, node: n})
-		gm.changes.Record(flow.Change{Kind: flow.ChangeAddNode, Node: n})
+		gm.changes.Add()
 	}
 	retired = append(retired, have[i:]...)
 	gm.aggs, u.aggs = next, have[:0]
@@ -554,7 +554,7 @@ func (gm *GraphManager) retireAggregator(r *aggRecord) {
 		}
 	}
 	gm.g.RemoveNode(r.node)
-	gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveNode, Node: r.node})
+	gm.changes.Add()
 }
 
 // diffMachineArcs merges want, which the policy lists strictly ascending
@@ -592,7 +592,7 @@ func (gm *GraphManager) diffMachineArcs(agg *aggRecord, want []policy.MachineArc
 		}
 		a := gm.g.AddArc(agg.node, mn, ma.Capacity, ma.Cost)
 		out = append(out, machineArcRec{k, a})
-		gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
+		gm.changes.Add()
 	}
 	for ; i < len(have); i++ {
 		dead = append(dead, have[i].arc)
@@ -630,7 +630,7 @@ func (gm *GraphManager) diffAggArcs(agg *aggRecord, want []policy.AggArc) {
 		}
 		a := gm.g.AddArc(agg.node, gm.aggs[to].node, aa.Capacity, aa.Cost)
 		out = append(out, aggArcRec{aa.To, a})
-		gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
+		gm.changes.Add()
 	}
 	for ; i < len(have); i++ {
 		dead = append(dead, have[i].arc)
@@ -643,7 +643,7 @@ func (gm *GraphManager) diffAggArcs(agg *aggRecord, want []policy.AggArc) {
 func (gm *GraphManager) removeArcs(arcs []flow.ArcID) {
 	for _, a := range arcs {
 		gm.g.RemoveArc(a)
-		gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveArc, Arc: a})
+		gm.changes.Add()
 	}
 }
 
@@ -729,7 +729,7 @@ func (gm *GraphManager) updateTask(t *cluster.Task, node flow.NodeID, now time.D
 		}
 		a := gm.g.AddArc(node, dst, cap, ta.Cost)
 		added = append(added, taskArcRec{ta.Target, a})
-		gm.changes.Record(flow.Change{Kind: flow.ChangeAddArc, Arc: a})
+		gm.changes.Add()
 	}
 	u.added = added[:0]
 	recs := have[:0]
@@ -738,7 +738,7 @@ func (gm *GraphManager) updateTask(t *cluster.Task, node flow.NodeID, now time.D
 			recs = append(recs, r)
 		} else {
 			gm.g.RemoveArc(r.arc)
-			gm.changes.Record(flow.Change{Kind: flow.ChangeRemoveArc, Arc: r.arc})
+			gm.changes.Add()
 		}
 	}
 	if len(recs) == len(have) && len(added) == 0 {
@@ -780,23 +780,23 @@ func (gm *GraphManager) updateMachineCapacities() {
 			continue
 		}
 		want := int64(gm.cl.Machine(cluster.MachineID(id)).Slots)
-		if got := gm.g.Capacity(a); got != want {
+		if gm.g.Capacity(a) != want {
 			gm.g.SetArcCapacity(a, want)
-			gm.changes.Record(flow.Change{Kind: flow.ChangeArcCapacity, Arc: a, Old: got, New: want})
+			gm.changes.Add()
 		}
 	}
 }
 
-// setArc updates an arc's cost and capacity if they differ, recording
+// setArc updates an arc's cost and capacity if they differ, counting
 // changes.
 func (gm *GraphManager) setArc(a flow.ArcID, cost policy.Cost, capacity int64) {
-	if old := gm.g.Cost(a); old != cost {
+	if gm.g.Cost(a) != cost {
 		gm.g.SetArcCost(a, cost)
-		gm.changes.Record(flow.Change{Kind: flow.ChangeArcCost, Arc: a, Old: old, New: cost})
+		gm.changes.Add()
 	}
-	if old := gm.g.Capacity(a); old != capacity {
+	if gm.g.Capacity(a) != capacity {
 		gm.g.SetArcCapacity(a, capacity)
-		gm.changes.Record(flow.Change{Kind: flow.ChangeArcCapacity, Arc: a, Old: old, New: capacity})
+		gm.changes.Add()
 	}
 }
 

@@ -110,10 +110,10 @@ type solveOutcome struct {
 }
 
 // Solve runs the configured algorithm(s) on g and leaves the winning
-// optimal flow on g. changes holds the graph deltas since the previous
-// call; no solver reads it (incremental cost scaling finds its starting
-// epsilon by scanning g), and only its length is reported, as
-// RoundStats.Changes and Scheduler.PendingChanges.
+// optimal flow on g. changes counts the graph mutations since the previous
+// call and is ignored: incremental cost scaling finds its starting epsilon
+// by scanning g. The parameter stays for callers that hand the graph
+// manager's count over with the graph.
 func (p *SolverPool) Solve(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, error) {
 	switch p.Mode {
 	case ModeRelaxationOnly:
@@ -124,7 +124,7 @@ func (p *SolverPool) Solve(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, 
 		return PoolResult{Winner: res.Algorithm, Cost: res.Cost,
 			AlgorithmTime: res.Runtime, RelaxationTime: res.Runtime}, nil
 	case ModeIncrementalCostScaling:
-		res, err := p.cs.SolveIncremental(g, changes, p.opts(nil))
+		res, err := p.cs.SolveIncremental(g, p.opts(nil))
 		if err != nil {
 			return PoolResult{}, err
 		}
@@ -140,7 +140,7 @@ func (p *SolverPool) Solve(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, 
 		return PoolResult{Winner: "cost-scaling (from scratch)", Cost: res.Cost,
 			AlgorithmTime: res.Runtime, CostScalingTime: res.Runtime}, nil
 	case ModeFirmament:
-		return p.solveSpeculative(g, changes)
+		return p.solveSpeculative(g)
 	default:
 		return PoolResult{}, fmt.Errorf("core: unknown solver mode %d", p.Mode)
 	}
@@ -153,7 +153,7 @@ func (p *SolverPool) Solve(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, 
 // scaling win leaves its solution where it belongs; only a relaxation win
 // pays to copy the replica's flow and potentials back, which also
 // overwrites whatever the stopped cost scaling run left on g.
-func (p *SolverPool) solveSpeculative(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, error) {
+func (p *SolverPool) solveSpeculative(g *flow.Graph) (PoolResult, error) {
 	// Compact the adjacency rows once, up front: CloneInto copies the
 	// compacted rows into the replica, so neither racing solver compacts
 	// them again, and each graph owns a private copy (no row state is
@@ -173,7 +173,7 @@ func (p *SolverPool) solveSpeculative(g *flow.Graph, changes *flow.ChangeSet) (P
 		relaxCh <- solveOutcome{res, err}
 	}()
 	go func() {
-		res, err := p.cs.SolveIncremental(g, changes, p.opts(&stopCS))
+		res, err := p.cs.SolveIncremental(g, p.opts(&stopCS))
 		csCh <- solveOutcome{res, err}
 	}()
 

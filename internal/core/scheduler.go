@@ -47,7 +47,13 @@ type Scheduler struct {
 
 // NewScheduler builds a scheduler over cl using the given policy.
 func NewScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config) *Scheduler {
-	gm := NewGraphManager(cl, model)
+	return newScheduler(cl, NewGraphManager(cl, model), cfg)
+}
+
+// newScheduler configures gm and a fresh solver pool from cfg. NewScheduler
+// and RestoreScheduler both build through it, so a restored scheduler
+// honours every Config field a live one does.
+func newScheduler(cl *cluster.Cluster, gm *GraphManager, cfg Config) *Scheduler {
 	gm.TaskRemovalHeuristic = cfg.TaskRemovalHeuristic
 	pool := NewSolverPool(cfg.Mode)
 	pool.PriceRefine = cfg.PriceRefine
@@ -159,20 +165,15 @@ func (s *Scheduler) Schedule(now time.Duration) (*Round, error) {
 // the per-round graph update WITHOUT solving — the template fast path uses
 // it for rounds whose every placement came from the cache, so the graph
 // absorbs the round's state changes (template-placed tasks enter as
-// running) at memory speed. The change set is deliberately NOT reset: it
-// keeps accumulating until the next real solve consumes it incrementally.
-// It returns the number of events folded in.
+// running) at memory speed. The next real solve warm-starts from the flow
+// and potentials left on the graph, so nothing else needs carrying; the
+// change count is not reset, and that solve reports the changes of every
+// round since the last one. It returns the number of events folded in.
 func (s *Scheduler) UpdateOnly(now time.Duration) int {
 	n := s.gm.ApplyClusterEvents()
 	s.gm.UpdateRound(now)
 	return n
 }
-
-// PendingChanges reports the graph changes accumulated since the last
-// solve — non-zero only after UpdateOnly rounds. The snapshot codec does
-// not carry the change set (snapshots are cut at solved quiescence), so
-// the durable service defers snapshots while changes are pending.
-func (s *Scheduler) PendingChanges() int { return s.gm.Changes().Len() }
 
 // ApplyStats counts the actions ApplyRound performed.
 type ApplyStats struct {

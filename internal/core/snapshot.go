@@ -138,7 +138,6 @@ func RestoreScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config, d
 	scale := d.I64()
 
 	gm := newGraphManager(g, cl, model)
-	gm.TaskRemovalHeuristic = cfg.TaskRemovalHeuristic
 	// The snapshot does not carry the revisit set: the first round
 	// re-derives every task once and rebuilds it.
 	gm.refreshAll, gm.machineEvents = true, true
@@ -207,12 +206,9 @@ func RestoreScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config, d
 		return nil, fmt.Errorf("core: restored scheduler state inconsistent: %w", err)
 	}
 
-	pool := NewSolverPool(cfg.Mode)
-	pool.PriceRefine = cfg.PriceRefine
-	pool.Options.Alpha = cfg.Alpha
-	pool.Options.ArcPrioritization = cfg.ArcPrioritization
-	pool.RestoreSolverScale(scale)
-	return &Scheduler{cl: cl, gm: gm, pool: pool, cfg: cfg}, nil
+	s := newScheduler(cl, gm, cfg)
+	s.pool.RestoreSolverScale(scale)
+	return s, nil
 }
 
 // Fingerprint hashes the scheduler's solver state (graph plus maps) via the

@@ -169,3 +169,32 @@ func FuzzRestoreScheduler(f *testing.F) {
 		s.Fingerprint()
 	})
 }
+
+// TestRestoreHonoursConfig restores a snapshot under a configuration that
+// differs from the default in every field: the restored scheduler's graph
+// manager and solver pool must carry the same settings as one NewScheduler
+// builds from that configuration.
+func TestRestoreHonoursConfig(t *testing.T) {
+	cfg := Config{Mode: ModeRelaxationOnly, Alpha: 5}
+	cl := cluster.New(snapshotTopology)
+	want := NewScheduler(cl, policy.NewLoadSpread(cl), cfg)
+	got, err := RestoreScheduler(cl, policy.NewLoadSpread(cl), cfg, wal.NewDec(realSnapshots(t)[1]))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	type settings struct {
+		cfg               Config
+		taskRemoval       bool
+		mode              SolverMode
+		priceRefine       bool
+		alpha             int64
+		arcPrioritization bool
+	}
+	of := func(s *Scheduler) settings {
+		return settings{s.cfg, s.gm.TaskRemovalHeuristic, s.pool.Mode, s.pool.PriceRefine,
+			s.pool.Options.Alpha, s.pool.Options.ArcPrioritization}
+	}
+	if g, w := of(got), of(want); g != w {
+		t.Fatalf("restored scheduler settings %+v, live %+v", g, w)
+	}
+}

@@ -288,19 +288,20 @@ func ContendedGraph(machines, jobTasks int, seed int64) (*flow.Graph, error) {
 	return loadSpreadContendedGraph(machines, jobTasks, seed)
 }
 
-// ChangedGraph builds a warmed, optimally-solved graph plus a realistic
-// inter-round change batch, for incremental-solve benchmarks (Figure 11).
-func ChangedGraph(n int, seed int64) (*flow.Graph, *flow.ChangeSet) {
+// ChangedGraph builds a warmed, optimally-solved graph and applies a
+// realistic inter-round change batch to it, for incremental-solve
+// benchmarks (Figure 11).
+func ChangedGraph(n int, seed int64) *flow.Graph {
 	sched, cl, store := warmed(n, 0.6, seed, core.ModeQuincy)
 	gm := sched.GraphManager()
 	cs := mcmf.NewCostScaling()
 	if _, err := cs.Solve(gm.Graph(), nil); err != nil {
 		panic(err)
 	}
-	mcmf.PriceRefine(gm.Graph(), cs.ScaleFor(gm.Graph()), 0, nil)
+	mcmf.NewScratch().PriceRefine(gm.Graph(), cs.ScaleFor(gm.Graph()), 0, nil)
 	rng := rand.New(rand.NewSource(seed))
 	churn(cl, store, rng, time.Second, n/8+1, n/8+1)
 	gm.ApplyEvents(cl.DrainEvents())
 	gm.UpdateRound(time.Second)
-	return gm.Graph(), gm.Changes()
+	return gm.Graph()
 }

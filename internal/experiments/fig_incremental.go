@@ -132,6 +132,7 @@ func incrementalComparison(n int, policyKind string, o Options, refine bool) (sc
 	sched, cl, store := warmedWithPolicy(n, 0.6, o.Seed, policyKind)
 	rng := rand.New(rand.NewSource(o.Seed + 1))
 	cs := mcmf.NewCostScaling()
+	sc := mcmf.NewScratch()
 	gm := sched.GraphManager()
 	// Prime the incremental state with an initial optimum.
 	if _, err := cs.Solve(gm.Graph(), nil); err != nil {
@@ -141,17 +142,16 @@ func incrementalComparison(n int, policyKind string, o Options, refine bool) (sc
 	now := time.Second
 	for round := 0; round < o.Rounds; round++ {
 		if refine {
-			mcmf.PriceRefine(gm.Graph(), cs.ScaleFor(gm.Graph()), 0, nil)
+			sc.PriceRefine(gm.Graph(), cs.ScaleFor(gm.Graph()), 0, nil)
 		}
 		churn(cl, store, rng, now, n/8+1, n/8+1)
 		gm.ApplyEvents(cl.DrainEvents())
 		gm.UpdateRound(now)
-		changes := gm.Changes()
 
 		g := gm.Graph()
 		incClone := g.Clone()
 		t0 := time.Now()
-		if _, err := cs.SolveIncremental(incClone, changes, nil); err != nil {
+		if _, err := cs.SolveIncremental(incClone, nil); err != nil {
 			return 0, 0, err
 		}
 		incTotal += time.Since(t0)
@@ -167,7 +167,6 @@ func incrementalComparison(n int, policyKind string, o Options, refine bool) (sc
 		if err := g.CopyFlowAndPotentialsFrom(incClone); err != nil {
 			return 0, 0, err
 		}
-		changes.Reset()
 		r := gm.ExtractRound()
 		sched.ApplyRound(&r, now)
 		now += time.Second
@@ -232,13 +231,12 @@ func taskRemovalRun(n int, o Options) (withTR, withoutTR time.Duration, err erro
 		gm.ApplyEvents(cl.DrainEvents())
 		gm.DrainLog = nil
 		gm.UpdateRound(now)
-		changes := gm.Changes()
 		g := gm.Graph()
 
 		// Variant A: heuristic state (feasible flow).
 		cloneA := g.Clone()
 		t0 := time.Now()
-		if _, err := cs.SolveIncremental(cloneA, changes, nil); err != nil {
+		if _, err := cs.SolveIncremental(cloneA, nil); err != nil {
 			return 0, 0, err
 		}
 		withTR += time.Since(t0)
@@ -252,7 +250,7 @@ func taskRemovalRun(n int, o Options) (withTR, withoutTR time.Duration, err erro
 			}
 		}
 		t1 := time.Now()
-		if _, err := mcmf.NewCostScaling().SolveIncremental(cloneB, changes, nil); err != nil {
+		if _, err := mcmf.NewCostScaling().SolveIncremental(cloneB, nil); err != nil {
 			return 0, 0, err
 		}
 		withoutTR += time.Since(t1)
@@ -261,7 +259,6 @@ func taskRemovalRun(n int, o Options) (withTR, withoutTR time.Duration, err erro
 		if err := g.CopyFlowAndPotentialsFrom(cloneA); err != nil {
 			return 0, 0, err
 		}
-		changes.Reset()
 		r := gm.ExtractRound()
 		sched.ApplyRound(&r, now)
 		now += time.Second
@@ -294,12 +291,11 @@ func AblationIncrementalRelaxation(w io.Writer, o Options) error {
 		churn(cl, store, rng, now, n/8+1, n/8+1)
 		gm.ApplyEvents(cl.DrainEvents())
 		gm.UpdateRound(now)
-		gm.Changes().Reset()
 		g := gm.Graph()
 
 		incClone := g.Clone()
 		t0 := time.Now()
-		if _, err := relax.SolveIncremental(incClone, nil, ap); err != nil {
+		if _, err := relax.SolveIncremental(incClone, ap); err != nil {
 			return err
 		}
 		inc += time.Since(t0)
@@ -341,6 +337,7 @@ func Fig13(w io.Writer, o Options) error {
 		rng := rand.New(rand.NewSource(o.Seed))
 		relax := mcmf.NewRelaxation()
 		cs := mcmf.NewCostScaling()
+		sc := mcmf.NewScratch()
 		now := time.Second
 		for round := 0; round < o.Rounds; round++ {
 			gm := sched.GraphManager()
@@ -349,7 +346,7 @@ func Fig13(w io.Writer, o Options) error {
 				return err
 			}
 			if refine {
-				mcmf.PriceRefine(gm.Graph(), cs.ScaleFor(gm.Graph()), 0, nil)
+				sc.PriceRefine(gm.Graph(), cs.ScaleFor(gm.Graph()), 0, nil)
 			}
 			r := gm.ExtractRound()
 			sched.ApplyRound(&r, now)
@@ -357,16 +354,14 @@ func Fig13(w io.Writer, o Options) error {
 			churn(cl, store, rng, now, n/8+1, n/8+1)
 			gm.ApplyEvents(cl.DrainEvents())
 			gm.UpdateRound(now)
-			changes := gm.Changes()
 			// ...and incremental cost scaling starts from the relaxation
 			// solution.
 			clone := gm.Graph().Clone()
 			t0 := time.Now()
-			if _, err := cs.SolveIncremental(clone, changes, nil); err != nil {
+			if _, err := cs.SolveIncremental(clone, nil); err != nil {
 				return err
 			}
 			dt := time.Since(t0)
-			changes.Reset()
 			if refine {
 				with.AddDuration(dt)
 			} else {

@@ -94,12 +94,13 @@ func Tab3(w io.Writer, o Options) error {
 	// Empirical verification across random optimal solutions.
 	rng := rand.New(rand.NewSource(o.Seed))
 	trials, correct := 0, 0
+	sc := mcmf.NewScratch()
 	for i := 0; i < 400; i++ {
 		g := randomSched(rng)
 		if _, err := mcmf.NewCostScaling().Solve(g, nil); err != nil {
 			continue
 		}
-		if !mcmf.PriceRefine(g, 1, 0, nil) {
+		if !sc.PriceRefine(g, 1, 0, nil) {
 			continue
 		}
 		var arcs []flow.ArcID

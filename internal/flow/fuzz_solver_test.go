@@ -78,9 +78,8 @@ func graphRoles(g *flow.Graph) (sink, unsched flow.NodeID, machines, tasks []flo
 
 // mutateBatch applies one decoded change batch — the §5.2 change
 // categories: task arrivals (supply changes), slot-count changes
-// (capacity changes), and cost changes — recording each into cs the way
-// core.GraphManager records its diffs.
-func mutateBatch(g *flow.Graph, cs *flow.ChangeSet, ops []byte) {
+// (capacity changes), and cost changes.
+func mutateBatch(g *flow.Graph, ops []byte) {
 	o := &fuzzOps{data: ops}
 	sink, unsched, machines, tasks := graphRoles(g)
 	n := 1 + o.next()%5
@@ -90,19 +89,15 @@ func mutateBatch(g *flow.Graph, cs *flow.ChangeSet, ops []byte) {
 			task := tasks[o.next()%len(tasks)]
 			for _, a := range g.Out(task) {
 				if g.IsForward(a) {
-					old := g.Cost(a)
 					g.SetArcCost(a, int64(o.next()%80))
-					cs.Record(flow.Change{Kind: flow.ChangeArcCost, Arc: a, Old: old, New: g.Cost(a)})
 					break
 				}
 			}
 		case 1: // new task arrives
 			task := g.AddNode(1, flow.KindTask)
-			cs.Record(flow.Change{Kind: flow.ChangeAddNode, Node: task})
 			g.AddArc(task, machines[o.next()%len(machines)], 1, int64(o.next()%50))
 			g.AddArc(task, unsched, 1, int64(60+o.next()%60))
 			g.SetSupply(sink, g.Supply(sink)-1)
-			cs.Record(flow.Change{Kind: flow.ChangeSupply, Node: sink})
 			// Keep the graph feasible: the unscheduled aggregator must be
 			// able to absorb every task.
 			for _, a := range g.Out(unsched) {
@@ -116,9 +111,7 @@ func mutateBatch(g *flow.Graph, cs *flow.ChangeSet, ops []byte) {
 			m := machines[o.next()%len(machines)]
 			for _, a := range g.Out(m) {
 				if g.IsForward(a) && g.Head(a) == sink {
-					old := g.Capacity(a)
 					g.SetArcCapacity(a, int64(1+o.next()%4))
-					cs.Record(flow.Change{Kind: flow.ChangeArcCapacity, Arc: a, Old: old, New: g.Capacity(a)})
 					break
 				}
 			}
@@ -188,9 +181,8 @@ func FuzzSolverChanges(f *testing.F) {
 
 			costs := make([]int64, len(incSolvers))
 			for i, inc := range incSolvers {
-				var cs flow.ChangeSet
-				mutateBatch(graphs[i], &cs, ops)
-				res, err := inc.SolveIncremental(graphs[i], &cs, nil)
+				mutateBatch(graphs[i], ops)
+				res, err := inc.SolveIncremental(graphs[i], nil)
 				if err != nil {
 					t.Fatalf("round %d: %s incremental solve: %v", rounds, inc.Name(), err)
 				}

@@ -290,18 +290,22 @@ func TestResetFlow(t *testing.T) {
 
 func TestChangeSetRecording(t *testing.T) {
 	var cs ChangeSet
-	if !cs.Empty() {
+	if !cs.Empty() || cs.Len() != 0 {
 		t.Fatal("new ChangeSet not empty")
 	}
-	cs.Record(Change{Kind: ChangeArcCost, Arc: 0, Old: 10, New: 3})
-	cs.Record(Change{Kind: ChangeSupply, Node: 1, Old: 0, New: 1})
-	cs.Record(Change{Kind: ChangeAddNode, Node: 2})
-	if cs.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", cs.Len())
+	for i := 0; i < 3; i++ {
+		cs.Add()
+	}
+	if cs.Empty() || cs.Len() != 3 {
+		t.Fatalf("Len = %d after three Adds, want 3", cs.Len())
 	}
 	cs.Reset()
-	if !cs.Empty() {
-		t.Fatal("Reset left state behind")
+	if !cs.Empty() || cs.Len() != 0 {
+		t.Fatalf("Len = %d after Reset, want 0", cs.Len())
+	}
+	cs.Add()
+	if cs.Len() != 1 {
+		t.Fatalf("Len = %d after Reset and one Add, want 1", cs.Len())
 	}
 }
 

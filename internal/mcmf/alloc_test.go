@@ -3,13 +3,11 @@ package mcmf
 import (
 	"math/rand"
 	"testing"
-
-	"firmament/internal/flow"
 )
 
 // TestSteadyStateSolveAllocations pins the steady-state allocation count of
 // the sequential solvers at zero. Each solver owns its working storage
-// (helperScratch pinned to the solver struct, not borrowed from a pool), so
+// (a Scratch pinned to the solver struct, not borrowed from a pool), so
 // once the first solves have grown every scratch slice to the graph's size,
 // repeat solves over same-shaped graphs must not touch the heap at all —
 // the regression the PR6 benchmark run surfaced was exactly a per-solve
@@ -97,19 +95,17 @@ func TestSteadyStateIncrementalAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One mutation round warms the incremental bookkeeping, then we replay
-	// solves of the settled graph: an empty change set keeps the epsilon
+	// solves of the settled graph: an optimal warm start keeps the epsilon
 	// schedule short without hiding scratch churn.
-	var changes flow.ChangeSet
-	mutateSchedulingGraph(rand.New(rand.NewSource(99)), g, &changes)
-	if _, err := cs.SolveIncremental(g, &changes, nil); err != nil {
+	mutateSchedulingGraph(rand.New(rand.NewSource(99)), g)
+	if _, err := cs.SolveIncremental(g, nil); err != nil {
 		t.Fatal(err)
 	}
-	var empty flow.ChangeSet
-	if _, err := cs.SolveIncremental(g, &empty, nil); err != nil {
+	if _, err := cs.SolveIncremental(g, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(10, func() {
-		if _, err := cs.SolveIncremental(g, &empty, nil); err != nil {
+		if _, err := cs.SolveIncremental(g, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -98,7 +98,7 @@ func (c *CostScaling) Solve(g *flow.Graph, opts *Options) (Result, error) {
 // potentials already on g and restarts epsilon at the largest reduced-cost
 // violation present, falling back to a full restart only if the violation
 // is as large as the maximum cost anyway.
-func (c *CostScaling) SolveIncremental(g *flow.Graph, changes *flow.ChangeSet, opts *Options) (Result, error) {
+func (c *CostScaling) SolveIncremental(g *flow.Graph, opts *Options) (Result, error) {
 	start := time.Now()
 	c.ensureScale(g, false)
 	if c.scale <= int64(g.NumNodes()) {

@@ -17,7 +17,7 @@ import (
 // baseline.
 type CycleCanceling struct {
 	cycle   []flow.ArcID // reusable buffer for negativeCycle results
-	scratch helperScratch
+	scratch Scratch
 }
 
 // NewCycleCanceling returns a cycle canceling solver.
@@ -31,7 +31,7 @@ func (c *CycleCanceling) Solve(g *flow.Graph, opts *Options) (Result, error) {
 	start := time.Now()
 	g.ResetFlow()
 	g.ResetPotentials()
-	unrouted, err := maxFlow(g, opts, &c.scratch)
+	unrouted, err := c.scratch.maxFlow(g, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -43,7 +43,7 @@ func (c *CycleCanceling) Solve(g *flow.Graph, opts *Options) (Result, error) {
 		if opts.stopped() {
 			return Result{}, ErrStopped
 		}
-		cycle := negativeCycle(g, opts, c.cycle, &c.scratch)
+		cycle := c.scratch.negativeCycle(g, opts, c.cycle)
 		if cycle != nil {
 			c.cycle = cycle // retain the grown buffer for the next search
 		}

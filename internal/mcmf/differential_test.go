@@ -128,17 +128,13 @@ func TestDifferentialSolverSuite(t *testing.T) {
 				batchSeed := seed*1009 + int64(round)
 				costs := make([]int64, len(incSolvers))
 				for i, inc := range incSolvers {
-					var cs, twinCS flow.ChangeSet
-					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), graphs[i], &cs)
-					if cs.Empty() {
-						t.Fatalf("%s: mutation batch recorded no changes", label)
-					}
-					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), twinGraphs[i], &twinCS)
-					res, err := inc.SolveIncremental(graphs[i], &cs, nil)
+					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), graphs[i])
+					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), twinGraphs[i])
+					res, err := inc.SolveIncremental(graphs[i], nil)
 					if err != nil {
 						t.Fatalf("%s: %s incremental solve: %v", label, inc.Name(), err)
 					}
-					twinRes, err := twinSolvers[i].SolveIncremental(twinGraphs[i], &twinCS, nil)
+					twinRes, err := twinSolvers[i].SolveIncremental(twinGraphs[i], nil)
 					if err != nil {
 						t.Fatalf("%s: %s twin incremental solve: %v", label, inc.Name(), err)
 					}
@@ -303,15 +299,14 @@ func TestParallelIncrementalCostScaling(t *testing.T) {
 					twinRes, twinErr = twin.Solve(twinGraph, nil)
 				} else {
 					batchSeed := seed*1009 + int64(round)
-					var csChanges, relaxChanges, twinChanges flow.ChangeSet
-					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), csGraph, &csChanges)
-					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), relaxGraph, &relaxChanges)
-					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), twinGraph, &twinChanges)
+					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), csGraph)
+					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), relaxGraph)
+					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), twinGraph)
 					concurrently(
-						func() { csRes, csErr = cs.SolveIncremental(csGraph, &csChanges, nil) },
-						func() { relaxRes, relaxErr = relax.SolveIncremental(relaxGraph, &relaxChanges, nil) },
+						func() { csRes, csErr = cs.SolveIncremental(csGraph, nil) },
+						func() { relaxRes, relaxErr = relax.SolveIncremental(relaxGraph, nil) },
 					)
-					twinRes, twinErr = twin.SolveIncremental(twinGraph, &twinChanges, nil)
+					twinRes, twinErr = twin.SolveIncremental(twinGraph, nil)
 				}
 				if csErr != nil {
 					t.Fatalf("%s: concurrent %s: %v", label, cs.Name(), csErr)

@@ -4,28 +4,18 @@ import (
 	"firmament/internal/flow"
 )
 
-// MaxFlow routes as much supply as possible from surplus nodes (imbalance
+// maxFlow routes as much supply as possible from surplus nodes (imbalance
 // > 0) to deficit nodes (imbalance < 0) over the residual network, ignoring
 // costs, using Dinic's algorithm with multi-source/multi-sink level graphs.
 // It returns the amount of surplus it could not route (zero for feasible
 // networks).
 //
-// Cycle canceling uses MaxFlow to obtain its initial feasible flow
+// Cycle canceling uses maxFlow to obtain its initial feasible flow
 // (paper §4: "the algorithm first computes a max-flow solution"). Both the
 // BFS level pass and the blocking-flow DFS iterate the compact adjacency
 // index; the DFS keeps a per-node position into the node's row (the classic
 // current-arc optimization) instead of a linked-list cursor.
-func MaxFlow(g *flow.Graph, opts *Options) (unrouted int64, err error) {
-	var s helperScratch
-	return maxFlow(g, opts, &s)
-}
-
-// MaxFlow is the allocation-free variant using pinned scratch.
-func (sc *Scratch) MaxFlow(g *flow.Graph, opts *Options) (unrouted int64, err error) {
-	return maxFlow(g, opts, &sc.s)
-}
-
-func maxFlow(g *flow.Graph, opts *Options, s *helperScratch) (unrouted int64, err error) {
+func (s *Scratch) maxFlow(g *flow.Graph, opts *Options) (unrouted int64, err error) {
 	n := g.NodeIDBound()
 	adj := g.Adjacency()
 	pl := g.ArcPlanes()

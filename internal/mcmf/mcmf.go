@@ -1,18 +1,22 @@
-// Package mcmf defines the solver interface shared by Firmament's min-cost
-// max-flow algorithms (paper §4) and the machinery they share: shortest-path
-// potential initialization, negative-cycle detection, Dinic max-flow, and
-// the price refine heuristic used when switching between algorithms (§6.2).
+// Package mcmf holds Firmament's four min-cost max-flow algorithms (paper
+// §4), the solver interface they share, and their common helpers:
+// shortest-path potential initialization and the price refine heuristic
+// used when switching between algorithms (§6.2).
 //
-// The four algorithms live in subpackages:
+// Each algorithm lives in its own file:
 //
-//	cyclecancel — cycle canceling (Klein), worst case O(N·M²·C·U)
-//	ssp         — successive shortest path, worst case O(N²·U·log N)
-//	costscale   — cost scaling (Goldberg–Tarjan), worst case O(N²·M·log(N·C))
-//	relax       — relaxation (Bertsekas–Tseng), worst case O(M³·C·U²)
+//	cyclecancel.go — cycle canceling (Klein), worst case O(N·M²·C·U)
+//	ssp.go         — successive shortest path, worst case O(N²·U·log N)
+//	costscale.go   — cost scaling (Goldberg–Tarjan), worst case O(N²·M·log(N·C))
+//	relax.go       — relaxation (Bertsekas–Tseng), worst case O(M³·C·U²)
 //
-// (Paper Table 1.) All solvers mutate the *flow.Graph in place: flow lives
-// in residual capacities and dual variables in node potentials, so that
-// incremental solvers (§5.2) can warm-start from the previous solution.
+// (Paper Table 1.) Only cycle canceling uses the negative-cycle search in
+// shortest.go and the Dinic max-flow in dinic.go, which gives it its
+// initial feasible flow.
+//
+// All solvers mutate the *flow.Graph in place: flow lives in residual
+// capacities and dual variables in node potentials, so that incremental
+// solvers (§5.2) can warm-start from the previous solution.
 package mcmf
 
 import (
@@ -141,5 +145,5 @@ type Solver interface {
 // optimality the latest changes broke (paper §5.2, Table 3).
 type IncrementalSolver interface {
 	Solver
-	SolveIncremental(g *flow.Graph, changes *flow.ChangeSet, opts *Options) (Result, error)
+	SolveIncremental(g *flow.Graph, opts *Options) (Result, error)
 }

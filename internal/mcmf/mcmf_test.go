@@ -323,10 +323,9 @@ func TestQuickIncrementalMatchesFromScratch(t *testing.T) {
 				return false
 			}
 			// Mutate: tweak some arc costs, add tasks, change a capacity.
-			var cs flow.ChangeSet
-			mutateSchedulingGraph(rng, g, &cs)
+			mutateSchedulingGraph(rng, g)
 			ref := g.Clone()
-			incRes, err := inc.SolveIncremental(g, &cs, nil)
+			incRes, err := inc.SolveIncremental(g, nil)
 			if err != nil {
 				t.Logf("%s incremental solve: %v", inc.Name(), err)
 				return false
@@ -359,7 +358,7 @@ func TestQuickIncrementalMatchesFromScratch(t *testing.T) {
 }
 
 // mutateSchedulingGraph applies a random batch of the §5.2 change types.
-func mutateSchedulingGraph(rng *rand.Rand, g *flow.Graph, cs *flow.ChangeSet) {
+func mutateSchedulingGraph(rng *rand.Rand, g *flow.Graph) {
 	var sink, unsched flow.NodeID = flow.InvalidNode, flow.InvalidNode
 	var machines []flow.NodeID
 	var tasks []flow.NodeID
@@ -382,19 +381,15 @@ func mutateSchedulingGraph(rng *rand.Rand, g *flow.Graph, cs *flow.ChangeSet) {
 			task := tasks[rng.Intn(len(tasks))]
 			for _, a := range g.Out(task) {
 				if g.IsForward(a) {
-					old := g.Cost(a)
 					g.SetArcCost(a, int64(rng.Intn(80)))
-					cs.Record(flow.Change{Kind: flow.ChangeArcCost, Arc: a, Old: old, New: g.Cost(a)})
 					break
 				}
 			}
 		case 1: // new task arrives
 			task := g.AddNode(1, flow.KindTask)
-			cs.Record(flow.Change{Kind: flow.ChangeAddNode, Node: task})
 			g.AddArc(task, machines[rng.Intn(len(machines))], 1, int64(rng.Intn(50)))
 			g.AddArc(task, unsched, 1, int64(60+rng.Intn(60)))
 			g.SetSupply(sink, g.Supply(sink)-1)
-			cs.Record(flow.Change{Kind: flow.ChangeSupply, Node: sink})
 			// Keep the graph feasible: the unscheduled aggregator must be
 			// able to absorb every task.
 			for _, a := range g.Out(unsched) {
@@ -408,9 +403,7 @@ func mutateSchedulingGraph(rng *rand.Rand, g *flow.Graph, cs *flow.ChangeSet) {
 			m := machines[rng.Intn(len(machines))]
 			for _, a := range g.Out(m) {
 				if g.IsForward(a) && g.Head(a) == sink {
-					old := g.Capacity(a)
 					g.SetArcCapacity(a, int64(1+rng.Intn(4)))
-					cs.Record(flow.Change{Kind: flow.ChangeArcCapacity, Arc: a, Old: old, New: g.Capacity(a)})
 					break
 				}
 			}
@@ -421,9 +414,9 @@ func mutateSchedulingGraph(rng *rand.Rand, g *flow.Graph, cs *flow.ChangeSet) {
 func TestMaxFlowRoutesAllSupply(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomSchedulingGraph(rng, 50, 10, 2)
-	unrouted, err := MaxFlow(g, nil)
+	unrouted, err := NewScratch().maxFlow(g, nil)
 	if err != nil {
-		t.Fatalf("MaxFlow: %v", err)
+		t.Fatalf("maxFlow: %v", err)
 	}
 	if unrouted != 0 {
 		t.Fatalf("unrouted = %d, want 0", unrouted)
@@ -438,9 +431,9 @@ func TestMaxFlowReportsUnroutable(t *testing.T) {
 	a := g.AddNode(2, flow.KindTask)
 	b := g.AddNode(-2, flow.KindSink)
 	g.AddArc(a, b, 1, 0) // capacity 1 < supply 2
-	unrouted, err := MaxFlow(g, nil)
+	unrouted, err := NewScratch().maxFlow(g, nil)
 	if err != nil {
-		t.Fatalf("MaxFlow: %v", err)
+		t.Fatalf("maxFlow: %v", err)
 	}
 	if unrouted != 1 {
 		t.Fatalf("unrouted = %d, want 1", unrouted)
@@ -457,7 +450,7 @@ func TestPriceRefineFindsPotentials(t *testing.T) {
 	// The optimal flow must admit 0-optimal potentials in any cost scale.
 	cs := NewCostScaling()
 	cs.ensureScale(g, true)
-	if !PriceRefine(g, cs.Scale(), 0, nil) {
+	if !NewScratch().PriceRefine(g, cs.Scale(), 0, nil) {
 		t.Fatal("PriceRefine failed on an optimal flow")
 	}
 	// Verify eps-optimality of the refined potentials in the scaled domain.
@@ -484,11 +477,12 @@ func TestPriceRefineRejectsSuboptimalFlow(t *testing.T) {
 	e2 := g.AddArc(mid, d, 1, 5)
 	g.Push(e1, 1)
 	g.Push(e2, 1)
-	if PriceRefine(g, 1, 0, nil) {
+	sc := NewScratch()
+	if sc.PriceRefine(g, 1, 0, nil) {
 		t.Fatal("PriceRefine accepted a suboptimal flow at eps=0")
 	}
 	// With a large enough eps the same flow is eps-optimal.
-	if !PriceRefine(g, 1, 10, nil) {
+	if !sc.PriceRefine(g, 1, 10, nil) {
 		t.Fatal("PriceRefine rejected a flow that is 10-optimal")
 	}
 }
@@ -496,11 +490,11 @@ func TestPriceRefineRejectsSuboptimalFlow(t *testing.T) {
 func TestInitPotentialsNonNegativeReducedCosts(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGeneralGraph(rng, 12)
-	if !InitPotentials(g, nil) {
-		t.Fatal("InitPotentials failed on acyclic-negative graph")
+	if !NewScratch().initPotentials(g, nil) {
+		t.Fatal("initPotentials failed on acyclic-negative graph")
 	}
 	if err := g.CheckReducedCostOptimal(0); err != nil {
-		t.Fatalf("reduced costs negative after InitPotentials: %v", err)
+		t.Fatalf("reduced costs negative after initPotentials: %v", err)
 	}
 }
 

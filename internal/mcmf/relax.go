@@ -84,7 +84,7 @@ func (r *Relaxation) Solve(g *flow.Graph, opts *Options) (Result, error) {
 // cost trees that every new source must traverse (paper §5.2) — but the
 // method is provided for completeness and for the experiments that
 // demonstrate exactly that effect.
-func (r *Relaxation) SolveIncremental(g *flow.Graph, changes *flow.ChangeSet, opts *Options) (Result, error) {
+func (r *Relaxation) SolveIncremental(g *flow.Graph, opts *Options) (Result, error) {
 	return r.run(g, time.Now(), opts)
 }
 

@@ -4,15 +4,15 @@ import (
 	"firmament/internal/flow"
 )
 
-// helperScratch holds the working arrays of the package-level helpers
-// (InitPotentials, PriceRefine, negativeCycle, MaxFlow). Long-lived callers
-// pin one to themselves — SSP and cycle canceling embed one, the solver pool
-// holds one through Scratch — so that the steady-state solve loop performs
-// no allocation at all. (An earlier revision borrowed these from a
+// Scratch holds the working arrays of the shared helpers (initPotentials,
+// negativeCycle, maxFlow and PriceRefine). Long-lived callers pin one to
+// themselves — SSP and cycle canceling embed one, the solver pool holds one
+// for its per-round price refine — so that the steady-state solve loop
+// performs no allocation at all. (An earlier revision borrowed these from a
 // sync.Pool, but pool hits are not guaranteed: every GC cycle empties the
 // pool, and the misses showed up as steady allocations in the Fig. 7
 // benchmarks.)
-type helperScratch struct {
+type Scratch struct {
 	i64     []int64 // distances or excesses
 	counts  []int32 // relaxation counters, BFS levels
 	cursor  []int32 // per-node adjacency row positions (Dinic), parents
@@ -21,19 +21,11 @@ type helperScratch struct {
 	queue   []flow.NodeID
 }
 
-// Scratch owns reusable working storage for the package-level helper
-// functions. Callers that invoke InitPotentials, PriceRefine or MaxFlow
-// every scheduling round hold one Scratch and call the methods on it; the
-// plain functions are one-shot conveniences that allocate a fresh scratch.
-type Scratch struct {
-	s helperScratch
-}
-
 // NewScratch returns an empty Scratch; its arrays grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
 // int64s returns a zeroed int64 slice of length n, reusing capacity.
-func (s *helperScratch) int64s(n int) []int64 {
+func (s *Scratch) int64s(n int) []int64 {
 	if cap(s.i64) < n {
 		s.i64 = make([]int64, n)
 	} else {
@@ -46,7 +38,7 @@ func (s *helperScratch) int64s(n int) []int64 {
 }
 
 // int32s returns an int32 slice of length n filled with v, reusing capacity.
-func (s *helperScratch) int32s(n int, v int32) []int32 {
+func (s *Scratch) int32s(n int, v int32) []int32 {
 	if cap(s.counts) < n {
 		s.counts = make([]int32, n)
 	} else {
@@ -60,7 +52,7 @@ func (s *helperScratch) int32s(n int, v int32) []int32 {
 
 // cursors returns an int32 slice of length n filled with v, distinct from
 // int32s so a helper can hold both at once.
-func (s *helperScratch) cursors(n int, v int32) []int32 {
+func (s *Scratch) cursors(n int, v int32) []int32 {
 	if cap(s.cursor) < n {
 		s.cursor = make([]int32, n)
 	} else {
@@ -73,7 +65,7 @@ func (s *helperScratch) cursors(n int, v int32) []int32 {
 }
 
 // arcIDs returns a flow.ArcID slice of length n filled with InvalidArc.
-func (s *helperScratch) arcIDs(n int) []flow.ArcID {
+func (s *Scratch) arcIDs(n int) []flow.ArcID {
 	if cap(s.arcs) < n {
 		s.arcs = make([]flow.ArcID, n)
 	} else {
@@ -86,7 +78,7 @@ func (s *helperScratch) arcIDs(n int) []flow.ArcID {
 }
 
 // bools returns a zeroed bool slice of length n, reusing capacity.
-func (s *helperScratch) bools(n int) []bool {
+func (s *Scratch) bools(n int) []bool {
 	if cap(s.inQueue) < n {
 		s.inQueue = make([]bool, n)
 	} else {
@@ -100,35 +92,25 @@ func (s *helperScratch) bools(n int) []bool {
 
 // nodes returns a node slice of length n for use as a FIFO ring (SPFA and
 // BFS queues hold each node at most once, so occupancy never exceeds n).
-func (s *helperScratch) nodes(n int) []flow.NodeID {
+func (s *Scratch) nodes(n int) []flow.NodeID {
 	if cap(s.queue) < n {
 		s.queue = make([]flow.NodeID, n)
 	}
 	return s.queue[:n]
 }
 
-// InitPotentials assigns node potentials such that every residual arc has
+// initPotentials assigns node potentials such that every residual arc has
 // non-negative reduced cost, using a label-correcting Bellman-Ford pass over
 // all residual arcs (every node starts at distance zero, which is equivalent
-// to a virtual source with zero-cost arcs to everywhere). Returns
-// ErrInfeasible-style failure as a negative-cycle report: if the residual
+// to a virtual source with zero-cost arcs to everywhere). If the residual
 // network contains a negative-cost cycle no such potentials exist and
-// InitPotentials returns false.
+// initPotentials returns false.
 //
-// Successive shortest path and relaxation call this when starting from
-// scratch on graphs that may contain negative-cost arcs.
-func InitPotentials(g *flow.Graph, opts *Options) bool {
-	var s helperScratch
-	return initPotentials(g, opts, &s)
-}
-
-// InitPotentials is the allocation-free variant using pinned scratch.
-func (sc *Scratch) InitPotentials(g *flow.Graph, opts *Options) bool {
-	return initPotentials(g, opts, &sc.s)
-}
-
+// Successive shortest path calls this when starting from scratch on graphs
+// that may contain negative-cost arcs.
+//
 //firmament:hotpath
-func initPotentials(g *flow.Graph, opts *Options, s *helperScratch) bool {
+func (s *Scratch) initPotentials(g *flow.Graph, opts *Options) bool {
 	n := g.NodeIDBound()
 	adj := g.Adjacency()
 	pl := g.ArcPlanes()
@@ -190,7 +172,7 @@ func initPotentials(g *flow.Graph, opts *Options, s *helperScratch) bool {
 // enter a cycle.
 //
 //firmament:hotpath
-func negativeCycle(g *flow.Graph, opts *Options, buf []flow.ArcID, s *helperScratch) []flow.ArcID {
+func (s *Scratch) negativeCycle(g *flow.Graph, opts *Options, buf []flow.ArcID) []flow.ArcID {
 	n := g.NodeIDBound()
 	dist := s.int64s(n)
 	parent := s.arcIDs(n)
@@ -253,20 +235,11 @@ func negativeCycle(g *flow.Graph, opts *Options, buf []flow.ArcID, s *helperScra
 // costScale multiplies arc costs before the test, allowing cost scaling to
 // refine in its internally scaled cost domain (§6.2: Firmament applies
 // price refine to a finished relaxation solution so that the next
-// incremental cost scaling run can start from a small epsilon).
-func PriceRefine(g *flow.Graph, costScale, eps int64, opts *Options) bool {
-	var s helperScratch
-	return priceRefine(g, costScale, eps, opts, &s)
-}
-
-// PriceRefine is the allocation-free variant using pinned scratch; the
-// solver pool runs it every round.
-func (sc *Scratch) PriceRefine(g *flow.Graph, costScale, eps int64, opts *Options) bool {
-	return priceRefine(g, costScale, eps, opts, &sc.s)
-}
-
+// incremental cost scaling run can start from a small epsilon). The solver
+// pool runs it every round on its pinned Scratch.
+//
 //firmament:hotpath
-func priceRefine(g *flow.Graph, costScale, eps int64, opts *Options, s *helperScratch) bool {
+func (s *Scratch) PriceRefine(g *flow.Graph, costScale, eps int64, opts *Options) bool {
 	n := g.NodeIDBound()
 	adj := g.Adjacency()
 	pl := g.ArcPlanes()

@@ -21,7 +21,7 @@ type SuccessiveShortestPath struct {
 	search  sspSearch
 	excess  []int64
 	sources []flow.NodeID
-	scratch helperScratch // pinned storage for InitPotentials
+	scratch Scratch // pinned storage for initPotentials
 }
 
 // NewSuccessiveShortestPath returns an SSP solver.
@@ -37,7 +37,7 @@ func (s *SuccessiveShortestPath) Solve(g *flow.Graph, opts *Options) (Result, er
 	start := time.Now()
 	g.ResetFlow()
 	g.ResetPotentials()
-	if !initPotentials(g, opts, &s.scratch) {
+	if !s.scratch.initPotentials(g, opts) {
 		// A negative cycle with zero flow means negative-cost arcs form a
 		// cycle; saturating them is not modelled here — Firmament's graphs
 		// are DAGs, so this indicates a malformed input.

@@ -102,7 +102,7 @@ func TestQuickTable3Predictions(t *testing.T) {
 		}
 		// Normalize potentials so the certificate is exact (0-optimal in
 		// unscaled costs) — cost scaling leaves scaled-domain potentials.
-		if !PriceRefine(g, 1, 0, nil) {
+		if !NewScratch().PriceRefine(g, 1, 0, nil) {
 			t.Log("price refine failed on optimal flow")
 			return false
 		}

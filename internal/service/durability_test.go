@@ -59,11 +59,7 @@ func manualDurableCfg(t *testing.T, dir string, clock *time.Duration, svcCfg Con
 		Service:    svcCfg,
 		Durability: dur,
 	}
-	log, err := wal.Open(dir, wal.Options{SegmentBytes: dur.SegmentBytes, Sync: dur.Sync})
-	if err != nil {
-		t.Fatalf("wal.Open: %v", err)
-	}
-	s, info, err := buildFromJournal(opts, dur, log)
+	s, info, err := buildFromJournal(opts, false)
 	if err != nil {
 		t.Fatalf("buildFromJournal: %v", err)
 	}
@@ -860,6 +856,90 @@ func TestReplayTemplateDeterminism(t *testing.T) {
 		if got := svc.TemplateCacheLen(); got != liveLen {
 			t.Fatalf("run %d cache len %d != live %d", run, got, liveLen)
 		}
+	}
+}
+
+// TestCloseAfterTemplateRoundSnapshots checks that a clean Close cuts its
+// snapshot even when the last rounds were served from the template cache
+// and never solved. The snapshot carries the whole graph, flow and
+// potentials included, so the reopened service restores it with nothing to
+// replay, holds the same cluster and scheduler state, and its next solve
+// leaves a feasible flow that matches a twin which never stopped.
+func TestCloseAfterTemplateRoundSnapshots(t *testing.T) {
+	svcCfg := Config{Templates: true}
+	// One miss, then two hits: the last two rounds never solve.
+	shape := []cluster.TaskSpec{{Duration: time.Second}, {Duration: 2 * time.Second}}
+	templateRounds := func(s *Service, clock *time.Duration) {
+		for cycle := 0; cycle < 3; cycle++ {
+			*clock += time.Millisecond
+			job, err := s.Submit(cluster.Batch, 0, shape)
+			if err != nil {
+				t.Fatalf("cycle %d Submit: %v", cycle, err)
+			}
+			*clock += time.Millisecond
+			if _, err := s.runRound(); err != nil {
+				t.Fatalf("cycle %d runRound: %v", cycle, err)
+			}
+			if cycle == 2 {
+				break // the last job stays running
+			}
+			for _, tid := range job.Tasks {
+				if err := s.Complete(tid); err != nil {
+					t.Fatalf("cycle %d Complete: %v", cycle, err)
+				}
+			}
+		}
+	}
+	// A job of a new shape misses the cache, so this round solves.
+	solvedRound := func(s *Service, clock *time.Duration) {
+		*clock += time.Millisecond
+		if _, err := s.Submit(cluster.Batch, 0, make([]cluster.TaskSpec, 3)); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		*clock += time.Millisecond
+		if _, err := s.runRound(); err != nil {
+			t.Fatalf("runRound: %v", err)
+		}
+	}
+
+	var clock, twinClock time.Duration
+	dir := t.TempDir()
+	a, _ := manualDurableCfg(t, dir, &clock, svcCfg)
+	templateRounds(a, &clock)
+	if st := a.Stats(); st.TemplateHits != 2 || st.TemplateMisses != 1 {
+		t.Fatalf("scenario must produce 2 hits / 1 miss, got %d/%d", st.TemplateHits, st.TemplateMisses)
+	}
+	liveCluster, liveSched := a.cl.Fingerprint(), a.sched.Fingerprint()
+	close(a.doneCh) // a manual service runs no loop for Close to wait out
+	if err := a.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	b, info := manualDurableCfg(t, dir, &clock, svcCfg)
+	if !info.Restored || info.ReplayedRounds != 0 {
+		t.Fatalf("restored=%v replayedRounds=%d, want a snapshot with nothing to replay",
+			info.Restored, info.ReplayedRounds)
+	}
+	if got := b.cl.Fingerprint(); got != liveCluster {
+		t.Fatalf("cluster fingerprint %x != live %x", got, liveCluster)
+	}
+	if got := b.sched.Fingerprint(); got != liveSched {
+		t.Fatalf("scheduler fingerprint %x != live %x", got, liveSched)
+	}
+
+	// The restored graph's first solve matches a twin that never stopped.
+	twin, _ := manualDurableCfg(t, t.TempDir(), &twinClock, svcCfg)
+	templateRounds(twin, &twinClock)
+	solvedRound(b, &clock)
+	solvedRound(twin, &twinClock)
+	if err := b.sched.GraphManager().Graph().CheckFeasible(); err != nil {
+		t.Fatalf("flow after the first restored solve: %v", err)
+	}
+	if got, want := b.sched.Fingerprint(), twin.sched.Fingerprint(); got != want {
+		t.Fatalf("scheduler fingerprint after the next solve %x != twin %x", got, want)
+	}
+	if got, want := b.cl.Fingerprint(), twin.cl.Fingerprint(); got != want {
+		t.Fatalf("cluster fingerprint after the next solve %x != twin %x", got, want)
 	}
 }
 

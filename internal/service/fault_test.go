@@ -44,11 +44,7 @@ func manualFaulty(t *testing.T, dir string, clock *time.Duration, dur Durability
 		Scheduler:  detCfg(),
 		Durability: dur,
 	}
-	log, err := wal.Open(dir, wal.Options{SegmentBytes: dur.SegmentBytes, Sync: dur.Sync, FS: dur.FS})
-	if err != nil {
-		t.Fatalf("wal.Open: %v", err)
-	}
-	s, info, err := buildFromJournal(opts, dur, log)
+	s, info, err := buildFromJournal(opts, false)
 	if err != nil {
 		t.Fatalf("buildFromJournal: %v", err)
 	}

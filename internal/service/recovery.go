@@ -107,25 +107,12 @@ const snapMetaVersion = 3
 // network carries the previous run's flow and potentials, so the first
 // round's incremental solver run starts from them instead of from scratch.
 func Open(opts Options) (*Service, *RestoreInfo, error) {
-	dur := opts.Durability.withDefaults()
-	if dur.Dir == "" {
-		return nil, nil, errors.New("service: DurabilityConfig.Dir is required")
+	s, info, err := buildFromJournal(opts, false)
+	if err == nil {
+		go s.loop()
+		s.wake() // recovered pending work (tasks, ops, queued events) needs a round
 	}
-	if opts.Model == nil {
-		return nil, nil, errors.New("service: Options.Model is required")
-	}
-	log, err := wal.Open(dur.Dir, wal.Options{SegmentBytes: dur.SegmentBytes, Sync: dur.Sync, FS: dur.FS})
-	if err != nil {
-		return nil, nil, err
-	}
-	s, info, err := buildFromJournal(opts, dur, log)
-	if err != nil {
-		log.Close()
-		return nil, nil, err
-	}
-	go s.loop()
-	s.wake() // recovered pending work (tasks, ops, queued events) needs a round
-	return s, info, nil
+	return s, info, err
 }
 
 // Replay rebuilds a service from a recorded journal directory and then
@@ -135,6 +122,19 @@ func Open(opts Options) (*Service, *RestoreInfo, error) {
 // journal doubles as a reproducible scenario: restore it, inspect Stats,
 // and optionally keep driving load against the recovered cluster.
 func Replay(opts Options) (*Service, *RestoreInfo, error) {
+	s, info, err := buildFromJournal(opts, true)
+	if err == nil {
+		go s.loop()
+		s.wake()
+	}
+	return s, info, err
+}
+
+// buildFromJournal checks opts, opens the journal in opts.Durability.Dir and
+// rebuilds the service from it, without starting the scheduling loop. With
+// detach the journal is input only: it is opened without syncing and closed
+// again before returning, and the service runs purely in memory.
+func buildFromJournal(opts Options, detach bool) (*Service, *RestoreInfo, error) {
 	dur := opts.Durability.withDefaults()
 	if dur.Dir == "" {
 		return nil, nil, errors.New("service: DurabilityConfig.Dir is required")
@@ -142,29 +142,35 @@ func Replay(opts Options) (*Service, *RestoreInfo, error) {
 	if opts.Model == nil {
 		return nil, nil, errors.New("service: Options.Model is required")
 	}
-	log, err := wal.Open(dur.Dir, wal.Options{SegmentBytes: dur.SegmentBytes, Sync: wal.SyncNone, FS: dur.FS})
+	sync := dur.Sync
+	if detach {
+		sync = wal.SyncNone
+	}
+	log, err := wal.Open(dur.Dir, wal.Options{SegmentBytes: dur.SegmentBytes, Sync: sync, FS: dur.FS})
 	if err != nil {
 		return nil, nil, err
 	}
-	s, info, err := buildFromJournal(opts, dur, log)
+	s, info, err := recoverFromLog(opts, dur, log)
 	if err != nil {
 		log.Close()
 		return nil, nil, err
 	}
-	// Detach: the journal was input, not an output. Close it before the
-	// loop starts so nothing can append, and drop the event tap so rounds
-	// stop accumulating batch copies nobody will journal.
-	s.jrn = nil
-	s.sched.GraphManager().EventTap = nil
-	if err := log.Close(); err != nil {
-		return nil, nil, err
+	if detach {
+		// Close the journal before the loop starts so nothing can append,
+		// and drop the event tap so rounds stop accumulating batch copies
+		// nobody will journal.
+		s.jrn = nil
+		s.sched.GraphManager().EventTap = nil
+		if err := log.Close(); err != nil {
+			return nil, nil, err
+		}
 	}
-	go s.loop()
-	s.wake()
 	return s, info, nil
 }
 
-func buildFromJournal(opts Options, dur DurabilityConfig, log *wal.Log) (*Service, *RestoreInfo, error) {
+// recoverFromLog restores the latest snapshot in log, or builds a fresh
+// service when there is none, and replays the log tail on top.
+func recoverFromLog(opts Options, dur DurabilityConfig, log *wal.Log) (*Service, *RestoreInfo, error) {
 	info := &RestoreInfo{}
 	var s *Service
 	var lastNow time.Duration

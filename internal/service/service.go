@@ -419,41 +419,38 @@ func (s *Service) submit(class cluster.JobClass, priority int, specs []cluster.T
 	if s.closed.Load() {
 		return nil, s.closedErr()
 	}
-	now := s.now()
-	if s.jrn == nil || s.degradedNow() {
-		// Volatile path: no journal, or durability is degraded after a WAL
-		// failure (Health says so loudly; the ack carries no persistence).
-		job := s.cl.SubmitJob(class, priority, now, specs)
-		s.noteTemplateCandidate(job.ID)
-		s.submitted.Add(int64(len(specs)))
-		s.wake()
-		return job, nil
-	}
 	// Durable order: reserve the ID, journal the submission under it, then
 	// register it. Snapshots are cut under closeMu's write side, so none
 	// falls between this append and the registration: recovery either finds
-	// the job in the snapshot or replays this record — never neither.
+	// the job in the snapshot or replays this record — never neither. With
+	// no journal, or with durability degraded after a WAL failure (Health
+	// says so loudly), the job registers volatile: the ack carries no
+	// persistence.
+	now := s.now()
 	id := s.cl.AllocJobID()
-	var e wal.Enc
-	encodeSubmitRecord(&e, id, class, priority, now, specs)
-	seq, err := s.jrn.Append(e.B)
-	if err != nil {
-		// A failed append may have torn the buffered frame; no in-place
-		// retry can mend it (the re-arm reopen does). Fail-stop surfaces
-		// the fault; degrade keeps the job, volatile.
-		if !s.walFailure(err) {
-			return nil, err
+	durable := s.jrn != nil && !s.degradedNow()
+	var seq uint64
+	if durable {
+		var e wal.Enc
+		encodeSubmitRecord(&e, id, class, priority, now, specs)
+		var err error
+		if seq, err = s.jrn.Append(e.B); err != nil {
+			// A failed append may have torn the buffered frame; no in-place
+			// retry can mend it (the re-arm reopen does). Fail-stop surfaces
+			// the fault; degrade keeps the job, volatile.
+			if !s.walFailure(err) {
+				return nil, err
+			}
+			durable = false
 		}
-		job := s.cl.SubmitJobWithID(id, class, priority, now, specs)
-		s.noteTemplateCandidate(job.ID)
-		s.submitted.Add(int64(len(specs)))
-		s.wake()
-		return job, nil
 	}
 	job := s.cl.SubmitJobWithID(id, class, priority, now, specs)
 	s.noteTemplateCandidate(job.ID)
 	s.submitted.Add(int64(len(specs)))
 	s.wake()
+	if !durable {
+		return job, nil
+	}
 	// The fsync-under-closeMu waiver of old lives on: closeMu.RLock is the
 	// close membrane, not a data lock, and the ack's fsync must complete
 	// before Close can tear down the log. Transient sync errors (EINTR,
@@ -632,14 +629,11 @@ func (s *Service) Close() error {
 			// closed and the loop has exited, so it captures everything) and
 			// trims the log; after a loop death the WAL alone is the
 			// consistent truth — the dying round never journaled, so its
-			// partial effects must not be snapshot.
-			// Unsolved template rounds may have left graph changes the
-			// snapshot codec cannot carry; then the WAL alone stays the
-			// consistent truth and no snapshot is cut. A degraded close
-			// skips the snapshot too — the disk is sick and the volatile
-			// window was never promised durable.
+			// partial effects must not be snapshot. A degraded close skips
+			// the snapshot too — the disk is sick and the volatile window
+			// was never promised durable.
 			degraded := s.degradedNow()
-			if s.Err() == nil && !degraded && s.sched.PendingChanges() == 0 {
+			if s.Err() == nil && !degraded {
 				s.closeErr = s.snapshot()
 			}
 			if err := s.jrn.Close(); err != nil && s.closeErr == nil && !degraded {
@@ -817,12 +811,9 @@ func (s *Service) runRound() (progress bool, err error) {
 	}
 
 	// When every pending task was just placed from the template cache,
-	// skip the solve: fold events and update the graph only (the change
-	// set keeps accumulating for the next incremental solve). A due
-	// snapshot forces a real solve — the snapshot codec does not carry the
-	// change set, so snapshots are only cut at solved quiescence.
-	snapshotDue := durable && round-s.lastSnapRound >= s.dur.SnapshotEvery
-	rec.solved = len(decisions) == 0 || s.cl.NumPending() > 0 || snapshotDue
+	// skip the solve: fold events and update the graph only. The next
+	// solve warm-starts from the flow and potentials left on the graph.
+	rec.solved = len(decisions) == 0 || s.cl.NumPending() > 0
 	r, batchEvents, err := s.foldAndSolve(rec)
 	if err != nil {
 		return false, err
@@ -903,8 +894,10 @@ func (s *Service) runRound() (progress bool, err error) {
 	s.exposeCounters()
 	s.publish(decisions)
 
-	if snapshotDue && durable {
-		// Pause the front door for the cut (see snapshot).
+	if durable && round-s.lastSnapRound >= s.dur.SnapshotEvery {
+		// Pause the front door for the cut (see snapshot). The snapshot
+		// carries the graph whole, flow and potentials included, so an
+		// unsolved template round is as good a cut as a solved one.
 		s.closeMu.Lock()
 		err := s.snapshot()
 		s.closeMu.Unlock()

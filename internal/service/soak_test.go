@@ -152,21 +152,17 @@ func TestSoakDurableSnapshots(t *testing.T) {
 // journal settings.
 func openManualDurable(t *testing.T, dur DurabilityConfig, topo cluster.Topology, clock *time.Duration) *Service {
 	t.Helper()
-	dur = dur.withDefaults()
-	log, err := wal.Open(dur.Dir, wal.Options{SegmentBytes: dur.SegmentBytes, Sync: dur.Sync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { log.Close() })
 	s, _, err := buildFromJournal(Options{
 		Topology:   topo,
 		Model:      func(cl *cluster.Cluster) policy.CostModel { return policy.NewLoadSpread(cl) },
 		Scheduler:  detCfg(),
 		Durability: dur,
-	}, dur, log)
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := s.jrn
+	t.Cleanup(func() { log.Close() })
 	s.testHookNow = func() time.Duration { return *clock }
 	return s
 }

@@ -18,8 +18,8 @@ import (
 // profile. A validated hit commits the cached placements before the round
 // touches the flow network; when every pending task of a round was placed
 // that way, the solve is skipped entirely (the graph still folds the
-// round's events in, and the accumulated change set feeds the next real
-// incremental solve). Misses fall through to the solver and the resulting
+// round's events in, and the next real solve warm-starts from the flow and
+// potentials left on it). Misses fall through to the solver and the resulting
 // placements are recorded as new templates.
 //
 // All cache state is confined to the scheduling goroutine; the only shared
