@@ -4,10 +4,8 @@
 //   - default: build an in-process service and hammer its front door from
 //     N concurrent submitters, completing every task the moment it is
 //     placed, and report sustained placement throughput — aggregate and
-//     per submitter — with latency percentiles. With the sharded front
-//     door, throughput should hold as -submitters grows past 16 (the old
-//     single-lock collapse point); the CI contention smoke runs
-//     `-submitters 32 -duration 2s` and fails on a zero-placement or
+//     per submitter — with latency percentiles. The CI contention smoke
+//     runs `-submitters 32 -duration 2s` and fails on a zero-placement or
 //     backlogged-deadlock outcome (the driver exits non-zero on either).
 //
 //   - -listen addr: serve the HTTP/JSON front door (internal/api) over a
@@ -359,8 +357,8 @@ func main() {
 		d = &remoteDoor{cli: cli, wait: *pendingFac > 0}
 	} else {
 		svc, cl := openService(topo, cfg, scfg, *walDir, durOpts)
-		fmt.Printf("cluster: %d machines in %d racks, %d slots, %d front-door shards\n",
-			cl.NumMachines(), cl.NumRacks(), cl.TotalSlots(), cl.NumShards())
+		fmt.Printf("cluster: %d machines in %d racks, %d slots\n",
+			cl.NumMachines(), cl.NumRacks(), cl.TotalSlots())
 		d = &localDoor{svc: svc, wait: *pendingFac > 0}
 	}
 	fmt.Printf("driver: mode %s, %d submitters x %d tasks/job, round interval %v, max-pending-factor %g\n",
@@ -436,8 +434,8 @@ func runServer(addr string, topo firmament.Topology, cfg firmament.Config,
 	svc, cl := openService(topo, cfg, scfg, walDir, durOpts)
 	srv := &http.Server{Addr: addr, Handler: firmament.NewAPIServer(svc)}
 
-	fmt.Printf("cluster: %d machines in %d racks, %d slots, %d front-door shards\n",
-		cl.NumMachines(), cl.NumRacks(), cl.TotalSlots(), cl.NumShards())
+	fmt.Printf("cluster: %d machines in %d racks, %d slots\n",
+		cl.NumMachines(), cl.NumRacks(), cl.TotalSlots())
 	fmt.Printf("serving HTTP front door on %s (mode %s)\n", addr, mode)
 
 	// Narrate health transitions (ok -> degraded -> ok on a sick disk that

@@ -79,7 +79,7 @@ func scheduleBigJob(n int, mode firmament.SolverMode) (time.Duration, string, er
 			}
 		}
 	}
-	cl.DrainEvents() // pre-load is background state, not schedulable work
+	cl.DrainEvents(nil) // pre-load is background state, not schedulable work
 
 	cfg := firmament.DefaultConfig()
 	cfg.Mode = mode

@@ -32,11 +32,10 @@
 // Beyond one-shot RunOnce calls, NewService starts a long-running,
 // concurrency-safe scheduling service — the continuously running deployment
 // of paper Fig. 2b. Many goroutines Submit jobs, report completions, and
-// add or remove machines through a sharded front door: the cluster's
-// job/task tables and event log are split into power-of-two shards keyed
-// by job ID, so submitters on different shards never contend, and
-// completions queue on per-shard ingestion queues the round start drains
-// with one buffer swap per shard. Events accumulate while a solver round
+// add or remove machines through the front door: a submission takes the
+// cluster's table lock once and lands in its event journal, and
+// completions and machine changes queue on one ingestion queue the round
+// start drains with one buffer swap. Events accumulate while a solver round
 // is in flight and drain as one batch at the next round (the paper's
 // event-coalescing behavior), so bursty traffic costs one incremental graph
 // update per round — and the solve runs on the scheduler's own graph under
@@ -123,8 +122,8 @@ const (
 	Service = cluster.Service
 )
 
-// NewCluster builds a cluster with the given topology and the default
-// front-door shard count.
+// NewCluster builds a cluster with the given topology, all machines
+// healthy and empty.
 func NewCluster(topo Topology) *Cluster { return cluster.New(topo) }
 
 // Scheduler core (paper §3, §6).

@@ -11,7 +11,7 @@
 //     allocates instead of leaving a bare counter regression;
 //   - durability ordering: the journal-before-publish and
 //     journal-before-register rules of internal/service, and the
-//     shard-lock discipline of internal/cluster.
+//     table → machine lock order of internal/cluster.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) so the analyzers could be rehosted on the

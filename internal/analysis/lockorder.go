@@ -10,10 +10,13 @@ import (
 // LockOrder enforces the locking discipline documented in
 // internal/cluster/cluster.go and docs/durability.md:
 //
-//   - lock order is shard → machine, everywhere: the cluster-wide machine
-//     table lock (machMu) must never be held while acquiring a shard lock;
-//   - a second shard lock must not be acquired while one is held unless
-//     the acquisition order provably ascends (waiver with the argument);
+//   - lock order is table → machine, everywhere: the machine lock
+//     (machMu) must never be held while acquiring the table lock
+//     (Cluster.mu, which guards the job, task and pending tables and the
+//     event journal);
+//   - a second table lock must not be acquired while one is held: a
+//     Cluster's table lock is not reentrant, and two clusters' locks have
+//     no order;
 //   - no blocking channel send under any mutex — publish paths use
 //     select-with-default, which is allowed;
 //   - no WAL fsync (Sync/SyncTo/syncNow) under any mutex. The WAL's
@@ -27,7 +30,7 @@ import (
 // goroutine/time).
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "enforces shard→machine lock order, no blocking send or fsync under locks",
+	Doc:  "enforces table→machine lock order, no blocking send or fsync under locks",
 	Run:  runLockOrder,
 }
 
@@ -35,7 +38,7 @@ type lockClass int
 
 const (
 	lockOther lockClass = iota
-	lockShard
+	lockTable
 	lockMach
 	lockExempt // syncMu: the WAL group-commit coordinator
 )
@@ -217,12 +220,12 @@ func handleLockCall(pass *Pass, call *ast.CallExpr, held heldSet) {
 
 // acquire records a lock acquisition and reports ordering violations.
 func acquire(pass *Pass, call *ast.CallExpr, held heldSet, name string, class lockClass) {
-	if class == lockShard {
+	if class == lockTable {
 		if other, ok := held.anyOf(lockMach); ok {
-			pass.Reportf(call.Pos(), "shard lock %s acquired while holding machine lock %s; lock order is shard → machine", name, other)
+			pass.Reportf(call.Pos(), "table lock %s acquired while holding machine lock %s; lock order is table → machine", name, other)
 		}
-		if other, ok := held.anyOf(lockShard); ok && other != name {
-			pass.Reportf(call.Pos(), "shard lock %s acquired while holding shard lock %s; shard locks must be taken in ascending shard order", name, other)
+		if other, ok := held.anyOf(lockTable); ok {
+			pass.Reportf(call.Pos(), "table lock %s acquired while holding table lock %s; take one table lock at a time", name, other)
 		}
 	}
 	held[name] = class
@@ -263,12 +266,10 @@ func classifyLock(pass *Pass, expr ast.Expr) (string, lockClass) {
 	case "syncMu":
 		return name, lockExempt
 	}
-	// A field named mu on a *shard-ish* owner is a shard lock.
-	if sel, ok := expr.(*ast.SelectorExpr); ok {
-		if t := pass.Info.TypeOf(sel.X); t != nil {
-			if strings.Contains(strings.ToLower(typeName(t)), "shard") {
-				return name, lockShard
-			}
+	// The field mu of a Cluster is the table lock.
+	if sel, ok := expr.(*ast.SelectorExpr); ok && last == "mu" {
+		if t := pass.Info.TypeOf(sel.X); t != nil && typeName(t) == "Cluster" {
+			return name, lockTable
 		}
 	}
 	return name, lockOther

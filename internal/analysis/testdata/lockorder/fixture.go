@@ -4,86 +4,111 @@ package fixture
 
 import "sync"
 
-type shard struct {
-	mu   sync.Mutex
-	vals []int
-}
-
-type table struct {
+// Cluster mirrors the real one: mu is the table lock, machMu the machine
+// lock.
+type Cluster struct {
+	mu     sync.RWMutex
 	machMu sync.RWMutex
 	syncMu sync.Mutex
 	ch     chan int
+	vals   []int
+}
+
+// other has a field named mu too, but it is not the table lock.
+type other struct {
+	mu sync.Mutex
 }
 
 type file struct{}
 
 func (file) Sync() error { return nil }
 
-func badOrder(t *table, sh *shard) {
-	t.machMu.Lock()
-	sh.mu.Lock() // want `lock order is shard → machine`
-	sh.mu.Unlock()
-	t.machMu.Unlock()
+func badOrder(c *Cluster) {
+	c.machMu.Lock()
+	c.mu.Lock() // want `lock order is table → machine`
+	c.mu.Unlock()
+	c.machMu.Unlock()
 }
 
-func goodOrder(t *table, sh *shard) {
-	sh.mu.Lock()
-	t.machMu.RLock() // shard → machine: the documented order
-	t.machMu.RUnlock()
-	sh.mu.Unlock()
+func badOrderRead(c *Cluster) {
+	c.machMu.RLock()
+	c.mu.RLock() // want `lock order is table → machine`
+	c.mu.RUnlock()
+	c.machMu.RUnlock()
 }
 
-func doubleShard(a, b *shard) {
+func goodOrder(c *Cluster) {
+	c.mu.Lock()
+	c.machMu.RLock() // table → machine: the documented order
+	c.machMu.RUnlock()
+	c.mu.Unlock()
+}
+
+func machineThenReleased(c *Cluster) {
+	c.machMu.RLock()
+	c.machMu.RUnlock()
+	c.mu.RLock() // machine lock released: allowed
+	c.mu.RUnlock()
+}
+
+func otherMuUnderMachine(c *Cluster, o *other) {
+	c.machMu.Lock()
+	o.mu.Lock() // not a table lock: no order to keep
+	o.mu.Unlock()
+	c.machMu.Unlock()
+}
+
+func twoTables(a, b *Cluster) {
 	a.mu.Lock()
-	b.mu.Lock() // want `ascending shard order`
+	b.mu.Lock() // want `one table lock at a time`
 	b.mu.Unlock()
 	a.mu.Unlock()
 }
 
-func oneAtATime(a, b *shard) {
+func oneAtATime(a, b *Cluster) {
 	a.mu.Lock()
 	a.mu.Unlock()
-	b.mu.Lock() // previous shard lock released: allowed
+	b.mu.Lock() // previous table lock released: allowed
 	b.mu.Unlock()
 }
 
-func blockingSend(t *table, sh *shard) {
-	sh.mu.Lock()
-	t.ch <- 1 // want `blocking channel send while holding sh\.mu`
-	sh.mu.Unlock()
+func blockingSend(c *Cluster) {
+	c.mu.Lock()
+	c.ch <- 1 // want `blocking channel send while holding c\.mu`
+	c.mu.Unlock()
 }
 
-func nonBlockingSend(t *table, sh *shard) {
-	sh.mu.Lock()
+func nonBlockingSend(c *Cluster) {
+	c.mu.Lock()
 	select {
-	case t.ch <- 1: // select with default is non-blocking: allowed
+	case c.ch <- 1: // select with default is non-blocking: allowed
 	default:
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 }
 
-func sendAfterUnlock(t *table, sh *shard) {
-	sh.mu.Lock()
-	sh.vals = append(sh.vals, 1)
-	sh.mu.Unlock()
-	t.ch <- 1 // lock released: allowed
+func sendAfterUnlock(c *Cluster) {
+	c.mu.Lock()
+	c.vals = append(c.vals, 1)
+	c.mu.Unlock()
+	c.ch <- 1 // lock released: allowed
 }
 
-func fsyncUnderLock(f file, sh *shard) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return f.Sync() // want `fsync \(Sync\) while holding sh\.mu`
+func fsyncUnderLock(f file, c *Cluster) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return f.Sync() // want `fsync \(Sync\) while holding c\.mu`
 }
 
-func fsyncUnderSyncMu(f file, t *table) error {
-	t.syncMu.Lock()
-	defer t.syncMu.Unlock()
+func fsyncUnderSyncMu(f file, c *Cluster) error {
+	c.syncMu.Lock()
+	defer c.syncMu.Unlock()
 	return f.Sync() // syncMu is the group-commit coordinator: exempt
 }
 
-func waivedFsync(f file, sh *shard) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+func waivedFsync(f file, c *Cluster) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	//firmament:ignore lockorder fixture: one-shot teardown, contention impossible
 	return f.Sync()
 }

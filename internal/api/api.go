@@ -38,7 +38,7 @@
 //	GET  /v1/watch                  placement event stream
 //
 // Completions and machine ops return 202 Accepted: they are queued on the
-// service's ingestion shards and enacted at the next scheduling round.
+// service's ingestion queue and enacted at the next scheduling round.
 // Completions are accepted unvalidated — a task ID that is unknown, or
 // that races a preemption, is counted as a stale completion at the drain
 // rather than rejected here (the same semantics in-process callers get),

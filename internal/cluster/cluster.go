@@ -11,29 +11,27 @@
 //
 // # Retirement
 //
-// A job whose last task completes joins its shard's done list. Nothing
-// leaves the tables on its own: the owner calls RetireDone once every
-// consumer of the completion events has folded them in, and the listed
-// jobs and their task records are deleted, their task count added to the
-// shard's retired totals. The tables then hold live work only, and the
-// cost of retirement is proportional to the jobs retired. CountStates and
-// the snapshot carry the retired totals, so the task conservation
-// identity (pending + running + completed + failed = submitted) holds
-// across retirement. A retired job or task is unknown to Task, Job and
-// JobDone. The serving layer retires once per round; the simulator and
-// the experiments never do and keep every record.
+// A job whose last task completes joins the done list. Nothing leaves the
+// tables on its own: the owner calls RetireDone once every consumer of the
+// completion events has folded them in, and the listed jobs and their task
+// records are deleted, their task count added to the retired totals. The
+// tables then hold live work only, and the cost of retirement is
+// proportional to the jobs retired. CountStates and the snapshot carry the
+// retired totals, so the task conservation identity (pending + running +
+// completed + failed = submitted) holds across retirement. A retired job
+// or task is unknown to Task, Job and JobDone. The serving layer retires
+// once per round; the simulator and the experiments never do and keep
+// every record.
 //
 // # Concurrency
 //
-// A Cluster is safe for concurrent use, and its front door scales with
-// submitter count: the job and task tables and the event log are split
-// into a power-of-two number of shards keyed by job ID, each with its own
-// lock and append-only event journal. A job and all of its tasks live in
-// one shard, so SubmitJob takes exactly one shard lock and submitters on
-// different shards never contend. Machine occupancy lives behind a
-// separate machine lock; aggregate figures (NumPending, TotalSlots,
-// NumQueuedEvents, NumQueuedEvictions) are atomic counters and never take a
-// lock at all.
+// A Cluster is safe for concurrent use. One lock guards the job, task and
+// pending tables and the append-only event journal; SubmitJob takes it
+// once per job, and the scheduler's drain holds it only for a buffer swap.
+// Machine occupancy lives behind a separate machine lock, always acquired
+// after the table lock when both are needed. Aggregate figures
+// (NumPending, TotalSlots, NumQueuedEvents, NumQueuedEvictions) are atomic
+// counters and never take a lock at all.
 //
 // The locking guards the tables themselves; the *Task, *Job and *Machine
 // records handed out by accessors are only mutated by cluster methods, so
@@ -45,7 +43,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,9 +59,9 @@ type JobID int32
 
 // TaskID identifies a task across all jobs. The ID encodes its job in the
 // high 32 bits and the task's index within the job in the low 32 bits, so
-// a task's shard is derivable from its ID alone and sorting task IDs
-// yields (job, index) order — the submission order of a sequential
-// workload.
+// a task's job is derivable from its ID alone and sorting task IDs yields
+// (job, index) order — the submission order of a sequential workload.
+// Journals and snapshots store IDs in this encoding.
 type TaskID int64
 
 // taskID builds the composite task identifier.
@@ -208,40 +205,29 @@ type Hooks struct {
 	Preempted func(t *Task, now time.Duration)
 }
 
-// DefaultShards is the shard count New uses. It is a fixed constant (not
-// derived from GOMAXPROCS) so that task ID allocation — and therefore any
-// seeded experiment that iterates tasks in ID order — is identical on
-// every machine.
-const DefaultShards = 16
-
-// shard is one partition of the job/task tables and the event log. Task
-// events land in the shard of the task's job; machine events in the shard
-// of the machine's ID. Per-entity event order is therefore preserved
-// within a single journal even though no global order exists.
-type shard struct {
-	mu      sync.RWMutex
-	jobs    map[JobID]*Job
-	tasks   map[TaskID]*Task
-	pending map[TaskID]struct{}
-	events  []Event
-	evicted int     // EventTaskEvicted entries in events
-	spare   []Event // drained buffer recycled by DrainEventShards
-	done    []JobID // finished jobs awaiting RetireDone
-	// Retired totals: jobs RetireDone removed and their (completed) tasks.
-	retiredJobs  int64
-	retiredTasks int64
-}
-
 // Cluster is the authoritative cluster state.
 type Cluster struct {
 	// Hooks are invoked on state transitions when set. Set them before any
 	// concurrent use; they run outside all cluster locks.
 	Hooks Hooks
 
-	topo      Topology
-	shards    []*shard
-	shardMask int64
-	nextJob   atomic.Int32
+	topo    Topology
+	nextJob atomic.Int32
+
+	// mu guards the job, task and pending tables, the event journal, the
+	// done list and the retired totals. Acquired before machMu when both
+	// are needed (table → machine order, everywhere).
+	mu      sync.RWMutex
+	jobs    map[JobID]*Job
+	tasks   map[TaskID]*Task
+	pending map[TaskID]struct{}
+	events  []Event
+	evicted int     // EventTaskEvicted entries in events
+	spare   []Event // drained buffer recycled by DrainEvents
+	done    []JobID // finished jobs awaiting RetireDone
+	// Retired totals: jobs RetireDone removed and their (completed) tasks.
+	retiredJobs  int64
+	retiredTasks int64
 
 	// Aggregates maintained on every transition so the hot paths
 	// (backpressure checks, queue-depth metrics, idle detection) never
@@ -251,51 +237,24 @@ type Cluster struct {
 	numEvicted   atomic.Int64 // the EventTaskEvicted share of numEvents
 	healthySlots atomic.Int64
 
-	// Machine occupancy and health. Acquired after a shard lock when both
-	// are needed (shard → machine order, everywhere).
+	// Machine occupancy and health.
 	machMu   sync.RWMutex
 	machines []*Machine
 	racks    [][]MachineID
 }
 
-// New builds a cluster with the given topology and DefaultShards front-door
-// shards. All machines start healthy and empty; no events are emitted for
-// the initial machines.
-func New(topo Topology) *Cluster { return NewSharded(topo, DefaultShards) }
-
-// roundShards rounds a requested shard count up to the next power of two
-// (minimum 1), so shard selection is a mask.
-func roundShards(shards int) int {
-	if shards < 1 {
-		return 1
-	}
-	if shards&(shards-1) != 0 {
-		return 1 << bits.Len(uint(shards))
-	}
-	return shards
-}
-
-// NewSharded builds a cluster with an explicit front-door shard count;
-// shards is rounded up to the next power of two (minimum 1). More shards
-// admit more concurrent submitters before lock contention; one shard
-// reproduces the old single-lock behavior.
-func NewSharded(topo Topology, shards int) *Cluster {
+// New builds a cluster with the given topology. All machines start healthy
+// and empty; no events are emitted for the initial machines.
+func New(topo Topology) *Cluster {
 	if topo.NICBps == 0 {
 		topo.NICBps = 10 * 1000 * 1000 * 1000 / 8 // 10 Gb/s in bytes/sec
 	}
-	shards = roundShards(shards)
 	c := &Cluster{
-		topo:      topo,
-		shards:    make([]*shard, shards),
-		shardMask: int64(shards - 1),
-		racks:     make([][]MachineID, topo.Racks),
-	}
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			jobs:    make(map[JobID]*Job),
-			tasks:   make(map[TaskID]*Task),
-			pending: make(map[TaskID]struct{}),
-		}
+		topo:    topo,
+		jobs:    make(map[JobID]*Job),
+		tasks:   make(map[TaskID]*Task),
+		pending: make(map[TaskID]struct{}),
+		racks:   make([][]MachineID, topo.Racks),
 	}
 	for r := 0; r < topo.Racks; r++ {
 		for i := 0; i < topo.MachinesPerRack; i++ {
@@ -315,20 +274,6 @@ func NewSharded(topo Topology, shards int) *Cluster {
 	}
 	return c
 }
-
-// NumShards returns the front-door shard count.
-func (c *Cluster) NumShards() int { return len(c.shards) }
-
-// jobShard returns the shard owning a job (and all of its tasks).
-func (c *Cluster) jobShard(j JobID) *shard { return c.shards[int64(j)&c.shardMask] }
-
-// taskShard returns the shard owning a task, derived from the job encoded
-// in the ID's high bits.
-func (c *Cluster) taskShard(id TaskID) *shard { return c.jobShard(JobOfTask(id)) }
-
-// machineShard returns the shard whose journal receives a machine's
-// add/remove events, so per-machine event order is preserved.
-func (c *Cluster) machineShard(id MachineID) *shard { return c.shards[int64(id)&c.shardMask] }
 
 // Topology returns the construction topology.
 func (c *Cluster) Topology() Topology { return c.topo }
@@ -380,44 +325,36 @@ func (c *Cluster) RackOf(id MachineID) RackID {
 
 // Task returns the task with the given ID, or nil.
 func (c *Cluster) Task(id TaskID) *Task {
-	sh := c.taskShard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.tasks[id]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.tasks[id]
 }
 
 // Job returns the job with the given ID, or nil.
 func (c *Cluster) Job(id JobID) *Job {
-	sh := c.jobShard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.jobs[id]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.jobs[id]
 }
 
-// Jobs calls fn for every job via per-shard traversal; fn must not call
-// mutating cluster methods. Iteration order is unspecified, and the
-// snapshot is consistent per shard, not across shards.
+// Jobs calls fn for every job, holding the table lock; fn must not call
+// mutating cluster methods. Iteration order is unspecified.
 func (c *Cluster) Jobs(fn func(*Job)) {
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		for _, j := range sh.jobs {
-			fn(j)
-		}
-		sh.mu.RUnlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, j := range c.jobs {
+		fn(j)
 	}
 }
 
-// PendingTasks returns the IDs of tasks waiting for placement, gathered
-// shard by shard. The order is unspecified; callers needing determinism
-// must sort.
+// PendingTasks returns the IDs of tasks waiting for placement. The order
+// is unspecified; callers needing determinism must sort.
 func (c *Cluster) PendingTasks() []TaskID {
-	out := make([]TaskID, 0, max(c.numPending.Load(), 0))
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		for id := range sh.pending {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([]TaskID, 0, len(c.pending))
+	for id := range c.pending {
+		out = append(out, id)
 	}
 	return out
 }
@@ -456,10 +393,9 @@ func (c *Cluster) SlotUtilization() float64 {
 }
 
 // SubmitJob registers a job and its tasks at the given virtual time,
-// emitting one EventTaskSubmitted per task into the job's shard journal.
-// The specs slice supplies one entry per task. SubmitJob acquires exactly
-// one shard lock; concurrent submitters whose jobs land on different
-// shards proceed without contention.
+// emitting one EventTaskSubmitted per task into the event journal. The
+// specs slice supplies one entry per task. SubmitJob takes the table lock
+// once for the whole job.
 func (c *Cluster) SubmitJob(class JobClass, priority int, now time.Duration, specs []TaskSpec) *Job {
 	return c.SubmitJobWithID(c.AllocJobID(), class, priority, now, specs)
 }
@@ -494,11 +430,10 @@ func (c *Cluster) SubmitJobWithID(id JobID, class JobClass, priority int, now ti
 		Tasks:      make([]TaskID, 0, len(specs)),
 		remaining:  len(specs),
 	}
-	sh := c.jobShard(id)
-	sh.mu.Lock()
-	sh.jobs[id] = job
+	c.mu.Lock()
+	c.jobs[id] = job
 	if len(specs) == 0 {
-		sh.done = append(sh.done, id) // nothing to wait for
+		c.done = append(c.done, id) // nothing to wait for
 	}
 	for i, spec := range specs {
 		t := &Task{
@@ -513,18 +448,18 @@ func (c *Cluster) SubmitJobWithID(id JobID, class JobClass, priority int, now ti
 			SubmitTime: now,
 			Machine:    InvalidMachine,
 		}
-		sh.tasks[t.ID] = t
+		c.tasks[t.ID] = t
 		job.Tasks = append(job.Tasks, t.ID)
-		sh.pending[t.ID] = struct{}{}
-		sh.events = append(sh.events, Event{Kind: EventTaskSubmitted, Task: t.ID, Time: now})
+		c.pending[t.ID] = struct{}{}
+		c.events = append(c.events, Event{Kind: EventTaskSubmitted, Task: t.ID, Time: now})
 	}
 	// Counters move inside the critical section: anyone who acquires the
-	// shard lock and sees these tasks (the scheduler about to Place and
+	// table lock and sees these tasks (the scheduler about to Place and
 	// decrement) has necessarily seen the increment too, so the aggregates
 	// can never go transiently negative.
 	c.numPending.Add(int64(len(specs)))
 	c.numEvents.Add(int64(len(specs)))
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	return job
 }
 
@@ -540,27 +475,26 @@ type TaskSpec struct {
 // error if the task is not pending, the machine is unhealthy, or the
 // machine has no free slot.
 func (c *Cluster) Place(id TaskID, m MachineID, now time.Duration) error {
-	sh := c.taskShard(id)
-	sh.mu.Lock()
-	t, ok := sh.tasks[id]
+	c.mu.Lock()
+	t, ok := c.tasks[id]
 	if !ok {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return fmt.Errorf("cluster: place of unknown task %d", id)
 	}
 	if t.State != TaskPending {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return fmt.Errorf("cluster: place of task %d in state %s", id, t.State)
 	}
 	c.machMu.Lock()
 	mach := c.machines[m]
 	if !mach.healthy {
 		c.machMu.Unlock()
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return fmt.Errorf("cluster: place of task %d on unhealthy machine %d", id, m)
 	}
 	if len(mach.running) >= mach.Slots {
 		c.machMu.Unlock()
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return fmt.Errorf("cluster: machine %d has no free slot for task %d", m, id)
 	}
 	t.State = TaskRunning
@@ -569,9 +503,9 @@ func (c *Cluster) Place(id TaskID, m MachineID, now time.Duration) error {
 	mach.running[id] = struct{}{}
 	mach.reserved += t.NetDemand
 	c.machMu.Unlock()
-	delete(sh.pending, id)
+	delete(c.pending, id)
 	c.numPending.Add(-1)
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if c.Hooks.Placed != nil {
 		c.Hooks.Placed(t, now)
 	}
@@ -581,24 +515,23 @@ func (c *Cluster) Place(id TaskID, m MachineID, now time.Duration) error {
 // Preempt stops a running task and returns it to the pending queue
 // (flow-based scheduling may preempt and migrate tasks, paper §2.2).
 func (c *Cluster) Preempt(id TaskID, now time.Duration) error {
-	sh := c.taskShard(id)
-	sh.mu.Lock()
-	t, ok := sh.tasks[id]
+	c.mu.Lock()
+	t, ok := c.tasks[id]
 	if !ok || t.State != TaskRunning {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return fmt.Errorf("cluster: preempt of task %d not running", id)
 	}
 	c.detach(t)
 	t.State = TaskPending
 	t.Preemptions++
-	sh.pending[id] = struct{}{}
-	sh.events = append(sh.events, Event{Kind: EventTaskEvicted, Task: id, Machine: t.Machine, Time: now})
-	sh.evicted++
+	c.pending[id] = struct{}{}
+	c.events = append(c.events, Event{Kind: EventTaskEvicted, Task: id, Machine: t.Machine, Time: now})
+	c.evicted++
 	t.Machine = InvalidMachine
 	c.numPending.Add(1)
 	c.numEvents.Add(1)
 	c.numEvicted.Add(1)
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if c.Hooks.Preempted != nil {
 		c.Hooks.Preempted(t, now)
 	}
@@ -608,11 +541,10 @@ func (c *Cluster) Preempt(id TaskID, now time.Duration) error {
 // Complete marks a running task finished, freeing its slot and emitting
 // EventTaskCompleted.
 func (c *Cluster) Complete(id TaskID, now time.Duration) error {
-	sh := c.taskShard(id)
-	sh.mu.Lock()
-	t, ok := sh.tasks[id]
+	c.mu.Lock()
+	t, ok := c.tasks[id]
 	if !ok || t.State != TaskRunning {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return fmt.Errorf("cluster: complete of task %d not running", id)
 	}
 	m := t.Machine
@@ -620,13 +552,13 @@ func (c *Cluster) Complete(id TaskID, now time.Duration) error {
 	t.State = TaskCompleted
 	t.FinishTime = now
 	t.Machine = InvalidMachine
-	j := sh.jobs[t.Job] // the job lives in the task's shard
+	j := c.jobs[t.Job]
 	if j.remaining--; j.remaining == 0 {
-		sh.done = append(sh.done, j.ID)
+		c.done = append(c.done, j.ID)
 	}
-	sh.events = append(sh.events, Event{Kind: EventTaskCompleted, Task: id, Machine: m, Time: now})
+	c.events = append(c.events, Event{Kind: EventTaskCompleted, Task: id, Machine: m, Time: now})
 	c.numEvents.Add(1)
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	return nil
 }
 
@@ -634,102 +566,83 @@ func (c *Cluster) Complete(id TaskID, now time.Duration) error {
 // job — a retired one included — is not done: remote clients can probe
 // arbitrary IDs, so the lookup must answer rather than panic.
 func (c *Cluster) JobDone(id JobID) bool {
-	sh := c.jobShard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	j, ok := sh.jobs[id]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	j, ok := c.jobs[id]
 	return ok && j.remaining == 0
 }
 
-// RetireDone deletes every finished job on the done lists, with its task
+// RetireDone deletes every finished job on the done list, with its task
 // records. It returns the number of jobs retired; their tasks join the
 // retired totals. The caller must have folded the jobs' completion events into
 // whatever consumes them (the scheduler's graph looks task records up as
 // it removes their nodes). The work is proportional to the jobs retired
 // and their tasks: no table is walked.
 func (c *Cluster) RetireDone() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for _, id := range sh.done {
-			j := sh.jobs[id]
-			for _, tid := range j.Tasks {
-				delete(sh.tasks, tid)
-			}
-			delete(sh.jobs, id)
-			sh.retiredJobs++
-			sh.retiredTasks += int64(len(j.Tasks))
-			n++
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.done)
+	for _, id := range c.done {
+		j := c.jobs[id]
+		for _, tid := range j.Tasks {
+			delete(c.tasks, tid)
 		}
-		sh.done = sh.done[:0]
-		sh.mu.Unlock()
+		delete(c.jobs, id)
+		c.retiredTasks += int64(len(j.Tasks))
 	}
+	c.retiredJobs += int64(n)
+	c.done = c.done[:0]
 	return n
 }
 
 // Retired returns the retired totals: jobs RetireDone has removed and
 // their tasks, all of which had completed.
 func (c *Cluster) Retired() (jobs, tasks int64) {
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		jobs += sh.retiredJobs
-		tasks += sh.retiredTasks
-		sh.mu.RUnlock()
-	}
-	return jobs, tasks
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.retiredJobs, c.retiredTasks
 }
 
 // RemoveMachine marks a machine unhealthy and evicts its tasks back to
-// pending, emitting EventMachineRemoved plus one EventTaskEvicted per task.
-// It returns an error — without mutating anything — if the machine is
-// unknown or already removed, so callers can account for stale operations
-// instead of losing them silently.
+// pending, emitting one EventTaskEvicted per task and then
+// EventMachineRemoved. It returns an error — without mutating anything —
+// if the machine is unknown or already removed, so callers can account for
+// stale operations instead of losing them silently.
 func (c *Cluster) RemoveMachine(id MachineID, now time.Duration) error {
 	if id < 0 || int(id) >= len(c.machines) {
 		return fmt.Errorf("cluster: remove of unknown machine %d", id)
 	}
+	c.mu.Lock()
 	c.machMu.Lock()
 	m := c.machines[id]
 	if !m.healthy {
 		c.machMu.Unlock()
+		c.mu.Unlock()
 		return fmt.Errorf("cluster: remove of already-removed machine %d", id)
 	}
 	m.healthy = false
 	c.healthySlots.Add(-int64(m.Slots))
-	victims := make([]TaskID, 0, len(m.running))
+	evicted := make([]*Task, 0, len(m.running))
 	for tid := range m.running {
-		victims = append(victims, tid)
+		evicted = append(evicted, c.tasks[tid])
 	}
 	c.machMu.Unlock()
 
-	var evicted []*Task
-	for _, tid := range victims {
-		sh := c.taskShard(tid)
-		sh.mu.Lock()
-		t := sh.tasks[tid]
-		if t == nil || t.State != TaskRunning || t.Machine != id {
-			sh.mu.Unlock() // raced a completion; nothing to evict
-			continue
-		}
+	for _, t := range evicted {
 		c.detach(t)
 		t.State = TaskPending
 		t.Preemptions++
 		t.Machine = InvalidMachine
-		sh.pending[tid] = struct{}{}
-		sh.events = append(sh.events, Event{Kind: EventTaskEvicted, Task: tid, Machine: id, Time: now})
-		sh.evicted++
-		c.numPending.Add(1)
-		c.numEvents.Add(1)
-		c.numEvicted.Add(1)
-		sh.mu.Unlock()
-		evicted = append(evicted, t)
+		c.pending[t.ID] = struct{}{}
+		c.events = append(c.events, Event{Kind: EventTaskEvicted, Task: t.ID, Machine: id, Time: now})
 	}
-
-	msh := c.machineShard(id)
-	msh.mu.Lock()
-	msh.events = append(msh.events, Event{Kind: EventMachineRemoved, Machine: id, Time: now})
-	c.numEvents.Add(1)
-	msh.mu.Unlock()
+	c.events = append(c.events, Event{Kind: EventMachineRemoved, Machine: id, Time: now})
+	n := int64(len(evicted))
+	c.evicted += len(evicted)
+	c.numPending.Add(n)
+	c.numEvents.Add(n + 1)
+	c.numEvicted.Add(n)
+	c.mu.Unlock()
 
 	if c.Hooks.Preempted != nil {
 		for _, t := range evicted {
@@ -746,6 +659,8 @@ func (c *Cluster) RestoreMachine(id MachineID, now time.Duration) error {
 	if id < 0 || int(id) >= len(c.machines) {
 		return fmt.Errorf("cluster: restore of unknown machine %d", id)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.machMu.Lock()
 	m := c.machines[id]
 	if m.healthy {
@@ -755,64 +670,37 @@ func (c *Cluster) RestoreMachine(id MachineID, now time.Duration) error {
 	m.healthy = true
 	c.healthySlots.Add(int64(m.Slots))
 	c.machMu.Unlock()
-
-	msh := c.machineShard(id)
-	msh.mu.Lock()
-	msh.events = append(msh.events, Event{Kind: EventMachineAdded, Machine: id, Time: now})
+	c.events = append(c.events, Event{Kind: EventMachineAdded, Machine: id, Time: now})
 	c.numEvents.Add(1)
-	msh.mu.Unlock()
 	return nil
 }
 
-// DrainEvents returns all events logged since the previous drain and clears
-// the journals. Events drain shard by shard: within a shard (one journal)
-// order is append order, and since every event of a given task or machine
-// lands in one fixed shard, per-entity causal order is preserved. No
-// cross-shard order exists — the scheduler's graph update does not need
-// one. Events logged by concurrent submitters while a round is in flight
-// accumulate and drain as one batch at the next round — the
-// event-coalescing behavior of the paper (Fig. 2b).
-func (c *Cluster) DrainEvents() []Event {
-	var out []Event
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		if n := len(sh.events); n > 0 {
-			out = append(out, sh.events...)
-			sh.events = sh.events[:0]
-			c.numEvents.Add(-int64(n))
-			c.numEvicted.Add(-int64(sh.evicted))
-			sh.evicted = 0
-		}
-		sh.mu.Unlock()
+// DrainEvents hands fn every event logged since the previous drain, in
+// append order, and clears the journal. Per-task and per-machine causal
+// order is therefore preserved. The table lock is held only for the
+// buffer swap, never while fn runs, so event consumers (the scheduler's
+// graph update) execute under no cluster lock and submitters proceed
+// unimpeded. fn is not called when nothing was logged; a nil fn discards
+// the events. The slice passed to fn is only valid for the duration of the
+// call: its backing array is recycled for the next journal. Events logged
+// by concurrent submitters while a round is in flight accumulate and drain
+// as one batch at the next round — the event-coalescing behavior of the
+// paper (Fig. 2b).
+func (c *Cluster) DrainEvents(fn func([]Event)) {
+	c.mu.Lock()
+	ev := c.events
+	c.events = c.spare[:0]
+	c.spare = nil
+	c.numEvents.Add(-int64(len(ev)))
+	c.numEvicted.Add(-int64(c.evicted))
+	c.evicted = 0
+	c.mu.Unlock()
+	if len(ev) > 0 && fn != nil {
+		fn(ev)
 	}
-	return out
-}
-
-// DrainEventShards drains each shard's journal in turn, calling fn once
-// per non-empty shard with the drained batch. The shard lock is held only
-// for the buffer swap — never while fn runs — so event consumers (the
-// scheduler's graph update) execute under no cluster lock and submitters
-// proceed unimpeded. The slice passed to fn is only valid for the duration
-// of the call: its backing array is recycled for the shard's next journal.
-func (c *Cluster) DrainEventShards(fn func([]Event)) {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		ev := sh.events
-		sh.events = sh.spare[:0]
-		sh.spare = nil
-		c.numEvents.Add(-int64(len(ev)))
-		if sh.evicted > 0 {
-			c.numEvicted.Add(-int64(sh.evicted))
-			sh.evicted = 0
-		}
-		sh.mu.Unlock()
-		if len(ev) > 0 {
-			fn(ev)
-		}
-		sh.mu.Lock()
-		sh.spare = ev[:0]
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.spare = ev[:0]
+	c.mu.Unlock()
 }
 
 // NumQueuedEvents returns the number of events accumulated since the last
@@ -827,8 +715,7 @@ func (c *Cluster) NumQueuedEvents() int { return int(c.numEvents.Load()) }
 func (c *Cluster) NumQueuedEvictions() int { return int(c.numEvicted.Load()) }
 
 // detach removes a task from its machine's bookkeeping. The caller holds
-// the task's shard lock; detach takes the machine lock (shard → machine
-// order).
+// the table lock; detach takes the machine lock (table → machine order).
 func (c *Cluster) detach(t *Task) {
 	if t.Machine == InvalidMachine {
 		return

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,13 @@ import (
 
 func testTopo() Topology {
 	return Topology{Racks: 2, MachinesPerRack: 3, SlotsPerMachine: 4}
+}
+
+// drain returns a copy of the events DrainEvents hands over.
+func drain(c *Cluster) []Event {
+	var out []Event
+	c.DrainEvents(func(ev []Event) { out = append(out, ev...) })
+	return out
 }
 
 func TestNewClusterTopology(t *testing.T) {
@@ -39,7 +47,7 @@ func TestTaskLifecycle(t *testing.T) {
 	if len(job.Tasks) != 2 || c.NumPending() != 2 {
 		t.Fatalf("tasks=%d pending=%d, want 2/2", len(job.Tasks), c.NumPending())
 	}
-	ev := c.DrainEvents()
+	ev := drain(c)
 	if len(ev) != 2 || ev[0].Kind != EventTaskSubmitted {
 		t.Fatalf("events = %+v, want 2 submissions", ev)
 	}
@@ -66,7 +74,7 @@ func TestTaskLifecycle(t *testing.T) {
 	if c.JobDone(job.ID) {
 		t.Fatal("job done with one task still pending")
 	}
-	ev = c.DrainEvents()
+	ev = drain(c)
 	if len(ev) != 1 || ev[0].Kind != EventTaskCompleted || ev[0].Machine != 2 {
 		t.Fatalf("completion event = %+v", ev)
 	}
@@ -103,7 +111,7 @@ func TestPreemptReturnsToPending(t *testing.T) {
 	if got := c.Machine(0).ReservedBandwidth(); got != 0 {
 		t.Fatalf("reserved = %d after preempt, want 0", got)
 	}
-	c.DrainEvents()
+	c.DrainEvents(nil)
 	if c.NumPending() != 1 {
 		t.Fatal("task not back in pending queue")
 	}
@@ -114,7 +122,7 @@ func TestRemoveMachineEvictsTasks(t *testing.T) {
 	job := c.SubmitJob(Batch, 0, 0, []TaskSpec{{}, {}})
 	c.Place(job.Tasks[0], 1, 0)
 	c.Place(job.Tasks[1], 1, 0)
-	c.DrainEvents()
+	c.DrainEvents(nil)
 	c.RemoveMachine(1, time.Minute)
 	if c.Machine(1).Healthy() {
 		t.Fatal("machine still healthy")
@@ -122,7 +130,7 @@ func TestRemoveMachineEvictsTasks(t *testing.T) {
 	if c.NumPending() != 2 || c.NumRunning() != 0 {
 		t.Fatalf("pending=%d running=%d, want 2/0", c.NumPending(), c.NumRunning())
 	}
-	ev := c.DrainEvents()
+	ev := drain(c)
 	evictions, removals := 0, 0
 	for _, e := range ev {
 		switch e.Kind {
@@ -175,110 +183,94 @@ func TestJobDone(t *testing.T) {
 	}
 }
 
-// TestShardedIDAllocation pins the composite task-ID scheme the sharded
-// tables rely on: a task's shard is derived from the job in its ID's high
-// bits, IDs are unique across shard counts, and sorting the IDs of a
-// sequentially submitted workload reproduces submission order.
+// TestShardedIDAllocation pins the composite task-ID scheme: a task's job
+// is derived from the high bits of its ID, IDs are unique, and sorting the
+// IDs of a sequentially submitted workload reproduces submission order.
 func TestShardedIDAllocation(t *testing.T) {
-	for _, shards := range []int{1, 2, 16, 64} {
-		c := NewSharded(testTopo(), shards)
-		if got := c.NumShards(); got != shards {
-			t.Fatalf("NumShards = %d, want %d", got, shards)
+	c := New(testTopo())
+	var inOrder []TaskID
+	for j := 0; j < 10; j++ {
+		job := c.SubmitJob(Batch, 0, 0, make([]TaskSpec, 7))
+		if job.ID != JobID(j) {
+			t.Fatalf("job ID %d, want %d", job.ID, j)
 		}
-		var inOrder []TaskID
-		for j := 0; j < 10; j++ {
-			job := c.SubmitJob(Batch, 0, 0, make([]TaskSpec, 7))
-			if job.ID != JobID(j) {
-				t.Fatalf("job ID %d, want %d", job.ID, j)
+		for i, id := range job.Tasks {
+			if JobOfTask(id) != job.ID {
+				t.Fatalf("JobOfTask(%d) = %d, want %d", id, JobOfTask(id), job.ID)
 			}
-			for i, id := range job.Tasks {
-				if JobOfTask(id) != job.ID {
-					t.Fatalf("JobOfTask(%d) = %d, want %d", id, JobOfTask(id), job.ID)
-				}
-				task := c.Task(id)
-				if task == nil || task.Job != job.ID || task.Index != i {
-					t.Fatalf("task %d resolves to %+v", id, task)
-				}
+			task := c.Task(id)
+			if task == nil || task.Job != job.ID || task.Index != i {
+				t.Fatalf("task %d resolves to %+v", id, task)
 			}
-			inOrder = append(inOrder, job.Tasks...)
 		}
-		seen := make(map[TaskID]bool, len(inOrder))
-		for i, id := range inOrder {
-			if seen[id] {
-				t.Fatalf("shards=%d: duplicate task ID %d", shards, id)
-			}
-			seen[id] = true
-			if i > 0 && id <= inOrder[i-1] {
-				t.Fatalf("shards=%d: sequential submission order not ID order: %d after %d",
-					shards, id, inOrder[i-1])
-			}
+		inOrder = append(inOrder, job.Tasks...)
+	}
+	seen := make(map[TaskID]bool, len(inOrder))
+	for i, id := range inOrder {
+		if seen[id] {
+			t.Fatalf("duplicate task ID %d", id)
+		}
+		seen[id] = true
+		if i > 0 && id <= inOrder[i-1] {
+			t.Fatalf("sequential submission order not ID order: %d after %d", id, inOrder[i-1])
 		}
 	}
 }
 
-// TestShardCountRounding pins NewSharded's power-of-two rounding.
-func TestShardCountRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, 1}, {-3, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
-	} {
-		if got := NewSharded(testTopo(), tc.in).NumShards(); got != tc.want {
-			t.Fatalf("NewSharded(%d).NumShards() = %d, want %d", tc.in, got, tc.want)
+// TestDrainEvents checks the swap drain: every event is seen exactly once
+// and in append order, the table lock is not held during the callback (the
+// callback can take it), and the drained buffer is recycled for the next
+// journal.
+func TestDrainEvents(t *testing.T) {
+	c := New(testTopo())
+	var want []Event
+	for j := 0; j < 6; j++ {
+		job := c.SubmitJob(Batch, 0, time.Duration(j), make([]TaskSpec, 3))
+		for _, id := range job.Tasks {
+			want = append(want, Event{Kind: EventTaskSubmitted, Task: id, Time: time.Duration(j)})
 		}
-	}
-}
-
-// TestDrainEventShards checks the per-shard drain: every event is seen
-// exactly once, per-job (and per-machine) order is preserved within a
-// batch, the shard lock is not held during the callback (the callback can
-// read cluster state), and the drained buffers are recycled across drains.
-func TestDrainEventShards(t *testing.T) {
-	c := NewSharded(testTopo(), 4)
-	jobs := make([]*Job, 6)
-	for j := range jobs {
-		jobs[j] = c.SubmitJob(Batch, 0, time.Duration(j), make([]TaskSpec, 3))
 	}
 	c.RemoveMachine(5, time.Minute)
-	wantEvents := 6*3 + 1
-	if got := c.NumQueuedEvents(); got != wantEvents {
-		t.Fatalf("NumQueuedEvents = %d, want %d", got, wantEvents)
+	want = append(want, Event{Kind: EventMachineRemoved, Machine: 5, Time: time.Minute})
+	if got := c.NumQueuedEvents(); got != len(want) {
+		t.Fatalf("NumQueuedEvents = %d, want %d", got, len(want))
 	}
 
-	total := 0
-	batches := 0
-	perJob := make(map[JobID]int)
-	c.DrainEventShards(func(ev []Event) {
-		batches++
-		total += len(ev)
-		c.NumPending() // callback runs outside the shard lock
-		for _, e := range ev {
-			if e.Kind != EventTaskSubmitted {
-				continue
-			}
-			// Within a shard journal, a job's submissions appear in
-			// task-index order.
-			j := JobOfTask(e.Task)
-			if idx := int(e.Task) & 0xffffffff; idx != perJob[j] {
-				t.Fatalf("job %d: event for index %d before index %d", j, idx, perJob[j])
-			}
-			perJob[j]++
+	calls := 0
+	var buf []Event
+	c.DrainEvents(func(ev []Event) {
+		calls++
+		buf = ev
+		c.PendingTasks() // takes the table lock: would deadlock if held
+		if !slices.Equal(ev, want) {
+			t.Fatalf("drained %+v, want %+v", ev, want)
 		}
 	})
-	if total != wantEvents {
-		t.Fatalf("drained %d events, want %d", total, wantEvents)
-	}
-	if batches == 0 || batches > c.NumShards() {
-		t.Fatalf("drain called fn %d times with %d shards", batches, c.NumShards())
+	if calls != 1 {
+		t.Fatalf("drain called fn %d times, want 1", calls)
 	}
 	if got := c.NumQueuedEvents(); got != 0 {
 		t.Fatalf("NumQueuedEvents = %d after drain, want 0", got)
 	}
+	c.DrainEvents(func([]Event) { t.Fatal("fn called on an empty journal") })
 
-	// Second cycle reuses the recycled buffers and still sees every event.
-	c.SubmitJob(Batch, 0, time.Hour, make([]TaskSpec, 5))
-	total = 0
-	c.DrainEventShards(func(ev []Event) { total += len(ev) })
-	if total != 5 {
-		t.Fatalf("second drain saw %d events, want 5", total)
+	// The buffers alternate between the journal and the drain: a later
+	// journal is written into the buffer just drained, and every drain
+	// still sees every event.
+	recycled := false
+	for i, want := range []int{5, 4} {
+		c.SubmitJob(Batch, 0, time.Hour, make([]TaskSpec, want))
+		total := 0
+		c.DrainEvents(func(ev []Event) {
+			total += len(ev)
+			recycled = recycled || &ev[0] == &buf[0]
+		})
+		if total != want {
+			t.Fatalf("drain %d saw %d events, want %d", i+2, total, want)
+		}
+	}
+	if !recycled {
+		t.Fatal("the drained buffer was never reused for a journal")
 	}
 }
 
@@ -316,7 +308,7 @@ func TestAggregateCounters(t *testing.T) {
 	}
 	// The whole history drains, and the drain zeroes the counter.
 	want := c.NumQueuedEvents()
-	if got := len(c.DrainEvents()); got != want {
+	if got := len(drain(c)); got != want {
 		t.Fatalf("drained %d events, counter said %d", got, want)
 	}
 	if c.NumQueuedEvents() != 0 {
@@ -340,13 +332,13 @@ func TestConcurrentSubmission(t *testing.T) {
 	go func() { // consumer: drain events and read state like a scheduler
 		defer wg.Done()
 		for {
-			drained.Add(int64(len(c.DrainEvents())))
+			drained.Add(int64(len(drain(c))))
 			c.NumPending()
 			c.SlotUtilization()
 			c.Machines(func(m *Machine) { m.Running() })
 			select {
 			case <-stop:
-				drained.Add(int64(len(c.DrainEvents())))
+				drained.Add(int64(len(drain(c))))
 				return
 			default:
 			}

@@ -10,16 +10,23 @@ import (
 
 // This file is the durable representation of a Cluster: a deterministic
 // binary snapshot of the job/task/machine tables (including the undrained
-// per-shard event journals and the retired totals) and the per-event codec
+// event journal and the retired totals) and the per-event codec
 // used by the service's write-ahead journal. Both use the fixed-width
 // little-endian wal.Enc/wal.Dec encoding so identical state always
 // produces identical bytes — the crash-recovery differential tests
 // fingerprint the encoding directly.
 
-// snapVersion 2 added each shard's retired totals; version-1 snapshots
-// (written before retirement existed) still decode, with zero totals.
-// Neither carries the done lists: a decoded job with no task left to
-// complete joins its shard's done list.
+// snapVersion 2 added the retired totals; version-1 snapshots (written
+// before retirement existed) still decode, with zero totals. Neither
+// carries the done list: a decoded job with no task left to complete joins
+// it.
+//
+// The tables follow as a count of sections, each holding jobs sorted by
+// ID, retired totals and an event queue. EncodeSnapshot writes one section.
+// Snapshots from builds that split the tables by job ID carry a
+// power-of-two count of them; DecodeSnapshot merges those into the one
+// table, summing the retired totals and concatenating the event queues in
+// section order, the order those builds drained them in.
 const snapVersion = 2
 
 // EncodeEvent appends the wire form of one cluster event.
@@ -113,7 +120,7 @@ func (c *Cluster) EncodeSnapshot(e *wal.Enc) {
 	e.I64(int64(c.topo.MachinesPerRack))
 	e.I64(int64(c.topo.SlotsPerMachine))
 	e.I64(c.topo.NICBps)
-	e.U32(uint32(len(c.shards)))
+	e.U32(1) // one section
 	e.I64(int64(c.nextJob.Load()))
 
 	// Machine health. Occupancy and reserved bandwidth are rebuilt from
@@ -125,37 +132,35 @@ func (c *Cluster) EncodeSnapshot(e *wal.Enc) {
 	}
 	c.machMu.RUnlock()
 
-	// Jobs and tasks, shard by shard, sorted by ID within each shard.
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		jobIDs := make([]JobID, 0, len(sh.jobs))
-		for id := range sh.jobs {
-			jobIDs = append(jobIDs, id)
+	// Jobs and tasks, sorted by ID.
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	jobIDs := make([]JobID, 0, len(c.jobs))
+	for id := range c.jobs {
+		jobIDs = append(jobIDs, id)
+	}
+	slices.Sort(jobIDs)
+	e.U32(uint32(len(jobIDs)))
+	for _, id := range jobIDs {
+		j := c.jobs[id]
+		e.I64(int64(j.ID))
+		e.U8(uint8(j.Class))
+		e.I64(int64(j.Priority))
+		e.Dur(j.SubmitTime)
+		e.I64(int64(j.remaining))
+		e.U32(uint32(len(j.Tasks)))
+		for _, tid := range j.Tasks {
+			encodeTask(e, c.tasks[tid])
 		}
-		slices.Sort(jobIDs)
-		e.U32(uint32(len(jobIDs)))
-		for _, id := range jobIDs {
-			j := sh.jobs[id]
-			e.I64(int64(j.ID))
-			e.U8(uint8(j.Class))
-			e.I64(int64(j.Priority))
-			e.Dur(j.SubmitTime)
-			e.I64(int64(j.remaining))
-			e.U32(uint32(len(j.Tasks)))
-			for _, tid := range j.Tasks {
-				encodeTask(e, sh.tasks[tid])
-			}
-		}
-		e.I64(sh.retiredJobs)
-		e.I64(sh.retiredTasks)
-		// Undrained event journal: a snapshot may capture a job whose
-		// submission events have not yet been consumed by the scheduler, so
-		// the queue is part of the state.
-		e.U32(uint32(len(sh.events)))
-		for _, ev := range sh.events {
-			EncodeEvent(e, ev)
-		}
-		sh.mu.RUnlock()
+	}
+	e.I64(c.retiredJobs)
+	e.I64(c.retiredTasks)
+	// Undrained event journal: a snapshot may capture a job whose
+	// submission events have not yet been consumed by the scheduler, so
+	// the queue is part of the state.
+	e.U32(uint32(len(c.events)))
+	for _, ev := range c.events {
+		EncodeEvent(e, ev)
 	}
 }
 
@@ -173,15 +178,16 @@ func DecodeSnapshot(d *wal.Dec) (*Cluster, error) {
 		SlotsPerMachine: int(d.I64()),
 		NICBps:          d.I64(),
 	}
-	shards := int(d.U32())
+	sections := int(d.U32())
 	nextJob := d.I64()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	c := NewSharded(topo, shards)
-	if len(c.shards) != shards {
-		return nil, fmt.Errorf("cluster: snapshot shard count %d is not a power of two", shards)
+	// Legacy snapshots split the tables into a power-of-two count of shards.
+	if sections < 1 || sections&(sections-1) != 0 {
+		return nil, fmt.Errorf("cluster: snapshot section count %d is not a power of two", sections)
 	}
+	c := New(topo)
 	c.nextJob.Store(int32(nextJob))
 
 	nm := int(d.U32())
@@ -195,7 +201,7 @@ func DecodeSnapshot(d *wal.Dec) (*Cluster, error) {
 		}
 	}
 
-	for _, sh := range c.shards {
+	for range sections {
 		nj := d.Len(8)
 		for j := 0; j < nj; j++ {
 			job := &Job{
@@ -213,10 +219,10 @@ func DecodeSnapshot(d *wal.Dec) (*Cluster, error) {
 					return nil, d.Err()
 				}
 				job.Tasks = append(job.Tasks, t.ID)
-				sh.tasks[t.ID] = t
+				c.tasks[t.ID] = t
 				switch t.State {
 				case TaskPending:
-					sh.pending[t.ID] = struct{}{}
+					c.pending[t.ID] = struct{}{}
 					c.numPending.Add(1)
 				case TaskRunning:
 					m := c.Machine(t.Machine)
@@ -227,29 +233,29 @@ func DecodeSnapshot(d *wal.Dec) (*Cluster, error) {
 					m.reserved += t.NetDemand
 				}
 			}
-			sh.jobs[job.ID] = job
+			c.jobs[job.ID] = job
 			if job.remaining == 0 {
-				sh.done = append(sh.done, job.ID)
+				c.done = append(c.done, job.ID)
 			}
 		}
 		if v >= 2 {
-			sh.retiredJobs = d.I64()
-			sh.retiredTasks = d.I64()
+			c.retiredJobs += d.I64()
+			c.retiredTasks += d.I64()
 		}
 		ne := d.Len(8)
 		for k := 0; k < ne; k++ {
 			ev := DecodeEvent(d)
 			if ev.Kind == EventTaskEvicted {
-				sh.evicted++
+				c.evicted++
 			}
-			sh.events = append(sh.events, ev)
+			c.events = append(c.events, ev)
 		}
-		c.numEvents.Add(int64(ne))
-		c.numEvicted.Add(int64(sh.evicted))
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
+	c.numEvents.Store(int64(len(c.events)))
+	c.numEvicted.Store(int64(c.evicted))
 	return c, nil
 }
 
@@ -267,37 +273,35 @@ func (c *Cluster) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// CountStates tallies tasks by lifecycle state across all shards, counting
-// retired tasks as completed — the restore path's accounting self-check
-// compares these totals against the journal-derived counters, and every
-// task ever submitted is in exactly one of them.
+// CountStates tallies tasks by lifecycle state, counting retired tasks as
+// completed — the restore path's accounting self-check compares these
+// totals against the journal-derived counters, and every task ever
+// submitted is in exactly one of them.
 //
 //firmament:deterministic
 func (c *Cluster) CountStates() (pending, running, completed, failed int) {
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		// Sorted-ID iteration: the tallies are order-insensitive today, but
-		// this walk sits in the deterministic scope and anything added to it
-		// (per-task detail, sampled dumps) must come out byte-stable.
-		ids := make([]TaskID, 0, len(sh.tasks))
-		for id := range sh.tasks {
-			ids = append(ids, id)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	// Sorted-ID iteration: the tallies are order-insensitive today, but
+	// this walk sits in the deterministic scope and anything added to it
+	// (per-task detail, sampled dumps) must come out byte-stable.
+	ids := make([]TaskID, 0, len(c.tasks))
+	for id := range c.tasks {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	completed = int(c.retiredTasks)
+	for _, id := range ids {
+		switch c.tasks[id].State {
+		case TaskPending:
+			pending++
+		case TaskRunning:
+			running++
+		case TaskCompleted:
+			completed++
+		case TaskFailed:
+			failed++
 		}
-		slices.Sort(ids)
-		completed += int(sh.retiredTasks)
-		for _, id := range ids {
-			switch sh.tasks[id].State {
-			case TaskPending:
-				pending++
-			case TaskRunning:
-				running++
-			case TaskCompleted:
-				completed++
-			case TaskFailed:
-				failed++
-			}
-		}
-		sh.mu.RUnlock()
 	}
 	return
 }

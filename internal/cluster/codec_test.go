@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,7 +16,7 @@ import (
 func buildMessyCluster(t *testing.T, seed int64) *Cluster {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	c := NewSharded(Topology{Racks: 3, MachinesPerRack: 4, SlotsPerMachine: 4}, 4)
+	c := New(Topology{Racks: 3, MachinesPerRack: 4, SlotsPerMachine: 4})
 	var running []TaskID
 	for i := 0; i < 20; i++ {
 		n := 1 + rng.Intn(4)
@@ -98,20 +100,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("decoded cluster reused live job ID %d", j.ID)
 			}
 		})
-		// Event queues must carry over in order.
-		var ev1, ev2 []Event
-		c.DrainEventShards(func(b []Event) { ev1 = append(ev1, b...) })
-		c2.DrainEventShards(func(b []Event) { ev2 = append(ev2, b...) })
-		// c2 has extra events from the post-decode submit; the prefix per
-		// shard matches, so compare counts only.
-		if len(ev2) != len(ev1)+1 {
-			t.Fatalf("drained %d events, want %d", len(ev2), len(ev1)+1)
+		// The event queue must carry over in order; c2 has one extra event
+		// from the post-decode submit.
+		ev1, ev2 := drain(c), drain(c2)
+		if len(ev2) != len(ev1)+1 || !slices.Equal(ev2[:len(ev1)], ev1) {
+			t.Fatalf("decoded queue %+v, want %+v plus one submission", ev2, ev1)
 		}
 	}
 }
 
 func TestSubmitJobWithIDReplay(t *testing.T) {
-	c := NewSharded(Topology{Racks: 1, MachinesPerRack: 2, SlotsPerMachine: 2}, 2)
+	c := New(Topology{Racks: 1, MachinesPerRack: 2, SlotsPerMachine: 2})
 	// Replay-style: register under explicit IDs, out of order.
 	c.SubmitJobWithID(5, Batch, 0, time.Second, []TaskSpec{{}})
 	c.SubmitJobWithID(2, Service, 1, 2*time.Second, []TaskSpec{{}, {}})
@@ -219,5 +218,133 @@ func TestSnapshotRetirement(t *testing.T) {
 	}
 	if n := c.RetireDone(); n != 1 || c.Fingerprint() != c2.Fingerprint() {
 		t.Fatal("the original and the decoded cluster diverge after retiring the same job")
+	}
+}
+
+// encodeLegacy writes c in the layout of builds that split the tables into
+// n sections by job ID: job j and its tasks' events in section j mod n, a
+// machine's events in section id mod n, and section i carrying retired[i]
+// as its retired totals. It also returns the section-ordered concatenation
+// of the event queues, the order those builds drained them in.
+func encodeLegacy(c *Cluster, n int, retired [][2]int64) ([]byte, []Event) {
+	var e wal.Enc
+	e.U32(snapVersion)
+	e.I64(int64(c.topo.Racks))
+	e.I64(int64(c.topo.MachinesPerRack))
+	e.I64(int64(c.topo.SlotsPerMachine))
+	e.I64(c.topo.NICBps)
+	e.U32(uint32(n))
+	e.I64(int64(c.nextJob.Load()))
+	e.U32(uint32(len(c.machines)))
+	for _, m := range c.machines {
+		e.Bool(m.healthy)
+	}
+	queues := make([][]Event, n)
+	for _, ev := range c.events {
+		key := int64(JobOfTask(ev.Task))
+		if ev.Kind == EventMachineAdded || ev.Kind == EventMachineRemoved {
+			key = int64(ev.Machine)
+		}
+		queues[key%int64(n)] = append(queues[key%int64(n)], ev)
+	}
+	var order []Event
+	for i := 0; i < n; i++ {
+		var ids []JobID
+		for id := range c.jobs {
+			if int(id)%n == i {
+				ids = append(ids, id)
+			}
+		}
+		slices.Sort(ids)
+		e.U32(uint32(len(ids)))
+		for _, id := range ids {
+			j := c.jobs[id]
+			e.I64(int64(j.ID))
+			e.U8(uint8(j.Class))
+			e.I64(int64(j.Priority))
+			e.Dur(j.SubmitTime)
+			e.I64(int64(j.remaining))
+			e.U32(uint32(len(j.Tasks)))
+			for _, tid := range j.Tasks {
+				encodeTask(&e, c.tasks[tid])
+			}
+		}
+		e.I64(retired[i][0])
+		e.I64(retired[i][1])
+		e.U32(uint32(len(queues[i])))
+		for _, ev := range queues[i] {
+			EncodeEvent(&e, ev)
+		}
+		order = append(order, queues[i]...)
+	}
+	return e.B, order
+}
+
+// TestDecodeLegacySections decodes a 16-section snapshot, as builds that
+// split the tables by job ID wrote them, into the one table: every job and
+// task arrives, the retired totals are summed, and the event queues are
+// concatenated in section order.
+func TestDecodeLegacySections(t *testing.T) {
+	c := buildMessyCluster(t, 2)
+	// A finished job not yet retired must join the decoded done list.
+	j := c.SubmitJob(Batch, 0, 50*time.Second, []TaskSpec{{}})
+	if err := c.Place(j.Tasks[0], 0, 51*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Complete(j.Tasks[0], 52*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	retired := make([][2]int64, n)
+	var wantJobs, wantTasks int64
+	for i := range retired {
+		retired[i] = [2]int64{int64(i), int64(3 * i)}
+		wantJobs += int64(i)
+		wantTasks += int64(3 * i)
+	}
+	b, wantEvents := encodeLegacy(c, n, retired)
+	d := wal.NewDec(b)
+	c2, err := DecodeSnapshot(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Remaining() != 0 {
+		t.Fatalf("%d undecoded bytes", d.Remaining())
+	}
+
+	if len(c2.jobs) != len(c.jobs) || len(c2.tasks) != len(c.tasks) {
+		t.Fatalf("decoded %d jobs and %d tasks, want %d and %d", len(c2.jobs), len(c2.tasks), len(c.jobs), len(c.tasks))
+	}
+	for id, job := range c.jobs {
+		if got := c2.jobs[id]; !reflect.DeepEqual(got, job) {
+			t.Fatalf("job %d decoded as %+v, want %+v", id, got, job)
+		}
+		for _, tid := range job.Tasks {
+			if got, want := c2.tasks[tid], c.tasks[tid]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("task %d decoded as %+v, want %+v", tid, got, want)
+			}
+		}
+	}
+	if jobs, tasks := c2.Retired(); jobs != wantJobs || tasks != wantTasks {
+		t.Fatalf("Retired = (%d, %d), want the section sums (%d, %d)", jobs, tasks, wantJobs, wantTasks)
+	}
+	if c2.NumPending() != c.NumPending() || c2.NumRunning() != c.NumRunning() || c2.TotalSlots() != c.TotalSlots() {
+		t.Fatalf("decoded pending/running/slots %d/%d/%d, want %d/%d/%d",
+			c2.NumPending(), c2.NumRunning(), c2.TotalSlots(), c.NumPending(), c.NumRunning(), c.TotalSlots())
+	}
+	if c2.NumQueuedEvictions() != c.NumQueuedEvictions() {
+		t.Fatalf("decoded %d queued evictions, want %d", c2.NumQueuedEvictions(), c.NumQueuedEvictions())
+	}
+	if got := drain(c2); !slices.Equal(got, wantEvents) {
+		t.Fatalf("decoded event queue %+v, want the sections in order %+v", got, wantEvents)
+	}
+	if got, want := c2.RetireDone(), c.RetireDone(); got != want || c2.Job(j.ID) != nil {
+		t.Fatalf("decoded RetireDone retired %d jobs, want %d including job %d", got, want, j.ID)
+	}
+
+	// A section count that is not a power of two is rejected.
+	b, _ = encodeLegacy(c, 3, make([][2]int64, 3))
+	if _, err := DecodeSnapshot(wal.NewDec(b)); err == nil {
+		t.Fatal("decoded a 3-section snapshot")
 	}
 }

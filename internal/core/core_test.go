@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"firmament/internal/cluster"
+	"firmament/internal/flow"
 	"firmament/internal/policy"
 	"firmament/internal/storage"
 )
@@ -116,7 +117,7 @@ func TestLoadSpreadPrefersEmptierMachines(t *testing.T) {
 	for _, id := range pre.Tasks {
 		cl.Place(id, 0, 0)
 	}
-	cl.DrainEvents() // the scheduler sees them as already placed
+	cl.DrainEvents(nil) // the scheduler sees them as already placed
 	// Note: tasks placed outside a round have no task nodes; re-add them.
 	// Instead submit through the scheduler path: two rounds.
 	cl.SubmitJob(cluster.Batch, 0, 0, make([]cluster.TaskSpec, 2))
@@ -309,26 +310,39 @@ func TestTaskRemovalHeuristicKeepsFeasibility(t *testing.T) {
 		}
 	}
 	gm := sched.GraphManager()
-	gm.ApplyEvents(cl.DrainEvents())
+	gm.ApplyClusterEvents()
 	if err := gm.Graph().CheckFeasible(); err != nil {
 		t.Fatalf("graph infeasible after heuristic-drained removals: %v", err)
 	}
 }
 
+// TestTaskRemovalWithoutHeuristicBreaksFeasibility strands the flow the
+// removal heuristic drained by pushing it back along the logged arcs, as
+// Figure 12b's controlled comparison does: the graph is then infeasible,
+// and incremental cost scaling must still recover.
 func TestTaskRemovalWithoutHeuristicBreaksFeasibility(t *testing.T) {
 	cl := smallCluster()
-	cfg := DefaultConfig()
-	cfg.Mode = ModeIncrementalCostScaling
-	cfg.TaskRemovalHeuristic = false
-	sched := NewScheduler(cl, policy.NewLoadSpread(cl), cfg)
+	sched := newTestScheduler(cl, ModeIncrementalCostScaling)
 	job := cl.SubmitJob(cluster.Batch, 0, 0, make([]cluster.TaskSpec, 8))
 	if _, _, err := sched.RunOnce(0); err != nil {
 		t.Fatal(err)
 	}
 	cl.Complete(job.Tasks[0], time.Second)
 	gm := sched.GraphManager()
-	gm.ApplyEvents(cl.DrainEvents())
-	if err := gm.Graph().CheckFeasible(); err == nil {
+	var drained []flow.ArcID
+	gm.DrainLog = &drained
+	gm.ApplyClusterEvents()
+	gm.DrainLog = nil
+	if len(drained) == 0 {
+		t.Fatal("removing a running task drained no flow")
+	}
+	g := gm.Graph()
+	for _, a := range drained {
+		if g.ArcInUse(a) && g.Resid(a) > 0 {
+			g.Push(a, 1)
+		}
+	}
+	if err := g.CheckFeasible(); err == nil {
 		t.Fatal("expected infeasibility without the removal heuristic")
 	}
 	// The incremental solver must still recover.
@@ -341,7 +355,7 @@ func TestSchedulerDeterministicMappings(t *testing.T) {
 	run := func() map[cluster.TaskID]cluster.MachineID {
 		cl := smallCluster()
 		store := storage.NewStore(cl, storage.Config{BlockSize: 1 << 28, Seed: 9})
-		sched := NewScheduler(cl, policy.NewQuincy(cl, store), Config{Mode: ModeQuincy, TaskRemovalHeuristic: true})
+		sched := NewScheduler(cl, policy.NewQuincy(cl, store), Config{Mode: ModeQuincy})
 		specs := make([]cluster.TaskSpec, 12)
 		for i := range specs {
 			f := store.AddFile(1 << 30)

@@ -149,11 +149,6 @@ type GraphManager struct {
 	// allocates in proportion to the graph.
 	upd updateScratch
 
-	// TaskRemovalHeuristic enables the §5.3.2 optimization: when a task
-	// node is removed, its unit of flow is drained along its path to the
-	// sink first, preserving feasibility for incremental cost scaling.
-	TaskRemovalHeuristic bool
-
 	// EventTap, when non-nil, observes every event batch ApplyClusterEvents
 	// drains, before it is folded into the graph. The serving layer's
 	// journal records the batches so that replay can feed the graph update
@@ -176,7 +171,6 @@ type GraphManager struct {
 // one node per healthy machine with a slot-capacity arc to the sink.
 func NewGraphManager(cl *cluster.Cluster, model policy.CostModel) *GraphManager {
 	gm := newGraphManager(flow.NewGraph(cl.NumMachines()*2+16, cl.NumMachines()*4+16), cl, model)
-	gm.TaskRemovalHeuristic = true
 	gm.sink = gm.g.AddNode(0, flow.KindSink)
 	cl.Machines(func(m *cluster.Machine) {
 		if m.Healthy() {
@@ -376,9 +370,7 @@ func (gm *GraphManager) removeTask(id cluster.TaskID) {
 	if !ok {
 		return
 	}
-	if gm.TaskRemovalHeuristic {
-		gm.drainTaskFlow(n)
-	}
+	gm.drainTaskFlow(n)
 	t := gm.cl.Task(id)
 	gm.g.RemoveNode(n)
 	delete(gm.taskNode, id)
@@ -427,20 +419,21 @@ func (gm *GraphManager) drainTaskFlow(taskNode flow.NodeID) {
 	}
 }
 
-// ApplyClusterEvents drains the cluster's sharded event journals and folds
-// each batch into the graph, returning the number of events applied. The
-// cluster holds each shard lock only for a buffer swap, never while the
-// graph mutates, so the whole graph update — and the solve that follows —
-// executes under no cluster lock and concurrent submitters proceed
-// unimpeded (the lock-decoupled round structure of the serving layer).
+// ApplyClusterEvents drains the cluster's event journal and folds the
+// batch into the graph in append order, returning the number of events
+// applied. The cluster holds its table lock only for a buffer swap, never
+// while the graph mutates, so the whole graph update — and the solve that
+// follows — executes under no cluster lock and concurrent submitters
+// proceed unimpeded (the lock-decoupled round structure of the serving
+// layer).
 func (gm *GraphManager) ApplyClusterEvents() int {
 	n := 0
-	gm.cl.DrainEventShards(func(events []cluster.Event) {
+	gm.cl.DrainEvents(func(events []cluster.Event) {
 		if gm.EventTap != nil {
 			gm.EventTap(events)
 		}
 		gm.ApplyEvents(events)
-		n += len(events)
+		n = len(events)
 	})
 	return n
 }

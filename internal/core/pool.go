@@ -74,14 +74,11 @@ type PoolResult struct {
 // SolverPool orchestrates the speculative dual-algorithm execution of paper
 // §6.1: relaxation usually wins, but incremental cost scaling bounds the
 // placement latency in relaxation's edge cases (oversubscription, large
-// arriving jobs). After each round the pool optionally applies price refine
-// to the winning solution so that the next incremental cost scaling run can
+// arriving jobs). After each round the pool applies price refine to the
+// winning solution so that the next incremental cost scaling run can
 // start from a small epsilon (§6.2, Figure 13).
 type SolverPool struct {
 	Mode SolverMode
-	// PriceRefine enables the §6.2 state-transfer optimization
-	// (default true via NewSolverPool).
-	PriceRefine bool
 	// Options are forwarded to the algorithms (alpha factor, arc
 	// prioritization, snapshot hooks).
 	Options mcmf.Options
@@ -92,14 +89,15 @@ type SolverPool struct {
 	scratch *mcmf.Scratch // pinned working storage for the per-round price refine
 }
 
-// NewSolverPool returns a pool in the given mode with price refine enabled.
+// NewSolverPool returns a pool in the given mode, with relaxation's arc
+// prioritization (§5.3.1) on.
 func NewSolverPool(mode SolverMode) *SolverPool {
 	return &SolverPool{
-		Mode:        mode,
-		PriceRefine: true,
-		relax:       mcmf.NewRelaxation(),
-		cs:          mcmf.NewCostScaling(),
-		scratch:     mcmf.NewScratch(),
+		Mode:    mode,
+		Options: mcmf.Options{ArcPrioritization: true},
+		relax:   mcmf.NewRelaxation(),
+		cs:      mcmf.NewCostScaling(),
+		scratch: mcmf.NewScratch(),
 	}
 }
 
@@ -261,11 +259,8 @@ func (p *SolverPool) RestoreSolverScale(s int64) { p.cs.SetScale(s) }
 // potentials that satisfy complementary slackness in cost scaling's scaled
 // domain without modifying the flow (paper §6.2: done "before we apply the
 // latest cluster changes", i.e. at the end of the round). Returns the time
-// spent, zero if disabled.
+// spent.
 func (p *SolverPool) refine(g *flow.Graph, stop *atomic.Bool) time.Duration {
-	if !p.PriceRefine {
-		return 0
-	}
 	start := time.Now()
 	opts := p.opts(stop)
 	p.scratch.PriceRefine(g, p.cs.ScaleFor(g), 0, opts)

@@ -14,25 +14,14 @@ type Config struct {
 	// Alpha is the cost scaling epsilon divisor; the paper found 9 about
 	// 30% faster than the default 2 on the Google workload (§7.2).
 	Alpha int64
-	// ArcPrioritization enables the relaxation heuristic of §5.3.1.
-	ArcPrioritization bool
-	// TaskRemovalHeuristic enables the §5.3.2 flow-draining optimization
-	// on task removal.
-	TaskRemovalHeuristic bool
-	// PriceRefine enables the §6.2 relaxation→cost-scaling state transfer.
-	PriceRefine bool
 }
 
 // DefaultConfig is Firmament's production configuration: both algorithms
-// speculatively, all heuristics on, alpha=9.
+// speculatively, alpha=9. The paper's heuristics are always on: arc
+// prioritization (§5.3.1), flow draining on task removal (§5.3.2) and the
+// price refine state transfer (§6.2).
 func DefaultConfig() Config {
-	return Config{
-		Mode:                 ModeFirmament,
-		Alpha:                9,
-		ArcPrioritization:    true,
-		TaskRemovalHeuristic: true,
-		PriceRefine:          true,
-	}
+	return Config{Mode: ModeFirmament, Alpha: 9}
 }
 
 // Scheduler is the Firmament scheduler: a flow-based, centralized scheduler
@@ -54,11 +43,8 @@ func NewScheduler(cl *cluster.Cluster, model policy.CostModel, cfg Config) *Sche
 // and RestoreScheduler both build through it, so a restored scheduler
 // honours every Config field a live one does.
 func newScheduler(cl *cluster.Cluster, gm *GraphManager, cfg Config) *Scheduler {
-	gm.TaskRemovalHeuristic = cfg.TaskRemovalHeuristic
 	pool := NewSolverPool(cfg.Mode)
-	pool.PriceRefine = cfg.PriceRefine
 	pool.Options.Alpha = cfg.Alpha
-	pool.Options.ArcPrioritization = cfg.ArcPrioritization
 	return &Scheduler{cl: cl, gm: gm, pool: pool, cfg: cfg}
 }
 
@@ -125,7 +111,7 @@ func (st RoundStats) AlgorithmRuntime() time.Duration { return st.Pool.Algorithm
 
 // Schedule drains cluster events, updates the flow network, runs the solver
 // pool and extracts placements. It does not touch cluster state beyond the
-// per-shard journal swaps of the event drain — in particular, the solver
+// journal swap of the event drain — in particular, the solver
 // pool runs on the scheduler's own graph under no cluster lock. Call
 // ApplyRound (typically after the algorithm runtime has elapsed in
 // simulation time) to enact the decisions.

@@ -171,9 +171,9 @@ func FuzzRestoreScheduler(f *testing.F) {
 }
 
 // TestRestoreHonoursConfig restores a snapshot under a configuration that
-// differs from the default in every field: the restored scheduler's graph
-// manager and solver pool must carry the same settings as one NewScheduler
-// builds from that configuration.
+// differs from the default in every field: the restored scheduler's solver
+// pool must carry the same settings as one NewScheduler builds from that
+// configuration.
 func TestRestoreHonoursConfig(t *testing.T) {
 	cfg := Config{Mode: ModeRelaxationOnly, Alpha: 5}
 	cl := cluster.New(snapshotTopology)
@@ -183,16 +183,12 @@ func TestRestoreHonoursConfig(t *testing.T) {
 		t.Fatalf("restore: %v", err)
 	}
 	type settings struct {
-		cfg               Config
-		taskRemoval       bool
-		mode              SolverMode
-		priceRefine       bool
-		alpha             int64
-		arcPrioritization bool
+		cfg   Config
+		mode  SolverMode
+		alpha int64
 	}
 	of := func(s *Scheduler) settings {
-		return settings{s.cfg, s.gm.TaskRemovalHeuristic, s.pool.Mode, s.pool.PriceRefine,
-			s.pool.Options.Alpha, s.pool.Options.ArcPrioritization}
+		return settings{s.cfg, s.pool.Mode, s.pool.Options.Alpha}
 	}
 	if g, w := of(got), of(want); g != w {
 		t.Fatalf("restored scheduler settings %+v, live %+v", g, w)

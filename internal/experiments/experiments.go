@@ -113,7 +113,7 @@ func warmed(n int, util float64, seed int64, mode core.SolverMode) (*core.Schedu
 	// state (continuation arcs instead of pending-task fan-outs), as the
 	// scheduler would before its next round.
 	gm := sched.GraphManager()
-	gm.ApplyEvents(cl.DrainEvents())
+	gm.ApplyClusterEvents()
 	gm.UpdateRound(time.Millisecond)
 	return sched, cl, store
 }
@@ -158,7 +158,7 @@ func warmedWithPolicy(n int, util float64, seed int64, policyKind string) (*core
 		panic(fmt.Sprintf("experiments: warm round failed: %v", err))
 	}
 	gm := sched.GraphManager()
-	gm.ApplyEvents(cl.DrainEvents())
+	gm.ApplyClusterEvents()
 	gm.UpdateRound(time.Millisecond)
 	return sched, cl, store
 }
@@ -277,7 +277,7 @@ func OversubscribedGraph(n int, extra float64, seed int64) *flow.Graph {
 		specs[i] = cluster.TaskSpec{Duration: 10 * time.Minute, InputFile: shared, InputSize: 64 << 30}
 	}
 	cl.SubmitJob(cluster.Batch, 0, time.Second, specs)
-	sched.GraphManager().ApplyEvents(cl.DrainEvents())
+	sched.GraphManager().ApplyClusterEvents()
 	sched.GraphManager().UpdateRound(time.Second)
 	return sched.GraphManager().Graph()
 }
@@ -301,7 +301,7 @@ func ChangedGraph(n int, seed int64) *flow.Graph {
 	mcmf.NewScratch().PriceRefine(gm.Graph(), cs.ScaleFor(gm.Graph()), 0, nil)
 	rng := rand.New(rand.NewSource(seed))
 	churn(cl, store, rng, time.Second, n/8+1, n/8+1)
-	gm.ApplyEvents(cl.DrainEvents())
+	gm.ApplyClusterEvents()
 	gm.UpdateRound(time.Second)
 	return gm.Graph()
 }

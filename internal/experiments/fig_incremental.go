@@ -26,7 +26,7 @@ func Fig10(w io.Writer, o Options) error {
 	rng := rand.New(rand.NewSource(o.Seed))
 	churn(cl, store, rng, time.Second, n/4, cl.TotalSlots()/12)
 	gm := sched.GraphManager()
-	gm.ApplyEvents(cl.DrainEvents())
+	gm.ApplyClusterEvents()
 	gm.UpdateRound(time.Second)
 	base := gm.Graph()
 
@@ -145,7 +145,7 @@ func incrementalComparison(n int, policyKind string, o Options, refine bool) (sc
 			sc.PriceRefine(gm.Graph(), cs.ScaleFor(gm.Graph()), 0, nil)
 		}
 		churn(cl, store, rng, now, n/8+1, n/8+1)
-		gm.ApplyEvents(cl.DrainEvents())
+		gm.ApplyClusterEvents()
 		gm.UpdateRound(now)
 
 		g := gm.Graph()
@@ -228,7 +228,7 @@ func taskRemovalRun(n int, o Options) (withTR, withoutTR time.Duration, err erro
 		var drained []flow.ArcID
 		gm.DrainLog = &drained
 		churn(cl, store, rng, now, n/4+1, 0) // completions only
-		gm.ApplyEvents(cl.DrainEvents())
+		gm.ApplyClusterEvents()
 		gm.DrainLog = nil
 		gm.UpdateRound(now)
 		g := gm.Graph()
@@ -289,7 +289,7 @@ func AblationIncrementalRelaxation(w io.Writer, o Options) error {
 	now := time.Second
 	for round := 0; round < o.Rounds; round++ {
 		churn(cl, store, rng, now, n/8+1, n/8+1)
-		gm.ApplyEvents(cl.DrainEvents())
+		gm.ApplyClusterEvents()
 		gm.UpdateRound(now)
 		g := gm.Graph()
 
@@ -352,7 +352,7 @@ func Fig13(w io.Writer, o Options) error {
 			sched.ApplyRound(&r, now)
 			// Next round's changes arrive...
 			churn(cl, store, rng, now, n/8+1, n/8+1)
-			gm.ApplyEvents(cl.DrainEvents())
+			gm.ApplyClusterEvents()
 			gm.UpdateRound(now)
 			// ...and incremental cost scaling starts from the relaxation
 			// solution.

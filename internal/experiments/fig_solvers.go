@@ -188,7 +188,7 @@ func Fig8(w io.Writer, o Options) error {
 		}
 		cl.SubmitJob(cluster.Batch, 0, time.Second, specs)
 		// Build the updated graph once, then measure both algorithms on it.
-		sched.GraphManager().ApplyEvents(cl.DrainEvents())
+		sched.GraphManager().ApplyClusterEvents()
 		sched.GraphManager().UpdateRound(time.Second)
 		g := sched.GraphManager().Graph()
 		relaxRt, relaxOk := timedSolve(g, mcmf.NewRelaxation(), &mcmf.Options{ArcPrioritization: true}, o.SolverTimeout)
@@ -246,11 +246,11 @@ func loadSpreadContendedGraph(machines, jobTasks int, seed int64) (*coreGraph, e
 			idx++
 		}
 	}
-	cl.DrainEvents()
+	cl.DrainEvents(nil)
 	cfg := core.DefaultConfig()
 	sched := core.NewScheduler(cl, policy.NewLoadSpread(cl), cfg)
 	cl.SubmitJob(cluster.Batch, 0, time.Second, make([]cluster.TaskSpec, jobTasks))
-	sched.GraphManager().ApplyEvents(cl.DrainEvents())
+	sched.GraphManager().ApplyClusterEvents()
 	sched.GraphManager().UpdateRound(time.Second)
 	return sched.GraphManager().Graph(), nil
 }

@@ -654,7 +654,7 @@ func TestReplayDoesNotResurrectRetiredJobs(t *testing.T) {
 	round() // 1: old placed
 
 	// A slow Complete of old's task: its intent is journaled, but the op
-	// reaches its shard only later (the front door is between the two).
+	// reaches the queue only later (the front door is between the two).
 	done := op{kind: opComplete, task: old.Tasks[0]}
 	var e wal.Enc
 	encodeIntentRecord(&e, done)
@@ -682,10 +682,9 @@ func TestReplayDoesNotResurrectRetiredJobs(t *testing.T) {
 	// the snapshot with it queued, so the window opens at its intent.
 	a.testHookBeforeSchedule = func() {
 		a.testHookBeforeSchedule = nil
-		sh := a.opShards[opShardKey(done)&a.opMask]
-		sh.mu.Lock()
-		sh.ops = append(sh.ops, done)
-		sh.mu.Unlock()
+		a.opMu.Lock()
+		a.ops = append(a.ops, done)
+		a.opMu.Unlock()
 		a.opsQueued.Add(1)
 	}
 	round() // 4: snapshot

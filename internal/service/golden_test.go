@@ -105,7 +105,11 @@ func TestGoldenJournalRestore(t *testing.T) {
 		name      string
 		got, want uint64
 	}{
-		{"Cluster.Fingerprint", s.Cluster().Fingerprint(), 0x5d58396f62bcad8c},
+		// The recording build split the cluster tables into 16 sections;
+		// the restore merges them and the fingerprint hashes the merged
+		// one-section encoding. That build's encoder, changed only to write
+		// its sections merged, hashes the same restored state to this value.
+		{"Cluster.Fingerprint", s.Cluster().Fingerprint(), 0x1db80065202394c9},
 		{"Scheduler.Fingerprint", s.Scheduler().Fingerprint(), 0xd4f6d53023564224},
 		{"TemplateCacheFingerprint", s.TemplateCacheFingerprint(), 0x86a6ed1c2aae622d},
 	} {

@@ -288,26 +288,21 @@ func (s *Service) maybeRearm() {
 	}
 	var restamped uint64
 	ok := true
-	for _, sh := range s.opShards {
-		// closeMu excludes every enqueue, and the loop (us) is the only
-		// drainer, so the shard slices are stable without sh.mu.
-		for i := range sh.ops {
-			if sh.ops[i].seq != 0 && sh.ops[i].seq <= durableSeq {
-				continue
-			}
-			var e wal.Enc
-			encodeIntentRecord(&e, sh.ops[i])
-			seq, err := log.Append(e.B)
-			if err != nil {
-				ok = false
-				break
-			}
-			sh.ops[i].seq = seq
-			restamped = seq
+	// closeMu excludes every enqueue, and the loop (us) is the only
+	// drainer, so the queue is stable without opMu.
+	for i := range s.ops {
+		if s.ops[i].seq != 0 && s.ops[i].seq <= durableSeq {
+			continue
 		}
-		if !ok {
+		var e wal.Enc
+		encodeIntentRecord(&e, s.ops[i])
+		seq, err := log.Append(e.B)
+		if err != nil {
+			ok = false
 			break
 		}
+		s.ops[i].seq = seq
+		restamped = seq
 	}
 	// The re-stamped intents were acknowledged during the volatile window;
 	// once health reads OK they must be as crash-safe as any other ack, so

@@ -35,7 +35,7 @@ import (
 //
 // Every snapshot is cut with the front door paused (closeMu's write side),
 // so at the cut each journaled submit has registered its job and each
-// journaled intent sits in an op shard or has been enacted. The replay
+// journaled intent sits in the op queue or has been enacted. The replay
 // low-water mark is therefore the oldest intent still queued, or the next
 // sequence when none is. A queued intent can hold the window open before
 // submits the snapshot already reflects — some of whose jobs have finished

@@ -319,8 +319,8 @@ func (s *Service) snapCounters() []*int64 {
 // the service is closed and its loop has exited. Then no front-door call
 // sits between its WAL append and its registration or op push, so every
 // journaled submit has registered its job and every journaled intent is
-// queued in a shard or was enacted by a round. Called only from the
-// scheduling goroutine (between rounds) or after it has exited.
+// queued or was enacted by a round. Called only from the scheduling
+// goroutine (between rounds) or after it has exited.
 func (s *Service) snapshot() error {
 	if err := s.saveSnapshot(); err != nil {
 		return err
@@ -339,12 +339,10 @@ func (s *Service) saveSnapshot() error {
 	seq := s.jrn.LastSeq()
 	lw := seq + 1
 	// The front door is paused and the loop (or nobody) drains, so the
-	// shard slices are stable without sh.mu.
-	for _, sh := range s.opShards {
-		for _, o := range sh.ops {
-			if o.seq != 0 {
-				lw = min(lw, o.seq)
-			}
+	// queue is stable without opMu.
+	for _, o := range s.ops {
+		if o.seq != 0 {
+			lw = min(lw, o.seq)
 		}
 	}
 	var meta wal.Enc
@@ -468,11 +466,9 @@ func (s *Service) replay(lw uint64, cut *snapCut, snapRound int64, lastNow time.
 	}
 	slices.Sort(seqs)
 	for _, q := range seqs {
-		o := pending[q]
-		sh := s.opShards[opShardKey(o)&s.opMask]
-		sh.ops = append(sh.ops, o)
-		s.opsQueued.Add(1)
+		s.ops = append(s.ops, pending[q])
 	}
+	s.opsQueued.Add(int64(len(seqs)))
 	info.PendingOps = len(seqs)
 
 	// Give the jobs the crash robbed of their admission attempt one on the
@@ -530,12 +526,12 @@ func (s *Service) replayRound(rr *roundRecord) error {
 		return fmt.Errorf("round %d: unsolved round carries %d solver decisions", rr.round, len(rr.decisions))
 	}
 
-	// The replayed mutations re-queued events on the cluster's shard
-	// journals, but the graph must see the exact batches the live round
-	// drained (concurrent submitters made the live interleaving): discard
-	// the re-queued ones and fold the recorded ones, so the graph stage's
-	// own drain finds nothing.
-	s.cl.DrainEventShards(func([]cluster.Event) {})
+	// The replayed mutations re-queued events on the cluster's journal,
+	// but the graph must see the exact batches the live round drained
+	// (concurrent submitters made the live interleaving): discard the
+	// re-queued ones and fold the recorded ones, so the graph stage's own
+	// drain finds nothing.
+	s.cl.DrainEvents(nil)
 	for _, b := range rr.batches {
 		s.sched.GraphManager().ApplyEvents(b)
 	}
@@ -556,13 +552,4 @@ func (s *Service) replayRound(rr *roundRecord) error {
 	s.cl.RetireDone()
 	s.accountRound(rr, r, ap)
 	return nil
-}
-
-// opShardKey is the ingestion shard selector for an op: completions shard
-// by the task's job (like the cluster tables), machine ops by machine ID.
-func opShardKey(o op) int64 {
-	if o.kind == opComplete {
-		return int64(cluster.JobOfTask(o.task))
-	}
-	return int64(o.machine)
 }

@@ -2,32 +2,28 @@
 // concurrency-safe scheduling service that wraps the one-shot core.Scheduler
 // into the continuously running deployment of the paper (Fig. 2b).
 //
-// # Sharded front door
+// # Front door
 //
 // Many goroutines submit jobs, report task completions, and add or remove
-// machines through the service's front door, and the front door scales with
-// submitter count instead of serializing on a global lock. Job submissions
-// take the fast path straight into the cluster tables: cluster.Cluster
-// shards its job/task tables and its event log by job ID, so concurrent
-// submitters whose jobs land on different shards never contend, and each
-// submission surfaces to the scheduler through its shard's append-only
-// event journal. Mutations that must be enacted by the scheduling loop
-// (completions, machine changes) pass through per-shard ingestion queues
-// sharded the same way; they accumulate while a solver round is in flight
-// and the round start drains them with one buffer swap per shard,
-// preserving the one-batch-per-round coalescing semantics of the paper.
+// machines through the service's front door. Job submissions take the fast
+// path straight into the cluster tables: each takes the cluster's table
+// lock once and surfaces to the scheduler through the cluster's
+// append-only event journal. Mutations that must be enacted by the
+// scheduling loop (completions, machine changes) pass through one
+// ingestion queue; they accumulate while a solver round is in flight and
+// the round start drains them with one buffer swap, preserving the
+// one-batch-per-round coalescing semantics of the paper.
 //
 // # Lock-decoupled rounds
 //
 // A dedicated scheduling loop paces rounds: each round drains the op
-// shards, folds the cluster's shard journals into the flow network under
-// short per-shard critical sections (the shard lock is held only for a
-// buffer swap, never while the graph mutates), and then runs the
-// speculative solver pool on the scheduler's own graph under no cluster
-// lock at all — an arbitrarily long solve never blocks a submitter. The
-// loop publishes every enacted decision to Watch subscribers and
-// accumulates per-round metrics (queue depth, batch size, algorithm
-// runtime, placement latency percentiles) via internal/metrics.
+// queue, folds the cluster's event journal into the flow network (the
+// table lock is held only for a buffer swap, never while the graph
+// mutates), and then runs the speculative solver pool on the scheduler's
+// own graph under no cluster lock at all — an arbitrarily long solve never
+// blocks a submitter. The loop publishes every enacted decision to Watch
+// subscribers and accumulates per-round metrics (queue depth, batch size,
+// algorithm runtime, placement latency percentiles) via internal/metrics.
 //
 // # Backpressure
 //
@@ -141,16 +137,6 @@ type op struct {
 	seq     uint64
 }
 
-// opShard is one partition of the batched ingestion queue: a mutex-guarded
-// MPSC slice the scheduling loop drains with a single buffer swap per
-// round. Completions shard by the task's job (like the cluster tables),
-// machine ops by machine ID.
-type opShard struct {
-	mu    sync.Mutex
-	ops   []op
-	spare []op // drained buffer recycled to avoid per-round allocation
-}
-
 // Service is a long-running, concurrency-safe scheduling service.
 type Service struct {
 	cl    *cluster.Cluster
@@ -158,12 +144,14 @@ type Service struct {
 	cfg   Config
 	start time.Time
 
-	// Sharded batched ingestion queues: swap-drained per shard at round
-	// start into batch (a loop-owned buffer reused across rounds).
-	opShards  []*opShard
-	opMask    int64
+	// The batched ingestion queue: a mutex-guarded MPSC slice the loop
+	// swap-drains at round start. The drained slice is kept as opSpare and
+	// becomes the queue again at the next drain, so steady state allocates
+	// nothing.
+	opMu      sync.Mutex
+	ops       []op
+	opSpare   []op
 	opsQueued atomic.Int64
-	batch     []op
 
 	kick chan struct{} // wakes the loop; capacity 1, sends never block
 
@@ -270,24 +258,15 @@ func newService(cl *cluster.Cluster, model policy.CostModel, schedCfg core.Confi
 // or restored from a durable snapshot (Open).
 func newServiceWith(cl *cluster.Cluster, sched *core.Scheduler, cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	// The batched ops (completions, machine changes) queue on as many
-	// shards as the cluster's front door has, so op and submission sharding
-	// line up and shard selection is a mask.
-	n := cl.NumShards()
 	s := &Service{
-		cl:       cl,
-		sched:    sched,
-		cfg:      cfg,
-		start:    time.Now(),
-		opShards: make([]*opShard, n),
-		opMask:   int64(n - 1),
-		kick:     make(chan struct{}, 1),
-		subs:     make(map[int]chan Placement),
-		stopCh:   make(chan struct{}),
-		doneCh:   make(chan struct{}),
-	}
-	for i := range s.opShards {
-		s.opShards[i] = &opShard{}
+		cl:     cl,
+		sched:  sched,
+		cfg:    cfg,
+		start:  time.Now(),
+		kick:   make(chan struct{}, 1),
+		subs:   make(map[int]chan Placement),
+		stopCh: make(chan struct{}),
+		doneCh: make(chan struct{}),
 	}
 	s.bpCond = sync.NewCond(&s.bpMu)
 	if cfg.Templates {
@@ -470,9 +449,9 @@ func (s *Service) submit(class cluster.JobClass, priority int, specs []cluster.T
 }
 
 // Complete reports that a running task finished. The completion is queued
-// on the task's ingestion shard and enacted at the next round start.
+// and enacted at the next round start.
 func (s *Service) Complete(id cluster.TaskID) error {
-	return s.enqueue(int64(cluster.JobOfTask(id)), op{kind: opComplete, task: id})
+	return s.enqueue(op{kind: opComplete, task: id})
 }
 
 // RemoveMachine queues a machine failure: at the next round start the
@@ -482,7 +461,7 @@ func (s *Service) RemoveMachine(id cluster.MachineID) error {
 	if id < 0 || int(id) >= s.cl.NumMachines() {
 		return fmt.Errorf("service: unknown machine %d", id)
 	}
-	return s.enqueue(int64(id), op{kind: opRemoveMachine, machine: id})
+	return s.enqueue(op{kind: opRemoveMachine, machine: id})
 }
 
 // RestoreMachine queues the return of a failed machine.
@@ -490,10 +469,10 @@ func (s *Service) RestoreMachine(id cluster.MachineID) error {
 	if id < 0 || int(id) >= s.cl.NumMachines() {
 		return fmt.Errorf("service: unknown machine %d", id)
 	}
-	return s.enqueue(int64(id), op{kind: opRestoreMachine, machine: id})
+	return s.enqueue(op{kind: opRestoreMachine, machine: id})
 }
 
-func (s *Service) enqueue(key int64, o op) error {
+func (s *Service) enqueue(o op) error {
 	// Same close guard as submit: an op accepted with a nil error must have
 	// been enqueued before the closed transition, never silently dropped by
 	// a loop that already exited.
@@ -528,32 +507,28 @@ func (s *Service) enqueue(key int64, o op) error {
 			}
 		}
 	}
-	sh := s.opShards[key&s.opMask]
-	sh.mu.Lock()
-	sh.ops = append(sh.ops, o)
-	sh.mu.Unlock()
+	s.opMu.Lock()
+	s.ops = append(s.ops, o)
+	s.opMu.Unlock()
 	s.opsQueued.Add(1)
 	s.wake()
 	return nil
 }
 
-// drainOps swap-drains every op shard into the loop-owned batch buffer —
-// one short critical section per shard, no allocation in steady state —
-// and returns the batch. Only the scheduling loop calls it.
+// drainOps swap-drains the op queue — one short critical section, no
+// allocation in steady state — and returns the ops in acceptance order.
+// The batch stays valid until the next drain, which reuses it as the
+// queue. Only the scheduling loop calls it.
 func (s *Service) drainOps() []op {
-	s.batch = s.batch[:0]
-	for _, sh := range s.opShards {
-		sh.mu.Lock()
-		ops := sh.ops
-		sh.ops = sh.spare[:0]
-		sh.spare = ops[:0] // recycled after the copy below; loop is sole drainer
-		sh.mu.Unlock()
-		s.batch = append(s.batch, ops...)
-	}
-	if n := len(s.batch); n > 0 {
+	s.opMu.Lock()
+	ops := s.ops
+	s.ops = s.opSpare[:0]
+	s.opSpare = ops
+	s.opMu.Unlock()
+	if n := len(ops); n > 0 {
 		s.opsQueued.Add(int64(-n))
 	}
-	return s.batch
+	return ops
 }
 
 // wakeWaiters broadcasts to parked SubmitWait callers. The broadcast is
@@ -750,8 +725,8 @@ func (s *Service) pendingWork() bool {
 // and applies and publishes its decisions. It reports whether the round
 // made progress (folded in events or enacted decisions). The solve inside
 // sched.Schedule runs on the scheduler's own graph under no cluster lock:
-// submitters keep landing jobs on their shards while it runs, and their
-// events coalesce into the next round's batch.
+// submitters keep landing jobs while it runs, and their events coalesce
+// into the next round's batch.
 //
 // The round writes its outcome into s.rec as it goes and is built from the
 // four stages crash replay shares (enactOp, foldAndSolve,
@@ -779,7 +754,7 @@ func (s *Service) runRound() (progress bool, err error) {
 	rec.reset(s.ctr.Rounds, s.now())
 	round, now := rec.round, rec.drainNow
 
-	// Drain the sharded ingestion queues — one buffer swap per shard.
+	// Drain the ingestion queue — one buffer swap.
 	for _, o := range s.drainOps() {
 		stale := s.enactOp(o, now)
 		if o.kind == opRemoveMachine && !stale && s.tmpl != nil {
@@ -1117,10 +1092,6 @@ type Stats struct {
 	// PlacementLatency is submission → placement per task.
 	PlacementLatency *metrics.Dist
 }
-
-// Stale returns the two staleness counters summed — the pre-split figure,
-// kept for dashboards that want one staleness number.
-func (st Stats) Stale() int64 { return st.StaleCompletions + st.StaleDecisions }
 
 // Cluster returns the cluster state the service schedules over. Open and
 // Replay construct or restore the cluster internally, so this is how their

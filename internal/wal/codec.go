@@ -29,10 +29,6 @@ func (e *Enc) Bool(v bool) {
 	}
 }
 func (e *Enc) Dur(d time.Duration) { e.I64(int64(d)) }
-func (e *Enc) Str(s string) {
-	e.U32(uint32(len(s)))
-	e.B = append(e.B, s...)
-}
 
 // Dec decodes what Enc produced. The first malformed read latches Err;
 // subsequent reads return zero values, so call sites can decode a whole
@@ -84,16 +80,6 @@ func (d *Dec) U64() uint64 {
 func (d *Dec) I64() int64         { return int64(d.U64()) }
 func (d *Dec) Bool() bool         { return d.U8() != 0 }
 func (d *Dec) Dur() time.Duration { return time.Duration(d.I64()) }
-func (d *Dec) Str() string {
-	n := d.U32()
-	if d.err != nil || d.off+int(n) > len(d.b) {
-		d.fail("string")
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
 
 // Len returns a declared element count after sanity-checking it against
 // the bytes remaining (each element needs at least `min` bytes), so a
