@@ -11,7 +11,7 @@
 //     allocates instead of leaving a bare counter regression;
 //   - durability ordering: the journal-before-publish and
 //     journal-before-register rules of internal/service, and the
-//     table → machine lock order of internal/cluster.
+//     one-table-lock-at-a-time rule of internal/cluster.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) so the analyzers could be rehosted on the

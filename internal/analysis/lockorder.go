@@ -10,13 +10,10 @@ import (
 // LockOrder enforces the locking discipline documented in
 // internal/cluster/cluster.go and docs/durability.md:
 //
-//   - lock order is table → machine, everywhere: the machine lock
-//     (machMu) must never be held while acquiring the table lock
-//     (Cluster.mu, which guards the job, task and pending tables and the
-//     event journal);
-//   - a second table lock must not be acquired while one is held: a
-//     Cluster's table lock is not reentrant, and two clusters' locks have
-//     no order;
+//   - a second table lock (Cluster.mu, which guards the tables, the event
+//     journal and machine occupancy) must not be acquired while one is
+//     held: a Cluster's table lock is not reentrant, and two clusters'
+//     locks have no order;
 //   - no blocking channel send under any mutex — publish paths use
 //     select-with-default, which is allowed;
 //   - no WAL fsync (Sync/SyncTo/syncNow) under any mutex. The WAL's
@@ -30,7 +27,7 @@ import (
 // goroutine/time).
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "enforces table→machine lock order, no blocking send or fsync under locks",
+	Doc:  "enforces one table lock at a time, no blocking send or fsync under locks",
 	Run:  runLockOrder,
 }
 
@@ -39,7 +36,6 @@ type lockClass int
 const (
 	lockOther lockClass = iota
 	lockTable
-	lockMach
 	lockExempt // syncMu: the WAL group-commit coordinator
 )
 
@@ -218,12 +214,9 @@ func handleLockCall(pass *Pass, call *ast.CallExpr, held heldSet) {
 	}
 }
 
-// acquire records a lock acquisition and reports ordering violations.
+// acquire records a lock acquisition and reports a second table lock.
 func acquire(pass *Pass, call *ast.CallExpr, held heldSet, name string, class lockClass) {
 	if class == lockTable {
-		if other, ok := held.anyOf(lockMach); ok {
-			pass.Reportf(call.Pos(), "table lock %s acquired while holding machine lock %s; lock order is table → machine", name, other)
-		}
 		if other, ok := held.anyOf(lockTable); ok {
 			pass.Reportf(call.Pos(), "table lock %s acquired while holding table lock %s; take one table lock at a time", name, other)
 		}
@@ -260,10 +253,7 @@ func classifyLock(pass *Pass, expr ast.Expr) (string, lockClass) {
 	if i := strings.LastIndexByte(name, '.'); i >= 0 {
 		last = name[i+1:]
 	}
-	switch last {
-	case "machMu":
-		return name, lockMach
-	case "syncMu":
+	if last == "syncMu" {
 		return name, lockExempt
 	}
 	// The field mu of a Cluster is the table lock.

@@ -4,11 +4,9 @@ package fixture
 
 import "sync"
 
-// Cluster mirrors the real one: mu is the table lock, machMu the machine
-// lock.
+// Cluster mirrors the real one: mu is the table lock.
 type Cluster struct {
 	mu     sync.RWMutex
-	machMu sync.RWMutex
 	syncMu sync.Mutex
 	ch     chan int
 	vals   []int
@@ -23,46 +21,18 @@ type file struct{}
 
 func (file) Sync() error { return nil }
 
-func badOrder(c *Cluster) {
-	c.machMu.Lock()
-	c.mu.Lock() // want `lock order is table → machine`
-	c.mu.Unlock()
-	c.machMu.Unlock()
-}
-
-func badOrderRead(c *Cluster) {
-	c.machMu.RLock()
-	c.mu.RLock() // want `lock order is table → machine`
-	c.mu.RUnlock()
-	c.machMu.RUnlock()
-}
-
-func goodOrder(c *Cluster) {
-	c.mu.Lock()
-	c.machMu.RLock() // table → machine: the documented order
-	c.machMu.RUnlock()
-	c.mu.Unlock()
-}
-
-func machineThenReleased(c *Cluster) {
-	c.machMu.RLock()
-	c.machMu.RUnlock()
-	c.mu.RLock() // machine lock released: allowed
-	c.mu.RUnlock()
-}
-
-func otherMuUnderMachine(c *Cluster, o *other) {
-	c.machMu.Lock()
-	o.mu.Lock() // not a table lock: no order to keep
-	o.mu.Unlock()
-	c.machMu.Unlock()
-}
-
 func twoTables(a, b *Cluster) {
 	a.mu.Lock()
 	b.mu.Lock() // want `one table lock at a time`
 	b.mu.Unlock()
 	a.mu.Unlock()
+}
+
+func otherMuUnderTable(c *Cluster, o *other) {
+	c.mu.Lock()
+	o.mu.Lock() // not a table lock: no second table lock
+	o.mu.Unlock()
+	c.mu.Unlock()
 }
 
 func oneAtATime(a, b *Cluster) {

@@ -133,6 +133,18 @@ func (k *Kubernetes) DecisionLatency() time.Duration { return 2 * time.Milliseco
 
 // PlaceTask implements QueueScheduler.
 func (k *Kubernetes) PlaceTask(t *cluster.Task, now time.Duration) (cluster.MachineID, bool) {
+	// The job's running tasks per machine, counted before the walk: the
+	// Machines callback must not call Job or Task, which take the lock it
+	// runs under. The cluster does not index running tasks by job, so scan
+	// the job's tasks (jobs are small relative to machines).
+	sameJob := make(map[cluster.MachineID]int)
+	if job := k.cl.Job(t.Job); job != nil {
+		for _, id := range job.Tasks {
+			if task := k.cl.Task(id); task != nil && task.State == cluster.TaskRunning {
+				sameJob[task.Machine]++
+			}
+		}
+	}
 	var best cluster.MachineID = cluster.InvalidMachine
 	bestScore := -1 << 60
 	k.cl.Machines(func(m *cluster.Machine) {
@@ -143,7 +155,7 @@ func (k *Kubernetes) PlaceTask(t *cluster.Task, now time.Duration) (cluster.Mach
 		free := m.Slots - m.Running()
 		score := 10 * free / m.Slots
 		// Spread: penalize machines already running tasks of this job.
-		score -= 2 * k.sameJob(m, t.Job)
+		score -= 2 * sameJob[m.ID]
 		if score > bestScore || (score == bestScore && m.ID < best) {
 			best, bestScore = m.ID, score
 		}
@@ -152,22 +164,6 @@ func (k *Kubernetes) PlaceTask(t *cluster.Task, now time.Duration) (cluster.Mach
 		return 0, false
 	}
 	return best, true
-}
-
-func (k *Kubernetes) sameJob(m *cluster.Machine, j cluster.JobID) int {
-	// The cluster does not index running tasks by job per machine; scan
-	// the job's tasks instead (jobs are small relative to machines).
-	n := 0
-	job := k.cl.Job(j)
-	if job == nil {
-		return 0
-	}
-	for _, id := range job.Tasks {
-		if task := k.cl.Task(id); task.State == cluster.TaskRunning && task.Machine == m.ID {
-			n++
-		}
-	}
-	return n
 }
 
 // Mesos approximates a Mesos framework receiving offers: the allocator

@@ -1,6 +1,8 @@
 package baselines
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -110,6 +112,99 @@ func TestKubernetesSpreadsJobTasks(t *testing.T) {
 	if m2 == m1 {
 		t.Fatal("kubernetes placed same-job tasks on one machine with empties available")
 	}
+
+	// Seeded random cluster states: every decision must equal the nested
+	// scan's, which counted same-job tasks per machine inside the walk.
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cl := randomClusterState(rng)
+		k := NewKubernetes(cl)
+		for _, id := range cl.PendingTasks() {
+			task := cl.Task(id)
+			got, gotOK := k.PlaceTask(task, 0)
+			want, wantOK := nestedScanKubernetes(cl, task)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("seed %d task %d: PlaceTask = (%d, %v), nested scan = (%d, %v)", seed, id, got, gotOK, want, wantOK)
+			}
+		}
+	}
+}
+
+// randomClusterState builds a cluster with random topology, jobs, placements,
+// completions and removed machines.
+func randomClusterState(rng *rand.Rand) *cluster.Cluster {
+	cl := cluster.New(cluster.Topology{
+		Racks:           1 + rng.Intn(3),
+		MachinesPerRack: 1 + rng.Intn(6),
+		SlotsPerMachine: 1 + rng.Intn(4),
+	})
+	for j := 0; j < 2+rng.Intn(6); j++ {
+		job := cl.SubmitJob(cluster.Batch, 0, 0, make([]cluster.TaskSpec, 1+rng.Intn(8)))
+		for _, id := range job.Tasks {
+			if rng.Intn(3) > 0 {
+				cl.Place(id, cluster.MachineID(rng.Intn(cl.NumMachines())), 0) // full machines refuse
+			}
+		}
+	}
+	for m := 0; m < cl.NumMachines(); m++ {
+		if rng.Intn(5) == 0 {
+			cl.RemoveMachine(cluster.MachineID(m), 0)
+		}
+	}
+	for _, id := range cl.PendingTasks() {
+		if rng.Intn(2) == 0 {
+			cl.Place(id, cluster.MachineID(rng.Intn(cl.NumMachines())), 0)
+		}
+	}
+	var jobs []*cluster.Job
+	cl.Jobs(func(j *cluster.Job) { jobs = append(jobs, j) })
+	slices.SortFunc(jobs, func(a, b *cluster.Job) int { return int(a.ID - b.ID) })
+	for _, j := range jobs {
+		for _, id := range j.Tasks {
+			if rng.Intn(4) == 0 {
+				cl.Complete(id, 0) // pending tasks refuse
+			}
+		}
+	}
+	return cl
+}
+
+// nestedScanKubernetes is the Kubernetes scoring as it stood when the job's
+// same-machine count was scanned per machine inside the walk. It visits
+// machines by ID rather than through Machines, whose callback may not take
+// the table lock that Job and Task take.
+func nestedScanKubernetes(cl *cluster.Cluster, t *cluster.Task) (cluster.MachineID, bool) {
+	sameJob := func(m *cluster.Machine, j cluster.JobID) int {
+		n := 0
+		job := cl.Job(j)
+		if job == nil {
+			return 0
+		}
+		for _, id := range job.Tasks {
+			if task := cl.Task(id); task.State == cluster.TaskRunning && task.Machine == m.ID {
+				n++
+			}
+		}
+		return n
+	}
+	var best cluster.MachineID = cluster.InvalidMachine
+	bestScore := -1 << 60
+	for id := 0; id < cl.NumMachines(); id++ {
+		m := cl.Machine(cluster.MachineID(id))
+		if !m.Healthy() || m.Running() >= m.Slots {
+			continue
+		}
+		free := m.Slots - m.Running()
+		score := 10 * free / m.Slots
+		score -= 2 * sameJob(m, t.Job)
+		if score > bestScore || (score == bestScore && m.ID < best) {
+			best, bestScore = m.ID, score
+		}
+	}
+	if best == cluster.InvalidMachine {
+		return 0, false
+	}
+	return best, true
 }
 
 func TestSparrowSamplesAreSeeded(t *testing.T) {

@@ -26,12 +26,12 @@
 // # Concurrency
 //
 // A Cluster is safe for concurrent use. One lock guards the job, task and
-// pending tables and the append-only event journal; SubmitJob takes it
-// once per job, and the scheduler's drain holds it only for a buffer swap.
-// Machine occupancy lives behind a separate machine lock, always acquired
-// after the table lock when both are needed. Aggregate figures
-// (NumPending, TotalSlots, NumQueuedEvents, NumQueuedEvictions) are atomic
-// counters and never take a lock at all.
+// pending tables, the append-only event journal and machine occupancy and
+// health; SubmitJob takes it once per job, and the scheduler's drain holds
+// it only for a buffer swap. The iteration callbacks (Machines, Jobs) run
+// under the lock's read side and must not call a method that takes it.
+// Aggregate figures (NumPending, TotalSlots, NumQueuedEvents,
+// NumQueuedEvictions) are atomic counters and never take a lock at all.
 //
 // The locking guards the tables themselves; the *Task, *Job and *Machine
 // records handed out by accessors are only mutated by cluster methods, so
@@ -215,8 +215,7 @@ type Cluster struct {
 	nextJob atomic.Int32
 
 	// mu guards the job, task and pending tables, the event journal, the
-	// done list and the retired totals. Acquired before machMu when both
-	// are needed (table → machine order, everywhere).
+	// done list, the retired totals and machine occupancy and health.
 	mu      sync.RWMutex
 	jobs    map[JobID]*Job
 	tasks   map[TaskID]*Task
@@ -237,8 +236,6 @@ type Cluster struct {
 	numEvicted   atomic.Int64 // the EventTaskEvicted share of numEvents
 	healthySlots atomic.Int64
 
-	// Machine occupancy and health.
-	machMu   sync.RWMutex
 	machines []*Machine
 	racks    [][]MachineID
 }
@@ -294,12 +291,12 @@ func (c *Cluster) Machine(id MachineID) *Machine {
 	return c.machines[id]
 }
 
-// Machines calls fn for every machine in ID order, holding the machine
-// lock: fn sees a consistent snapshot of each machine's occupancy but must
-// not call mutating cluster methods.
+// Machines calls fn for every machine in ID order under the table lock's
+// read side: fn sees a consistent snapshot of each machine's occupancy but
+// must not call a method that takes the table lock (Task, Job, Place, ...).
 func (c *Cluster) Machines(fn func(*Machine)) {
-	c.machMu.RLock()
-	defer c.machMu.RUnlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	for _, m := range c.machines {
 		fn(m)
 	}
@@ -366,12 +363,8 @@ func (c *Cluster) NumPending() int { return int(c.numPending.Load()) }
 
 // NumRunning returns the number of running tasks.
 func (c *Cluster) NumRunning() int {
-	c.machMu.RLock()
-	defer c.machMu.RUnlock()
-	return c.numRunningLocked()
-}
-
-func (c *Cluster) numRunningLocked() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	n := 0
 	for _, m := range c.machines {
 		n += len(m.running)
@@ -485,15 +478,12 @@ func (c *Cluster) Place(id TaskID, m MachineID, now time.Duration) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: place of task %d in state %s", id, t.State)
 	}
-	c.machMu.Lock()
 	mach := c.machines[m]
 	if !mach.healthy {
-		c.machMu.Unlock()
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: place of task %d on unhealthy machine %d", id, m)
 	}
 	if len(mach.running) >= mach.Slots {
-		c.machMu.Unlock()
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: machine %d has no free slot for task %d", m, id)
 	}
@@ -502,7 +492,6 @@ func (c *Cluster) Place(id TaskID, m MachineID, now time.Duration) error {
 	t.StartTime = now
 	mach.running[id] = struct{}{}
 	mach.reserved += t.NetDemand
-	c.machMu.Unlock()
 	delete(c.pending, id)
 	c.numPending.Add(-1)
 	c.mu.Unlock()
@@ -613,10 +602,8 @@ func (c *Cluster) RemoveMachine(id MachineID, now time.Duration) error {
 		return fmt.Errorf("cluster: remove of unknown machine %d", id)
 	}
 	c.mu.Lock()
-	c.machMu.Lock()
 	m := c.machines[id]
 	if !m.healthy {
-		c.machMu.Unlock()
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: remove of already-removed machine %d", id)
 	}
@@ -626,8 +613,6 @@ func (c *Cluster) RemoveMachine(id MachineID, now time.Duration) error {
 	for tid := range m.running {
 		evicted = append(evicted, c.tasks[tid])
 	}
-	c.machMu.Unlock()
-
 	for _, t := range evicted {
 		c.detach(t)
 		t.State = TaskPending
@@ -661,15 +646,12 @@ func (c *Cluster) RestoreMachine(id MachineID, now time.Duration) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.machMu.Lock()
 	m := c.machines[id]
 	if m.healthy {
-		c.machMu.Unlock()
 		return fmt.Errorf("cluster: restore of machine %d not removed", id)
 	}
 	m.healthy = true
 	c.healthySlots.Add(int64(m.Slots))
-	c.machMu.Unlock()
 	c.events = append(c.events, Event{Kind: EventMachineAdded, Machine: id, Time: now})
 	c.numEvents.Add(1)
 	return nil
@@ -715,14 +697,12 @@ func (c *Cluster) NumQueuedEvents() int { return int(c.numEvents.Load()) }
 func (c *Cluster) NumQueuedEvictions() int { return int(c.numEvicted.Load()) }
 
 // detach removes a task from its machine's bookkeeping. The caller holds
-// the table lock; detach takes the machine lock (table → machine order).
+// the table lock.
 func (c *Cluster) detach(t *Task) {
 	if t.Machine == InvalidMachine {
 		return
 	}
-	c.machMu.Lock()
 	m := c.machines[t.Machine]
 	delete(m.running, t.ID)
 	m.reserved -= t.NetDemand
-	c.machMu.Unlock()
 }

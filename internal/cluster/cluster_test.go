@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"firmament/internal/wal"
 )
 
 func testTopo() Topology {
@@ -317,39 +319,98 @@ func TestAggregateCounters(t *testing.T) {
 }
 
 // TestConcurrentSubmission hammers the cluster's front door from many
-// goroutines while a consumer drains events and reads aggregate state,
-// mirroring the serving layer's access pattern. Run under -race.
+// goroutines while a consumer drains events, places, completes and
+// toggles machines, and readers walk Machines, NumRunning and
+// EncodeSnapshot, mirroring the serving layer's access pattern. Run under
+// -race.
 func TestConcurrentSubmission(t *testing.T) {
 	c := New(Topology{Racks: 2, MachinesPerRack: 8, SlotsPerMachine: 4})
 	const submitters = 8
 	const jobsEach = 50
 	const tasksPerJob = 4
 
-	var wg sync.WaitGroup
+	var wg, subWG sync.WaitGroup
 	var drained atomic.Int64
 	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
 	wg.Add(1)
-	go func() { // consumer: drain events and read state like a scheduler
+	go func() { // consumer: drain events and mutate state like a scheduler
 		defer wg.Done()
-		for {
-			drained.Add(int64(len(drain(c))))
+		var running []TaskID
+		for round := 0; ; round++ {
+			done := stopped()
+			for _, ev := range drain(c) {
+				if ev.Kind == EventTaskSubmitted {
+					drained.Add(1)
+				}
+				if ev.Kind == EventTaskSubmitted || ev.Kind == EventTaskEvicted {
+					m := MachineID((round + int(ev.Task)) % c.NumMachines())
+					if c.Place(ev.Task, m, 0) == nil {
+						running = append(running, ev.Task)
+					}
+				}
+			}
+			if done {
+				return
+			}
+			half := len(running) / 2
+			for _, id := range running[:half] {
+				c.Complete(id, 0) // evicted ones refuse
+			}
+			running = append(running[:0], running[half:]...)
+			if m := MachineID(round % c.NumMachines()); c.RemoveMachine(m, 0) != nil {
+				c.RestoreMachine(m, 0)
+			}
 			c.NumPending()
 			c.SlotUtilization()
-			c.Machines(func(m *Machine) { m.Running() })
-			select {
-			case <-stop:
-				drained.Add(int64(len(drain(c))))
-				return
-			default:
-			}
 		}
 	}()
+	// Readers: every view of machine occupancy is one state of the table
+	// lock, so no machine is ever seen over its slots or both removed and
+	// running tasks, live or in a snapshot.
+	checkMachines := func(view string, cl *Cluster) {
+		cl.Machines(func(m *Machine) {
+			if m.Running() > m.Slots || (!m.Healthy() && m.Running() > 0) {
+				t.Errorf("%s: machine %d healthy=%v runs %d tasks in %d slots", view, m.ID, m.Healthy(), m.Running(), m.Slots)
+			}
+		})
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for !stopped() {
+				if r == 0 {
+					checkMachines("live", c)
+					if n := c.NumRunning(); n > c.NumMachines()*4 {
+						t.Errorf("NumRunning = %d over %d slots", n, c.NumMachines()*4)
+					}
+					continue
+				}
+				var e wal.Enc
+				c.EncodeSnapshot(&e)
+				snap, err := DecodeSnapshot(wal.NewDec(e.B))
+				if err != nil {
+					t.Errorf("DecodeSnapshot of a concurrent snapshot: %v", err)
+					return
+				}
+				checkMachines("snapshot", snap)
+			}
+		}(r)
+	}
 
 	ids := make([][]TaskID, submitters)
 	for i := 0; i < submitters; i++ {
-		wg.Add(1)
+		subWG.Add(1)
 		go func(i int) {
-			defer wg.Done()
+			defer subWG.Done()
 			for j := 0; j < jobsEach; j++ {
 				job := c.SubmitJob(Batch, 0, time.Duration(j), make([]TaskSpec, tasksPerJob))
 				ids[i] = append(ids[i], job.Tasks...)
@@ -358,18 +419,13 @@ func TestConcurrentSubmission(t *testing.T) {
 	}
 	// Stop the consumer only after every submission is in, so its final
 	// drain observes all events.
-	for {
-		if c.NumPending() == submitters*jobsEach*tasksPerJob {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	subWG.Wait()
 	close(stop)
 	wg.Wait()
 
 	total := submitters * jobsEach * tasksPerJob
 	if got := int(drained.Load()); got != total {
-		t.Fatalf("drained %d events, want %d (lost or duplicated submissions)", got, total)
+		t.Fatalf("drained %d submission events, want %d (lost or duplicated submissions)", got, total)
 	}
 	// Every task ID must be unique across submitters.
 	seen := make(map[TaskID]bool, total)

@@ -107,8 +107,9 @@ func decodeTask(d *wal.Dec) *Task {
 	return t
 }
 
-// EncodeSnapshot serialises the cluster state: the live tables and the
-// retired totals. The caller must
+// EncodeSnapshot serialises the cluster state: machine health, the live
+// tables and the retired totals, all read under one hold of the table
+// lock's read side. The caller must
 // guarantee quiescence (no concurrent mutators) — in the service this runs
 // on the scheduling goroutine between rounds. Iteration is in sorted ID
 // order throughout so identical state yields identical bytes.
@@ -123,18 +124,16 @@ func (c *Cluster) EncodeSnapshot(e *wal.Enc) {
 	e.U32(1) // one section
 	e.I64(int64(c.nextJob.Load()))
 
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	// Machine health. Occupancy and reserved bandwidth are rebuilt from
 	// the running tasks on decode.
-	c.machMu.RLock()
 	e.U32(uint32(len(c.machines)))
 	for _, m := range c.machines {
 		e.Bool(m.healthy)
 	}
-	c.machMu.RUnlock()
 
 	// Jobs and tasks, sorted by ID.
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	jobIDs := make([]JobID, 0, len(c.jobs))
 	for id := range c.jobs {
 		jobIDs = append(jobIDs, id)

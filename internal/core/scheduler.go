@@ -12,7 +12,8 @@ type Config struct {
 	// Mode selects the solver configuration (default ModeFirmament).
 	Mode SolverMode
 	// Alpha is the cost scaling epsilon divisor; the paper found 9 about
-	// 30% faster than the default 2 on the Google workload (§7.2).
+	// 30% faster than 2 on the Google workload (§7.2). DefaultConfig uses
+	// 9; a value below 2 leaves the solver's own default, 12.
 	Alpha int64
 }
 

@@ -201,22 +201,24 @@ func timedSolve(g *flow.Graph, solver mcmf.Solver, opts *mcmf.Options, timeout t
 // churn applies a small batch of realistic cluster changes: some task
 // completions and a few new arrivals, as between two scheduling rounds.
 func churn(cl *cluster.Cluster, store *storage.Store, rng *rand.Rand, now time.Duration, completions, arrivals int) {
-	// Pick candidates while iterating, mutate afterwards: Jobs holds the
-	// cluster's read lock, so the callback must not call Complete.
-	var picks []cluster.TaskID
+	// Collect batch tasks while iterating, look them up and mutate
+	// afterwards: Jobs holds the cluster's read lock, so the callback must
+	// not call Task or Complete.
+	var batch []cluster.TaskID
 	cl.Jobs(func(j *cluster.Job) {
-		if j.Class != cluster.Batch {
-			return
-		}
-		for _, id := range j.Tasks {
-			if len(picks) >= completions {
-				return
-			}
-			if t := cl.Task(id); t.State == cluster.TaskRunning && rng.Intn(3) == 0 {
-				picks = append(picks, id)
-			}
+		if j.Class == cluster.Batch {
+			batch = append(batch, j.Tasks...)
 		}
 	})
+	var picks []cluster.TaskID
+	for _, id := range batch {
+		if len(picks) >= completions {
+			break
+		}
+		if t := cl.Task(id); t.State == cluster.TaskRunning && rng.Intn(3) == 0 {
+			picks = append(picks, id)
+		}
+	}
 	for _, id := range picks {
 		_ = cl.Complete(id, now)
 	}

@@ -463,6 +463,16 @@ func TestPriceRefineFindsPotentials(t *testing.T) {
 			t.Fatalf("arc %d has scaled reduced cost %d < 0 after price refine", a, rc)
 		}
 	}
+
+	// The zero flow on a graph with negative-cost arcs but no negative
+	// cycle: SSP's starting point, priced at scale 1 and eps 0.
+	g = randomGeneralGraph(rand.New(rand.NewSource(5)), 12)
+	if !NewScratch().PriceRefine(g, 1, 0, nil) {
+		t.Fatal("PriceRefine failed on acyclic-negative graph")
+	}
+	if err := g.CheckReducedCostOptimal(0); err != nil {
+		t.Fatalf("reduced costs negative after PriceRefine: %v", err)
+	}
 }
 
 func TestPriceRefineRejectsSuboptimalFlow(t *testing.T) {
@@ -484,17 +494,6 @@ func TestPriceRefineRejectsSuboptimalFlow(t *testing.T) {
 	// With a large enough eps the same flow is eps-optimal.
 	if !sc.PriceRefine(g, 1, 10, nil) {
 		t.Fatal("PriceRefine rejected a flow that is 10-optimal")
-	}
-}
-
-func TestInitPotentialsNonNegativeReducedCosts(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomGeneralGraph(rng, 12)
-	if !NewScratch().initPotentials(g, nil) {
-		t.Fatal("initPotentials failed on acyclic-negative graph")
-	}
-	if err := g.CheckReducedCostOptimal(0); err != nil {
-		t.Fatalf("reduced costs negative after initPotentials: %v", err)
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"firmament/internal/flow"
 )
 
-// Scratch holds the working arrays of the shared helpers (initPotentials,
-// negativeCycle, maxFlow and PriceRefine). Long-lived callers pin one to
+// Scratch holds the working arrays of the shared helpers (negativeCycle,
+// maxFlow and PriceRefine). Long-lived callers pin one to
 // themselves — SSP and cycle canceling embed one, the solver pool holds one
 // for its per-round price refine — so that the steady-state solve loop
 // performs no allocation at all. (An earlier revision borrowed these from a
@@ -97,69 +97,6 @@ func (s *Scratch) nodes(n int) []flow.NodeID {
 		s.queue = make([]flow.NodeID, n)
 	}
 	return s.queue[:n]
-}
-
-// initPotentials assigns node potentials such that every residual arc has
-// non-negative reduced cost, using a label-correcting Bellman-Ford pass over
-// all residual arcs (every node starts at distance zero, which is equivalent
-// to a virtual source with zero-cost arcs to everywhere). If the residual
-// network contains a negative-cost cycle no such potentials exist and
-// initPotentials returns false.
-//
-// Successive shortest path calls this when starting from scratch on graphs
-// that may contain negative-cost arcs.
-//
-//firmament:hotpath
-func (s *Scratch) initPotentials(g *flow.Graph, opts *Options) bool {
-	n := g.NodeIDBound()
-	adj := g.Adjacency()
-	pl := g.ArcPlanes()
-	if n == 0 {
-		return true
-	}
-	dist := s.int64s(n)
-	inQueue := s.bools(n)
-	relaxations := s.int32s(n, 0)
-	// FIFO ring: the inQueue guard bounds occupancy by n.
-	queue := s.nodes(n)
-	qhead, qlen := 0, 0
-	//firmament:ignore hotalloc non-escaping capture: g.Nodes is a leaf iterator, the closure stays on the stack (0 allocs/op proven by TestSteadyState)
-	g.Nodes(func(id flow.NodeID) {
-		queue[(qhead+qlen)%n] = id
-		qlen++
-		inQueue[id] = true
-	})
-	limit := int32(g.NumNodes() + 1)
-	for qlen > 0 {
-		u := queue[qhead]
-		qhead = (qhead + 1) % n
-		qlen--
-		inQueue[u] = false
-		du := dist[u]
-		for _, a := range adj.Out(u) {
-			if pl.Resid[a] <= 0 {
-				continue
-			}
-			v := pl.Head[a]
-			if d := du + pl.Cost[a]; d < dist[v] {
-				dist[v] = d
-				if !inQueue[v] {
-					relaxations[v]++
-					if relaxations[v] > limit {
-						return false // negative cycle
-					}
-					queue[(qhead+qlen)%n] = v
-					qlen++
-					inQueue[v] = true
-				}
-			}
-		}
-	}
-	//firmament:ignore hotalloc non-escaping capture: g.Nodes is a leaf iterator, the closure stays on the stack (0 allocs/op proven by TestSteadyState)
-	g.Nodes(func(id flow.NodeID) {
-		g.SetPotential(id, -dist[id])
-	})
-	return true
 }
 
 // negativeCycle finds a directed negative-cost cycle in the residual network

@@ -21,7 +21,7 @@ type SuccessiveShortestPath struct {
 	search  sspSearch
 	excess  []int64
 	sources []flow.NodeID
-	scratch Scratch // pinned storage for initPotentials
+	scratch Scratch // pinned storage for the initial PriceRefine
 }
 
 // NewSuccessiveShortestPath returns an SSP solver.
@@ -37,7 +37,12 @@ func (s *SuccessiveShortestPath) Solve(g *flow.Graph, opts *Options) (Result, er
 	start := time.Now()
 	g.ResetFlow()
 	g.ResetPotentials()
-	if !s.scratch.initPotentials(g, opts) {
+	// Potentials under which the zero flow is optimal (eps 0): every
+	// residual arc gets a non-negative reduced cost, so Dijkstra applies.
+	if !s.scratch.PriceRefine(g, 1, 0, opts) {
+		if opts.stopped() {
+			return Result{}, ErrStopped
+		}
 		// A negative cycle with zero flow means negative-cost arcs form a
 		// cycle; saturating them is not modelled here — Firmament's graphs
 		// are DAGs, so this indicates a malformed input.

@@ -1,7 +1,6 @@
 // Package metrics provides the percentile and CDF summaries the evaluation
-// harness reports (paper §7 plots percentile boxes, CDFs, and averages),
-// plus the concurrency-safe accumulators the serving layer publishes its
-// per-round statistics through.
+// harness reports (paper §7 plots percentile boxes, CDFs, and averages) and
+// the serving layer publishes its per-round statistics through.
 package metrics
 
 import (
@@ -9,7 +8,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -141,38 +139,15 @@ func (d *Dist) Clone() *Dist {
 	return &Dist{vals: append([]float64(nil), d.vals...), sorted: d.sorted}
 }
 
-// SyncDist is a Dist safe for concurrent use: producers Add from any
-// goroutine while readers take consistent Snapshots. The serving layer
-// records per-round and per-placement samples through it while clients
-// poll aggregate stats.
-type SyncDist struct {
-	mu sync.Mutex
-	d  Dist
-}
-
-// Add appends a sample.
-func (s *SyncDist) Add(v float64) {
-	s.mu.Lock()
-	s.d.Add(v)
-	s.mu.Unlock()
-}
-
-// AddDuration appends a duration sample in seconds.
-func (s *SyncDist) AddDuration(v time.Duration) { s.Add(v.Seconds()) }
-
-// N returns the sample count.
-func (s *SyncDist) N() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.d.N()
-}
-
-// Snapshot returns an independent copy of the accumulated distribution,
-// safe to summarize while producers keep adding.
-func (s *SyncDist) Snapshot() *Dist {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.d.Clone()
+// Absorb moves src's samples into d and empties src, keeping its buffer
+// for reuse.
+func (d *Dist) Absorb(src *Dist) {
+	if len(src.vals) == 0 {
+		return
+	}
+	d.vals = append(d.vals, src.vals...)
+	d.sorted = false
+	src.vals = src.vals[:0]
 }
 
 // Sparkline renders the distribution's CDF as a crude text plot for

@@ -341,6 +341,39 @@ func TestWALRearmRequiresWriteProbe(t *testing.T) {
 	}
 }
 
+// TestDegradedRoundsArmOneProbeWake: a degraded service keeps one probe
+// wake pending rather than arming a timer per round — at 1 ms rounds and a
+// 1 s probe interval that piled up about a thousand timers.
+func TestDegradedRoundsArmOneProbeWake(t *testing.T) {
+	ffs := faultfs.New()
+	var clock time.Duration
+	dur := faultDur(ffs, WALDegrade)
+	dur.ProbeInterval = time.Second
+	s, _ := manualFaulty(t, t.TempDir(), &clock, dur)
+
+	ffs.Inject(faultfs.Fault{Op: faultfs.OpWrite, Count: faultfs.Persistent, Err: syscall.ENOSPC})
+	clock += time.Millisecond
+	if _, err := s.Submit(cluster.Batch, 0, make([]cluster.TaskSpec, 1)); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if h := s.Health(); h.State != HealthDegraded {
+		t.Fatalf("health = %+v after ENOSPC, want degraded", h)
+	}
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		clock += time.Millisecond
+		if _, err := s.runRound(); err != nil {
+			t.Fatalf("runRound: %v", err)
+		}
+	}
+	if st := s.Stats(); st.DegradedRounds != rounds {
+		t.Fatalf("DegradedRounds = %d, want %d", st.DegradedRounds, rounds)
+	}
+	if s.probeArms < 1 || s.probeArms > 2 {
+		t.Fatalf("%d degraded rounds armed %d probe wakes, want 1 or 2", rounds, s.probeArms)
+	}
+}
+
 // ackedSurvive checks that every acknowledged job survived into cl: a job
 // may be absent only if it is one the caller finished, and the retired
 // totals must count exactly the absent ones.

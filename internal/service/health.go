@@ -89,43 +89,17 @@ type Health struct {
 
 // Health reports the service's current health. Safe from any goroutine.
 func (s *Service) Health() Health {
-	if err := s.Err(); err != nil {
-		return Health{State: HealthFailed, Cause: err.Error()}
-	}
-	st := HealthState(s.health.Load())
-	if st == HealthFailed {
-		return Health{State: HealthFailed, Cause: s.healthCauseStr()}
-	}
-	if s.closed.Load() {
+	s.statusMu.Lock()
+	defer s.statusMu.Unlock()
+	switch {
+	case s.runErr != nil: // fail-stop WAL failures included
+		return Health{State: HealthFailed, Cause: s.runErr.Error()}
+	case s.closed.Load():
 		return Health{State: HealthFailed, Cause: "service closed"}
-	}
-	if st == HealthDegraded {
-		return Health{State: HealthDegraded, Cause: s.healthCauseStr()}
+	case s.degradedNow():
+		return Health{State: HealthDegraded, Cause: s.healthCause.Error()}
 	}
 	return Health{State: HealthOK}
-}
-
-func (s *Service) healthCauseStr() string {
-	s.healthMu.Lock()
-	defer s.healthMu.Unlock()
-	if s.healthCause == nil {
-		return ""
-	}
-	return s.healthCause.Error()
-}
-
-func (s *Service) setHealthCause(err error) {
-	s.healthMu.Lock()
-	if s.healthCause == nil {
-		s.healthCause = err
-	}
-	s.healthMu.Unlock()
-}
-
-func (s *Service) clearHealthCause() {
-	s.healthMu.Lock()
-	s.healthCause = nil
-	s.healthMu.Unlock()
 }
 
 // degradedNow reports whether durability is currently off (volatile
@@ -189,36 +163,23 @@ func (s *Service) retryWAL(fn func() error) error {
 // next check). Safe from any goroutine, including front-door callers
 // holding closeMu.RLock.
 func (s *Service) walFailure(err error) bool {
+	s.statusMu.Lock()
+	defer s.statusMu.Unlock()
 	if s.dur.OnWALFailure == WALDegrade {
-		s.setHealthCause(err)
+		if s.healthCause == nil {
+			s.healthCause = err
+		}
 		s.health.CompareAndSwap(int32(HealthOK), int32(HealthDegraded))
 		return true
 	}
-	s.setHealthCause(err)
 	// Record the cause for Err()/closedErr() immediately: front-door
 	// callers racing the loop's death must already see why.
-	s.runErrMu.Lock()
 	if s.runErr == nil {
 		s.runErr = fmt.Errorf("service: wal failure: %w", err)
 	}
-	s.runErrMu.Unlock()
 	s.health.Store(int32(HealthFailed))
 	s.wake() // the loop notices at its next round and exits
 	return false
-}
-
-// fatalWAL returns the pending fail-stop error, if walFailure requested one
-// from a front-door goroutine. Checked at the top of every round.
-func (s *Service) fatalWAL() error {
-	if HealthState(s.health.Load()) != HealthFailed {
-		return nil
-	}
-	s.healthMu.Lock()
-	defer s.healthMu.Unlock()
-	if s.healthCause != nil {
-		return fmt.Errorf("wal failure: %w", s.healthCause)
-	}
-	return errors.New("wal failure")
 }
 
 // maybeRearm probes the sick disk and, if it has healed, re-arms
@@ -327,6 +288,8 @@ func (s *Service) maybeRearm() {
 	s.pubMu.Lock()
 	s.pub.WALRearms = s.ctr.WALRearms
 	s.pubMu.Unlock()
-	s.clearHealthCause()
+	s.statusMu.Lock()
+	s.healthCause = nil
 	s.health.Store(int32(HealthOK))
+	s.statusMu.Unlock()
 }

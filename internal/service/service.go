@@ -152,6 +152,9 @@ type Service struct {
 	ops       []op
 	opSpare   []op
 	opsQueued atomic.Int64
+	// tmplQueue holds the jobs submitted since the last template admission
+	// (template.go), guarded by opMu; admitTemplates swap-drains it.
+	tmplQueue []cluster.JobID
 
 	kick chan struct{} // wakes the loop; capacity 1, sends never block
 
@@ -204,26 +207,34 @@ type Service struct {
 	testHookBeforeSchedule func()
 	testHookNow            func() time.Duration
 
-	runErrMu sync.Mutex
-	runErr   error
+	// statusMu guards runErr, the loop's fatal error (a fail-stop WAL
+	// failure's included), healthCause, the error that degraded the
+	// service, and every write of health: degraded implies a cause.
+	statusMu    sync.Mutex
+	runErr      error
+	healthCause error
 
 	// Disk-fault tolerance (health.go): health holds a HealthState; while
 	// Degraded the front door skips journaling and the loop probes the disk
-	// every ProbeInterval, re-arming durability when it heals. healthCause
-	// is the first error that degraded or failed the service.
+	// every ProbeInterval, re-arming durability when it heals. Loop-owned:
+	// lastProbe paces probes; probeTimer, pending until probeWakeAt, is the
+	// one wake armed for the next, and probeArms counts its arms.
 	health      atomic.Int32
-	healthMu    sync.Mutex
-	healthCause error
-	lastProbe   time.Time // loop-owned probe pacing
+	lastProbe   time.Time
+	probeTimer  *time.Timer
+	probeWakeAt time.Time
+	probeArms   int
 
 	// ctr holds the counters the scheduling loop alone writes (restore and
-	// replay write them before the loop starts). It is a plain value the
-	// loop owns; exposeCounters copies it to pub under pubMu once a round's
-	// accounting is done and again when the round ends, so Stats never
-	// sees half a round (see Stats for the two counters that trail or lead).
-	ctr   Counters
-	pubMu sync.Mutex
-	pub   Counters
+	// replay write them before the loop starts), dist the samples it took
+	// since their last exposure. exposeCounters copies ctr to pub and moves
+	// dist into pubDist under pubMu once a round's accounting is done and
+	// again when the round ends, so Stats never sees half a round.
+	ctr     Counters
+	dist    dists
+	pubMu   sync.Mutex
+	pub     Counters
+	pubDist dists
 	// Front-door counters (atomics: written from any goroutine).
 	submitted  atomic.Int64
 	refused    atomic.Int64
@@ -232,12 +243,11 @@ type Service struct {
 	// tmpl is the placement-template fast path state (nil when disabled or
 	// when the policy does not implement template.Signer). See template.go.
 	tmpl *tmplState
+}
 
-	queueDepth       metrics.SyncDist
-	batchSize        metrics.SyncDist
-	algoRuntime      metrics.SyncDist
-	roundTime        metrics.SyncDist
-	placementLatency metrics.SyncDist
+// dists is one set of the per-round distributions Stats reports.
+type dists struct {
+	queueDepth, batchSize, algoRuntime, roundTime, placementLatency metrics.Dist
 }
 
 // New builds a scheduling service over cl with the given policy and solver
@@ -623,8 +633,8 @@ func (s *Service) Close() error {
 	}
 	s.subs = nil
 	s.subMu.Unlock()
-	s.runErrMu.Lock()
-	defer s.runErrMu.Unlock()
+	s.statusMu.Lock()
+	defer s.statusMu.Unlock()
 	if s.runErr != nil {
 		return s.runErr
 	}
@@ -633,8 +643,8 @@ func (s *Service) Close() error {
 
 // Err returns the scheduling loop's fatal error, if it has died.
 func (s *Service) Err() error {
-	s.runErrMu.Lock()
-	defer s.runErrMu.Unlock()
+	s.statusMu.Lock()
+	defer s.statusMu.Unlock()
 	return s.runErr
 }
 
@@ -669,13 +679,13 @@ func (s *Service) loop() {
 		lastRound = time.Now()
 		progress, err := s.runRound()
 		if err != nil {
-			s.runErrMu.Lock()
+			s.statusMu.Lock()
 			// A front-door walFailure under WALFailStop may have recorded
 			// the cause already; the first error wins.
 			if s.runErr == nil {
 				s.runErr = fmt.Errorf("service: scheduling round %d: %w", s.ctr.Rounds, err)
 			}
-			s.runErrMu.Unlock()
+			s.statusMu.Unlock()
 			s.closeMu.Lock() // same guarded transition as Close
 			s.closed.Store(true)
 			s.closeMu.Unlock()
@@ -684,12 +694,6 @@ func (s *Service) loop() {
 		// A round's placements drain the pending backlog: let any parked
 		// SubmitWait callers re-check the admission ceiling.
 		s.wakeWaiters()
-		// A degraded service must keep probing the disk even when idle: the
-		// loop parks between kicks, so a wake at the next probe time keeps
-		// re-arm attempts coming without any front-door traffic.
-		if s.degradedNow() {
-			time.AfterFunc(s.dur.ProbeInterval, s.wake)
-		}
 		// More work already waiting (ops queued, events logged, or tasks
 		// still pending placement): keep going, pacing bounds the rate.
 		// Rounds that neither folded in events nor enacted decisions back
@@ -736,11 +740,12 @@ func (s *Service) pendingWork() bool {
 func (s *Service) runRound() (progress bool, err error) {
 	t0 := time.Now()
 	defer s.exposeCounters() // on every exit, a failed round's included
-	if err := s.fatalWAL(); err != nil {
+	if HealthState(s.health.Load()) == HealthFailed {
 		// A front-door goroutine hit a permanent WAL failure under
-		// WALFailStop; it could not stop the loop itself (it holds the
-		// close membrane's read side), so the round check does.
-		return false, err
+		// WALFailStop and recorded it as runErr; it could not stop the loop
+		// itself (it holds the close membrane's read side), so the round
+		// check does.
+		return false, s.Err()
 	}
 	if s.jrn != nil && s.degradedNow() {
 		s.ctr.DegradedRounds++
@@ -800,7 +805,7 @@ func (s *Service) runRound() (progress bool, err error) {
 	// arrive in the window between read and drain, and a round that folded
 	// them in would be misclassified as idle, triggering exponential
 	// backoff while work was actually done.
-	s.batchSize.Add(float64(batchEvents))
+	s.dist.batchSize.Add(float64(batchEvents))
 	var ap core.ApplyStats
 	if r != nil {
 		rec.applyNow = s.now()
@@ -822,7 +827,7 @@ func (s *Service) runRound() (progress bool, err error) {
 				Round: uint64(round)}
 			if d.Kind == core.DecisionPlaced {
 				p.Latency = rec.applyNow - d.SubmitTime
-				s.placementLatency.AddDuration(p.Latency)
+				s.dist.placementLatency.AddDuration(p.Latency)
 			}
 			decisions = append(decisions, p)
 			if durable {
@@ -839,7 +844,7 @@ func (s *Service) runRound() (progress bool, err error) {
 		if recording && ap.Preempted == 0 && ap.Migrated == 0 && ap.Stale == 0 {
 			s.recordTemplates(now)
 		}
-		s.algoRuntime.AddDuration(r.Stats.AlgorithmRuntime())
+		s.dist.algoRuntime.AddDuration(r.Stats.AlgorithmRuntime())
 	}
 	// Retirement: foldAndSolve has folded the round's completion events
 	// into the graph, so nothing but the cluster tables names the tasks of
@@ -881,9 +886,21 @@ func (s *Service) runRound() (progress bool, err error) {
 		}
 	}
 
+	// A degraded service must keep probing the disk even when idle: the
+	// loop parks between kicks, so one wake kept pending for the next probe
+	// time keeps re-arm attempts coming without any front-door traffic.
+	if now := time.Now(); s.degradedNow() && !now.Before(s.probeWakeAt) {
+		s.probeWakeAt = now.Add(s.dur.ProbeInterval)
+		s.probeArms++
+		if s.probeTimer == nil {
+			s.probeTimer = time.AfterFunc(s.dur.ProbeInterval, s.wake)
+		}
+		s.probeTimer.Reset(s.dur.ProbeInterval)
+	}
+
 	// Queue depth: events that accumulated while this round was in flight.
-	s.queueDepth.Add(float64(s.cl.NumQueuedEvents()))
-	s.roundTime.AddDuration(time.Since(t0))
+	s.dist.queueDepth.Add(float64(s.cl.NumQueuedEvents()))
+	s.dist.roundTime.AddDuration(time.Since(t0))
 	return batchEvents > 0 || len(decisions) > 0, nil
 }
 
@@ -955,12 +972,19 @@ func (s *Service) accountRound(rec *roundRecord, r *core.Round, ap core.ApplySta
 	}
 }
 
-// exposeCounters makes the loop-owned counters visible to Stats as one
-// whole: the loop calls it before a round publishes and when the round
-// ends, and restore and replay before they hand the service over.
+// exposeCounters makes the loop-owned counters and the samples recorded
+// since the last call visible to Stats as one whole: the loop calls it
+// before a round publishes and when the round ends, and restore and
+// replay before they hand the service over.
 func (s *Service) exposeCounters() {
 	s.pubMu.Lock()
 	s.pub = s.ctr
+	p, d := &s.pubDist, &s.dist
+	p.queueDepth.Absorb(&d.queueDepth)
+	p.batchSize.Absorb(&d.batchSize)
+	p.algoRuntime.Absorb(&d.algoRuntime)
+	p.roundTime.Absorb(&d.roundTime)
+	p.placementLatency.Absorb(&d.placementLatency)
 	s.pubMu.Unlock()
 }
 
@@ -1071,12 +1095,14 @@ type Counters struct {
 }
 
 // Stats is a point-in-time snapshot of the service's counters and
-// distributions. The counters the scheduling loop writes are those of the
-// last accounted round: a poll never sees half a round, and a Watch
-// subscriber that has seen a placement finds its round counted. Two
-// counters sit outside a round: WatchDropped, counted as a round's
-// placements go out, shows at that round's end, and WALRearms shows the
-// moment a re-arm flips health to ok, mid-round.
+// distributions. The counters the scheduling loop writes and the
+// distributions' samples are those of the last accounted round: a poll
+// never sees half a round (PlacementLatency has one sample per Placed,
+// BatchSize one per round), and a Watch subscriber
+// that has seen a placement finds its round counted. What a round records
+// as its placements go out shows at that round's end: WatchDropped, and
+// the QueueDepth and RoundTime samples. WALRearms shows the moment a
+// re-arm flips health to ok, mid-round.
 type Stats struct {
 	Counters
 
@@ -1099,24 +1125,26 @@ type Stats struct {
 func (s *Service) Cluster() *cluster.Cluster { return s.cl }
 
 // Stats returns a consistent snapshot; safe to call from any goroutine.
-// The loop-owned counters come from the last finished round; the
-// front-door counters, health and gauges are read now.
+// The loop-owned counters and distributions come from the last finished
+// round, copied under one lock hold; the front-door counters, health and
+// gauges are read now.
 func (s *Service) Stats() Stats {
 	s.pubMu.Lock()
-	c := s.pub
+	st := Stats{
+		Counters:         s.pub,
+		QueueDepth:       s.pubDist.queueDepth.Clone(),
+		BatchSize:        s.pubDist.batchSize.Clone(),
+		AlgorithmRuntime: s.pubDist.algoRuntime.Clone(),
+		RoundTime:        s.pubDist.roundTime.Clone(),
+		PlacementLatency: s.pubDist.placementLatency.Clone(),
+	}
 	s.pubMu.Unlock()
+	c := &st.Counters
 	c.Submitted = s.submitted.Load()
 	c.Backlogged = s.refused.Load()
 	c.WALRetries = s.walRetries.Load()
 	h := s.Health()
 	c.Health, c.FailureCause = h.State.String(), h.Cause
 	c.Pending, c.Running = int64(s.cl.NumPending()), int64(s.cl.NumRunning())
-	return Stats{
-		Counters:         c,
-		QueueDepth:       s.queueDepth.Snapshot(),
-		BatchSize:        s.batchSize.Snapshot(),
-		AlgorithmRuntime: s.algoRuntime.Snapshot(),
-		RoundTime:        s.roundTime.Snapshot(),
-		PlacementLatency: s.placementLatency.Snapshot(),
-	}
+	return st
 }

@@ -112,7 +112,9 @@ func TestConcurrentSubmitters(t *testing.T) {
 
 	// A poller reads Stats while the loop publishes: under -race this
 	// exercises the published counters, and a snapshot must never run
-	// backwards or count a completion before its placement.
+	// backwards or count a completion before its placement. Its
+	// distributions belong to the same round as its counters: one latency
+	// sample per placement, one batch size per round.
 	pollStop, pollDone := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(pollDone)
@@ -126,6 +128,11 @@ func TestConcurrentSubmitters(t *testing.T) {
 			st := svc.Stats()
 			if st.Rounds < last.Rounds || st.Completed < last.Completed || st.Completed > st.Placed {
 				t.Errorf("stats poll went backwards or out of order: %+v after %+v", st.Counters, last.Counters)
+				return
+			}
+			if int64(st.PlacementLatency.N()) != st.Placed || int64(st.BatchSize.N()) != st.Rounds {
+				t.Errorf("stats poll mixes rounds: %d latency samples for %d placed, %d batch sizes for %d rounds",
+					st.PlacementLatency.N(), st.Placed, st.BatchSize.N(), st.Rounds)
 				return
 			}
 			last = st
@@ -784,9 +791,10 @@ func TestSubmitWaitCtxCanceled(t *testing.T) {
 }
 
 // TestStatsNeverShowHalfARound polls Stats between a round's op drain and
-// its solve. The counters the loop writes must still read as the previous
-// round left them — the drained completion is not yet counted, nor is the
-// round itself — and both must advance once the round ends.
+// its solve. The counters and distributions the loop writes must still
+// read as the previous round left them — the drained completion is not yet
+// counted, nor is the round itself — and both must advance once the round
+// ends.
 func TestStatsNeverShowHalfARound(t *testing.T) {
 	var clock time.Duration
 	svc := manualService(cluster.Topology{Racks: 1, MachinesPerRack: 1, SlotsPerMachine: 1}, &clock)
@@ -815,6 +823,10 @@ func TestStatsNeverShowHalfARound(t *testing.T) {
 	if mid.Completed != before.Completed || mid.Rounds != before.Rounds {
 		t.Fatalf("mid-round poll saw completed %d rounds %d, want the previous round's %d and %d",
 			mid.Completed, mid.Rounds, before.Completed, before.Rounds)
+	}
+	if mid.BatchSize.N() != before.BatchSize.N() || mid.RoundTime.N() != before.RoundTime.N() {
+		t.Fatalf("mid-round poll saw %d batch sizes and %d round times, want the previous round's %d and %d",
+			mid.BatchSize.N(), mid.RoundTime.N(), before.BatchSize.N(), before.RoundTime.N())
 	}
 	after := svc.Stats()
 	if after.Completed != before.Completed+1 || after.Rounds != before.Rounds+1 {

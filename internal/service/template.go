@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"firmament/internal/cluster"
@@ -23,17 +22,14 @@ import (
 // placements are recorded as new templates.
 //
 // All cache state is confined to the scheduling goroutine; the only shared
-// structure is the candidate queue, a mutex-guarded slice the front door
-// appends job IDs to.
+// structure is the candidate queue (Service.tmplQueue), a slice the front
+// door appends job IDs to under the op queue's lock.
 
 // tmplState is the template fast path's state, owned by the scheduling
-// loop except for the queue.
+// loop.
 type tmplState struct {
 	cache *template.Cache
 	sig   uint64 // the policy's TemplateSignature
-
-	mu    sync.Mutex
-	queue []cluster.JobID // jobs submitted since the last round
 
 	// Loop-owned scratch. The round's cache deltas (hit placements, drops,
 	// inserts) and counters live in the service's round record.
@@ -84,9 +80,9 @@ func (s *Service) noteTemplateCandidate(id cluster.JobID) {
 	if s.tmpl == nil {
 		return
 	}
-	s.tmpl.mu.Lock()
-	s.tmpl.queue = append(s.tmpl.queue, id)
-	s.tmpl.mu.Unlock()
+	s.opMu.Lock()
+	s.tmplQueue = append(s.tmplQueue, id)
+	s.opMu.Unlock()
 }
 
 // machineView adapts cluster machine state for template.Validate.
@@ -110,11 +106,11 @@ func (s *Service) machineView(m cluster.MachineID) (running, slots int, healthy 
 func (s *Service) admitTemplates(now time.Duration, round int64) ([]Placement, error) {
 	tp, rec := s.tmpl, &s.rec
 	tp.missCand = tp.missCand[:0]
-	tp.mu.Lock()
-	cand := tp.queue
-	tp.queue = tp.cand[:0]
+	s.opMu.Lock()
+	cand := s.tmplQueue
+	s.tmplQueue = tp.cand[:0]
 	tp.cand = cand
-	tp.mu.Unlock()
+	s.opMu.Unlock()
 	if len(cand) == 0 {
 		return nil, nil
 	}
@@ -164,7 +160,7 @@ func (s *Service) admitTemplates(now time.Duration, round int64) ([]Placement, e
 					Task: tid, Kind: core.DecisionPlaced, Machine: as.Machine,
 					Job: job.ID, SubmitTime: job.SubmitTime})
 				lat := now - job.SubmitTime
-				s.placementLatency.AddDuration(lat)
+				s.dist.placementLatency.AddDuration(lat)
 				//firmament:ignore hotalloc see the declaration: the hit placements escape to subscribers, growth is the documented per-hit allocation
 				placements = append(placements, Placement{
 					Task: tid, Job: job.ID, Kind: core.DecisionPlaced,
