@@ -463,10 +463,13 @@ func TestPriceRefineFindsPotentials(t *testing.T) {
 			t.Fatalf("arc %d has scaled reduced cost %d < 0 after price refine", a, rc)
 		}
 	}
+}
 
-	// The zero flow on a graph with negative-cost arcs but no negative
-	// cycle: SSP's starting point, priced at scale 1 and eps 0.
-	g = randomGeneralGraph(rand.New(rand.NewSource(5)), 12)
+// TestInitPotentialsNonNegativeReducedCosts prices the zero flow on a graph
+// with negative-cost arcs but no negative cycle, as SSP does before its first
+// augmentation: PriceRefine at scale 1 and eps 0.
+func TestInitPotentialsNonNegativeReducedCosts(t *testing.T) {
+	g := randomGeneralGraph(rand.New(rand.NewSource(5)), 12)
 	if !NewScratch().PriceRefine(g, 1, 0, nil) {
 		t.Fatal("PriceRefine failed on acyclic-negative graph")
 	}
