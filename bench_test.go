@@ -8,6 +8,7 @@ package firmament
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -766,16 +767,181 @@ func BenchmarkServiceSubmitContention(b *testing.B) {
 	}
 }
 
-// BenchmarkClone measures the per-round replica clone the solver pool pays
-// for speculative execution (§6.1).
+// BenchmarkClone measures the copy speculative execution (§6.1) needs for
+// its second solver: /deep is the full CloneInto that tests, experiments and
+// the stepped benchmark take, /replica the ReplicaInto the solver pool takes
+// every racing round, which copies only residuals and node records.
 func BenchmarkClone(b *testing.B) {
 	g := warmGraph(b, 450)
-	clone := g.Clone()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.CloneInto(clone)
+	b.Run("deep", func(b *testing.B) {
+		clone := g.Clone()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.CloneInto(clone)
+		}
+	})
+	b.Run("replica", func(b *testing.B) {
+		replica := g.ReplicaInto(nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.ReplicaInto(replica)
+		}
+	})
+}
+
+// BenchmarkSolveAfterBurst times one round's incremental cost scaling plus
+// price refine on a graph shaped like bench's scale-1k right after its
+// set-up burst: 1,000 machines under Quincy, 8,400 tasks submitted at once
+// and placed by one solve, and the second round's update, which drops the
+// burst's pending-task arcs and leaves most arc ID slots dead. /compacted is
+// that graph as the scheduler now leaves it, its arcs renumbered densely;
+// /sparse is the same graph with its live arcs spread among 1.5 dead pairs
+// each, about the ratio the burst leaves, and every row in the same order,
+// so both variants do the same solver work and differ only in the dead
+// slots each pass over the arc planes walks.
+func BenchmarkSolveAfterBurst(b *testing.B) {
+	compacted, scale := burstGraph(b)
+	sparse := spreadArcs(b, compacted)
+	for _, v := range []struct {
+		name string
+		g    *flow.Graph
+	}{{"sparse", sparse}, {"compacted", compacted}} {
+		b.Run(v.name, func(b *testing.B) {
+			cs, sc := mcmf.NewCostScaling(), mcmf.NewScratch()
+			opts := &mcmf.Options{Alpha: 9}
+			work := v.g.Clone()
+			round := func() {
+				if _, err := cs.SolveIncremental(work, opts); err != nil {
+					b.Fatal(err)
+				}
+				sc.PriceRefine(work, cs.ScaleFor(work), 0, opts)
+			}
+			cs.SetScale(scale)
+			round() // grow the solvers' scratch outside the timer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				v.g.CloneInto(work)
+				cs.SetScale(scale)
+				b.StartTimer()
+				round()
+			}
+			b.ReportMetric(float64(v.g.ArcIDBound()), "arc-slots")
+		})
 	}
+}
+
+// burstGraph builds scale-1k's set-up through a Scheduler and returns the
+// graph as the second round's solve finds it, with the cost scaling scale
+// its potentials are in.
+func burstGraph(b *testing.B) (*flow.Graph, int64) {
+	b.Helper()
+	topo := cluster.Topology{Racks: 25, MachinesPerRack: 40, SlotsPerMachine: 12}
+	cl := cluster.New(topo)
+	store := storage.NewStore(cl, storage.Config{Seed: 1})
+	rng := rand.New(rand.NewSource(1))
+	files := make([]int64, 16)
+	for i := range files {
+		files[i] = int64(1+rng.Intn(16)) << 28
+		store.AddFile(files[i])
+	}
+	specs := make([]cluster.TaskSpec, 7*topo.Racks*topo.MachinesPerRack*topo.SlotsPerMachine/10)
+	for i := range specs {
+		f := rng.Intn(len(files))
+		specs[i] = cluster.TaskSpec{Duration: 24 * time.Hour, InputFile: int64(f), InputSize: files[f]}
+	}
+	sched := core.NewScheduler(cl, policy.NewQuincy(cl, store), core.DefaultConfig())
+	cl.SubmitJob(cluster.Batch, 0, 0, specs)
+	if _, _, err := sched.RunOnce(time.Millisecond); err != nil {
+		b.Fatal(err)
+	}
+	gm := sched.GraphManager()
+	gm.ApplyClusterEvents()
+	gm.UpdateRound(2 * time.Millisecond)
+	return gm.Graph(), sched.Pool().SolverScale()
+}
+
+// spreadArcs rebuilds g with 1.5 dead arc pairs per live one (alternately
+// one and two) below the live pair's ID, nodes under the same IDs, and every
+// row listing the same arcs, renamed, in the same order. A row lists its
+// arcs newest first, so it re-adds the pairs in an order that puts each
+// row's older arcs first, found by a topological sort over the rows.
+func spreadArcs(b *testing.B, g *flow.Graph) *flow.Graph {
+	b.Helper()
+	pairs := g.ArcIDBound() / 2
+	indeg := make([]int, pairs)
+	succ := make([][]int32, pairs) // pairs added after this one
+	for n := 0; n < g.NodeIDBound(); n++ {
+		row := g.Out(flow.NodeID(n))
+		for i := len(row) - 1; i > 0; i-- {
+			p, q := row[i]/2, row[i-1]/2
+			succ[p] = append(succ[p], int32(q))
+			indeg[q]++
+		}
+	}
+	var order []int32
+	for p := range indeg {
+		if indeg[p] == 0 && g.ArcInUse(flow.ArcID(2*p)) {
+			order = append(order, int32(p))
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, q := range succ[order[i]] {
+			if indeg[q]--; indeg[q] == 0 {
+				order = append(order, q)
+			}
+		}
+	}
+	if len(order) != g.NumArcs() {
+		b.Fatalf("spreadArcs ordered %d of %d arcs", len(order), g.NumArcs())
+	}
+
+	s := flow.NewGraph(g.NodeIDBound(), 5*g.NumArcs()/2)
+	for n := 0; n < g.NodeIDBound(); n++ {
+		id := flow.NodeID(n)
+		s.AddNode(g.Supply(id), g.Kind(id))
+		s.SetPotential(id, g.Potential(id))
+	}
+	var sink flow.NodeID
+	g.Nodes(func(n flow.NodeID) {
+		if g.Kind(n) == flow.KindSink {
+			sink = n
+		}
+	})
+	var dummies []flow.ArcID
+	for i, p := range order {
+		for k := 0; k < 1+i%2; k++ {
+			dummies = append(dummies, s.AddArc(sink, sink, 0, 0))
+		}
+		a := flow.ArcID(2 * p)
+		c := s.AddArc(g.Tail(a), g.Head(a), g.Capacity(a), g.Cost(a))
+		if f := g.Flow(a); f > 0 {
+			s.Push(c, f)
+		}
+	}
+	for _, a := range dummies {
+		s.RemoveArc(a)
+	}
+	for n := 0; n < g.NodeIDBound(); n++ {
+		if !g.NodeInUse(flow.NodeID(n)) {
+			s.RemoveNode(flow.NodeID(n))
+		}
+	}
+	for n := 0; n < g.NodeIDBound(); n++ {
+		gr, sr := g.Out(flow.NodeID(n)), s.Out(flow.NodeID(n))
+		if len(gr) != len(sr) {
+			b.Fatalf("spreadArcs: node %d has %d arcs, want %d", n, len(sr), len(gr))
+		}
+		for i := range gr {
+			if g.Head(gr[i]) != s.Head(sr[i]) || g.Resid(gr[i]) != s.Resid(sr[i]) || g.Cost(gr[i]) != s.Cost(sr[i]) {
+				b.Fatalf("spreadArcs: node %d slot %d differs", n, i)
+			}
+		}
+	}
+	return s
 }
 
 // BenchmarkRestore measures crash recovery: rebuilding a service — cluster

@@ -78,6 +78,7 @@ type updateScratch struct {
 	added   []taskArcRec
 	kept    []bool
 	dead    []flow.ArcID
+	remap   []flow.ArcID // compactArcs' old → new arc ID map
 }
 
 // taskRec is what the manager knows of one task node beyond the graph.
@@ -165,7 +166,18 @@ type GraphManager struct {
 	// ext is the pinned working storage of ExtractRound, and its output;
 	// extraction runs every round, so its bookkeeping must not churn the heap.
 	ext extractScratch
+
+	// arcFloor is the ArcIDBound below which compactArcs leaves the arc IDs
+	// alone: arcCompactFloor, which tests lower to compact small graphs.
+	arcFloor int
 }
+
+// arcCompactFloor is the smallest ArcIDBound at which the graph manager
+// renumbers arcs densely. Below it the dead slots cost less per round than
+// rewriting every stored ArcID, and graphs that never reach it (64 machines,
+// every test cluster) pay nothing new. 1,000 machines under Quincy reach it
+// after a burst of a few thousand pending tasks.
+const arcCompactFloor = 1 << 17
 
 // NewGraphManager builds the initial flow network for cl: a sink node and
 // one node per healthy machine with a slot-capacity arc to the sink.
@@ -190,6 +202,7 @@ func newGraphManager(g *flow.Graph, cl *cluster.Cluster, model policy.CostModel)
 		taskNode:    make(map[cluster.TaskID]flow.NodeID),
 		unschedSink: make(map[cluster.JobID]flow.ArcID),
 		revisit:     make(map[cluster.TaskID]struct{}),
+		arcFloor:    arcCompactFloor,
 	}
 	for i := range gm.machineSink {
 		gm.machineSink[i] = flow.InvalidArc
@@ -470,6 +483,8 @@ func (gm *GraphManager) ApplyEvents(events []cluster.Event) {
 // every change for the incremental solvers. Its cost follows what changed
 // (docs/solver.md, "Graph update cost model"), and the change order is a
 // function of cluster state alone: journals and crash replay depend on it.
+// Last, it renumbers the arcs if a drained burst left most ID slots dead
+// (compactArcs), which depends on the graph alone, so replay repeats it.
 //
 //firmament:deterministic
 //firmament:hotpath
@@ -480,6 +495,57 @@ func (gm *GraphManager) UpdateRound(now time.Duration) {
 	if gm.machineEvents {
 		gm.updateMachineCapacities()
 		gm.machineEvents = false
+	}
+	gm.compactArcs()
+}
+
+// compactArcs renumbers the graph's arcs densely (flow.Graph.CompactArcs)
+// when the dead slots below ArcIDBound outnumber the live ones on a graph
+// of at least arcFloor slots, and rewrites every ArcID the manager holds
+// through the old → new map. Node IDs stay, so the task and aggregator
+// records, placement tables and journals are untouched, and the solvers,
+// which walk rows or treat each arc alone, reach the same flows and
+// potentials under the new names.
+//
+//firmament:deterministic
+func (gm *GraphManager) compactArcs() {
+	bound, live := gm.g.ArcIDBound(), 2*gm.g.NumArcs()
+	if bound < gm.arcFloor || bound-live <= live {
+		return
+	}
+	remap := gm.g.CompactArcs(gm.upd.remap)
+	gm.upd.remap = remap
+	for n := range gm.tasks {
+		rec := &gm.tasks[n]
+		if rec.unsched != flow.InvalidArc {
+			rec.unsched = remap[rec.unsched]
+		}
+		for i := range rec.arcs {
+			rec.arcs[i].arc = remap[rec.arcs[i].arc]
+		}
+	}
+	for k := range gm.aggs {
+		agg := &gm.aggs[k]
+		for i := range agg.machines {
+			agg.machines[i].arc = remap[agg.machines[i].arc]
+		}
+		for i := range agg.aggs {
+			agg.aggs[i].arc = remap[agg.aggs[i].arc]
+		}
+	}
+	for id, a := range gm.machineSink {
+		if a != flow.InvalidArc {
+			gm.machineSink[id] = remap[a]
+		}
+	}
+	//firmament:ignore detmaprange each value is rewritten in place through the map, so the order is immaterial
+	for id, a := range gm.unschedSink {
+		gm.unschedSink[id] = remap[a]
+	}
+	if gm.DrainLog != nil {
+		for i, a := range *gm.DrainLog {
+			(*gm.DrainLog)[i] = remap[a] // InvalidArc if the arc died since
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ type SolverPool struct {
 
 	relax   *mcmf.Relaxation
 	cs      *mcmf.CostScaling
-	replica *flow.Graph   // reusable clone the race's from-scratch relaxation runs on
+	replica *flow.Graph   // reused replica the race's from-scratch relaxation runs on
 	scratch *mcmf.Scratch // pinned working storage for the per-round price refine
 }
 
@@ -147,19 +147,17 @@ func (p *SolverPool) Solve(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, 
 // solveSpeculative implements the §6.1 race: incremental cost scaling runs
 // in place on the main graph (warm-started from the previous round's winning
 // flow and price-refined potentials), relaxation runs from scratch on a
-// private replica, and the first to finish cancels the other. A cost
-// scaling win leaves its solution where it belongs; only a relaxation win
-// pays to copy the replica's flow and potentials back, which also
-// overwrites whatever the stopped cost scaling run left on g.
+// replica that shares g's structure, and the first to finish cancels the
+// other. A cost scaling win leaves its solution where it belongs; only a
+// relaxation win pays to copy the replica's flow and potentials back, which
+// also overwrites whatever the stopped cost scaling run left on g.
 func (p *SolverPool) solveSpeculative(g *flow.Graph) (PoolResult, error) {
-	// Compact the adjacency rows once, up front: CloneInto copies the
-	// compacted rows into the replica, so neither racing solver compacts
-	// them again, and each graph owns a private copy (no row state is
-	// shared across the two goroutines). Relaxation discards flow and
-	// potentials, but it needs the pre-solve problem, so the clone precedes
-	// the race.
-	g.Adjacency()
-	p.replica = g.CloneInto(p.replica)
+	// Relaxation writes only residuals and potentials, so its replica
+	// shares g's structure and copies just those: ReplicaInto compacts the
+	// rows once, up front, and neither racing solver writes them again.
+	// Relaxation discards flow and potentials, but it needs the pre-solve
+	// problem, so the replica is taken before the race.
+	p.replica = g.ReplicaInto(p.replica)
 
 	var stopRelax, stopCS atomic.Bool
 	relaxCh := make(chan solveOutcome, 1)

@@ -229,8 +229,8 @@ func taskRemovalRun(n int, o Options) (withTR, withoutTR time.Duration, err erro
 		gm.DrainLog = &drained
 		churn(cl, store, rng, now, n/4+1, 0) // completions only
 		gm.ApplyClusterEvents()
+		gm.UpdateRound(now) // renames the logged arcs if it compacts them
 		gm.DrainLog = nil
-		gm.UpdateRound(now)
 		g := gm.Graph()
 
 		// Variant A: heuristic state (feasible flow).

@@ -25,6 +25,8 @@ import "slices"
 //     compaction rewrites positions, and only of the arcs it slides.
 //   - Adjacency() compacts only the dirty rows, sliding their arcs toward
 //     the row's end in order.
+//   - CompactArcs renames every arc in every row through its map and then
+//     repacks, so the rows come out laid afresh, each in its old order.
 //
 // So Out(n) always lists n's live arcs newest first, and a removal leaves
 // the others in order: the order a prepend-on-add, unlink-on-remove linked
@@ -189,6 +191,19 @@ func (g *Graph) repackRows() {
 	r.holes = 0
 }
 
+// renumber rewrites every arc in every row through remap, leaving blanks
+// blank; CompactArcs calls it before repacking.
+func (r *adjRows) renumber(remap []ArcID) {
+	for n, s := range r.start {
+		row := r.ids[s : s+r.deg[n]]
+		for i, a := range row {
+			if a != InvalidArc {
+				row[i] = remap[a]
+			}
+		}
+	}
+}
+
 // appendRow appends n's row, which must hold no blanks, to ids behind
 // rowSlack free slots and points the row at the copy; its arcs' positions,
 // counted from the row's end, still hold. Free slots are never read, so
@@ -205,8 +220,7 @@ func (g *Graph) appendRow(ids []ArcID, n NodeID) []ArcID {
 }
 
 // copyFrom deep-copies src's rows into r, reusing r's storage, so that a
-// replica and its source never share mutable row state across the
-// speculative solvers' goroutines.
+// clone and its source never share row state.
 func (r *adjRows) copyFrom(src *adjRows) {
 	r.start = append(r.start[:0], src.start...)
 	r.deg = append(r.deg[:0], src.deg...)

@@ -8,7 +8,7 @@ import (
 
 // FuzzGraphChanges drives the graph through an arbitrary change sequence
 // decoded from the fuzz input — node/arc adds and removes, cost and
-// capacity changes, pushes — and asserts after every mutation that the
+// capacity changes, pushes, arc ID compaction — and asserts after every mutation that the
 // structural invariants of the residual representation hold and that the
 // validate.go checks stay consistent: total imbalance always equals total
 // live supply (pushes are antisymmetric; removals take their flow with
@@ -34,6 +34,8 @@ func FuzzGraphChanges(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 2, 1, 0, 1, 3, 2, 6, 0, 0, 5, 0, 1, 2, 0})                // capacity shrink below flow
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 1, 4, 4, 1, 1, 2, 9, 9, 3, 0, 3, 0})       // hub removal
 	f.Add([]byte{0, 5, 0, 4, 1, 0, 1, 8, 8, 6, 0, 6, 0, 6, 0, 2, 0, 1, 0, 1, 7, 7}) // push/cancel/re-add
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 250, 0, 1, 0, 1, 5, 3, 1, 1, 2, 5, 3, 1, 2, 3, 5, 3,
+		1, 0, 3, 5, 3, 6, 0, 0, 2, 2, 1, 2, 0, 8, 1, 1, 3, 4, 1, 2, 0, 8}) // compact over blank rows, re-add, compact again
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := NewGraph(0, 0)
@@ -96,9 +98,10 @@ func FuzzGraphChanges(f *testing.F) {
 			_ = g.TotalSupply()
 		}
 
+		var remap []ArcID
 		maxOps := 300
 		for i := 0; i < len(data) && maxOps > 0; maxOps-- {
-			switch op := next(&i) % 8; op {
+			switch op := next(&i) % 9; op {
 			case 0: // add node
 				supply := int64(int8(next(&i)))
 				nodes = append(nodes, g.AddNode(supply, NodeKind(next(&i)%6)))
@@ -188,6 +191,18 @@ func FuzzGraphChanges(f *testing.F) {
 				}
 				g.SetSupply(nodes[int(next(&i))%len(nodes)], int64(int8(next(&i))))
 				checkInvariants("SetSupply")
+			case 8: // renumber the arcs densely, rows pending compaction or not
+				before, bound := liveArcStates(g), g.ArcIDBound()
+				remap = g.CompactArcs(remap)
+				checkCompacted(t, g, remap, bound, before)
+				for j := range arcs {
+					arcs[j] = remap[arcs[j]]
+				}
+				model = model.renamed(remap)
+				if err := model.matches(g); err != nil {
+					t.Fatalf("CompactArcs: %v", err)
+				}
+				checkInvariants("CompactArcs")
 			}
 		}
 

@@ -12,7 +12,12 @@
 //
 // Nodes and arcs are recycled through free lists: cluster schedulers remove
 // task nodes at completion and machine nodes at failure thousands of times
-// per minute, and the graph must not grow without bound.
+// per minute, and the graph must not grow without bound. A free list alone
+// keeps the arc ID bound at its peak, though, and every pass over the arc
+// planes pays for the dead slots below it; after a burst drains, the owner
+// calls CompactArcs to renumber the live arcs densely (the scheduler core
+// does so when dead slots outnumber live ones on a large graph). Node IDs
+// are never renumbered.
 //
 // # Structure-of-arrays arc store
 //
@@ -39,7 +44,10 @@
 // adjacency.go for the row rules in detail.
 package flow
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // NodeID identifies a node in a Graph. IDs are dense small integers so that
 // solvers can use them to index scratch arrays directly.
@@ -103,8 +111,10 @@ type node struct {
 // zero value is not usable; call NewGraph.
 //
 // Graph is not safe for concurrent mutation. The speculative solver pool
-// clones the graph so each algorithm owns a private replica (paper §6.1 runs
-// the two algorithms in separate address spaces).
+// races two algorithms on one graph (paper §6.1 runs them in separate
+// address spaces): cost scaling in place, relaxation on a ReplicaInto
+// replica that shares the structure (heads, costs, rows) and owns only the
+// residuals and node records the solver writes.
 type Graph struct {
 	nodes []node
 
@@ -122,6 +132,10 @@ type Graph struct {
 	numNodes  int
 	numArcs   int     // number of live forward arcs
 	adj       adjRows // per-node adjacency rows (adjacency.go)
+
+	// shared marks a replica (ReplicaInto) whose structure aliases another
+	// graph's: only residuals, supplies and potentials may change on it.
+	shared bool
 }
 
 // NewGraph returns an empty graph. The hint sizes pre-allocate internal
@@ -171,6 +185,7 @@ func (g *Graph) ArcPlanes() ArcPlanes {
 // AddNode creates a node with the given supply (positive for sources,
 // negative for sinks) and kind, and returns its ID.
 func (g *Graph) AddNode(supply int64, kind NodeKind) NodeID {
+	g.mustOwnStructure("AddNode")
 	var id NodeID
 	if n := len(g.freeNodes); n > 0 {
 		id = g.freeNodes[n-1]
@@ -190,6 +205,7 @@ func (g *Graph) AddNode(supply int64, kind NodeKind) NodeID {
 // feasibility must drain the node's flow first (see the efficient task
 // removal heuristic, paper §5.3.2, implemented in the scheduler core).
 func (g *Graph) RemoveNode(id NodeID) {
+	g.mustOwnStructure("RemoveNode")
 	g.mustLiveNode(id, "RemoveNode")
 	// Every incident arc (in or out) appears in this node's row: out-arcs
 	// directly, in-arcs via their reverse partner. RemoveArc only blanks
@@ -213,6 +229,7 @@ func (g *Graph) NodeInUse(id NodeID) bool {
 // AddArc creates a forward arc tail->head with the given capacity and cost,
 // plus its reverse residual partner, and returns the forward arc's ID.
 func (g *Graph) AddArc(tail, head NodeID, capacity, cost int64) ArcID {
+	g.mustOwnStructure("AddArc")
 	g.mustLiveNode(tail, "AddArc tail")
 	g.mustLiveNode(head, "AddArc head")
 	if capacity < 0 {
@@ -244,6 +261,7 @@ func (g *Graph) AddArc(tail, head NodeID, capacity, cost int64) ArcID {
 // Accepts either the forward or the reverse ID.
 func (g *Graph) RemoveArc(a ArcID) {
 	fwd := a &^ 1
+	g.mustOwnStructure("RemoveArc")
 	g.mustLiveArc(fwd, "RemoveArc")
 	rev := fwd ^ 1
 	tail, head := g.arcHead[rev], g.arcHead[fwd]
@@ -253,6 +271,49 @@ func (g *Graph) RemoveArc(a ArcID) {
 	g.arcAlive[rev] = false
 	g.freeArcs = append(g.freeArcs, fwd)
 	g.numArcs--
+}
+
+// CompactArcs renumbers the live arc pairs densely, in increasing old-ID
+// order: the k-th live pair becomes pair k, so forward arcs stay even and
+// a^1 stays the partner. The planes move down in place (no new index
+// exceeds its old one), the rows are rewritten through the map and laid
+// out afresh as a repack lays them, each keeping its order, and the free
+// list empties. So Out(n) lists the same arcs in the same order under
+// their new IDs, and every flow, cost and capacity is where it was.
+//
+// It returns the old → new map, indexed by old ID with InvalidArc for dead
+// slots, in remap's storage (grown if needed). The caller rewrites every
+// ArcID it holds through it; node IDs do not change. Compaction is the
+// remedy for a graph whose ArcIDBound stays at a burst's peak after the
+// burst drains: every pass over the arc planes pays for the dead slots.
+func (g *Graph) CompactArcs(remap []ArcID) []ArcID {
+	g.mustOwnStructure("CompactArcs")
+	bound := len(g.arcHead)
+	remap = slices.Grow(remap[:0], bound)[:bound]
+	w := 0
+	for a := 0; a < bound; a += 2 {
+		if !g.arcAlive[a] {
+			remap[a], remap[a+1] = InvalidArc, InvalidArc
+			continue
+		}
+		remap[a], remap[a+1] = ArcID(w), ArcID(w+1)
+		if w != a {
+			g.arcHead[w], g.arcHead[w+1] = g.arcHead[a], g.arcHead[a+1]
+			g.arcPos[w], g.arcPos[w+1] = g.arcPos[a], g.arcPos[a+1]
+			g.arcResid[w], g.arcResid[w+1] = g.arcResid[a], g.arcResid[a+1]
+			g.arcCost[w], g.arcCost[w+1] = g.arcCost[a], g.arcCost[a+1]
+			g.arcAlive[w], g.arcAlive[w+1] = true, true
+		}
+		w += 2
+	}
+	g.arcHead, g.arcPos, g.arcResid = g.arcHead[:w], g.arcPos[:w], g.arcResid[:w]
+	g.arcCost, g.arcAlive = g.arcCost[:w], g.arcAlive[:w]
+	g.freeArcs = g.freeArcs[:0]
+	// A position counts from its row's end, so moving an arc's plane entry
+	// along with it keeps it right until the repack slides the rows.
+	g.adj.renumber(remap)
+	g.repackRows()
+	return remap
 }
 
 // ArcInUse reports whether a refers to a live arc (forward or reverse).
@@ -328,6 +389,7 @@ func (g *Graph) Kind(n NodeID) NodeKind { return g.nodes[n].kind }
 // Table 3); solvers detect violations by scanning.
 func (g *Graph) SetArcCost(a ArcID, cost int64) {
 	fwd := a &^ 1
+	g.mustOwnStructure("SetArcCost")
 	g.mustLiveArc(fwd, "SetArcCost")
 	g.arcCost[fwd] = cost
 	g.arcCost[fwd^1] = -cost
@@ -375,6 +437,12 @@ func (g *Graph) ForwardArcs(fn func(ArcID)) {
 func (g *Graph) mustLiveNode(id NodeID, op string) {
 	if !g.NodeInUse(id) {
 		panic(fmt.Sprintf("flow: %s on dead or invalid node %d", op, id))
+	}
+}
+
+func (g *Graph) mustOwnStructure(op string) {
+	if g.shared {
+		panic("flow: " + op + " on a replica, whose structure is shared")
 	}
 }
 

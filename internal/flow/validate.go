@@ -159,26 +159,25 @@ func (g *Graph) ResetPotentials() {
 	}
 }
 
-// Clone returns a deep copy of the graph. Each speculative solver runs on
-// its own clone (paper §6.1).
+// Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	return g.CloneInto(nil)
 }
 
 // CloneInto deep-copies g into dst (reusing dst's storage where possible)
-// and returns dst; pass nil to allocate. The solver pool re-clones the
-// scheduling graph every round for the speculative relaxation run, so
-// avoiding reallocation matters at 10,000-machine scale.
+// and returns dst; pass nil to allocate. Tests, experiments and the
+// stepped benchmark use it for a private copy that may change structure;
+// the solver pool's race uses the cheaper ReplicaInto.
 //
 // The adjacency rows are copied along with the arc planes, including the
-// rows still awaiting compaction, so a replica's first Adjacency() call
+// rows still awaiting compaction, so a clone's first Adjacency() call
 // compacts only what the source had not. The copy is deep: the clone and
-// the original never share mutable state, so the speculative solver race
-// can run both graphs concurrently.
+// the original never share mutable state.
 func (g *Graph) CloneInto(dst *Graph) *Graph {
 	if dst == nil {
 		dst = &Graph{}
 	}
+	dst.unshare()
 	dst.nodes = append(dst.nodes[:0], g.nodes...)
 	dst.arcHead = append(dst.arcHead[:0], g.arcHead...)
 	dst.arcPos = append(dst.arcPos[:0], g.arcPos...)
@@ -193,22 +192,56 @@ func (g *Graph) CloneInto(dst *Graph) *Graph {
 	return dst
 }
 
+// ReplicaInto makes dst a replica of g for a solver that writes only
+// residuals and node potentials (relaxation from scratch, in the solver
+// pool's race), and returns it; pass nil to allocate. dst owns copies of
+// g's residual plane and node records, kept in dst's reused buffers; it
+// aliases g's heads, costs, positions, liveness and rows, which it first
+// compacts, so neither graph's Adjacency() writes shared rows. A replica is
+// valid until g's next structural mutation (AddNode, RemoveNode, AddArc,
+// RemoveArc, SetArcCost, CompactArcs). A structural mutation or cost change
+// on the replica itself panics. Pushes, capacity, supply and potential
+// changes on either graph stay private to it, so the two can be solved
+// concurrently.
+func (g *Graph) ReplicaInto(dst *Graph) *Graph {
+	if dst == nil {
+		dst = &Graph{}
+	}
+	g.Adjacency()
+	dst.nodes = append(dst.nodes[:0], g.nodes...)
+	dst.arcResid = append(dst.arcResid[:0], g.arcResid...)
+	dst.arcHead, dst.arcPos, dst.arcCost, dst.arcAlive = g.arcHead, g.arcPos, g.arcCost, g.arcAlive
+	dst.freeNodes, dst.freeArcs = nil, nil
+	dst.numNodes = g.numNodes
+	dst.numArcs = g.numArcs
+	dst.adj = adjRows{start: g.adj.start, deg: g.adj.deg, free: g.adj.free, ids: g.adj.ids, blank: g.adj.blank}
+	dst.shared = true
+	return dst
+}
+
+// unshare drops the storage a replica aliases, so that reusing the graph
+// for a deep copy never writes through it into the source's structure.
+func (g *Graph) unshare() {
+	if !g.shared {
+		return
+	}
+	g.arcHead, g.arcPos, g.arcCost, g.arcAlive = nil, nil, nil, nil
+	g.adj = adjRows{}
+	g.shared = false
+}
+
 // CopyFlowAndPotentialsFrom copies the flow assignment and node potentials
-// from src, which must have identical topology (same node and arc IDs).
-// The solver pool uses this to install a winning relaxation solution, found
-// on its replica, over the main graph that incremental cost scaling runs on
-// in place (paper §6.1).
+// from src, which must share g's structure: a ReplicaInto replica of g, or
+// a clone with no structural change since on either side. Only the sizes
+// are checked. The solver pool uses this to install a winning relaxation
+// solution, found on its replica, over the main graph that incremental cost
+// scaling runs on in place (paper §6.1).
 func (g *Graph) CopyFlowAndPotentialsFrom(src *Graph) error {
-	if len(g.arcAlive) != len(src.arcAlive) || len(g.nodes) != len(src.nodes) {
+	if len(g.arcResid) != len(src.arcResid) || len(g.nodes) != len(src.nodes) {
 		return fmt.Errorf("flow: topology mismatch (%d/%d nodes, %d/%d arcs)",
-			len(g.nodes), len(src.nodes), len(g.arcAlive), len(src.arcAlive))
+			len(g.nodes), len(src.nodes), len(g.arcResid), len(src.arcResid))
 	}
-	for i := range g.arcAlive {
-		if g.arcAlive[i] != src.arcAlive[i] || (g.arcAlive[i] && g.arcHead[i] != src.arcHead[i]) {
-			return fmt.Errorf("flow: arc %d differs between graphs", i)
-		}
-		g.arcResid[i] = src.arcResid[i]
-	}
+	copy(g.arcResid, src.arcResid)
 	for i := range g.nodes {
 		g.nodes[i].potential = src.nodes[i].potential
 	}
