@@ -96,3 +96,37 @@ func TestSteadyStateScheduleAllocations(t *testing.T) {
 		t.Fatalf("steady-state Schedule+ApplyRound allocates %.1f objects/round on 500 running tasks, %.1f on 4000: want equal", small, large)
 	}
 }
+
+// TestSteadyStateRaceAllocations pins the §6.1 race at two allocations a
+// solve, its two goroutine starts: the stop flags, the channels and each
+// solver's Options live on the pool, the outcomes travel by value, and the
+// replica, both solvers and the price refine reuse their storage. On a
+// 64-machine LoadSpread world with waiting tasks and nothing changing, a
+// ModeFirmament pool solves the same graph round after round. Run it
+// without -race, which distorts AllocsPerRun.
+func TestSteadyStateRaceAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	cl := cluster.New(cluster.Topology{Racks: 4, MachinesPerRack: 16, SlotsPerMachine: 8})
+	s := NewScheduler(cl, policy.NewLoadSpread(cl), DefaultConfig())
+	job := cl.SubmitJob(cluster.Batch, 0, 0, make([]cluster.TaskSpec, 600))
+	for i, id := range job.Tasks[:300] {
+		if err := cl.Place(id, cluster.MachineID(i%cl.NumMachines()), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.UpdateOnly(0)
+	g := s.gm.Graph()
+	race := func() {
+		if _, err := s.pool.Solve(g, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm up: grow every buffer to the world's size
+		race()
+	}
+	if got := testing.AllocsPerRun(50, race); got > 2 {
+		t.Fatalf("steady-state racing solve allocates %.1f objects, want at most 2 (the goroutine starts)", got)
+	}
+}

@@ -228,7 +228,7 @@ func runRaceEquiv(t *testing.T, pol equivPolicy, seed int64, wins map[string]int
 				t.Fatalf("step %d: %s alone: %v", step, res.Winner, err)
 			}
 			if alone.Mode == ModeRelaxationOnly {
-				alone.refine(twin, nil) // the single-solver mode skips it
+				alone.refine(twin) // the single-solver mode skips it
 			}
 			if a, b := g.Fingerprint(), twin.Fingerprint(); a != b {
 				t.Fatalf("step %d: graph after the race (won by %s) %x, winner alone %x", step, res.Winner, a, b)

@@ -8,12 +8,17 @@ import (
 )
 
 // extractScratch is the reusable working storage of ExtractRound, indexed
-// by node and arc ID. Every slice keeps its capacity across rounds and grows
-// with amortised headroom, so steady-state extraction allocates nothing.
+// by node ID and by adjacency row slot. Every slice keeps its capacity
+// across rounds and grows with amortised headroom, so steady-state
+// extraction allocates nothing.
 type extractScratch struct {
-	tokens    [][]cluster.MachineID
-	remaining []int64 // per forward arc: unattributed flow
-	remSet    []bool  // remaining[i] initialized this round
+	tokens [][]cluster.MachineID
+	// remaining holds, by the row slot of a node's reverse row entry, the
+	// flow of the incoming arc behind it that no token has claimed yet.
+	// Only the first seen[node] slots of a node's row hold this round's
+	// values; the rest are stale and read from the residual plane instead.
+	remaining []int64
+	seen      []int32
 	queued    []bool
 	queue     []flow.NodeID
 
@@ -26,7 +31,7 @@ type extractScratch struct {
 	gen    uint64
 }
 
-func (ex *extractScratch) reset(nodeBound, arcBound int) {
+func (ex *extractScratch) reset(nodeBound, slots int) {
 	if cap(ex.tokens) < nodeBound {
 		ex.tokens = append(ex.tokens[:cap(ex.tokens)], make([][]cluster.MachineID, nodeBound-cap(ex.tokens))...)
 	}
@@ -36,9 +41,9 @@ func (ex *extractScratch) reset(nodeBound, arcBound int) {
 	}
 	ex.queued = slices.Grow(ex.queued[:0], nodeBound)[:nodeBound]
 	clear(ex.queued)
-	ex.remaining = slices.Grow(ex.remaining[:0], arcBound)[:arcBound]
-	ex.remSet = slices.Grow(ex.remSet[:0], arcBound)[:arcBound]
-	clear(ex.remSet)
+	ex.seen = slices.Grow(ex.seen[:0], nodeBound)[:nodeBound]
+	clear(ex.seen)
+	ex.remaining = slices.Grow(ex.remaining[:0], slots)[:slots]
 	ex.queue = ex.queue[:0]
 	ex.clearPlaced(nodeBound)
 }
@@ -62,10 +67,13 @@ func (ex *extractScratch) clearPlaced(nodeBound int) {
 //
 // In the common case the algorithm touches every flow-carrying arc exactly
 // once — a single pass over the graph (paper §6.3). All bookkeeping lives
-// in slices indexed by node/arc ID on the pinned scratch: the flow reads
-// come straight off the residual plane (the flow on a forward in-arc is
-// the residual of its reverse partner, which is exactly the adjacency-row
-// entry in hand), and nothing is hashed in the hot loop.
+// in slices indexed by node ID and row slot on the pinned scratch: an
+// incoming arc is only ever visited while its head is popped, as the
+// reverse entry in the head's adjacency row, so its unattributed flow is
+// kept by that entry's slot, next to the slots the same pop reads. The
+// first visit to a slot reads the flow straight off the residual plane (the
+// flow on a forward in-arc is the residual of its reverse partner, which
+// is exactly the row entry in hand), and nothing is hashed in the hot loop.
 //
 // The placements land in the scratch's node-indexed output table, which the
 // returned Round references rather than copies: it is valid until the next
@@ -86,7 +94,7 @@ func (gm *GraphManager) ExtractRound() Round {
 	adj := g.Adjacency()
 	pl := g.ArcPlanes()
 	ex := &gm.ext
-	ex.reset(g.NodeIDBound(), g.ArcIDBound())
+	ex.reset(g.NodeIDBound(), adj.Slots())
 
 	for mid, a := range gm.machineSink {
 		if a == flow.InvalidArc || g.Flow(a) <= 0 {
@@ -122,38 +130,38 @@ func (gm *GraphManager) ExtractRound() Round {
 		}
 		// Visit incoming arcs: the in-arcs of node are the reverse partners
 		// of its adjacency entries. Move as many tokens to each arc's
-		// source as that arc carries unattributed flow. The flow on a
-		// forward in-arc equals the residual of its partner — the row
-		// entry b itself — so the initialization is one plane load.
-		for _, b := range adj.Out(node) {
-			if len(ts) == 0 {
-				break
+		// source as that arc carries unattributed flow. The visits stop
+		// when the tokens run out, so the slots this round has written
+		// are always a prefix of the row, seen[node] long.
+		row := adj.Out(node)
+		rem := ex.remaining[adj.Slot(node):][:len(row)]
+		seen := int(ex.seen[node])
+		i := 0
+		for ; i < len(row) && len(ts) > 0; i++ {
+			b := row[i]
+			if g.IsForward(b) {
+				continue // b is the forward arc out of node, not an in-arc
 			}
-			in := g.Reverse(b)
-			if !g.IsForward(in) {
-				continue // b itself is the forward arc out of node
+			r := rem[i]
+			if i >= seen {
+				r = pl.Resid[b]
 			}
-			rem := ex.remaining[in]
-			if !ex.remSet[in] {
-				rem = pl.Resid[b]
-				ex.remSet[in] = true
-			}
-			if rem <= 0 {
-				ex.remaining[in] = rem
+			if r <= 0 {
+				rem[i] = r
 				continue
 			}
 			src := pl.Head[b] // tail of the incoming arc
-			move := rem
-			if int64(len(ts)) < move {
-				move = int64(len(ts))
-			}
+			move := min(r, int64(len(ts)))
 			ex.tokens[src] = append(ex.tokens[src], ts[len(ts)-int(move):]...)
 			ts = ts[:len(ts)-int(move)]
-			ex.remaining[in] = rem - move
+			rem[i] = r - move
 			if !ex.queued[src] {
 				ex.queue = append(ex.queue, src)
 				ex.queued[src] = true
 			}
+		}
+		if i > seen {
+			ex.seen[node] = int32(i)
 		}
 		ex.tokens[node] = ts
 	}

@@ -87,6 +87,14 @@ type SolverPool struct {
 	cs      *mcmf.CostScaling
 	replica *flow.Graph   // reused replica the race's from-scratch relaxation runs on
 	scratch *mcmf.Scratch // pinned working storage for the per-round price refine
+
+	// The race's working state lives on the pool, so that a racing solve
+	// allocates nothing but its two goroutine starts: each solver's
+	// Options (Options plus the solver's stop flag), the stop flags, and
+	// one buffered channel per solver that each round drains.
+	relaxOpts, csOpts mcmf.Options
+	stopRelax, stopCS atomic.Bool
+	relaxCh, csCh     chan solveOutcome
 }
 
 // NewSolverPool returns a pool in the given mode, with relaxation's arc
@@ -98,6 +106,8 @@ func NewSolverPool(mode SolverMode) *SolverPool {
 		relax:   mcmf.NewRelaxation(),
 		cs:      mcmf.NewCostScaling(),
 		scratch: mcmf.NewScratch(),
+		relaxCh: make(chan solveOutcome, 1),
+		csCh:    make(chan solveOutcome, 1),
 	}
 }
 
@@ -115,23 +125,23 @@ type solveOutcome struct {
 func (p *SolverPool) Solve(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, error) {
 	switch p.Mode {
 	case ModeRelaxationOnly:
-		res, err := p.relax.Solve(g, p.opts(nil))
+		res, err := p.relax.Solve(g, p.opts(&p.relaxOpts, nil))
 		if err != nil {
 			return PoolResult{}, err
 		}
 		return PoolResult{Winner: res.Algorithm, Cost: res.Cost,
 			AlgorithmTime: res.Runtime, RelaxationTime: res.Runtime}, nil
 	case ModeIncrementalCostScaling:
-		res, err := p.cs.SolveIncremental(g, p.opts(nil))
+		res, err := p.cs.SolveIncremental(g, p.opts(&p.csOpts, nil))
 		if err != nil {
 			return PoolResult{}, err
 		}
-		pr := p.refine(g, nil)
+		pr := p.refine(g)
 		return PoolResult{Winner: res.Algorithm, Cost: res.Cost,
 			AlgorithmTime: res.Runtime, CostScalingTime: res.Runtime, PriceRefineTime: pr,
 			Incremental: !res.FullRestart, FullRestart: res.FullRestart}, nil
 	case ModeQuincy:
-		res, err := p.cs.Solve(g, p.opts(nil))
+		res, err := p.cs.Solve(g, p.opts(&p.csOpts, nil))
 		if err != nil {
 			return PoolResult{}, err
 		}
@@ -159,53 +169,44 @@ func (p *SolverPool) solveSpeculative(g *flow.Graph) (PoolResult, error) {
 	// problem, so the replica is taken before the race.
 	p.replica = g.ReplicaInto(p.replica)
 
-	var stopRelax, stopCS atomic.Bool
-	relaxCh := make(chan solveOutcome, 1)
-	csCh := make(chan solveOutcome, 1)
+	p.stopRelax.Store(false)
+	p.stopCS.Store(false)
+	p.opts(&p.relaxOpts, &p.stopRelax)
+	p.opts(&p.csOpts, &p.stopCS)
 
 	relaxStart := time.Now()
-	go func() {
-		res, err := p.relax.Solve(p.replica, p.opts(&stopRelax))
-		relaxCh <- solveOutcome{res, err}
-	}()
-	go func() {
-		res, err := p.cs.SolveIncremental(g, p.opts(&stopCS))
-		csCh <- solveOutcome{res, err}
-	}()
+	go p.raceRelax()
+	go p.raceCostScaling(g)
 
-	var relaxOut, csOut *solveOutcome
+	var relaxOut, csOut solveOutcome
+	var relaxDone, csDone, won, fromRelax bool
 	var relaxElapsed time.Duration // stamped when relaxation's outcome arrives
-	var winner *mcmf.Result
-	var fromRelax bool
-	for winner == nil && (relaxOut == nil || csOut == nil) {
+	for !won && !(relaxDone && csDone) {
 		select {
-		case out := <-relaxCh:
-			relaxOut = &out
+		case relaxOut = <-p.relaxCh:
+			relaxDone = true
 			relaxElapsed = time.Since(relaxStart)
-			if out.err == nil {
-				winner = &out.res
-				fromRelax = true
-				stopCS.Store(true)
+			if relaxOut.err == nil {
+				won, fromRelax = true, true
+				p.stopCS.Store(true)
 			}
-		case out := <-csCh:
-			csOut = &out
-			if out.err == nil {
-				winner = &out.res
-				stopRelax.Store(true)
+		case csOut = <-p.csCh:
+			csDone = true
+			if csOut.err == nil {
+				won = true
+				p.stopRelax.Store(true)
 			}
 		}
 	}
 	// Wait for the loser so the graphs are quiescent before we touch them.
-	if relaxOut == nil {
-		out := <-relaxCh
-		relaxOut = &out
+	if !relaxDone {
+		relaxOut = <-p.relaxCh
 		relaxElapsed = time.Since(relaxStart)
 	}
-	if csOut == nil {
-		out := <-csCh
-		csOut = &out
+	if !csDone {
+		csOut = <-p.csCh
 	}
-	if winner == nil {
+	if !won {
 		// Both failed; surface the more interesting error.
 		if relaxOut.err != nil && !errors.Is(relaxOut.err, mcmf.ErrStopped) {
 			return PoolResult{}, relaxOut.err
@@ -219,7 +220,11 @@ func (p *SolverPool) solveSpeculative(g *flow.Graph) (PoolResult, error) {
 			return PoolResult{}, fmt.Errorf("core: transferring relaxation solution: %w", err)
 		}
 	}
-	pr := p.refine(g, nil)
+	winner := csOut.res
+	if fromRelax {
+		winner = relaxOut.res
+	}
+	pr := p.refine(g)
 	res := PoolResult{
 		Winner:          winner.Algorithm,
 		Cost:            winner.Cost,
@@ -253,20 +258,34 @@ func (p *SolverPool) SolverScale() int64 { return p.cs.Scale() }
 // snapshot recovery path may call this, together with a graph restore.
 func (p *SolverPool) RestoreSolverScale(s int64) { p.cs.SetScale(s) }
 
+// raceRelax runs the race's from-scratch relaxation on the replica.
+func (p *SolverPool) raceRelax() {
+	res, err := p.relax.Solve(p.replica, &p.relaxOpts)
+	p.relaxCh <- solveOutcome{res, err}
+}
+
+// raceCostScaling runs the race's incremental cost scaling on g in place.
+func (p *SolverPool) raceCostScaling(g *flow.Graph) {
+	res, err := p.cs.SolveIncremental(g, &p.csOpts)
+	p.csCh <- solveOutcome{res, err}
+}
+
 // refine applies price refine to the optimal solution on g, finding
 // potentials that satisfy complementary slackness in cost scaling's scaled
 // domain without modifying the flow (paper §6.2: done "before we apply the
 // latest cluster changes", i.e. at the end of the round). Returns the time
-// spent.
-func (p *SolverPool) refine(g *flow.Graph, stop *atomic.Bool) time.Duration {
+// spent. Price refine reads nothing of Options but the stop flag, and
+// nothing stops it, so it gets none.
+func (p *SolverPool) refine(g *flow.Graph) time.Duration {
 	start := time.Now()
-	opts := p.opts(stop)
-	p.scratch.PriceRefine(g, p.cs.ScaleFor(g), 0, opts)
+	p.scratch.PriceRefine(g, p.cs.ScaleFor(g), 0, nil)
 	return time.Since(start)
 }
 
-func (p *SolverPool) opts(stop *atomic.Bool) *mcmf.Options {
-	o := p.Options
+// opts fills o, one of the pool's per-solver Options, with the pool's
+// Options and stop as its Stop flag, and returns it.
+func (p *SolverPool) opts(o *mcmf.Options, stop *atomic.Bool) *mcmf.Options {
+	*o = p.Options
 	o.Stop = stop
-	return &o
+	return o
 }

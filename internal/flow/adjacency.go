@@ -57,6 +57,15 @@ func (a *Adjacency) Out(n NodeID) []ArcID {
 // Degree returns the residual out-degree of n (forward plus reverse arcs).
 func (a *Adjacency) Degree(n NodeID) int { return int(a.deg[n]) }
 
+// Slot returns the row slot of Out(n)[0]: Out(n)[i] sits at slot
+// Slot(n)+i. Every row entry of the view has its own slot below Slots(), so
+// a caller can keep per-entry state in a slice indexed by slot rather than
+// by ArcID. Slots, like the view, hold until the next structural mutation.
+func (a *Adjacency) Slot(n NodeID) int { return int(a.start[n]) }
+
+// Slots returns an exclusive upper bound on row slots.
+func (a *Adjacency) Slots() int { return len(a.ids) }
+
 // adjRows is the graph-embedded row state. Node n's region of ids is
 // [start[n]-free[n], start[n]+deg[n]); its arcs occupy the last deg[n]
 // slots, of which a dirty row may have blanked some.

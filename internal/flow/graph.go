@@ -27,7 +27,7 @@
 // loops each touch only a subset of the fields — a residual scan reads
 // resid alone, a reduced-cost scan reads cost and head — so per-plane
 // slices put 8 arcs on a cache line where the struct layout managed 1.6,
-// and the pairwise sweeps (refine saturation, maxViolation, TotalCost,
+// and the pairwise sweeps (cost scaling's tier sweep, TotalCost,
 // Imbalances, ResetFlow) become linear walks over dense memory.
 //
 // # Adjacency rows

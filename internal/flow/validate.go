@@ -15,8 +15,9 @@ func (g *Graph) Imbalances() []int64 {
 
 // ImbalancesInto is Imbalances writing into im, growing it if needed and
 // returning the (possibly reallocated) slice. Solvers call this once per
-// run or refine pass with a solver-held buffer so that the steady-state
-// solve loop does not allocate.
+// run with a solver-held buffer so that the steady-state solve loop does
+// not allocate; cost scaling instead accumulates the same sums in each
+// tier's sweep.
 func (g *Graph) ImbalancesInto(im []int64) []int64 {
 	if cap(im) < len(g.nodes) {
 		im = make([]int64, len(g.nodes))

@@ -84,14 +84,13 @@ func (c *CostScaling) ensureScale(g *flow.Graph, fresh bool) {
 }
 
 // Solve implements Solver: a from-scratch run that discards prior flow and
-// potentials.
+// potentials and starts epsilon at the largest scaled arc cost.
 func (c *CostScaling) Solve(g *flow.Graph, opts *Options) (Result, error) {
 	start := time.Now()
 	g.ResetFlow()
 	g.ResetPotentials()
 	c.ensureScale(g, true)
-	_, eps := c.maxViolation(g)
-	return c.run(g, eps, start, opts)
+	return c.run(g, scratchEps, start, opts)
 }
 
 // SolveIncremental implements IncrementalSolver: it keeps the flow and
@@ -106,29 +105,32 @@ func (c *CostScaling) SolveIncremental(g *flow.Graph, opts *Options) (Result, er
 		// epsilon guarantees are void, so restart scaled state.
 		g.ResetPotentials()
 		c.ensureScale(g, true)
-		_, eps := c.maxViolation(g)
-		res, err := c.run(g, eps, start, opts)
+		res, err := c.run(g, scratchEps, start, opts)
 		res.FullRestart = true
 		return res, err
 	}
-	eps, m := c.maxViolation(g)
-	if eps < 1 {
-		eps = 1
-	}
-	if eps > m {
-		eps = m
-	}
-	return c.run(g, eps, start, opts)
+	return c.run(g, warmEps, start, opts)
 }
 
-// run performs refine passes from eps down to 1.
-func (c *CostScaling) run(g *flow.Graph, eps int64, start time.Time, opts *Options) (Result, error) {
+// scratchEps is the classic initial epsilon: the largest scaled arc cost.
+func scratchEps(_, maxCost int64) int64 { return maxCost }
+
+// warmEps starts a warm run at the largest violation the graph changes
+// introduced, capped by the largest scaled arc cost. Graph changes since the
+// last run are the only possible source of violations.
+func warmEps(viol, maxCost int64) int64 { return min(max(viol, 1), maxCost) }
+
+// run performs refine passes from the epsilon that initialEps picks from
+// the first sweep's (violation, largest scaled cost) down to 1.
+func (c *CostScaling) run(g *flow.Graph, initialEps func(viol, maxCost int64) int64, start time.Time, opts *Options) (Result, error) {
 	c.grow(g.NodeIDBound())
 	c.adj = g.Adjacency() // repair once; structure is fixed for the solve
 	alpha := opts.alpha()
-	if eps < 1 {
-		eps = 1
+	viol, maxCost, err := c.sweep(g, opts)
+	if err != nil {
+		return Result{}, err
 	}
+	eps := max(initialEps(viol, maxCost), 1)
 	var iters int64
 	for {
 		if err := c.refine(g, eps, opts); err != nil {
@@ -142,12 +144,15 @@ func (c *CostScaling) run(g *flow.Graph, eps int64, start time.Time, opts *Optio
 		// Jump the epsilon schedule past tiers the flow already satisfies:
 		// refine(eps) guarantees eps-optimality, but the flow it leaves is
 		// often far better, and the worst residual violation is exactly the
-		// epsilon the next tier must repair. The O(M) scan costs the same
-		// as the saturation pass of a single skipped tier, so any skip is a
-		// net win (cs2 applies the same check between scaling phases). A
-		// zero violation means the feasible flow is already 0-optimal —
-		// optimal — and the remaining tiers are no-ops.
-		v, _ := c.maxViolation(g)
+		// epsilon the next tier must repair. The sweep that measures it is
+		// the next tier's saturation pass, so the check costs nothing (cs2
+		// applies the same check between scaling phases). A zero violation
+		// means the feasible flow is already 0-optimal — optimal — the sweep
+		// saturated nothing, and the remaining tiers are no-ops.
+		v, _, err := c.sweep(g, opts)
+		if err != nil {
+			return Result{}, err
+		}
 		if v == 0 {
 			break
 		}
@@ -167,42 +172,77 @@ func (c *CostScaling) run(g *flow.Graph, eps int64, start time.Time, opts *Optio
 	}, nil
 }
 
-// refine converts the current pseudoflow into a feasible eps-optimal flow:
-// it saturates every residual arc with negative reduced cost, then
-// discharges nodes with positive excess via FIFO push-relabel, where an arc
-// is admissible if its scaled reduced cost is negative and relabeling
-// raises a node's potential just enough to create an admissible arc.
+// sweep is the one pass over the arc pairs that opens every refine tier.
+// Saturation does not depend on epsilon, so the pass does three jobs at
+// once, pair by pair:
+//
+//   - it measures how far the state is from 0-optimality before saturating:
+//     the largest negative scaled reduced cost over residual arcs (viol),
+//     and the largest absolute scaled arc cost, at least one scale unit
+//     (maxCost, the classic initial epsilon);
+//   - it saturates every residual arc with negative reduced cost, as a
+//     refine starts from a 0-optimal pseudoflow with respect to the
+//     current potentials;
+//   - it accumulates the node excesses of the saturated pseudoflow into
+//     c.excess, starting from the supplies, which the tier's discharge
+//     then works off.
+//
+// The partners' reduced costs are negations of each other, so at most one
+// direction of a pair can violate, and both plane entries sit on the same
+// cache lines.
 //
 //firmament:hotpath
-func (c *CostScaling) refine(g *flow.Graph, eps int64, opts *Options) error {
-	bound := g.NodeIDBound()
+func (c *CostScaling) sweep(g *flow.Graph, opts *Options) (viol, maxCost int64, err error) {
 	pl := g.ArcPlanes()
-	// Saturate arcs violating eps-optimality (standard refine starts from a
-	// 0-optimal pseudoflow w.r.t. current potentials). One pass over the
-	// pairs: the partners' reduced costs are negations of each other, so at
-	// most one direction can violate and both plane entries sit on the same
-	// cache lines.
+	excess := c.excess[:g.NodeIDBound()]
+	for i := range excess {
+		excess[i] = 0
+		if id := flow.NodeID(i); g.NodeInUse(id) {
+			excess[i] = g.Supply(id)
+		}
+	}
 	for a := 0; a < g.ArcIDBound(); a += 2 {
 		if (a/2+1)%stopCheckInterval == 0 && opts.poll(phaseSaturate) {
-			return ErrStopped
+			return 0, 0, ErrStopped
 		}
 		fwd := flow.ArcID(a)
 		if !g.ArcInUse(fwd) {
 			continue
 		}
-		rc := c.scaledReducedCost(g, fwd)
+		rev := fwd ^ 1
+		cost := pl.Cost[fwd]
+		maxCost = max(maxCost, cost, -cost)
+		tail, head := pl.Head[rev], pl.Head[fwd]
+		rc := cost*c.scale - g.Potential(tail) + g.Potential(head)
 		if rc < 0 {
 			if r := pl.Resid[fwd]; r > 0 {
+				viol = max(viol, -rc)
 				g.Push(fwd, r)
 			}
 		} else if rc > 0 {
-			rev := fwd ^ 1
 			if r := pl.Resid[rev]; r > 0 {
+				viol = max(viol, rc)
 				g.Push(rev, r)
 			}
 		}
+		if f := pl.Resid[rev]; f != 0 {
+			excess[tail] -= f
+			excess[head] += f
+		}
 	}
-	c.excess = g.ImbalancesInto(c.excess)
+	return viol, max(maxCost, 1) * c.scale, nil
+}
+
+// refine converts the pseudoflow the preceding sweep saturated into a
+// feasible eps-optimal flow: it discharges nodes with positive excess via
+// FIFO push-relabel, where an arc is admissible if its scaled reduced cost
+// is negative and relabeling raises a node's potential just enough to
+// create an admissible arc.
+//
+//firmament:hotpath
+func (c *CostScaling) refine(g *flow.Graph, eps int64, opts *Options) error {
+	bound := g.NodeIDBound()
+	pl := g.ArcPlanes()
 	c.queue = c.queue[:0]
 	for i := 0; i < bound; i++ {
 		c.inQueue[i] = false
@@ -431,53 +471,7 @@ func (c *CostScaling) relabelTarget(g *flow.Graph, u flow.NodeID, eps int64) (in
 	return best + eps, true
 }
 
-// scaledReducedCost is the reduced cost of a in the internally scaled cost
-// domain.
-//
-//firmament:hotpath
-func (c *CostScaling) scaledReducedCost(g *flow.Graph, a flow.ArcID) int64 {
-	return g.Cost(a)*c.scale - g.Potential(g.Tail(a)) + g.Potential(g.Head(a))
-}
-
-// maxViolation returns the largest negative scaled reduced cost over
-// residual arcs — how far the current state is from 0-optimality — and the
-// largest absolute scaled arc cost (at least one scale unit), the classic
-// initial epsilon. Graph changes since the last run are the only possible
-// source of violations.
-//
-//firmament:hotpath
-func (c *CostScaling) maxViolation(g *flow.Graph) (viol, maxCost int64) {
-	pl := g.ArcPlanes()
-	for a := 0; a < g.ArcIDBound(); a += 2 {
-		fwd := flow.ArcID(a)
-		if !g.ArcInUse(fwd) {
-			continue
-		}
-		if cost := pl.Cost[fwd]; cost > maxCost {
-			maxCost = cost
-		} else if -cost > maxCost {
-			maxCost = -cost
-		}
-		// The reverse partner's reduced cost is the negation, so one pair
-		// load covers both directions: the forward arc violates when rc < 0
-		// with forward residual, the reverse when rc > 0 with flow on it.
-		rc := c.scaledReducedCost(g, fwd)
-		if rc < -viol {
-			if pl.Resid[fwd] > 0 {
-				viol = -rc
-			}
-		} else if rc > viol {
-			if pl.Resid[fwd^1] > 0 {
-				viol = rc
-			}
-		}
-	}
-	return viol, max(maxCost, 1) * c.scale
-}
-
 func (c *CostScaling) grow(n int) {
-	// Keyed on a slice grow itself owns: c.excess is resized independently
-	// by ImbalancesInto, so its length cannot gate the others.
 	if len(c.cur) < n {
 		c.excess = make([]int64, n)
 		c.cur = make([]int32, n)

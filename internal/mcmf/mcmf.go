@@ -50,7 +50,7 @@ type phase uint8
 const (
 	phaseRelaxQueue  phase = iota // relaxation: between iterations
 	phaseRelaxTree                // relaxation: growing one iteration's tree
-	phaseSaturate                 // cost scaling: a refine's saturation pass
+	phaseSaturate                 // cost scaling: a tier's sweep, which saturates
 	phaseDischarge                // cost scaling: push-relabel discharge
 	phasePriceUpdate              // cost scaling: the set-relabel Dijkstra
 	numPhases

@@ -175,6 +175,18 @@ func (s *Scratch) negativeCycle(g *flow.Graph, opts *Options, buf []flow.ArcID) 
 // incremental cost scaling run can start from a small epsilon). The solver
 // pool runs it every round on its pinned Scratch.
 //
+// The potentials are the negated labels of a FIFO label-correcting search
+// in which every label starts at 0: the greatest fixed point ≤ 0 of
+// d(v) = min(0, min over residual u→v of d(u) + cost·costScale + eps). That
+// fixed point is unique, so any queue order reaches the same labels, and
+// the search seeds its queue with only the nodes that can lower a label
+// while every label is still 0: the tails of residual arcs with
+// cost·costScale + eps < 0, found in one pass over the planes. Every other
+// node joins the queue when its own label first drops. A cycle that defeats
+// every potential has negative total length, so it holds such an arc and
+// is still detected. The search scans only the rows of nodes whose labels
+// move, where seeding every node scanned every row.
+//
 //firmament:hotpath
 func (s *Scratch) PriceRefine(g *flow.Graph, costScale, eps int64, opts *Options) bool {
 	n := g.NodeIDBound()
@@ -189,12 +201,16 @@ func (s *Scratch) PriceRefine(g *flow.Graph, costScale, eps int64, opts *Options
 	// FIFO ring: the inQueue guard bounds occupancy by n.
 	queue := s.nodes(n)
 	qhead, qlen := 0, 0
-	//firmament:ignore hotalloc non-escaping capture: g.Nodes is a leaf iterator, the closure stays on the stack (0 allocs/op proven by TestSteadyState)
-	g.Nodes(func(id flow.NodeID) {
-		queue[(qhead+qlen)%n] = id
-		qlen++
-		inQueue[id] = true
-	})
+	for a := 0; a < g.ArcIDBound(); a++ {
+		if pl.Resid[a] <= 0 || pl.Cost[a]*costScale+eps >= 0 || !g.ArcInUse(flow.ArcID(a)) {
+			continue
+		}
+		if u := pl.Head[a^1]; !inQueue[u] {
+			queue[qlen] = u
+			qlen++
+			inQueue[u] = true
+		}
+	}
 	limit := int32(g.NumNodes() + 1)
 	var work int
 	for qlen > 0 {
