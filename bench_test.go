@@ -18,6 +18,7 @@ import (
 	"firmament/internal/cluster"
 	"firmament/internal/core"
 	"firmament/internal/experiments"
+	"firmament/internal/experiments/solvers"
 	"firmament/internal/flow"
 	"firmament/internal/mcmf"
 	"firmament/internal/policy"
@@ -78,10 +79,10 @@ func BenchmarkFig7Algorithms(b *testing.B) {
 	b.Run("relaxation", func(b *testing.B) { solveBench(b, warmGraph(b, 150), mcmf.NewRelaxation(), ap) })
 	b.Run("cost-scaling", func(b *testing.B) { solveBench(b, warmGraph(b, 150), mcmf.NewCostScaling(), nil) })
 	b.Run("succ-shortest-path", func(b *testing.B) {
-		solveBench(b, warmGraph(b, 150), mcmf.NewSuccessiveShortestPath(), nil)
+		solveBench(b, warmGraph(b, 150), solvers.NewSuccessiveShortestPath(), nil)
 	})
 	b.Run("cycle-canceling", func(b *testing.B) {
-		solveBench(b, warmGraph(b, 25), mcmf.NewCycleCanceling(), nil)
+		solveBench(b, warmGraph(b, 25), solvers.NewCycleCanceling(), nil)
 	})
 }
 
@@ -108,7 +109,7 @@ func BenchmarkFig7Large(b *testing.B) {
 			b.Run("relaxation", func(b *testing.B) { solveBench(b, warmGraph(b, m), mcmf.NewRelaxation(), ap) })
 			b.Run("cost-scaling", func(b *testing.B) { solveBench(b, warmGraph(b, m), mcmf.NewCostScaling(), nil) })
 			b.Run("succ-shortest-path", func(b *testing.B) {
-				solveBench(b, warmGraph(b, m), mcmf.NewSuccessiveShortestPath(), nil)
+				solveBench(b, warmGraph(b, m), solvers.NewSuccessiveShortestPath(), nil)
 			})
 		})
 	}

@@ -39,8 +39,13 @@ import (
 	"syscall"
 	"time"
 
-	"firmament"
+	"firmament/internal/api"
+	"firmament/internal/cluster"
+	"firmament/internal/core"
 	"firmament/internal/faultfs"
+	"firmament/internal/policy"
+	"firmament/internal/service"
+	"firmament/internal/wal"
 )
 
 // jobTracker correlates placement events with in-flight jobs. Placements
@@ -48,24 +53,24 @@ import (
 // the scheduling loop race), so counts accumulate for unknown jobs too.
 type jobTracker struct {
 	mu      sync.Mutex
-	seen    map[firmament.JobID]map[firmament.TaskID]bool
-	need    map[firmament.JobID]int
-	waiters map[firmament.JobID]chan struct{}
-	done    map[firmament.JobID]bool // finished jobs: late re-placements are ignored
+	seen    map[cluster.JobID]map[cluster.TaskID]bool
+	need    map[cluster.JobID]int
+	waiters map[cluster.JobID]chan struct{}
+	done    map[cluster.JobID]bool // finished jobs: late re-placements are ignored
 }
 
 func newJobTracker() *jobTracker {
 	return &jobTracker{
-		seen:    make(map[firmament.JobID]map[firmament.TaskID]bool),
-		need:    make(map[firmament.JobID]int),
-		waiters: make(map[firmament.JobID]chan struct{}),
-		done:    make(map[firmament.JobID]bool),
+		seen:    make(map[cluster.JobID]map[cluster.TaskID]bool),
+		need:    make(map[cluster.JobID]int),
+		waiters: make(map[cluster.JobID]chan struct{}),
+		done:    make(map[cluster.JobID]bool),
 	}
 }
 
 // register declares a job with n tasks and returns a channel closed when
 // every task has been placed at least once.
-func (tr *jobTracker) register(j firmament.JobID, n int) <-chan struct{} {
+func (tr *jobTracker) register(j cluster.JobID, n int) <-chan struct{} {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	ch := make(chan struct{})
@@ -78,7 +83,7 @@ func (tr *jobTracker) register(j firmament.JobID, n int) <-chan struct{} {
 }
 
 // placed records one placement event.
-func (tr *jobTracker) placed(j firmament.JobID, t firmament.TaskID) {
+func (tr *jobTracker) placed(j cluster.JobID, t cluster.TaskID) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	if tr.done[j] {
@@ -86,7 +91,7 @@ func (tr *jobTracker) placed(j firmament.JobID, t firmament.TaskID) {
 	}
 	m := tr.seen[j]
 	if m == nil {
-		m = make(map[firmament.TaskID]bool)
+		m = make(map[cluster.TaskID]bool)
 		tr.seen[j] = m
 	}
 	m[t] = true
@@ -95,7 +100,7 @@ func (tr *jobTracker) placed(j firmament.JobID, t firmament.TaskID) {
 	}
 }
 
-func (tr *jobTracker) finishLocked(j firmament.JobID) {
+func (tr *jobTracker) finishLocked(j cluster.JobID) {
 	close(tr.waiters[j])
 	delete(tr.waiters, j)
 	delete(tr.need, j)
@@ -107,33 +112,33 @@ func (tr *jobTracker) finishLocked(j firmament.JobID) {
 // service or a remote one over HTTP. Both speak the same surface, so the
 // same driver measures either path.
 type door interface {
-	submit(class firmament.JobClass, priority, tasks int) (firmament.JobID, error)
-	complete(ids []firmament.TaskID) error
-	watch() (<-chan firmament.Placement, func(), error)
+	submit(class cluster.JobClass, priority, tasks int) (cluster.JobID, error)
+	complete(ids []cluster.TaskID) error
+	watch() (<-chan service.Placement, func(), error)
 	watchErr() error // abnormal watch-stream end, nil otherwise
-	stats() (firmament.APIStats, error)
+	stats() (api.Stats, error)
 	close() error
 }
 
 // localDoor drives an in-process service.
 type localDoor struct {
-	svc  *firmament.SchedulerService
+	svc  *service.Service
 	wait bool // park on backpressure (SubmitWait) instead of shedding
 }
 
-func (d *localDoor) submit(class firmament.JobClass, priority, tasks int) (firmament.JobID, error) {
+func (d *localDoor) submit(class cluster.JobClass, priority, tasks int) (cluster.JobID, error) {
 	f := d.svc.Submit
 	if d.wait {
 		f = d.svc.SubmitWait
 	}
-	job, err := f(class, priority, make([]firmament.TaskSpec, tasks))
+	job, err := f(class, priority, make([]cluster.TaskSpec, tasks))
 	if err != nil {
 		return 0, err
 	}
 	return job.ID, nil
 }
 
-func (d *localDoor) complete(ids []firmament.TaskID) error {
+func (d *localDoor) complete(ids []cluster.TaskID) error {
 	for _, id := range ids {
 		if err := d.svc.Complete(id); err != nil {
 			return err
@@ -142,34 +147,34 @@ func (d *localDoor) complete(ids []firmament.TaskID) error {
 	return nil
 }
 
-func (d *localDoor) watch() (<-chan firmament.Placement, func(), error) {
+func (d *localDoor) watch() (<-chan service.Placement, func(), error) {
 	ch, cancel := d.svc.Watch()
 	return ch, cancel, nil
 }
 
 func (d *localDoor) watchErr() error { return nil } // in-process channels cannot corrupt
 
-func (d *localDoor) stats() (firmament.APIStats, error) {
-	return firmament.APIStatsFromService(d.svc.Stats()), nil
+func (d *localDoor) stats() (api.Stats, error) {
+	return api.StatsFromService(d.svc.Stats()), nil
 }
 
 func (d *localDoor) close() error { return d.svc.Close() }
 
 // remoteDoor drives a front door across the network.
 type remoteDoor struct {
-	cli  *firmament.APIClient
+	cli  *api.Client
 	wait bool
-	ws   *firmament.APIWatchStream
+	ws   *api.WatchStream
 }
 
-func (d *remoteDoor) submit(class firmament.JobClass, priority, tasks int) (firmament.JobID, error) {
-	var job *firmament.RemoteJob
+func (d *remoteDoor) submit(class cluster.JobClass, priority, tasks int) (cluster.JobID, error) {
+	var job *api.Job
 	var err error
 	if d.wait {
 		job, err = d.cli.SubmitWait(context.Background(), class, priority,
-			make([]firmament.TaskSpec, tasks))
+			make([]cluster.TaskSpec, tasks))
 	} else {
-		job, err = d.cli.Submit(class, priority, make([]firmament.TaskSpec, tasks))
+		job, err = d.cli.Submit(class, priority, make([]cluster.TaskSpec, tasks))
 	}
 	if err != nil {
 		return 0, err
@@ -177,9 +182,9 @@ func (d *remoteDoor) submit(class firmament.JobClass, priority, tasks int) (firm
 	return job.ID, nil
 }
 
-func (d *remoteDoor) complete(ids []firmament.TaskID) error { return d.cli.CompleteBatch(ids) }
+func (d *remoteDoor) complete(ids []cluster.TaskID) error { return d.cli.CompleteBatch(ids) }
 
-func (d *remoteDoor) watch() (<-chan firmament.Placement, func(), error) {
+func (d *remoteDoor) watch() (<-chan service.Placement, func(), error) {
 	ws, err := d.cli.Watch(context.Background())
 	if err != nil {
 		return nil, nil, err
@@ -197,7 +202,7 @@ func (d *remoteDoor) watchErr() error {
 	return d.ws.Err()
 }
 
-func (d *remoteDoor) stats() (firmament.APIStats, error) { return d.cli.Stats() }
+func (d *remoteDoor) stats() (api.Stats, error) { return d.cli.Stats() }
 
 // close leaves the remote server running; the driver only detaches.
 func (d *remoteDoor) close() error { return nil }
@@ -207,19 +212,19 @@ const defaultMode = "firmament"
 
 // schedulerConfig builds the scheduler configuration from the -mode flag.
 // It is the only place flags shape that configuration, so the test that
-// the flag defaults yield firmament.DefaultConfig() — the configuration the
+// the flag defaults yield core.DefaultConfig() — the configuration the
 // benchmark and the test suites measure — covers the shipped server.
-func schedulerConfig(mode string) (firmament.Config, error) {
-	m, ok := map[string]firmament.SolverMode{
-		"firmament":        firmament.ModeFirmament,
-		"relaxation":       firmament.ModeRelaxationOnly,
-		"inc-cost-scaling": firmament.ModeIncrementalCostScaling,
-		"quincy":           firmament.ModeQuincy,
+func schedulerConfig(mode string) (core.Config, error) {
+	m, ok := map[string]core.SolverMode{
+		"firmament":        core.ModeFirmament,
+		"relaxation":       core.ModeRelaxationOnly,
+		"inc-cost-scaling": core.ModeIncrementalCostScaling,
+		"quincy":           core.ModeQuincy,
 	}[mode]
 	if !ok {
-		return firmament.Config{}, fmt.Errorf("unknown mode %q", mode)
+		return core.Config{}, fmt.Errorf("unknown mode %q", mode)
 	}
-	cfg := firmament.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.Mode = m
 	return cfg, nil
 }
@@ -274,7 +279,7 @@ func main() {
 	if *perRack > *machines {
 		*perRack = *machines // small clusters: one partial rack, not a padded one
 	}
-	topo := firmament.Topology{
+	topo := cluster.Topology{
 		Racks:           (*machines + *perRack - 1) / *perRack,
 		MachinesPerRack: *perRack,
 		SlotsPerMachine: *slots,
@@ -284,23 +289,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	scfg := firmament.ServiceConfig{
+	scfg := service.Config{
 		RoundInterval:    *interval,
 		MaxPendingFactor: *pendingFac,
 		Templates:        *templates,
 	}
 
-	sync, err := firmament.ParseSyncPolicy(*fsync)
+	sync, err := wal.ParseSyncPolicy(*fsync)
 	if err != nil {
 		log.Fatal(err)
 	}
-	policy, err := firmament.ParseWALFailurePolicy(*onWALFailure)
+	onFailure, err := service.ParseWALFailurePolicy(*onWALFailure)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dur := firmament.DurabilityConfig{
+	dur := service.DurabilityConfig{
 		Sync: sync, SnapshotEvery: *snapEvery,
-		OnWALFailure: policy, ProbeInterval: *probeInterval,
+		OnWALFailure: onFailure, ProbeInterval: *probeInterval,
 	}
 	if *faultWritesBefore > 0 {
 		// Scripted disk sickness for the fault smoke: WAL writes start
@@ -323,13 +328,13 @@ func main() {
 		log.Printf("fault injection: WAL writes fail with ENOSPC after %d (heal after %v)",
 			*faultWritesBefore, *faultHealAfter)
 	}
-	durOpts := func(dir string) firmament.ServiceOptions {
+	durOpts := func(dir string) service.Options {
 		d := dur
 		d.Dir = dir
-		return firmament.ServiceOptions{
+		return service.Options{
 			Topology: topo,
-			Model: func(cl *firmament.Cluster) firmament.CostModel {
-				return firmament.NewLoadSpreadPolicy(cl)
+			Model: func(cl *cluster.Cluster) policy.CostModel {
+				return policy.NewLoadSpread(cl)
 			},
 			Scheduler:  cfg,
 			Service:    scfg,
@@ -349,7 +354,7 @@ func main() {
 
 	var d door
 	if *remote != "" {
-		cli := firmament.Dial(*remote)
+		cli := api.Dial(*remote)
 		if err := waitReady(cli, 10*time.Second); err != nil {
 			log.Fatalf("remote front door %s not ready: %v", *remote, err)
 		}
@@ -369,13 +374,13 @@ func main() {
 
 // openService builds the in-process service: plain in-memory, or — with
 // -wal-dir — durable, recovering whatever a previous run journaled there.
-func openService(topo firmament.Topology, cfg firmament.Config, scfg firmament.ServiceConfig,
-	walDir string, durOpts func(string) firmament.ServiceOptions) (*firmament.SchedulerService, *firmament.Cluster) {
+func openService(topo cluster.Topology, cfg core.Config, scfg service.Config,
+	walDir string, durOpts func(string) service.Options) (*service.Service, *cluster.Cluster) {
 	if walDir == "" {
-		cl := firmament.NewCluster(topo)
-		return firmament.NewService(cl, firmament.NewLoadSpreadPolicy(cl), cfg, scfg), cl
+		cl := cluster.New(topo)
+		return service.New(cl, policy.NewLoadSpread(cl), cfg, scfg), cl
 	}
-	svc, info, err := firmament.OpenService(durOpts(walDir))
+	svc, info, err := service.Open(durOpts(walDir))
 	if err != nil {
 		log.Fatalf("open journal %s: %v", walDir, err)
 	}
@@ -385,7 +390,7 @@ func openService(topo firmament.Topology, cfg firmament.Config, scfg firmament.S
 
 // logRestore narrates what recovery found, so operators (and the crash
 // smoke) can see a restart recovered rather than restarted empty.
-func logRestore(dir string, info *firmament.RestoreInfo) {
+func logRestore(dir string, info *service.RestoreInfo) {
 	if info.Restored || info.ReplayedRecords > 0 {
 		log.Printf("recovered journal %s: snapshot at round %d, %d records (%d rounds) replayed, "+
 			"%d pending ops; %d running / %d pending tasks",
@@ -398,8 +403,8 @@ func logRestore(dir string, info *firmament.RestoreInfo) {
 
 // runReplay restores a recorded journal into a detached in-memory service,
 // reports the recovered state, and exits — the -replay inspection workflow.
-func runReplay(opts firmament.ServiceOptions) {
-	svc, info, err := firmament.ReplayJournal(opts)
+func runReplay(opts service.Options) {
+	svc, info, err := service.Replay(opts)
 	if err != nil {
 		log.Fatalf("replay %s: %v", opts.Durability.Dir, err)
 	}
@@ -428,11 +433,11 @@ func runReplay(opts firmament.ServiceOptions) {
 // runServer serves the HTTP front door until SIGINT/SIGTERM, then closes
 // the service (ending watch streams, 503ing new work, and — in durable
 // mode — cutting a final snapshot) and drains the listener.
-func runServer(addr string, topo firmament.Topology, cfg firmament.Config,
-	scfg firmament.ServiceConfig, mode, walDir string,
-	durOpts func(string) firmament.ServiceOptions) {
+func runServer(addr string, topo cluster.Topology, cfg core.Config,
+	scfg service.Config, mode, walDir string,
+	durOpts func(string) service.Options) {
 	svc, cl := openService(topo, cfg, scfg, walDir, durOpts)
-	srv := &http.Server{Addr: addr, Handler: firmament.NewAPIServer(svc)}
+	srv := &http.Server{Addr: addr, Handler: api.NewServer(svc)}
 
 	fmt.Printf("cluster: %d machines in %d racks, %d slots\n",
 		cl.NumMachines(), cl.NumRacks(), cl.TotalSlots())
@@ -486,7 +491,7 @@ func runServer(addr string, topo firmament.Topology, cfg firmament.Config,
 
 // waitReady polls the remote stats endpoint until the server answers —
 // the network smoke starts server and driver concurrently.
-func waitReady(cli *firmament.APIClient, timeout time.Duration) error {
+func waitReady(cli *api.Client, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		_, err := cli.Stats()
@@ -520,7 +525,7 @@ func runDriver(d door, submitters, tasksPerJob int, duration time.Duration, perS
 		defer close(collectorDone)
 		// Batch completions: on the network path one request completes a
 		// whole burst of placements instead of one round trip per task.
-		batch := make([]firmament.TaskID, 0, 256)
+		batch := make([]cluster.TaskID, 0, 256)
 		flush := func() bool {
 			if len(batch) == 0 {
 				return true
@@ -530,7 +535,7 @@ func runDriver(d door, submitters, tasksPerJob int, duration time.Duration, perS
 			return err == nil
 		}
 		for p := range events {
-			if p.Kind == firmament.DecisionPlaced {
+			if p.Kind == core.DecisionPlaced {
 				batch = append(batch, p.Task)
 				tracker.placed(p.Job, p.Task)
 			}
@@ -552,12 +557,12 @@ func runDriver(d door, submitters, tasksPerJob int, duration time.Duration, perS
 		go func(i int) {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
-				jobID, err := d.submit(firmament.Batch, 0, tasksPerJob)
+				jobID, err := d.submit(cluster.Batch, 0, tasksPerJob)
 				if err != nil {
 					// On the network path this can also be a transport
 					// failure or an unexpected 429 — say so instead of
 					// quietly thinning the offered load.
-					if !errors.Is(err, firmament.ErrServiceClosed) {
+					if !errors.Is(err, service.ErrClosed) {
 						log.Printf("submitter %d stopping: %v", i, err)
 					}
 					return

@@ -1,8 +1,8 @@
 // Command firmament-vet runs the project's invariant analyzers
 // (internal/analysis) over the named package patterns and reports every
-// violation of the determinism, hot-path-allocation, lock-order, and
-// journal-ordering contracts. It exits non-zero if any diagnostic
-// survives, so CI and scripts/bench.sh can gate on it.
+// violation of the determinism, hot-path-allocation, lock-order,
+// journal-ordering and serving-boundary contracts. It exits non-zero if any
+// diagnostic survives, so CI and scripts/bench.sh can gate on it.
 //
 // Usage:
 //

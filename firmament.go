@@ -70,16 +70,16 @@
 // HTTP 429 mapped back to ErrBacklogged, shutdown as 503 mapped to
 // ErrServiceClosed. See internal/api for the wire protocol.
 //
-// cmd/firmament-serve is a closed-loop load driver over this API: it
-// hammers a service from N concurrent submitters and reports sustained
-// placements/sec with latency percentiles. With -listen it serves the
-// network front door instead; with -remote it drives one, turning the
-// driver into a network load generator.
+// This package is the library API of the whole reproduction: the examples,
+// cmd/firmament-sim and cmd/tracegen build on it. cmd/firmament-serve, the
+// closed-loop load driver and network server, does not: it imports the
+// serving packages (internal/service, api, cluster, core, policy, wal)
+// directly, so the binary that ships links none of the simulator,
+// baselines or trace generator this facade also exports. firmament-vet's
+// boundary analyzer (docs/analysis.md) holds that line.
 package firmament
 
 import (
-	"time"
-
 	"firmament/internal/api"
 	"firmament/internal/baselines"
 	"firmament/internal/cluster"
@@ -220,12 +220,6 @@ type (
 
 // GenerateTrace produces a Google-trace-shaped synthetic workload.
 func GenerateTrace(cfg TraceConfig) *Workload { return trace.Generate(cfg) }
-
-// UniformWorkload builds the regular workload of the breaking-point
-// experiment (paper Fig. 17).
-func UniformWorkload(tasksPerJob int, duration, interarrival, horizon time.Duration) *Workload {
-	return trace.Uniform(tasksPerJob, duration, interarrival, horizon)
-}
 
 // Baseline schedulers (paper §7.5).
 type (

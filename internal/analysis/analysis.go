@@ -13,6 +13,10 @@
 //     journal-before-register rules of internal/service, and the
 //     one-table-lock-at-a-time rule of internal/cluster.
 //
+// A sixth analyzer, boundary, keeps the packages cmd/firmament-serve links
+// from importing the reproduction-only ones (simulator, baselines,
+// experiments, the root facade).
+//
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) so the analyzers could be rehosted on the
 // upstream driver, but it is implemented entirely on the standard library:
@@ -134,7 +138,7 @@ func (p *Pass) InDeterministicScope(fn *ast.FuncDecl) bool {
 
 // All returns the full analyzer suite in a fixed order.
 func All() []*Analyzer {
-	return []*Analyzer{DetMapRange, NonDetSource, HotAlloc, LockOrder, WALOrder}
+	return []*Analyzer{DetMapRange, NonDetSource, HotAlloc, LockOrder, WALOrder, Boundary}
 }
 
 // RunAnalyzers applies each analyzer to the package and returns the

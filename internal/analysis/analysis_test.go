@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -12,14 +13,16 @@ import (
 // fixturePkgs maps each fixture directory to the synthetic package path it
 // loads under. The path suffix drives analyzer scoping: "fixture/wal" puts
 // the whole package in the deterministic scope, "fixture/cluster" and
-// "fixture/service" opt into lockorder/walorder, and the rest rely on
-// per-function annotations.
+// "fixture/service" opt into lockorder/walorder, "fixture/core" joins the
+// serving set that boundary checks, and the rest rely on per-function
+// annotations.
 var fixturePkgs = map[string]string{
 	"detmaprange":  "fixture/detmaprange",
 	"nondetsource": "fixture/wal",
 	"hotalloc":     "fixture/hotalloc",
 	"lockorder":    "fixture/cluster",
 	"walorder":     "fixture/service",
+	"boundary":     "fixture/core",
 }
 
 // want is one expectation parsed from a `// want `+"`regex`"+“ comment.
@@ -127,5 +130,30 @@ func TestRepoIsClean(t *testing.T) {
 		for _, d := range diags {
 			t.Errorf("%s", d)
 		}
+	}
+}
+
+// TestServingSetIsServeDeps pins boundary's serving set to what
+// cmd/firmament-serve links, so a package that joins the binary is checked
+// as well.
+func TestServingSetIsServeDeps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lists the module's packages")
+	}
+	entries, err := goList(filepath.Join("..", ".."), "list", "-deps", "-json=ImportPath,Standard", "./cmd/firmament-serve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deps []string
+	for _, e := range entries {
+		if !e.Standard {
+			deps = append(deps, e.ImportPath[strings.LastIndexByte(e.ImportPath, '/')+1:])
+		}
+	}
+	slices.Sort(deps)
+	want := append([]string(nil), servingPkgs...)
+	slices.Sort(want)
+	if !slices.Equal(deps, want) {
+		t.Fatalf("cmd/firmament-serve links %v, boundary's serving set is %v", deps, want)
 	}
 }

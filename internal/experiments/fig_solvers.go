@@ -9,6 +9,7 @@ import (
 
 	"firmament/internal/cluster"
 	"firmament/internal/core"
+	"firmament/internal/experiments/solvers"
 	"firmament/internal/mcmf"
 	"firmament/internal/metrics"
 	"firmament/internal/policy"
@@ -74,8 +75,8 @@ func Fig7(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	header(w, "Figure 7: average from-scratch MCMF algorithm runtime vs cluster size")
 	algos := []mcmf.Solver{
-		mcmf.NewCycleCanceling(),
-		mcmf.NewSuccessiveShortestPath(),
+		solvers.NewCycleCanceling(),
+		solvers.NewSuccessiveShortestPath(),
 		mcmf.NewCostScaling(),
 		mcmf.NewRelaxation(),
 	}
@@ -133,7 +134,7 @@ func Fig7Large(w io.Writer, o Options) error {
 		return nil
 	}
 	algos := []mcmf.Solver{
-		mcmf.NewSuccessiveShortestPath(),
+		solvers.NewSuccessiveShortestPath(),
 		mcmf.NewCostScaling(),
 		mcmf.NewRelaxation(),
 	}

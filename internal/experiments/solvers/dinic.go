@@ -1,29 +1,30 @@
-package mcmf
+package solvers
 
 import (
 	"firmament/internal/flow"
+	"firmament/internal/mcmf"
 )
 
-// maxFlow routes as much supply as possible from surplus nodes (imbalance
+// MaxFlow routes as much supply as possible from surplus nodes (imbalance
 // > 0) to deficit nodes (imbalance < 0) over the residual network, ignoring
 // costs, using Dinic's algorithm with multi-source/multi-sink level graphs.
 // It returns the amount of surplus it could not route (zero for feasible
 // networks).
 //
-// Cycle canceling uses maxFlow to obtain its initial feasible flow
+// Cycle canceling uses MaxFlow to obtain its initial feasible flow
 // (paper §4: "the algorithm first computes a max-flow solution"). Both the
 // BFS level pass and the blocking-flow DFS iterate the compact adjacency
 // index; the DFS keeps a per-node position into the node's row (the classic
 // current-arc optimization) instead of a linked-list cursor.
-func (s *Scratch) maxFlow(g *flow.Graph, opts *Options) (unrouted int64, err error) {
+func (b *Buffers) MaxFlow(g *flow.Graph, opts *mcmf.Options) (unrouted int64, err error) {
 	n := g.NodeIDBound()
 	adj := g.Adjacency()
 	pl := g.ArcPlanes()
-	excess := g.ImbalancesInto(s.i64)
-	s.i64 = excess
-	level := s.int32s(n, -1)
-	iter := s.cursors(n, 0)
-	queue := s.nodes(n)
+	excess := g.ImbalancesInto(b.i64)
+	b.i64 = excess
+	level := fill(&b.level, n, -1)
+	iter := fill(&b.iter, n, 0)
+	queue := fill(&b.queue, n, 0)
 
 	var totalSurplus int64
 	for _, e := range excess {
@@ -33,8 +34,8 @@ func (s *Scratch) maxFlow(g *flow.Graph, opts *Options) (unrouted int64, err err
 	}
 
 	for totalSurplus > 0 {
-		if opts.stopped() {
-			return totalSurplus, ErrStopped
+		if stopped(opts) {
+			return totalSurplus, mcmf.ErrStopped
 		}
 		// BFS phase: level graph from all surplus nodes. Each node enters
 		// the queue at most once, so a length-n slice with a head index
@@ -78,7 +79,7 @@ func (s *Scratch) maxFlow(g *flow.Graph, opts *Options) (unrouted int64, err err
 		var dfs func(u flow.NodeID, limit int64) int64
 		dfs = func(u flow.NodeID, limit int64) int64 {
 			if excess[u] < 0 {
-				take := min64(limit, -excess[u])
+				take := min(limit, -excess[u])
 				excess[u] += take
 				return take
 			}
@@ -89,7 +90,7 @@ func (s *Scratch) maxFlow(g *flow.Graph, opts *Options) (unrouted int64, err err
 				if pl.Resid[a] > 0 {
 					v := pl.Head[a]
 					if level[v] == level[u]+1 {
-						d := dfs(v, min64(limit-total, pl.Resid[a]))
+						d := dfs(v, min(limit-total, pl.Resid[a]))
 						if d > 0 {
 							g.Push(a, d)
 							total += d
@@ -120,11 +121,4 @@ func (s *Scratch) maxFlow(g *flow.Graph, opts *Options) (unrouted int64, err err
 		totalSurplus -= phasePushed
 	}
 	return totalSurplus, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

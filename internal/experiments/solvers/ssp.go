@@ -1,9 +1,10 @@
-package mcmf
+package solvers
 
 import (
 	"time"
 
 	"firmament/internal/flow"
+	"firmament/internal/mcmf"
 )
 
 // SuccessiveShortestPath implements the successive shortest path algorithm
@@ -21,7 +22,7 @@ type SuccessiveShortestPath struct {
 	search  sspSearch
 	excess  []int64
 	sources []flow.NodeID
-	scratch Scratch // pinned storage for the initial PriceRefine
+	scratch mcmf.Scratch // pinned storage for the initial PriceRefine
 }
 
 // NewSuccessiveShortestPath returns an SSP solver.
@@ -29,24 +30,24 @@ func NewSuccessiveShortestPath() *SuccessiveShortestPath {
 	return &SuccessiveShortestPath{}
 }
 
-// Name implements Solver.
+// Name implements mcmf.Solver.
 func (s *SuccessiveShortestPath) Name() string { return "successive-shortest-path" }
 
-// Solve implements Solver.
-func (s *SuccessiveShortestPath) Solve(g *flow.Graph, opts *Options) (Result, error) {
+// Solve implements mcmf.Solver.
+func (s *SuccessiveShortestPath) Solve(g *flow.Graph, opts *mcmf.Options) (mcmf.Result, error) {
 	start := time.Now()
 	g.ResetFlow()
 	g.ResetPotentials()
 	// Potentials under which the zero flow is optimal (eps 0): every
 	// residual arc gets a non-negative reduced cost, so Dijkstra applies.
 	if !s.scratch.PriceRefine(g, 1, 0, opts) {
-		if opts.stopped() {
-			return Result{}, ErrStopped
+		if stopped(opts) {
+			return mcmf.Result{}, mcmf.ErrStopped
 		}
 		// A negative cycle with zero flow means negative-cost arcs form a
 		// cycle; saturating them is not modelled here — Firmament's graphs
 		// are DAGs, so this indicates a malformed input.
-		return Result{}, ErrInfeasible
+		return mcmf.Result{}, mcmf.ErrInfeasible
 	}
 	s.search.grow(g.NodeIDBound())
 	s.adj = g.Adjacency()
@@ -64,22 +65,22 @@ func (s *SuccessiveShortestPath) Solve(g *flow.Graph, opts *Options) (Result, er
 	var iters int64
 	for _, src := range sources {
 		for excess[src] > 0 {
-			if opts.stopped() {
-				return Result{}, ErrStopped
+			if stopped(opts) {
+				return mcmf.Result{}, mcmf.ErrStopped
 			}
 			target, ok := s.search.dijkstra(g, s.adj, src, excess, opts)
 			if !ok {
-				if opts.stopped() {
-					return Result{}, ErrStopped
+				if stopped(opts) {
+					return mcmf.Result{}, mcmf.ErrStopped
 				}
-				return Result{}, ErrInfeasible
+				return mcmf.Result{}, mcmf.ErrInfeasible
 			}
 			s.search.repriceAndAugment(g, src, target, excess)
 			iters++
-			opts.snapshot(start)
+			snapshot(opts, start)
 		}
 	}
-	return Result{
+	return mcmf.Result{
 		Algorithm:  s.Name(),
 		Cost:       g.TotalCost(),
 		Runtime:    time.Since(start),
@@ -95,7 +96,7 @@ type sspSearch struct {
 	visited []int32
 	touched []flow.NodeID // nodes labeled this epoch, for repricing
 	epoch   int32
-	pq      distHeap
+	pq      mcmf.DistHeap
 }
 
 func (w *sspSearch) grow(n int) {
@@ -116,31 +117,30 @@ func (w *sspSearch) grow(n int) {
 // deficit node, or ok=false if none is reachable.
 //
 //firmament:hotpath
-func (w *sspSearch) dijkstra(g *flow.Graph, adj flow.Adjacency, src flow.NodeID, excess []int64, opts *Options) (flow.NodeID, bool) {
+func (w *sspSearch) dijkstra(g *flow.Graph, adj flow.Adjacency, src flow.NodeID, excess []int64, opts *mcmf.Options) (flow.NodeID, bool) {
 	pl := g.ArcPlanes()
 	w.epoch++
-	w.pq.reset()
+	w.pq.Reset()
 	w.touched = w.touched[:0]
 	w.dist[src] = 0
 	w.visited[src] = w.epoch
 	w.touched = append(w.touched, src)
 	w.parent[src] = flow.InvalidArc
-	w.pq.push(src, 0)
+	w.pq.Push(src, 0)
 	best := flow.InvalidNode
 	var bestDist int64
 	var work int
-	for w.pq.size() > 0 {
-		nd := w.pq.pop()
-		u := nd.node
-		if nd.dist > w.dist[u] {
+	for w.pq.Len() > 0 {
+		u, du := w.pq.Pop()
+		if du > w.dist[u] {
 			continue // stale entry
 		}
 		work++
-		if work%stopCheckInterval == 0 && opts.stopped() {
+		if work%stopCheckInterval == 0 && stopped(opts) {
 			return flow.InvalidNode, false
 		}
-		if excess[u] < 0 && (best == flow.InvalidNode || nd.dist < bestDist) {
-			best, bestDist = u, nd.dist
+		if excess[u] < 0 && (best == flow.InvalidNode || du < bestDist) {
+			best, bestDist = u, du
 		}
 		// rc(a) = cost(a) - pi(u) + pi(head); pi(u) is row-invariant.
 		piU := g.Potential(u)
@@ -153,17 +153,17 @@ func (w *sspSearch) dijkstra(g *flow.Graph, adj flow.Adjacency, src flow.NodeID,
 			if rc < 0 {
 				rc = 0 // tolerate rounding of repriced unscanned nodes
 			}
-			d := nd.dist + rc
+			d := du + rc
 			if w.visited[v] != w.epoch {
 				w.visited[v] = w.epoch
 				w.touched = append(w.touched, v)
 				w.dist[v] = d
 				w.parent[v] = a
-				w.pq.push(v, d)
+				w.pq.Push(v, d)
 			} else if d < w.dist[v] {
 				w.dist[v] = d
 				w.parent[v] = a
-				w.pq.push(v, d)
+				w.pq.Push(v, d)
 			}
 		}
 	}
@@ -188,7 +188,7 @@ func (w *sspSearch) repriceAndAugment(g *flow.Graph, src, target flow.NodeID, ex
 			g.SetPotential(v, g.Potential(v)+d-w.dist[v])
 		}
 	}
-	delta := min64(excess[src], -excess[target])
+	delta := min(excess[src], -excess[target])
 	for v := target; v != src; {
 		a := w.parent[v]
 		if r := g.Resid(a); r < delta {
@@ -203,60 +203,4 @@ func (w *sspSearch) repriceAndAugment(g *flow.Graph, src, target flow.NodeID, ex
 	}
 	excess[src] -= delta
 	excess[target] += delta
-}
-
-// nodeDist is a (node, distance) pair ordered by distance.
-type nodeDist struct {
-	node flow.NodeID
-	dist int64
-}
-
-// distHeap is a hand-rolled binary min-heap of nodeDist shared by the
-// Dijkstra searches in SSP and cost scaling's price update. container/heap
-// boxes every pushed element into an interface value, which at the ~10⁵
-// pushes of a single solve dominated the allocation profile; a typed heap
-// allocates only when its backing array grows, which the owning solver
-// retains across runs.
-type distHeap struct {
-	items []nodeDist
-}
-
-func (h *distHeap) reset()    { h.items = h.items[:0] }
-func (h *distHeap) size() int { return len(h.items) }
-
-func (h *distHeap) push(n flow.NodeID, d int64) {
-	h.items = append(h.items, nodeDist{n, d})
-	i := len(h.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.items[p].dist <= h.items[i].dist {
-			break
-		}
-		h.items[p], h.items[i] = h.items[i], h.items[p]
-		i = p
-	}
-}
-
-func (h *distHeap) pop() nodeDist {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.items[l].dist < h.items[smallest].dist {
-			smallest = l
-		}
-		if r < last && h.items[r].dist < h.items[smallest].dist {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
-	}
-	return top
 }

@@ -1,4 +1,4 @@
-package mcmf
+package solvers
 
 import "firmament/internal/flow"
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"firmament/internal/core"
+	"firmament/internal/experiments/solvers"
 	"firmament/internal/flow"
 	"firmament/internal/mcmf"
 )
@@ -50,10 +51,10 @@ func Tab2(w io.Writer, o Options) error {
 		label  string
 	}
 	checks := []check{
-		{mcmf.NewCycleCanceling(), func(g *flow.Graph) error { return g.CheckFeasible() }, "cycle canceling feasibility"},
+		{solvers.NewCycleCanceling(), func(g *flow.Graph) error { return g.CheckFeasible() }, "cycle canceling feasibility"},
 		{mcmf.NewCostScaling(), func(g *flow.Graph) error { return g.CheckFeasible() }, "cost scaling feasibility"},
 		{mcmf.NewRelaxation(), func(g *flow.Graph) error { return g.CheckReducedCostOptimal(0) }, "relaxation reduced cost optimality"},
-		{mcmf.NewSuccessiveShortestPath(), func(g *flow.Graph) error { return g.CheckReducedCostOptimal(0) }, "SSP reduced cost optimality"},
+		{solvers.NewSuccessiveShortestPath(), func(g *flow.Graph) error { return g.CheckReducedCostOptimal(0) }, "SSP reduced cost optimality"},
 	}
 	fmt.Fprintln(w, "\nlive verification on a scheduling graph:")
 	for _, c := range checks {
@@ -106,17 +107,17 @@ func Tab3(w io.Writer, o Options) error {
 		var arcs []flow.ArcID
 		g.ForwardArcs(func(a flow.ArcID) { arcs = append(arcs, a) })
 		a := arcs[rng.Intn(len(arcs))]
-		var predicted mcmf.ChangeEffect
+		var predicted solvers.ChangeEffect
 		if rng.Intn(2) == 0 {
 			newCap := int64(rng.Intn(4))
-			predicted = mcmf.PredictCapacityChange(g, a, newCap)
+			predicted = solvers.PredictCapacityChange(g, a, newCap)
 			g.SetArcCapacity(a, newCap)
 		} else {
 			newCost := int64(rng.Intn(120) - 10)
-			predicted = mcmf.PredictCostChange(g, a, newCost)
+			predicted = solvers.PredictCostChange(g, a, newCost)
 			g.SetArcCost(a, newCost)
 		}
-		feasible, optimal := mcmf.CertificateIntact(g)
+		feasible, optimal := solvers.CertificateIntact(g)
 		trials++
 		if predicted.BreaksFeasibility != feasible && predicted.BreaksOptimality != optimal {
 			correct++

@@ -1,8 +1,11 @@
-package mcmf
+package mcmf_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"firmament/internal/experiments/solvers"
+	. "firmament/internal/mcmf"
 )
 
 // TestSteadyStateSolveAllocations pins the steady-state allocation count of
@@ -17,7 +20,7 @@ func TestSteadyStateSolveAllocations(t *testing.T) {
 		t.Skip("allocation measurement")
 	}
 	rng := rand.New(rand.NewSource(11))
-	base := randomSchedulingGraph(rng, 60, 10, 2)
+	base := RandomSchedulingGraph(rng, 60, 10, 2)
 
 	cases := []struct {
 		name  string
@@ -26,7 +29,7 @@ func TestSteadyStateSolveAllocations(t *testing.T) {
 		limit float64
 	}{
 		{"cost-scaling", NewCostScaling(), nil, 0},
-		{"succ-shortest-path", NewSuccessiveShortestPath(), nil, 0},
+		{"succ-shortest-path", solvers.NewSuccessiveShortestPath(), nil, 0},
 		{"relaxation", NewRelaxation(), &Options{ArcPrioritization: true}, 0},
 	}
 	for _, c := range cases {
@@ -61,7 +64,7 @@ func TestSteadyStatePriceRefineAllocations(t *testing.T) {
 		t.Skip("allocation measurement")
 	}
 	rng := rand.New(rand.NewSource(11))
-	g := randomSchedulingGraph(rng, 60, 10, 2)
+	g := RandomSchedulingGraph(rng, 60, 10, 2)
 	if _, err := NewRelaxation().Solve(g, &Options{ArcPrioritization: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestSteadyStateIncrementalAllocations(t *testing.T) {
 		t.Skip("allocation measurement")
 	}
 	rng := rand.New(rand.NewSource(11))
-	g := randomSchedulingGraph(rng, 60, 10, 2)
+	g := RandomSchedulingGraph(rng, 60, 10, 2)
 	cs := NewCostScaling()
 	if _, err := cs.Solve(g, nil); err != nil {
 		t.Fatal(err)
@@ -97,7 +100,7 @@ func TestSteadyStateIncrementalAllocations(t *testing.T) {
 	// One mutation round warms the incremental bookkeeping, then we replay
 	// solves of the settled graph: an optimal warm start keeps the epsilon
 	// schedule short without hiding scratch churn.
-	mutateSchedulingGraph(rand.New(rand.NewSource(99)), g)
+	MutateSchedulingGraph(rand.New(rand.NewSource(99)), g)
 	if _, err := cs.SolveIncremental(g, nil); err != nil {
 		t.Fatal(err)
 	}

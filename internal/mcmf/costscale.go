@@ -38,7 +38,7 @@ type CostScaling struct {
 	queue    []flow.NodeID
 	inQueue  []bool
 	dist     []int64
-	pq       distHeap
+	pq       DistHeap
 }
 
 // NewCostScaling returns a cost scaling solver.
@@ -352,7 +352,7 @@ func (c *CostScaling) priceUpdate(g *flow.Graph, eps int64, opts *Options) error
 	for i := 0; i < bound; i++ {
 		c.dist[i] = inf
 	}
-	c.pq.reset()
+	c.pq.Reset()
 	excessLeft := 0
 	for i := 0; i < bound; i++ {
 		if !g.NodeInUse(flow.NodeID(i)) {
@@ -360,12 +360,12 @@ func (c *CostScaling) priceUpdate(g *flow.Graph, eps int64, opts *Options) error
 		}
 		if c.excess[i] < 0 {
 			c.dist[i] = 0
-			c.pq.push(flow.NodeID(i), 0)
+			c.pq.Push(flow.NodeID(i), 0)
 		} else if c.excess[i] > 0 {
 			excessLeft++
 		}
 	}
-	if excessLeft == 0 || c.pq.size() == 0 {
+	if excessLeft == 0 || c.pq.Len() == 0 {
 		return nil
 	}
 	// The search can stop as soon as every excess node is finalized (cs2's
@@ -377,16 +377,15 @@ func (c *CostScaling) priceUpdate(g *flow.Graph, eps int64, opts *Options) error
 	// dist(v) + l.
 	cut := int64(-1)
 	var work int
-	for c.pq.size() > 0 {
-		nd := c.pq.pop()
-		v := nd.node
-		if nd.dist > c.dist[v] {
+	for c.pq.Len() > 0 {
+		v, dv := c.pq.Pop()
+		if dv > c.dist[v] {
 			continue
 		}
 		if c.excess[v] > 0 {
 			excessLeft--
 			if excessLeft == 0 {
-				cut = nd.dist
+				cut = dv
 				break
 			}
 		}
@@ -408,9 +407,9 @@ func (c *CostScaling) priceUpdate(g *flow.Graph, eps int64, opts *Options) error
 			if rc >= 0 {
 				l = rc/eps + 1
 			}
-			if d := nd.dist + l; d < c.dist[u] {
+			if d := dv + l; d < c.dist[u] {
 				c.dist[u] = d
-				c.pq.push(u, d)
+				c.pq.Push(u, d)
 			}
 		}
 	}
@@ -482,3 +481,71 @@ func (c *CostScaling) grow(n int) {
 }
 
 var _ IncrementalSolver = (*CostScaling)(nil)
+
+// DistHeap is a hand-rolled binary min-heap of (node, distance) pairs,
+// shared by cost scaling's price update and the reference SSP solver's
+// Dijkstra search. container/heap boxes every pushed element into an
+// interface value, which at the ~10⁵ pushes of a single solve dominated the
+// allocation profile; a typed heap allocates only when its backing array
+// grows, which the owning solver retains across runs.
+type DistHeap struct {
+	items []nodeDist
+}
+
+// nodeDist is a (node, distance) pair ordered by distance.
+type nodeDist struct {
+	node flow.NodeID
+	dist int64
+}
+
+// Reset empties the heap, keeping its backing array.
+func (h *DistHeap) Reset() { h.items = h.items[:0] }
+
+// Len is the number of queued pairs.
+func (h *DistHeap) Len() int { return len(h.items) }
+
+// Push queues node n at distance d.
+func (h *DistHeap) Push(n flow.NodeID, d int64) {
+	h.items = append(h.items, nodeDist{n, d})
+	i := len(h.items) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h.items[p].dist <= h.items[i].dist {
+			break
+		}
+		h.items[p], h.items[i] = h.items[i], h.items[p]
+		i = p
+	}
+}
+
+// Pop removes and returns the pair with the least distance.
+func (h *DistHeap) Pop() (flow.NodeID, int64) {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < last && h.items[l].dist < h.items[smallest].dist {
+			smallest = l
+		}
+		if r < last && h.items[r].dist < h.items[smallest].dist {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
+		i = smallest
+	}
+	return top.node, top.dist
+}
+
+func min64(a, b int64) int64 {
+	if a < b {
+		return a
+	}
+	return b
+}

@@ -1,4 +1,4 @@
-package mcmf
+package mcmf_test
 
 import (
 	"fmt"
@@ -7,12 +7,8 @@ import (
 	"testing"
 
 	"firmament/internal/flow"
+	. "firmament/internal/mcmf"
 )
-
-// differentialSeeds is the size of the fixed-seed differential corpus: each
-// seed generates one random feasible scheduling-shaped graph plus a chain
-// of random change batches.
-const differentialSeeds = 50
 
 // agreeFromScratch runs all four independently implemented MCMF algorithms
 // from scratch on clones of base and fails the test unless every one
@@ -83,12 +79,12 @@ func requireSameRun(t *testing.T, label, name string, res Result, g *flow.Graph,
 // warm-started solutions must match the from-scratch optimum as well.
 func TestDifferentialSolverSuite(t *testing.T) {
 	const changeRounds = 3
-	for seed := int64(0); seed < differentialSeeds; seed++ {
+	for seed := int64(0); seed < DifferentialSeeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed))
-			base := randomSchedulingGraph(rng,
+			base := RandomSchedulingGraph(rng,
 				20+rng.Intn(40), // tasks
 				4+rng.Intn(10),  // machines
 				1+rng.Intn(3))   // slots
@@ -97,7 +93,7 @@ func TestDifferentialSolverSuite(t *testing.T) {
 
 			// Warm-started evolution: both incremental solvers carry their
 			// own solution forward through identical change batches. The
-			// clones share node and arc IDs and mutateSchedulingGraph is
+			// clones share node and arc IDs and MutateSchedulingGraph is
 			// deterministic given the rng, so re-seeding per graph applies
 			// the same batch to each. A twin chain — fresh solvers on their
 			// own clones, fed the same batches — must repeat every warm
@@ -128,8 +124,8 @@ func TestDifferentialSolverSuite(t *testing.T) {
 				batchSeed := seed*1009 + int64(round)
 				costs := make([]int64, len(incSolvers))
 				for i, inc := range incSolvers {
-					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), graphs[i])
-					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), twinGraphs[i])
+					MutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), graphs[i])
+					MutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), twinGraphs[i])
 					res, err := inc.SolveIncremental(graphs[i], nil)
 					if err != nil {
 						t.Fatalf("%s: %s incremental solve: %v", label, inc.Name(), err)
@@ -165,12 +161,12 @@ func TestDifferentialSolverSuite(t *testing.T) {
 // TestDifferentialGeneralGraphs extends the cross-validation to non-
 // scheduling shapes: multi-unit supplies, wider capacities, negative costs.
 func TestDifferentialGeneralGraphs(t *testing.T) {
-	for seed := int64(0); seed < differentialSeeds/2; seed++ {
+	for seed := int64(0); seed < DifferentialSeeds/2; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed + 7777))
-			base := randomGeneralGraph(rng, 8+rng.Intn(16))
+			base := RandomGeneralGraph(rng, 8+rng.Intn(16))
 			agreeFromScratch(t, base, "general graph")
 		})
 	}
@@ -237,12 +233,12 @@ func agreeConcurrently(t *testing.T, base *flow.Graph, label string) {
 // a feasible, negative-cycle-free flow and leave the same graph as a lone
 // run. A disagreement means two solver instances share mutable state.
 func TestParallelSolversAgreeOnOptimum(t *testing.T) {
-	for seed := int64(0); seed < differentialSeeds; seed++ {
+	for seed := int64(0); seed < DifferentialSeeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed))
-			base := randomSchedulingGraph(rng,
+			base := RandomSchedulingGraph(rng,
 				20+rng.Intn(40),
 				4+rng.Intn(10),
 				1+rng.Intn(3))
@@ -255,12 +251,12 @@ func TestParallelSolversAgreeOnOptimum(t *testing.T) {
 // non-scheduling shapes: multi-unit supplies, wider capacities, negative
 // costs.
 func TestParallelGeneralGraphsAgree(t *testing.T) {
-	for seed := int64(0); seed < differentialSeeds/2; seed++ {
+	for seed := int64(0); seed < DifferentialSeeds/2; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed + 7777))
-			base := randomGeneralGraph(rng, 8+rng.Intn(16))
+			base := RandomGeneralGraph(rng, 8+rng.Intn(16))
 			agreeConcurrently(t, base, "general graph")
 		})
 	}
@@ -273,12 +269,12 @@ func TestParallelGeneralGraphsAgree(t *testing.T) {
 // chain must repeat a sequential twin chain exactly.
 func TestParallelIncrementalCostScaling(t *testing.T) {
 	const changeRounds = 3
-	for seed := int64(0); seed < differentialSeeds/2; seed++ {
+	for seed := int64(0); seed < DifferentialSeeds/2; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed))
-			base := randomSchedulingGraph(rng,
+			base := RandomSchedulingGraph(rng,
 				20+rng.Intn(40),
 				4+rng.Intn(10),
 				1+rng.Intn(3))
@@ -299,9 +295,9 @@ func TestParallelIncrementalCostScaling(t *testing.T) {
 					twinRes, twinErr = twin.Solve(twinGraph, nil)
 				} else {
 					batchSeed := seed*1009 + int64(round)
-					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), csGraph)
-					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), relaxGraph)
-					mutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), twinGraph)
+					MutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), csGraph)
+					MutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), relaxGraph)
+					MutateSchedulingGraph(rand.New(rand.NewSource(batchSeed)), twinGraph)
 					concurrently(
 						func() { csRes, csErr = cs.SolveIncremental(csGraph, nil) },
 						func() { relaxRes, relaxErr = relax.SolveIncremental(relaxGraph, nil) },

@@ -1,18 +1,17 @@
-// Package mcmf holds Firmament's four min-cost max-flow algorithms (paper
-// §4), the solver interface they share, and their common helpers:
-// shortest-path potential initialization and the price refine heuristic
-// used when switching between algorithms (§6.2).
+// Package mcmf holds the two min-cost max-flow algorithms the scheduler
+// races (paper §4, §6.1), the solver interface they share, and price
+// refine, which re-prices a finished relaxation solution so that the next
+// incremental cost scaling run can start from a small epsilon (§6.2).
 //
 // Each algorithm lives in its own file:
 //
-//	cyclecancel.go — cycle canceling (Klein), worst case O(N·M²·C·U)
-//	ssp.go         — successive shortest path, worst case O(N²·U·log N)
-//	costscale.go   — cost scaling (Goldberg–Tarjan), worst case O(N²·M·log(N·C))
-//	relax.go       — relaxation (Bertsekas–Tseng), worst case O(M³·C·U²)
+//	costscale.go — cost scaling (Goldberg–Tarjan), worst case O(N²·M·log(N·C))
+//	relax.go     — relaxation (Bertsekas–Tseng), worst case O(M³·C·U²)
 //
-// (Paper Table 1.) Only cycle canceling uses the negative-cycle search in
-// shortest.go and the Dinic max-flow in dinic.go, which gives it its
-// initial feasible flow.
+// (Paper Table 1.) The paper's other two algorithms, cycle canceling and
+// successive shortest path, are reference solvers for the Fig. 7
+// comparison and the differential suite; they live in
+// internal/experiments/solvers, outside what the service ships.
 //
 // All solvers mutate the *flow.Graph in place: flow lives in residual
 // capacities and dual variables in node potentials, so that incremental

@@ -4,19 +4,15 @@ import (
 	"firmament/internal/flow"
 )
 
-// Scratch holds the working arrays of the shared helpers (negativeCycle,
-// maxFlow and PriceRefine). Long-lived callers pin one to
-// themselves — SSP and cycle canceling embed one, the solver pool holds one
-// for its per-round price refine — so that the steady-state solve loop
-// performs no allocation at all. (An earlier revision borrowed these from a
-// sync.Pool, but pool hits are not guaranteed: every GC cycle empties the
-// pool, and the misses showed up as steady allocations in the Fig. 7
-// benchmarks.)
+// Scratch holds the working arrays of PriceRefine. Long-lived callers pin
+// one to themselves — the solver pool holds one for its per-round price
+// refine — so that the steady-state round performs no allocation at all.
+// (An earlier revision borrowed these from a sync.Pool, but pool hits are
+// not guaranteed: every GC cycle empties the pool, and the misses showed up
+// as steady allocations in the Fig. 7 benchmarks.)
 type Scratch struct {
-	i64     []int64 // distances or excesses
-	counts  []int32 // relaxation counters, BFS levels
-	cursor  []int32 // per-node adjacency row positions (Dinic), parents
-	arcs    []flow.ArcID
+	i64     []int64 // labels
+	counts  []int32 // relaxation counters
 	inQueue []bool
 	queue   []flow.NodeID
 }
@@ -50,33 +46,6 @@ func (s *Scratch) int32s(n int, v int32) []int32 {
 	return s.counts
 }
 
-// cursors returns an int32 slice of length n filled with v, distinct from
-// int32s so a helper can hold both at once.
-func (s *Scratch) cursors(n int, v int32) []int32 {
-	if cap(s.cursor) < n {
-		s.cursor = make([]int32, n)
-	} else {
-		s.cursor = s.cursor[:n]
-	}
-	for i := range s.cursor {
-		s.cursor[i] = v
-	}
-	return s.cursor
-}
-
-// arcIDs returns a flow.ArcID slice of length n filled with InvalidArc.
-func (s *Scratch) arcIDs(n int) []flow.ArcID {
-	if cap(s.arcs) < n {
-		s.arcs = make([]flow.ArcID, n)
-	} else {
-		s.arcs = s.arcs[:n]
-	}
-	for i := range s.arcs {
-		s.arcs[i] = flow.InvalidArc
-	}
-	return s.arcs
-}
-
 // bools returns a zeroed bool slice of length n, reusing capacity.
 func (s *Scratch) bools(n int) []bool {
 	if cap(s.inQueue) < n {
@@ -90,77 +59,13 @@ func (s *Scratch) bools(n int) []bool {
 	return s.inQueue
 }
 
-// nodes returns a node slice of length n for use as a FIFO ring (SPFA and
-// BFS queues hold each node at most once, so occupancy never exceeds n).
+// nodes returns a node slice of length n for use as a FIFO ring (the
+// queue holds each node at most once, so occupancy never exceeds n).
 func (s *Scratch) nodes(n int) []flow.NodeID {
 	if cap(s.queue) < n {
 		s.queue = make([]flow.NodeID, n)
 	}
 	return s.queue[:n]
-}
-
-// negativeCycle finds a directed negative-cost cycle in the residual network
-// of g, returning the arcs of one such cycle appended to buf (resliced to
-// empty first), or nil if none exists. Cycle canceling uses this as its
-// core primitive (paper §4).
-//
-// The implementation is Bellman-Ford with parent pointers: if any distance
-// still improves in round N, walking parents from the improved node must
-// enter a cycle.
-//
-//firmament:hotpath
-func (s *Scratch) negativeCycle(g *flow.Graph, opts *Options, buf []flow.ArcID) []flow.ArcID {
-	n := g.NodeIDBound()
-	dist := s.int64s(n)
-	parent := s.arcIDs(n)
-	pl := g.ArcPlanes()
-	var witness flow.NodeID = flow.InvalidNode
-	rounds := g.NumNodes()
-	for round := 0; round <= rounds; round++ {
-		witness = flow.InvalidNode
-		var work int
-		for a := 0; a < g.ArcIDBound(); a++ {
-			arc := flow.ArcID(a)
-			if !g.ArcInUse(arc) || pl.Resid[arc] <= 0 {
-				continue
-			}
-			work++
-			if work%stopCheckInterval == 0 && opts.stopped() {
-				return nil
-			}
-			u := pl.Head[arc^1]
-			v := pl.Head[arc]
-			if d := dist[u] + pl.Cost[arc]; d < dist[v] {
-				dist[v] = d
-				parent[v] = arc
-				witness = v
-			}
-		}
-		if witness == flow.InvalidNode {
-			return nil // converged: no negative cycle
-		}
-	}
-	// witness is reachable from a negative cycle; walk N parents to land on
-	// the cycle itself, then collect it.
-	v := witness
-	for i := 0; i < rounds; i++ {
-		v = g.Tail(parent[v])
-	}
-	cycle := buf[:0]
-	u := v
-	for {
-		a := parent[u]
-		cycle = append(cycle, a)
-		u = g.Tail(a)
-		if u == v {
-			break
-		}
-	}
-	// Reverse into forward order (cosmetic; cancellation is order-agnostic).
-	for i, j := 0, len(cycle)-1; i < j; i, j = i+1, j-1 {
-		cycle[i], cycle[j] = cycle[j], cycle[i]
-	}
-	return cycle
 }
 
 // PriceRefine computes node potentials under which the *current* flow on g
@@ -242,9 +147,10 @@ func (s *Scratch) PriceRefine(g *flow.Graph, costScale, eps int64, opts *Options
 			}
 		}
 	}
-	//firmament:ignore hotalloc non-escaping capture: g.Nodes is a leaf iterator, the closure stays on the stack (0 allocs/op proven by TestSteadyState)
-	g.Nodes(func(id flow.NodeID) {
-		g.SetPotential(id, -dist[id])
-	})
+	for i := 0; i < n; i++ {
+		if id := flow.NodeID(i); g.NodeInUse(id) {
+			g.SetPotential(id, -dist[id])
+		}
+	}
 	return true
 }

@@ -1,4 +1,4 @@
-package mcmf
+package mcmf_test
 
 import (
 	"math/rand"
@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 	"time"
 
+	"firmament/internal/experiments/solvers"
 	"firmament/internal/flow"
+	. "firmament/internal/mcmf"
 )
 
 // TestTable2Invariants verifies the per-iteration preconditions of paper
@@ -18,7 +20,7 @@ import (
 //     optimality at every step.
 func TestTable2Invariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	base := randomSchedulingGraph(rng, 150, 12, 3)
+	base := RandomSchedulingGraph(rng, 150, 12, 3)
 
 	t.Run("cycle-canceling-feasibility", func(t *testing.T) {
 		g := base.Clone()
@@ -29,7 +31,7 @@ func TestTable2Invariants(t *testing.T) {
 				t.Fatalf("feasibility broken mid-run: %v", err)
 			}
 		}}
-		if _, err := NewCycleCanceling().Solve(g, opts); err != nil {
+		if _, err := solvers.NewCycleCanceling().Solve(g, opts); err != nil {
 			t.Fatal(err)
 		}
 		if checks == 0 {
@@ -80,7 +82,7 @@ func TestTable2Invariants(t *testing.T) {
 				t.Fatalf("reduced cost optimality broken mid-run: %v", err)
 			}
 		}}
-		if _, err := NewSuccessiveShortestPath().Solve(g, opts); err != nil {
+		if _, err := solvers.NewSuccessiveShortestPath().Solve(g, opts); err != nil {
 			t.Fatal(err)
 		}
 		if checks == 0 {
@@ -95,7 +97,7 @@ func TestTable2Invariants(t *testing.T) {
 func TestQuickTable3Predictions(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomSchedulingGraph(rng, 10+rng.Intn(30), 3+rng.Intn(6), 1+rng.Intn(3))
+		g := RandomSchedulingGraph(rng, 10+rng.Intn(30), 3+rng.Intn(6), 1+rng.Intn(3))
 		if _, err := NewCostScaling().Solve(g, nil); err != nil {
 			t.Logf("solve: %v", err)
 			return false
@@ -106,7 +108,7 @@ func TestQuickTable3Predictions(t *testing.T) {
 			t.Log("price refine failed on optimal flow")
 			return false
 		}
-		if f, o := CertificateIntact(g); !f || !o {
+		if f, o := solvers.CertificateIntact(g); !f || !o {
 			t.Logf("certificate not intact after solve: feasible=%v optimal=%v", f, o)
 			return false
 		}
@@ -114,17 +116,17 @@ func TestQuickTable3Predictions(t *testing.T) {
 		var arcs []flow.ArcID
 		g.ForwardArcs(func(a flow.ArcID) { arcs = append(arcs, a) })
 		a := arcs[rng.Intn(len(arcs))]
-		var predicted ChangeEffect
+		var predicted solvers.ChangeEffect
 		if rng.Intn(2) == 0 {
 			newCap := int64(rng.Intn(5))
-			predicted = PredictCapacityChange(g, a, newCap)
+			predicted = solvers.PredictCapacityChange(g, a, newCap)
 			g.SetArcCapacity(a, newCap)
 		} else {
 			newCost := int64(rng.Intn(160) - 20)
-			predicted = PredictCostChange(g, a, newCost)
+			predicted = solvers.PredictCostChange(g, a, newCost)
 			g.SetArcCost(a, newCost)
 		}
-		feasible, optimal := CertificateIntact(g)
+		feasible, optimal := solvers.CertificateIntact(g)
 		if predicted.BreaksFeasibility == feasible {
 			t.Logf("feasibility prediction wrong: predicted breaks=%v, observed feasible=%v",
 				predicted.BreaksFeasibility, feasible)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -148,30 +147,4 @@ func (d *Dist) Absorb(src *Dist) {
 	d.vals = append(d.vals, src.vals...)
 	d.sorted = false
 	src.vals = src.vals[:0]
-}
-
-// Sparkline renders the distribution's CDF as a crude text plot for
-// terminal output.
-func (d *Dist) Sparkline(width int) string {
-	if len(d.vals) == 0 || width <= 0 {
-		return ""
-	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	cdf := d.CDF(width)
-	max := d.Max()
-	if max == 0 {
-		return strings.Repeat("▁", width)
-	}
-	var sb strings.Builder
-	for _, p := range cdf {
-		idx := int(p.Value / max * float64(len(levels)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(levels) {
-			idx = len(levels) - 1
-		}
-		sb.WriteRune(levels[idx])
-	}
-	return sb.String()
 }

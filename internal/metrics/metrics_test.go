@@ -125,20 +125,6 @@ func TestQuickPercentileBounds(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	var d Dist
-	for i := 0; i < 100; i++ {
-		d.Add(float64(i))
-	}
-	if s := d.Sparkline(16); len([]rune(s)) != 16 {
-		t.Fatalf("sparkline width = %d, want 16", len([]rune(s)))
-	}
-	var empty Dist
-	if empty.Sparkline(8) != "" {
-		t.Fatal("empty sparkline should be empty string")
-	}
-}
-
 func TestDistClone(t *testing.T) {
 	var d Dist
 	d.Add(1)
