@@ -835,6 +835,96 @@ func BenchmarkSolveAfterBurst(b *testing.B) {
 	}
 }
 
+// BenchmarkRaceArrival times the three solves the §6.1 race can run on a
+// Quincy job arrival: 1,000 machines at 70 % prefill, as bench's scale-1k,
+// and then one 50-task job folded into the graph. Incremental cost scaling
+// and warm relaxation start from the prefill's solution and price-refined
+// potentials, warm relaxation after unscaling them as the solver pool
+// does; relaxation from scratch discards them. The pool starts relaxation
+// warm on such a round, which changes little of the graph. Each reports
+// its iterations per solve beside allocs/op.
+func BenchmarkRaceArrival(b *testing.B) {
+	g, scale := arrivalGraph(b)
+	opts := &mcmf.Options{Alpha: core.DefaultConfig().Alpha, ArcPrioritization: true}
+	cs, relax := mcmf.NewCostScaling(), mcmf.NewRelaxation()
+	for _, v := range []struct {
+		name  string
+		solve func(*flow.Graph) (mcmf.Result, error)
+	}{
+		{"incremental-cost-scaling", func(w *flow.Graph) (mcmf.Result, error) {
+			cs.SetScale(scale)
+			return cs.SolveIncremental(w, opts)
+		}},
+		{"relaxation-warm", func(w *flow.Graph) (mcmf.Result, error) {
+			mcmf.UnscalePotentials(w, scale)
+			return relax.SolveIncremental(w, opts)
+		}},
+		{"relaxation-from-scratch", func(w *flow.Graph) (mcmf.Result, error) { return relax.Solve(w, opts) }},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			work := g.Clone()
+			if _, err := v.solve(work); err != nil { // grow the solver's scratch outside the timer
+				b.Fatal(err)
+			}
+			var iters int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g.CloneInto(work)
+				b.StartTimer()
+				res, err := v.solve(work)
+				if err != nil {
+					b.Fatal(err)
+				}
+				iters += res.Iterations
+			}
+			b.ReportMetric(float64(iters)/float64(b.N), "iterations/op")
+		})
+	}
+}
+
+// arrivalGraph builds BenchmarkRaceArrival's round through a Scheduler
+// running incremental cost scaling alone, and returns the graph as the
+// arrival's solve finds it, with the cost scaling scale its potentials are
+// in.
+func arrivalGraph(b *testing.B) (*flow.Graph, int64) {
+	b.Helper()
+	topo := cluster.Topology{Racks: 25, MachinesPerRack: 40, SlotsPerMachine: 12}
+	cl := cluster.New(topo)
+	store := storage.NewStore(cl, storage.Config{Seed: 1})
+	rng := rand.New(rand.NewSource(1))
+	files := make([]int64, 64)
+	for i := range files {
+		files[i] = int64(1+rng.Intn(16)) << 28
+		store.AddFile(files[i])
+	}
+	specs := func(n int) []cluster.TaskSpec {
+		out := make([]cluster.TaskSpec, n)
+		for i := range out {
+			f := rng.Intn(len(files))
+			out[i] = cluster.TaskSpec{InputFile: int64(f), InputSize: files[f]}
+		}
+		return out
+	}
+	cfg := core.DefaultConfig()
+	cfg.Mode = core.ModeIncrementalCostScaling
+	sched := core.NewScheduler(cl, policy.NewQuincy(cl, store), cfg)
+	cl.SubmitJob(cluster.Batch, 0, 0, specs(7*topo.Racks*topo.MachinesPerRack*topo.SlotsPerMachine/10))
+	// Place the prefill, then one more round folds its placements in.
+	for i := 0; cl.NumPending() > 0 && i < 10; i++ {
+		if _, _, err := sched.RunOnce(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, _, err := sched.RunOnce(0); err != nil {
+		b.Fatal(err)
+	}
+	cl.SubmitJob(cluster.Batch, 0, time.Second, specs(50))
+	sched.UpdateOnly(time.Second)
+	return sched.GraphManager().Graph(), sched.Pool().SolverScale()
+}
+
 // burstGraph builds scale-1k's set-up through a Scheduler and returns the
 // graph as the second round's solve finds it, with the cost scaling scale
 // its potentials are in.

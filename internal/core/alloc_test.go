@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"firmament/internal/cluster"
+	"firmament/internal/flow"
 	"firmament/internal/policy"
 )
 
@@ -102,8 +103,9 @@ func TestSteadyStateScheduleAllocations(t *testing.T) {
 // solver's Options live on the pool, the outcomes travel by value, and the
 // replica, both solvers and the price refine reuse their storage. On a
 // 64-machine LoadSpread world with waiting tasks and nothing changing, a
-// ModeFirmament pool solves the same graph round after round. Run it
-// without -race, which distorts AllocsPerRun.
+// ModeFirmament pool solves the same graph round after round, with
+// relaxation from scratch (no change count) and warm (an empty one). Run
+// it without -race, which distorts AllocsPerRun.
 func TestSteadyStateRaceAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -118,15 +120,23 @@ func TestSteadyStateRaceAllocations(t *testing.T) {
 	}
 	s.UpdateOnly(0)
 	g := s.gm.Graph()
-	race := func() {
-		if _, err := s.pool.Solve(g, nil); err != nil {
-			t.Fatal(err)
+	for _, start := range []struct {
+		name    string
+		changes *flow.ChangeSet
+	}{{"from scratch", nil}, {"warm", &flow.ChangeSet{}}} {
+		race := func() {
+			if _, err := s.pool.Solve(g, start.changes); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < 3; i++ { // warm up: grow every buffer to the world's size
-		race()
-	}
-	if got := testing.AllocsPerRun(50, race); got > 2 {
-		t.Fatalf("steady-state racing solve allocates %.1f objects, want at most 2 (the goroutine starts)", got)
+		for i := 0; i < 3; i++ { // warm up: grow every buffer to the world's size
+			race()
+		}
+		if s.pool.relaxScale > 0 != (start.changes != nil) {
+			t.Fatalf("%s: the race started relaxation with scale %d", start.name, s.pool.relaxScale)
+		}
+		if got := testing.AllocsPerRun(50, race); got > 2 {
+			t.Fatalf("steady-state racing solve, relaxation %s, allocates %.1f objects, want at most 2 (the goroutine starts)", start.name, got)
+		}
 	}
 }

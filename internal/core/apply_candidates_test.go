@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"firmament/internal/cluster"
+	"firmament/internal/mcmf"
 	"firmament/internal/policy"
 )
 
@@ -154,25 +155,32 @@ func TestApplyCandidates(t *testing.T) {
 // TestRaceEquivalence checks the roles of the §6.1 race: after every
 // ModeFirmament solve, the main graph must be bit-identical to a twin of
 // the pre-solve graph solved by the reported winner alone — incremental
-// cost scaling warm-started in place, or relaxation from scratch — and then
-// price-refined, over the policies and seeds of TestUpdateEquivalence.
+// cost scaling warm-started in place, or relaxation started as the start
+// rule (warmRelaxation) picks: warm from the unscaled potentials, or from
+// scratch — and then price-refined, over the policies and seeds of
+// TestUpdateEquivalence. The rule must pick each start on some step, so
+// that the oracle covers both.
 func TestRaceEquivalence(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
 		seeds = 3
 	}
 	wins := make(map[string]int)
+	starts := make(map[bool]int) // relaxation starts the rule picked, keyed by warm
 	for _, pol := range equivPolicies() {
 		for seed := 0; seed < seeds; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", pol.name, seed), func(t *testing.T) {
-				runRaceEquiv(t, pol, int64(seed), wins)
+				runRaceEquiv(t, pol, int64(seed), wins, starts)
 			})
 		}
 	}
-	t.Logf("race winners: %v", wins)
+	t.Logf("race winners: %v; relaxation starts: %d warm, %d from scratch", wins, starts[true], starts[false])
+	if starts[true] == 0 || starts[false] == 0 {
+		t.Fatalf("relaxation started warm on %d steps and from scratch on %d: want both starts covered", starts[true], starts[false])
+	}
 }
 
-func runRaceEquiv(t *testing.T, pol equivPolicy, seed int64, wins map[string]int) {
+func runRaceEquiv(t *testing.T, pol equivPolicy, seed int64, wins map[string]int, starts map[bool]int) {
 	rng := rand.New(rand.NewSource(seed))
 	const gbps = 1000 * 1000 * 1000 / 8
 	cl := cluster.New(cluster.Topology{Racks: 3, MachinesPerRack: 4, SlotsPerMachine: 3, NICBps: 10 * gbps})
@@ -213,27 +221,39 @@ func runRaceEquiv(t *testing.T, pol equivPolicy, seed int64, wins map[string]int
 			s.UpdateOnly(now)
 			g := s.gm.Graph()
 			twin, scale := g.Clone(), s.pool.SolverScale()
+			warm := s.pool.warmRelaxation(g, s.gm.Changes())
+			starts[warm]++
 			res, err := s.pool.Solve(g, s.gm.Changes())
 			s.gm.Changes().Reset()
 			if err != nil {
 				t.Fatalf("step %d: solve: %v", step, err)
 			}
 			alone := NewSolverPool(ModeIncrementalCostScaling)
-			if res.Winner == s.pool.relax.Name() {
-				alone.Mode = ModeRelaxationOnly
-			}
 			alone.Options = s.pool.Options
 			alone.RestoreSolverScale(scale)
-			if _, err := alone.Solve(twin, nil); err != nil {
-				t.Fatalf("step %d: %s alone: %v", step, res.Winner, err)
-			}
-			if alone.Mode == ModeRelaxationOnly {
+			switch {
+			case res.Winner != s.pool.relax.Name():
+				_, err = alone.Solve(twin, nil)
+			case warm:
+				mcmf.UnscalePotentials(twin, scale)
+				_, err = alone.relax.SolveIncremental(twin, &alone.Options)
+				alone.refine(twin)
+			default:
+				alone.Mode = ModeRelaxationOnly
+				_, err = alone.Solve(twin, nil)
 				alone.refine(twin) // the single-solver mode skips it
 			}
-			if a, b := g.Fingerprint(), twin.Fingerprint(); a != b {
-				t.Fatalf("step %d: graph after the race (won by %s) %x, winner alone %x", step, res.Winner, a, b)
+			if err != nil {
+				t.Fatalf("step %d: %s alone (warm %v): %v", step, res.Winner, warm, err)
 			}
-			wins[res.Winner]++
+			if a, b := g.Fingerprint(), twin.Fingerprint(); a != b {
+				t.Fatalf("step %d: graph after the race (won by %s, relaxation warm %v) %x, winner alone %x", step, res.Winner, warm, a, b)
+			}
+			if res.Winner == s.pool.relax.Name() && warm {
+				wins[res.Winner+" (warm)"]++
+			} else {
+				wins[res.Winner]++
+			}
 			r := s.gm.ExtractRound()
 			s.ApplyRound(&r, now)
 		}

@@ -15,9 +15,11 @@ type SolverMode uint8
 
 // Solver modes.
 const (
-	// ModeFirmament speculatively executes from-scratch relaxation and
-	// incremental cost scaling concurrently and takes whichever finishes
-	// first (paper §6.1). This is Firmament's production configuration.
+	// ModeFirmament speculatively executes relaxation and incremental cost
+	// scaling concurrently and takes whichever finishes first (paper
+	// §6.1). Relaxation starts warm on rounds that change little of the
+	// graph and from scratch otherwise (warmRelaxArcsPerChange). This is
+	// Firmament's production configuration.
 	ModeFirmament SolverMode = iota
 	// ModeRelaxationOnly runs only from-scratch relaxation (the
 	// "Relaxation only" line of Figures 16 and 18).
@@ -85,8 +87,13 @@ type SolverPool struct {
 
 	relax   *mcmf.Relaxation
 	cs      *mcmf.CostScaling
-	replica *flow.Graph   // reused replica the race's from-scratch relaxation runs on
+	replica *flow.Graph   // reused replica the race's relaxation runs on
 	scratch *mcmf.Scratch // pinned working storage for the per-round price refine
+	// relaxScale is how the race's relaxation starts: 0 from scratch, or
+	// warm from the replica's potentials unscaled by this cost scaling
+	// scale. It is set before the goroutines start, because the racing
+	// cost scaling run may rescale.
+	relaxScale int64
 
 	// The race's working state lives on the pool, so that a racing solve
 	// allocates nothing but its two goroutine starts: each solver's
@@ -117,11 +124,32 @@ type solveOutcome struct {
 	err error
 }
 
+// warmRelaxArcsPerChange is the race's start rule for relaxation: it
+// starts warm when the round's change count is at most the live arc count
+// divided by this, and from scratch otherwise. A warm start pays on rounds
+// that change little of the graph — §5.2's own condition for incremental
+// solving (Fig. 11) — and loses when the changes reach much of it, because
+// the near-optimal state's large zero-reduced-cost trees then lie in every
+// new surplus's way. Measured per round on the benchmark's workloads, no
+// Quincy round on 1,000 machines changed more than 6.4 % of the live arcs
+// after set-up, and 99 % of the LoadSpread rounds on 64 machines that
+// changed more than three things changed at least 36 %: a quarter sends
+// the former warm and keeps the latter from scratch (docs/solver.md).
+const warmRelaxArcsPerChange = 4
+
+// warmRelaxation applies the start rule to a round that made changes to
+// g. A nil count, or a pool whose cost scaling has never priced g (scale
+// 0, so no potentials to start from), starts from scratch.
+func (p *SolverPool) warmRelaxation(g *flow.Graph, changes *flow.ChangeSet) bool {
+	return changes != nil && p.cs.Scale() > 0 &&
+		changes.Len()*warmRelaxArcsPerChange <= g.NumArcs()
+}
+
 // Solve runs the configured algorithm(s) on g and leaves the winning
 // optimal flow on g. changes counts the graph mutations since the previous
-// call and is ignored: incremental cost scaling finds its starting epsilon
-// by scanning g. The parameter stays for callers that hand the graph
-// manager's count over with the graph.
+// call; under ModeFirmament it decides how the racing relaxation starts
+// (warmRelaxation). Incremental cost scaling finds its starting epsilon by
+// scanning g.
 func (p *SolverPool) Solve(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, error) {
 	switch p.Mode {
 	case ModeRelaxationOnly:
@@ -148,7 +176,7 @@ func (p *SolverPool) Solve(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, 
 		return PoolResult{Winner: "cost-scaling (from scratch)", Cost: res.Cost,
 			AlgorithmTime: res.Runtime, CostScalingTime: res.Runtime}, nil
 	case ModeFirmament:
-		return p.solveSpeculative(g)
+		return p.solveSpeculative(g, p.warmRelaxation(g, changes))
 	default:
 		return PoolResult{}, fmt.Errorf("core: unknown solver mode %d", p.Mode)
 	}
@@ -156,18 +184,24 @@ func (p *SolverPool) Solve(g *flow.Graph, changes *flow.ChangeSet) (PoolResult, 
 
 // solveSpeculative implements the §6.1 race: incremental cost scaling runs
 // in place on the main graph (warm-started from the previous round's winning
-// flow and price-refined potentials), relaxation runs from scratch on a
-// replica that shares g's structure, and the first to finish cancels the
-// other. A cost scaling win leaves its solution where it belongs; only a
+// flow and price-refined potentials), relaxation runs on a replica that
+// shares g's structure — warm from the same flow and potentials if warm is
+// set, from scratch otherwise — and the first to finish cancels the other.
+// A cost scaling win leaves its solution where it belongs; only a
 // relaxation win pays to copy the replica's flow and potentials back, which
 // also overwrites whatever the stopped cost scaling run left on g.
-func (p *SolverPool) solveSpeculative(g *flow.Graph) (PoolResult, error) {
+func (p *SolverPool) solveSpeculative(g *flow.Graph, warm bool) (PoolResult, error) {
 	// Relaxation writes only residuals and potentials, so its replica
 	// shares g's structure and copies just those: ReplicaInto compacts the
 	// rows once, up front, and neither racing solver writes them again.
-	// Relaxation discards flow and potentials, but it needs the pre-solve
-	// problem, so the replica is taken before the race.
+	// Either start needs the pre-solve problem, and a warm one the
+	// pre-solve flow and potentials, so the replica is taken before the
+	// race.
 	p.replica = g.ReplicaInto(p.replica)
+	p.relaxScale = 0
+	if warm {
+		p.relaxScale = p.cs.Scale()
+	}
 
 	p.stopRelax.Store(false)
 	p.stopCS.Store(false)
@@ -258,9 +292,20 @@ func (p *SolverPool) SolverScale() int64 { return p.cs.Scale() }
 // snapshot recovery path may call this, together with a graph restore.
 func (p *SolverPool) RestoreSolverScale(s int64) { p.cs.SetScale(s) }
 
-// raceRelax runs the race's from-scratch relaxation on the replica.
+// raceRelax runs the race's relaxation on the replica. A warm start first
+// floor-divides the replica's price-refined potentials, which are in cost
+// scaling's scaled domain, into relaxation's unscaled one; flooring keeps
+// every residual arc's reduced cost non-negative (mcmf.UnscalePotentials),
+// so the opening pass saturates only what the round's changes broke.
 func (p *SolverPool) raceRelax() {
-	res, err := p.relax.Solve(p.replica, &p.relaxOpts)
+	var res mcmf.Result
+	var err error
+	if p.relaxScale > 0 {
+		mcmf.UnscalePotentials(p.replica, p.relaxScale)
+		res, err = p.relax.SolveIncremental(p.replica, &p.relaxOpts)
+	} else {
+		res, err = p.relax.Solve(p.replica, &p.relaxOpts)
+	}
 	p.relaxCh <- solveOutcome{res, err}
 }
 

@@ -320,7 +320,8 @@ func AblationIncrementalRelaxation(w io.Writer, o Options) error {
 		"incremental relaxation", fmtDur(inc/k))
 	fmt.Fprintf(w, "paper §5.2: incremental relaxation helps only when tasks\n"+
 		"are not connected to a large zero-reduced-cost tree; Firmament\n"+
-		"therefore runs relaxation from scratch each round.\n")
+		"therefore starts relaxation warm only on rounds that change\n"+
+		"little of the graph.\n")
 	return nil
 }
 

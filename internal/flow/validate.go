@@ -194,8 +194,8 @@ func (g *Graph) CloneInto(dst *Graph) *Graph {
 }
 
 // ReplicaInto makes dst a replica of g for a solver that writes only
-// residuals and node potentials (relaxation from scratch, in the solver
-// pool's race), and returns it; pass nil to allocate. dst owns copies of
+// residuals and node potentials (relaxation, in the solver pool's race),
+// and returns it; pass nil to allocate. dst owns copies of
 // g's residual plane and node records, kept in dst's reused buffers; it
 // aliases g's heads, costs, positions, liveness and rows, which it first
 // compacts, so neither graph's Adjacency() writes shared rows. A replica is

@@ -47,7 +47,8 @@ const stopCheckInterval = 4096
 type phase uint8
 
 const (
-	phaseRelaxQueue  phase = iota // relaxation: between iterations
+	phaseRelaxOpen   phase = iota // relaxation: the opening pass, which saturates
+	phaseRelaxQueue               // relaxation: between iterations
 	phaseRelaxTree                // relaxation: growing one iteration's tree
 	phaseSaturate                 // cost scaling: a tier's sweep, which saturates
 	phaseDischarge                // cost scaling: push-relabel discharge

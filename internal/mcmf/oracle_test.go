@@ -9,9 +9,9 @@ import (
 	"firmament/internal/flow"
 )
 
-// This file keeps the passes that cost scaling's sweep and the seeded price
-// refine replaced, as oracles: each new pass must reproduce its oracle bit
-// for bit on the differential suite's graphs.
+// This file keeps the passes that cost scaling's sweep, relaxation's opening
+// pass and the seeded price refine replaced, as oracles: each new pass must
+// reproduce its oracle bit for bit on the differential suite's graphs.
 
 // scaledReducedCost is the reduced cost of a in c's internally scaled cost
 // domain.
@@ -71,6 +71,19 @@ func (c *CostScaling) threePasses(g *flow.Graph) (viol, maxCost int64, excess []
 		}
 	}
 	return viol, maxCost, g.ImbalancesInto(nil)
+}
+
+// twoPasses is the oracle of Relaxation.open: the saturation pass over
+// every arc slot that opened every run, then ImbalancesInto.
+func twoPasses(g *flow.Graph) []int64 {
+	pl := g.ArcPlanes()
+	for a := 0; a < g.ArcIDBound(); a++ {
+		arc := flow.ArcID(a)
+		if g.ArcInUse(arc) && pl.Resid[arc] > 0 && g.ReducedCost(arc) < 0 {
+			g.Push(arc, pl.Resid[arc])
+		}
+	}
+	return g.ImbalancesInto(nil)
 }
 
 // priceRefineAllNodes is the oracle of Scratch.PriceRefine: the same FIFO
@@ -172,6 +185,47 @@ func TestSweepMatchesThreePasses(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRelaxOpenMatchesTwoPasses runs relaxation's opening pass and its
+// oracle on clones of the same state — each differential graph from
+// scratch, then warm after every change batch of a relaxation chain — and
+// requires equal residual planes and node excesses.
+func TestRelaxOpenMatchesTwoPasses(t *testing.T) {
+	const changeRounds = 3
+	check := func(label string, r *Relaxation, base *flow.Graph) {
+		t.Helper()
+		g, want := base.Clone(), base.Clone()
+		wex := twoPasses(want)
+		r.grow(g.NodeIDBound())
+		if err := r.open(g, nil); err != nil {
+			t.Fatalf("%s: open: %v", label, err)
+		}
+		if got, exp := g.ArcPlanes().Resid, want.ArcPlanes().Resid; !slices.Equal(got, exp) {
+			t.Fatalf("%s: residuals after the opening pass\n%v\nafter the two passes\n%v", label, got, exp)
+		}
+		if got := r.excess[:g.NodeIDBound()]; !slices.Equal(got, wex) {
+			t.Fatalf("%s: opening pass excesses\n%v\nImbalancesInto\n%v", label, got, wex)
+		}
+	}
+	for seed := int64(0); seed < differentialSeeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomSchedulingGraph(rng, 20+rng.Intn(40), 4+rng.Intn(10), 1+rng.Intn(3))
+		r := NewRelaxation()
+		check(fmt.Sprintf("seed %d, initial graph", seed), r, g)
+		if _, err := r.Solve(g, nil); err != nil {
+			t.Fatalf("seed %d: initial solve: %v", seed, err)
+		}
+		for round := 1; round <= changeRounds; round++ {
+			batch := rand.New(rand.NewSource(seed*1009 + int64(round)))
+			mutateSchedulingGraph(batch, g)
+			removeRandomTask(batch, g)
+			check(fmt.Sprintf("seed %d, round %d", seed, round), r, g)
+			if _, err := r.SolveIncremental(g, nil); err != nil {
+				t.Fatalf("seed %d, round %d: incremental solve: %v", seed, round, err)
+			}
+		}
 	}
 }
 

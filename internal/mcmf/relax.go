@@ -79,30 +79,54 @@ func (r *Relaxation) Solve(g *flow.Graph, opts *Options) (Result, error) {
 }
 
 // SolveIncremental implements IncrementalSolver: it keeps the prior flow
-// and potentials. Counter-intuitively this is often slower than solving
-// from scratch — the close-to-optimal state contains large zero-reduced-
-// cost trees that every new source must traverse (paper §5.2) — but the
-// method is provided for completeness and for the experiments that
-// demonstrate exactly that effect.
+// and potentials, whose reduced costs must be in unscaled cost units (see
+// UnscalePotentials for a cost scaling or price refine solution). The
+// opening pass saturates only the residual arcs the latest changes left
+// with negative reduced cost, so the iterations work off just the surpluses
+// the changes and those saturations created: a round that adds a job to an
+// optimal flow takes about one iteration per arriving task, where a
+// from-scratch solve takes one per unit of standing flow. The warm start
+// loses when the changes touch much of the graph: a near-optimal state
+// holds large zero-reduced-cost trees that every new surplus must traverse
+// (paper §5.2). The solver pool therefore starts relaxation warm only on
+// rounds that change little of the graph (core.SolverPool).
 func (r *Relaxation) SolveIncremental(g *flow.Graph, opts *Options) (Result, error) {
 	return r.run(g, time.Now(), opts)
 }
 
-// run restores complementary slackness (saturating residual arcs with
-// negative reduced cost), then processes surplus nodes until none remain.
+// UnscalePotentials floor-divides every potential on g by scale, turning
+// potentials priced in cost scaling's scaled domain (costs multiplied by
+// scale) into potentials for the original costs. Flooring keeps every
+// residual arc that had a non-negative scaled reduced cost at a
+// non-negative one: π(u) ≤ c·scale + π(v) implies ⌊π(u)/scale⌋ ≤ c +
+// ⌊π(v)/scale⌋, since c is an integer. Truncating division would break
+// that for potentials of mixed sign, so negative non-multiples round down.
+func UnscalePotentials(g *flow.Graph, scale int64) {
+	for i := 0; i < g.NodeIDBound(); i++ {
+		if id := flow.NodeID(i); g.NodeInUse(id) {
+			g.SetPotential(id, floorDiv(g.Potential(id), scale))
+		}
+	}
+}
+
+// floorDiv is a/b rounded toward negative infinity, for b > 0.
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
+}
+
+// run restores complementary slackness and computes the excesses in one
+// opening pass (open), then processes surplus nodes until none remain.
 func (r *Relaxation) run(g *flow.Graph, start time.Time, opts *Options) (Result, error) {
 	bound := g.NodeIDBound()
 	r.grow(bound)
 	r.adj = g.Adjacency()
-	// Enforce reduced cost optimality for the initial pseudoflow.
-	pl := g.ArcPlanes()
-	for a := 0; a < g.ArcIDBound(); a++ {
-		arc := flow.ArcID(a)
-		if g.ArcInUse(arc) && pl.Resid[arc] > 0 && g.ReducedCost(arc) < 0 {
-			g.Push(arc, pl.Resid[arc])
-		}
+	if err := r.open(g, opts); err != nil {
+		return Result{}, err
 	}
-	r.excess = g.ImbalancesInto(r.excess)
 	r.work = 0
 	r.queue = r.queue[:0]
 	for i := 0; i < bound; i++ {
@@ -143,6 +167,53 @@ func (r *Relaxation) run(g *flow.Graph, start time.Time, opts *Options) (Result,
 		Runtime:    time.Since(start),
 		Iterations: iters,
 	}, nil
+}
+
+// open is the one pass over the arc pairs that starts every run. Pair by
+// pair, it enforces reduced cost optimality for the initial pseudoflow,
+// saturating the residual direction with negative reduced cost, and
+// accumulates the node excesses of the saturated pseudoflow into r.excess,
+// starting from the supplies. The partners' reduced costs are negations of
+// each other, so at most one direction of a pair is saturated. On a warm
+// start this pass is most of a quiet round's work, so it checks for
+// cancellation every stopCheckInterval pairs, as cost scaling's sweep does.
+//
+//firmament:hotpath
+func (r *Relaxation) open(g *flow.Graph, opts *Options) error {
+	excess := r.excess[:g.NodeIDBound()]
+	for i := range excess {
+		excess[i] = 0
+		if id := flow.NodeID(i); g.NodeInUse(id) {
+			excess[i] = g.Supply(id)
+		}
+	}
+	pl := g.ArcPlanes()
+	for a := 0; a < g.ArcIDBound(); a += 2 {
+		if (a/2+1)%stopCheckInterval == 0 && opts.poll(phaseRelaxOpen) {
+			return ErrStopped
+		}
+		fwd := flow.ArcID(a)
+		if !g.ArcInUse(fwd) {
+			continue
+		}
+		rev := fwd ^ 1
+		tail, head := pl.Head[rev], pl.Head[fwd]
+		rc := pl.Cost[fwd] - g.Potential(tail) + g.Potential(head)
+		if rc < 0 {
+			if res := pl.Resid[fwd]; res > 0 {
+				g.Push(fwd, res)
+			}
+		} else if rc > 0 {
+			if res := pl.Resid[rev]; res > 0 {
+				g.Push(rev, res)
+			}
+		}
+		if f := pl.Resid[rev]; f != 0 {
+			excess[tail] -= f
+			excess[head] += f
+		}
+	}
+	return nil
 }
 
 // label adds u to the tree Z (reached via arc `via`, InvalidArc for the
@@ -397,6 +468,7 @@ func (r *Relaxation) enqueue(id flow.NodeID) {
 
 func (r *Relaxation) grow(n int) {
 	if len(r.labeled) < n {
+		r.excess = make([]int64, n)
 		r.labeled = make([]int32, n)
 		r.joinDelta = make([]int64, n)
 		r.parent = make([]flow.ArcID, n)

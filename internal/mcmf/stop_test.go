@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+
+	"firmament/internal/flow"
 )
 
 // TestStopPromptInEveryPhase stops each solver in the middle of each of
@@ -15,22 +17,37 @@ import (
 // It must return ErrStopped without reaching another check, so the extra
 // work after the flag went up is under stopCheckInterval units — the
 // race's loser no longer finishes a tree, a saturation pass or a price
-// update before it notices.
+// update before it notices. Relaxation is stopped both from scratch and
+// warm: a warm start from a priced optimum of a slightly changed graph,
+// as the solver pool's race runs it on quiet rounds, spends most of its
+// work in the opening pass.
 func TestStopPromptInEveryPhase(t *testing.T) {
 	base := randomSchedulingGraph(rand.New(rand.NewSource(5)), 6000, 300, 16)
+	warmBase := base.Clone()
+	cs := NewCostScaling()
+	if _, err := cs.Solve(warmBase, nil); err != nil {
+		t.Fatal(err)
+	}
+	NewScratch().PriceRefine(warmBase, cs.Scale(), 0, nil)
+	UnscalePotentials(warmBase, cs.Scale())
+	mutateSchedulingGraph(rand.New(rand.NewSource(6)), warmBase)
+
+	relax := NewRelaxation()
 	solvers := []struct {
 		name   string
-		s      Solver
+		base   *flow.Graph
+		solve  func(*flow.Graph, *Options) (Result, error)
 		phases []phase
 	}{
-		{"relaxation", NewRelaxation(), []phase{phaseRelaxQueue, phaseRelaxTree}},
-		{"cost-scaling", NewCostScaling(), []phase{phaseSaturate, phaseDischarge, phasePriceUpdate}},
+		{"relaxation", base, relax.Solve, []phase{phaseRelaxOpen, phaseRelaxQueue, phaseRelaxTree}},
+		{"warm relaxation", warmBase, relax.SolveIncremental, []phase{phaseRelaxOpen, phaseRelaxQueue, phaseRelaxTree}},
+		{"cost-scaling", base, NewCostScaling().Solve, []phase{phaseSaturate, phaseDischarge, phasePriceUpdate}},
 	}
-	names := [numPhases]string{"between iterations", "tree growth", "saturation", "discharge", "price update"}
+	names := [numPhases]string{"opening pass", "between iterations", "tree growth", "saturation", "discharge", "price update"}
 	for _, sv := range solvers {
 		var checks [numPhases]int
-		g := base.Clone()
-		if _, err := sv.s.Solve(g, &Options{ArcPrioritization: true, onPoll: func(ph phase) { checks[ph]++ }}); err != nil {
+		g := sv.base.Clone()
+		if _, err := sv.solve(g, &Options{ArcPrioritization: true, onPoll: func(ph phase) { checks[ph]++ }}); err != nil {
 			t.Fatalf("%s: unstopped solve: %v", sv.name, err)
 		}
 		for _, ph := range sv.phases {
@@ -51,8 +68,8 @@ func TestStopPromptInEveryPhase(t *testing.T) {
 					}
 				}
 			}
-			base.CloneInto(g)
-			_, err := sv.s.Solve(g, &Options{ArcPrioritization: true, Stop: &stop, onPoll: hook})
+			sv.base.CloneInto(g)
+			_, err := sv.solve(g, &Options{ArcPrioritization: true, Stop: &stop, onPoll: hook})
 			if !errors.Is(err, ErrStopped) {
 				t.Fatalf("%s stopped in %s: err = %v, want ErrStopped", sv.name, names[ph], err)
 			}
